@@ -142,18 +142,22 @@ def _run_verify(args, workers: int) -> int:
         print(f"unknown identity: {ident}", file=sys.stderr)
         return EXIT_USAGE
     grid = [{"n": n} for n in args.n] if args.n else None
-    if args.q is not None:
-        result = registry.sweep(ident, [args.q], grid, emit_skips=True, parallelism=workers)
-        echo = {"identity": ident, "q": args.q, "n": args.n}
-    elif args.pmin is not None and args.pmax is not None:
-        moduli = primes_in_range(args.pmin, args.pmax)
-        result = registry.sweep(ident, moduli, grid, parallelism=workers)
-        echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
-    elif args.qmin is not None and args.qmax is not None:
-        result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid, parallelism=workers)
-        echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
-    else:
-        print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
+    try:
+        if args.q is not None:
+            result = registry.sweep(ident, [args.q], grid, emit_skips=True, parallelism=workers)
+            echo = {"identity": ident, "q": args.q, "n": args.n}
+        elif args.pmin is not None and args.pmax is not None:
+            moduli = primes_in_range(args.pmin, args.pmax)
+            result = registry.sweep(ident, moduli, grid, parallelism=workers)
+            echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
+        elif args.qmin is not None and args.qmax is not None:
+            result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid, parallelism=workers)
+            echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
+        else:
+            print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
+            return EXIT_USAGE
+    except ValueError as exc:  # an empty prime range or a modulus below 1
+        print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 
     rows = [_outcome_row(o) for o in result.outcomes]
@@ -161,6 +165,7 @@ def _run_verify(args, workers: int) -> int:
         "pass": result.summary.n_pass,
         "fail": result.summary.n_fail,
         "skip": result.summary.n_skip,
+        "numeric": result.summary.n_numeric,
         "max_residual": result.summary.max_residual,
     }
     _finish(args, "verify", echo, rows, summary)
@@ -170,7 +175,7 @@ def _run_verify(args, workers: int) -> int:
 def _run_verify_all(args, workers: int) -> int:
     rows = []
     statuses = []
-    summary = {"pass": 0, "fail": 0, "skip": 0, "max_residual": 0.0}
+    summary = {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
     for desc in registry.list_identities():
         kind, lo, hi = VERIFY_ALL_RANGES[desc.identity_id]
         if kind == "primes":
@@ -184,6 +189,7 @@ def _run_verify_all(args, workers: int) -> int:
         summary["pass"] += result.summary.n_pass
         summary["fail"] += result.summary.n_fail
         summary["skip"] += result.summary.n_skip
+        summary["numeric"] += result.summary.n_numeric
         summary["max_residual"] = max(summary["max_residual"], result.summary.max_residual)
     _finish(args, "verify-all", {"ranges": {k: list(v) for k, v in VERIFY_ALL_RANGES.items()}}, rows, summary)
     return _exit_code(statuses)
@@ -193,7 +199,14 @@ def _run_conjecture(args, workers: int) -> int:
     if not 1 <= args.k <= conj.MAX_K:
         print(f"--k must be in 1..{conj.MAX_K}", file=sys.stderr)
         return EXIT_USAGE
-    report = conj.conjecture_report(args.k, args.pmin, args.pmax, parallelism=workers)
+    try:
+        report = conj.conjecture_report(args.k, args.pmin, args.pmax, parallelism=workers)
+    except ValueError as exc:  # pmin > pmax
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    if not report.rows:
+        print(f"no odd primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
+        return EXIT_USAGE
     rows = [
         {
             "p": r.p,
@@ -231,6 +244,9 @@ def _run_search(args, workers: int) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:  # a hit failed the independent re-verify
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     rows = [
         {
             "c": h.c,

@@ -5,8 +5,13 @@ and square scaling -- integer-level transforms that provably preserve
 the signature or reproduce an in-bounds representative), computes the
 vector of Legendre character sums across a prime list, and groups by a
 normalized key so that pairs whose sums differ by a fixed constant land
-in the same bucket.  Every emitted hit is re-verified by direct
-recomputation; hits are conjectural evidence, never theorems.
+in the same bucket.  Every emitted hit is re-verified at every evidence
+prime by an independent oracle: f(x) is evaluated over Z and classified
+by Euler's criterion, never through legendre_table or char_sum_poly.
+The oracle vector is computed once per polynomial that appears in a hit
+and memoised for the rest of the search call, so a polynomial shared by
+many pairs costs one evaluation.  Hits are conjectural evidence, never
+theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
@@ -149,14 +154,26 @@ def _structural_notes(f: PolynomialZ, g: PolynomialZ) -> str:
     return f"deg {f.degree} vs deg {g.degree}"
 
 
-def _verify_pair(f: PolynomialZ, g: PolynomialZ, primes, c: int, twisted: bool) -> bool:
-    """Independent recomputation of both sums at every evidence prime."""
+def _euler_sums(f: PolynomialZ, primes) -> tuple[int, ...]:
+    """sum_{x=1}^{p-1} (f(x)/p) at each prime: the re-verify oracle.
+
+    f(x) is evaluated as an integer and classified by Euler's criterion
+    f(x)^((p-1)/2) mod p, which is 1, p-1 or 0.  The primes are the
+    search's validated odd evidence primes, so pow is called directly
+    rather than through arith.legendre.
+    """
+    out = []
     for p in primes:
-        sf = sum(legendre(f(x), p) for x in range(1, p))
-        sg = sum(legendre(g(x), p) for x in range(1, p))
-        if twisted:
-            sf *= legendre(-1, p)
-        if sf - sg != c:
+        euler = [pow(v, (p - 1) // 2, p) for v in map(f, range(1, p))]
+        out.append(euler.count(1) - euler.count(p - 1))
+    return tuple(out)
+
+
+def _verify_pair(sums_f, sums_g, c: int, twisted: bool, minus_one) -> bool:
+    """True iff (-1/p)^twisted * sums_f - sums_g == c at every prime, for
+    oracle vectors from _euler_sums and minus_one[i] = (-1/p_i)."""
+    for a, b, sign in zip(sums_f, sums_g, minus_one, strict=True):
+        if (sign * a if twisted else a) - b != c:
             return False
     return True
 
@@ -190,20 +207,26 @@ def search_constant_pairs(
         groups[normalized_key(sig)].append(sig)
 
     hits: list[SearchHit] = []
+    minus_one = [legendre(-1, p) for p in primes]
+    oracle: dict[PolynomialZ, tuple[int, ...]] = {}
+
+    def euler_sums(f: PolynomialZ) -> tuple[int, ...]:
+        if f not in oracle:
+            oracle[f] = _euler_sums(f, primes)
+        return oracle[f]
 
     def emit(sf: Signature, sg: Signature, is_twisted: bool):
         f, g = sf.poly, sg.poly
         if not fundamentally_different(f, g, primes):
             return
         if is_twisted:
-            leg = [legendre(-1, p) for p in primes]
-            diffs = {l * a - b for l, a, b in zip(leg, sf.sums, sg.sums)}
+            diffs = {l * a - b for l, a, b in zip(minus_one, sf.sums, sg.sums)}
             if len(diffs) != 1:
                 return
             c = diffs.pop()
         else:
             c = sf.sums[0] - sg.sums[0]
-        if not _verify_pair(f, g, primes, c, is_twisted):
+        if not _verify_pair(euler_sums(f), euler_sums(g), c, is_twisted, minus_one):
             raise AssertionError(f"grouping produced an unsound hit: {f} vs {g}")
         hits.append(SearchHit(f, g, c, primes, is_twisted, _structural_notes(f, g)))
 
@@ -216,8 +239,7 @@ def search_constant_pairs(
     if twisted:
         twisted_groups: dict[tuple, list[Signature]] = defaultdict(list)
         for sig in sigs:
-            leg = [legendre(-1, p) for p in primes]
-            tsums = [l * s for l, s in zip(leg, sig.sums)]
+            tsums = [l * s for l, s in zip(minus_one, sig.sums)]
             key = tuple(s - tsums[0] for s in tsums)
             twisted_groups[key].append(sig)
         for key, tmembers in sorted(twisted_groups.items()):

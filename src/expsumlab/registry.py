@@ -68,6 +68,7 @@ class SweepSummary:
     n_pass: int = 0
     n_fail: int = 0
     n_skip: int = 0
+    n_numeric: int = 0
     max_residual: float = 0.0
 
 
@@ -384,6 +385,8 @@ def sweep(
             out.summary.n_pass += 1
         elif outcome.status == SKIP:
             out.summary.n_skip += 1
+        elif outcome.status == NUMERIC:
+            out.summary.n_numeric += 1
         else:
             out.summary.n_fail += 1
         out.summary.max_residual = max(out.summary.max_residual, outcome.residual)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from expsumlab import cli, registry
+from expsumlab import cli, poly_search, registry
 from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json
 
 
@@ -76,8 +76,12 @@ def test_large_residual_maps_to_numeric_exit(capsys, monkeypatch):
         registry._Entry(entry.descriptor, entry.applies,
                         lambda mod, params: (160, 0.5), entry.rhs),
     )
-    code, _ = run(capsys, "verify", "--identity", "salie_4th", "--q", "5")
+    code, out = run(capsys, "verify", "--identity", "salie_4th", "--q", "5",
+                    "--format", "json")
     assert code == cli.EXIT_NUMERIC
+    summary = json.loads(out)["summary"]
+    assert summary["fail"] == 0
+    assert summary["numeric"] >= 1
 
 
 def test_csv_output_header_and_rows(capsys):
@@ -130,6 +134,35 @@ def test_conjecture_command(capsys):
 def test_conjecture_bad_k(capsys):
     code, _ = run(capsys, "conjecture", "--k", "9", "--pmin", "5", "--pmax", "40")
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "salie_4th", "--pmin", "50", "--pmax", "10"),
+    ("verify", "--identity", "salie_4th", "--q", "-5"),
+    ("conjecture", "--k", "2", "--pmin", "1", "--pmax", "2"),
+    ("conjecture", "--k", "2", "--pmin", "50", "--pmax", "10"),
+])
+def test_bad_range_is_usage_error_without_traceback(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err and "\n" not in err and "Traceback" not in err
+
+
+def test_search_invariant_breach_exits_1(capsys, monkeypatch):
+    # a grouping that puts every signature in one bucket hands the
+    # re-verify pairs whose sums do not differ by a constant
+    monkeypatch.setattr(poly_search, "normalized_key", lambda sig: ())
+    code = cli.main(["search", "--max-degree", "2", "--coeff-bound", "2",
+                     "--prime-max", "60", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_FAIL
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("internal invariant breach")
+    assert "\n" not in err and "Traceback" not in err
 
 
 def test_search_command(capsys):

@@ -1,8 +1,11 @@
 import pytest
 
+from expsumlab import poly_search
 from expsumlab.arith import legendre, primes_in_range
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X
 from expsumlab.poly_search import (
+    _euler_sums,
+    _verify_pair,
     enumerate_polys,
     fundamentally_different,
     normalized_key,
@@ -128,3 +131,54 @@ def test_twisted_search_finds_corollary_pair():
     assert len(match) == 1
     assert match[0].c == 2
     assert match[0].f == CUBIC_CCC  # twisted side carries the (-1/p) factor
+
+
+def _brute_sums(f, primes):
+    return tuple(sum(legendre(f(x), p) for x in range(1, p)) for p in primes)
+
+
+def test_euler_oracle_matches_brute_force():
+    primes = tuple(primes_in_range(3, 60))
+    for f in enumerate_polys(2, 2):
+        assert _euler_sums(f, primes) == _brute_sums(f, primes), str(f)
+
+
+def test_search_computes_oracle_once_per_hit_polynomial(monkeypatch):
+    primes = tuple(primes_in_range(3, 60))
+    computed = []
+
+    def recording(f, ps):
+        sums = _euler_sums(f, ps)
+        computed.append((f, sums))
+        return sums
+
+    monkeypatch.setattr(poly_search, "_euler_sums", recording)
+    res = search_constant_pairs(2, 2, primes, twisted=True)
+    polys = [f for f, _ in computed]
+    assert len(polys) == len(set(polys))
+    assert set(polys) == {h.f for h in res.hits} | {h.g for h in res.hits}
+    for f, sums in computed:
+        assert sums == _brute_sums(f, primes), str(f)
+
+
+def test_verify_pair_rejects_wrong_constant_and_flipped_twist():
+    minus_one = [legendre(-1, p) for p in PRIMES]
+    quad_1 = _euler_sums(PolynomialZ.of(1, 0, 1), PRIMES)
+    quad_4 = _euler_sums(PolynomialZ.of(4, 0, 1), PRIMES)
+    cubic = _euler_sums(CUBIC_CCC, PRIMES)
+    quartic = _euler_sums(NING_WANG_QUARTIC, PRIMES)
+    # known hits: x^2+1 vs x^2+4 at c = 0, and the corollary's twisted pair at c = 2
+    assert _verify_pair(quad_1, quad_4, 0, False, minus_one)
+    assert _verify_pair(cubic, quartic, 2, True, minus_one)
+    assert not _verify_pair(quad_1, quad_4, 1, False, minus_one)
+    assert not _verify_pair(cubic, quartic, 3, True, minus_one)
+    assert not _verify_pair(quad_1, quad_4, 0, True, minus_one)
+    assert not _verify_pair(cubic, quartic, 2, False, minus_one)
+
+
+def test_unsound_grouping_raises(monkeypatch):
+    # one bucket for every signature: emit derives c from the first prime
+    # alone, so pairs without a constant difference reach the re-verify
+    monkeypatch.setattr(poly_search, "normalized_key", lambda sig: ())
+    with pytest.raises(AssertionError, match="unsound hit"):
+        search_constant_pairs(2, 2, PRIMES)
