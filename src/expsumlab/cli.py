@@ -2,8 +2,9 @@
 search, and ad-hoc sum evaluation.
 
 Exit codes: 0 all checks passed (skips allowed), 1 identity/invariant
-failure, 2 usage error, 3 numerical-residual failure.  Machine output
-(JSON/CSV) goes to --output or stdout; diagnostics go to stderr.
+failure, 2 usage error, 3 numerical-residual or other arithmetic
+failure.  Machine output (JSON/CSV) goes to --output or stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import conjecture as conj
 from . import exp_sums, poly_search, registry, reporting
-from .arith import primes_in_range
+from .arith import NotRepresentableError, primes_in_range
 from .char_sums import PolynomialZ
 
 EXIT_OK = 0
@@ -138,8 +139,12 @@ def _exit_code(statuses) -> int:
 
 def _run_verify(args, workers: int) -> int:
     ident = args.identity
-    if ident not in {d.identity_id for d in registry.list_identities()}:
+    desc = {d.identity_id: d for d in registry.list_identities()}.get(ident)
+    if desc is None:
         print(f"unknown identity: {ident}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.n and not desc.takes_n:
+        print(f"{ident} takes no --n", file=sys.stderr)
         return EXIT_USAGE
     grid = [{"n": n} for n in args.n] if args.n else None
     try:
@@ -156,6 +161,8 @@ def _run_verify(args, workers: int) -> int:
         else:
             print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
             return EXIT_USAGE
+    except NotRepresentableError:
+        raise  # an invariant breach, reported by main()
     except ValueError as exc:  # an empty prime range or a modulus below 1
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -201,6 +208,8 @@ def _run_conjecture(args, workers: int) -> int:
         return EXIT_USAGE
     try:
         report = conj.conjecture_report(args.k, args.pmin, args.pmax, parallelism=workers)
+    except NotRepresentableError:
+        raise  # an invariant breach, reported by main()
     except ValueError as exc:  # pmin > pmax
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -236,8 +245,8 @@ def _run_conjecture(args, workers: int) -> int:
 
 
 def _run_search(args, workers: int) -> int:
-    primes = [p for p in primes_in_range(args.prime_min, args.prime_max) if p > 2]
     try:
+        primes = [p for p in primes_in_range(args.prime_min, args.prime_max) if p > 2]
         result = poly_search.search_constant_pairs(
             args.max_degree, args.coeff_bound, primes, twisted=args.twisted
         )
@@ -326,7 +335,14 @@ def main(argv=None) -> int:
         "search": _run_search,
         "sum": _run_sum,
     }[args.command]
-    return runner(args, workers)
+    try:
+        return runner(args, workers)
+    except NotRepresentableError as exc:  # 4p = d^2 + 27b^2 must solve for p = 1 mod 3
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ArithmeticError as exc:  # a residual too large, a non-integral closed form
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -5,15 +5,25 @@ precision from a root-of-unity table; that is plenty for their 1e-9
 contracts.  Power means are a different story: at the 8th or 12th power
 the totals reach 1e12..1e19 and doubles cannot place them within 1e-6 of
 an integer.  power_mean therefore runs a 128-bit fixed-point integer
-kernel: roots of unity are scaled to integers, inner sums are exact
-integer additions, and the final mean is a rational number that is
-rounded to the nearest integer.  The rounding error of the scaled roots
-grows with q and the power: the residual (distance to the nearest
-integer) measured for the 12th mean of the conjecture family is 1e-18
-at p = 499 and 9e-12 at p = 4999.  The residual check is a
-distance-to-nearest-integer test, so it is only meaningful while the
-true error stays below 0.5; a larger error would round to a wrong
-integer with a small residual.
+kernel: roots of unity are scaled by 2^128 and rounded to integers,
+inner sums are exact integer additions, and the final mean is a rational
+number that is rounded to the nearest integer.
+
+The inner sums run in int64 numpy arithmetic without losing a bit.  Each
+scaled root x lies in [-2^128, 2^128], so x + 2^128 fits in 130 bits and
+is stored as five 32-bit limbs (the multiprecision splitting of Knuth,
+TAOCP vol. 2, 4.3.1).  An inner sum adds at most q terms, so every limb
+sum stays below 2^32 * q < 2^63 while q < 2^31 (power_mean rejects larger
+moduli), and the exponents t*u + v stay below q^2 + q < 2^63 as well.
+The limb sums are recombined into Python integers with shifts, minus
+(number of terms) * 2^128 for the offset.
+
+The rounding error of the scaled roots grows with q and the power: the
+residual (distance to the nearest integer) measured for the 12th mean of
+the conjecture family is 9.5e-19 at p = 499 and 8.9e-12 at p = 4999.
+The residual check is a distance-to-nearest-integer test, so it is only
+meaningful while the true error stays below 0.5; a larger error would
+round to a wrong integer with a small residual.
 """
 
 from __future__ import annotations
@@ -108,22 +118,59 @@ def root_table(q: int) -> np.ndarray:
 
 _mp_lock = threading.Lock()
 
+# the root table steps omega^j with this many fractional bits
+_GUARD_BITS = 256
+# x + 2^128 for a scaled root x, as five 32-bit limbs: 160 >= 130 bits
+_N_LIMBS = 5
+# largest modulus (exclusive) whose limb sums fit in int64
+_MAX_Q = 1 << 31
+# sweep values of t handled per numpy gather in _abs_sq_table
+_T_BLOCK = 64
+
 
 @lru_cache(maxsize=64)
-def _fixed_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Roots of unity scaled by 2^128 and rounded to integers."""
+def _fixed_root_table(q: int) -> np.ndarray:
+    """Roots of unity e(j/q) scaled by 2^128 and rounded to integers, as
+    limbs: row l < 5 holds limb l of re_j + 2^128, row 5 + l limb l of
+    im_j + 2^128, column j for j = 0..q-1 (int64, read-only).
+
+    omega = e(1/q) is evaluated once by mpmath at 100 digits and rounded
+    at scale 2^256.  The powers omega^j for j <= q/2 are stepped by
+    integer multiply-and-shift at that scale, and the rest follow by
+    conjugation, e((q-j)/q) = conj(e(j/q)).  Each step adds under 1.5 units
+    of 2^-256 to the error, so omega^j at scale 2^128 is within
+    q * 2^-128 < 2^-97 of the exact value; an entry computed alone by
+    mpmath at 60 digits is within about 2^-70.  Both therefore round to
+    the same integer unless the exact scaled value lies within 2^-70 of a
+    half-integer; the tests compare the two tables entry by entry.
+    """
     with _mp_lock:
         saved = mpmath.mp.dps
-        mpmath.mp.dps = 60
+        mpmath.mp.dps = 100
         try:
-            re, im = [], []
-            for j in range(q):
-                z = mpmath.expjpi(mpmath.mpf(2 * j) / q)
-                re.append(int(mpmath.nint(z.real * _SCALE)))
-                im.append(int(mpmath.nint(z.imag * _SCALE)))
+            w = mpmath.expjpi(mpmath.mpf(2) / q)
+            w_re = int(mpmath.nint(w.real * (1 << _GUARD_BITS)))
+            w_im = int(mpmath.nint(w.imag * (1 << _GUARD_BITS)))
         finally:
             mpmath.mp.dps = saved
-    return tuple(re), tuple(im)
+    drop = _GUARD_BITS - _SCALE_BITS
+    half_g, half_d = 1 << (_GUARD_BITS - 1), 1 << (drop - 1)
+    re, im = [0] * q, [0] * q
+    a, b = 1 << _GUARD_BITS, 0
+    for j in range(q // 2 + 1):
+        re[j] = (a + half_d) >> drop
+        im[j] = (b + half_d) >> drop
+        a, b = (
+            (a * w_re - b * w_im + half_g) >> _GUARD_BITS,
+            (a * w_im + b * w_re + half_g) >> _GUARD_BITS,
+        )
+    for j in range(q // 2 + 1, q):
+        re[j], im[j] = re[q - j], -im[q - j]
+    raw = b"".join((x + _SCALE).to_bytes(4 * _N_LIMBS, "little") for x in re + im)
+    limbs = np.frombuffer(raw, dtype="<u4").reshape(2, q, _N_LIMBS).transpose(0, 2, 1)
+    table = limbs.reshape(2 * _N_LIMBS, q).astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _unit_list(q: int) -> list[int]:
@@ -207,16 +254,26 @@ def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray
 
 @lru_cache(maxsize=64)
 def _abs_sq_table(family: PhaseFamily, q: int) -> tuple[int, ...]:
-    """|S_t|^2 for t = 0..q-1, scaled by 2^256, exact integers."""
+    """|S_t|^2 for t = 0..q-1, scaled by 2^256, exact integers.
+
+    For a block of t values the exponents (t*u + v) mod q gather each
+    limb row of the root table; the int64 row sums are exact (module
+    docstring) and are recombined into the real and imaginary parts of
+    S_t scaled by 2^128.
+    """
     u, v = _family_vectors(family, q)
-    re_t, im_t = _fixed_root_table(q)
-    re_get, im_get = re_t.__getitem__, im_t.__getitem__
+    limbs = _fixed_root_table(q)
+    offset = len(u) << _SCALE_BITS
     out = []
-    for t in range(q):
-        exps = ((t * u + v) % q).tolist()
-        sre = sum(map(re_get, exps))
-        sim = sum(map(im_get, exps))
-        out.append(sre * sre + sim * sim)
+    for t0 in range(0, q, _T_BLOCK):
+        t = np.arange(t0, min(t0 + _T_BLOCK, q), dtype=np.int64)
+        exps = (t[:, None] * u + v) % q
+        sums = np.stack([row[exps].sum(axis=1) for row in limbs], axis=1).tolist()
+        # five limbs of re, then five of im, at 32-bit steps
+        for r0, r1, r2, r3, r4, i0, i1, i2, i3, i4 in sums:
+            sre = r0 + (r1 << 32) + (r2 << 64) + (r3 << 96) + (r4 << 128) - offset
+            sim = i0 + (i1 << 32) + (i2 << 64) + (i3 << 96) + (i4 << 128) - offset
+            out.append(sre * sre + sim * sim)
     return tuple(out)
 
 
@@ -224,16 +281,19 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
     """2k-th power mean of |inner sum| over the sweep of the varying
     coefficient (complete residue system, zero term per the family flag).
 
-    Exact fixed-point arithmetic throughout; the raw value, the nearest
+    Exact fixed-point arithmetic throughout (int64 limb sums, hence
+    q < 2^31; see the module docstring); the raw value, the nearest
     integer and the rounding residual are all reported.  Results are NOT
     gated here -- callers decide what residual >= RESIDUAL_TOL means.
     """
-    mod = as_modulus(modulus)
-    q = mod.q
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
+    q = modulus.q if isinstance(modulus, Modulus) else int(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
+    if q >= _MAX_Q:
+        raise ValueError(f"modulus must be below 2^31 for the int64 kernel, got {q}")
+    mod = as_modulus(modulus)
     # the cache key ignores the sweep-zero flag; slicing handles it
     table = _abs_sq_table(replace(family, include_zero_in_sweep=True), q)
     start = 0 if family.include_zero_in_sweep else 1

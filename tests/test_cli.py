@@ -3,6 +3,9 @@ import json
 import pytest
 
 from expsumlab import cli, poly_search, registry
+from expsumlab import conjecture as conj
+from expsumlab.arith import NotRepresentableError
+from expsumlab.exp_sums import ResidualError
 from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json
 
 
@@ -141,6 +144,9 @@ def test_conjecture_bad_k(capsys):
     ("verify", "--identity", "salie_4th", "--q", "-5"),
     ("conjecture", "--k", "2", "--pmin", "1", "--pmax", "2"),
     ("conjecture", "--k", "2", "--pmin", "50", "--pmax", "10"),
+    # salie_4th takes no n; n = 0 would change the sum it compares
+    ("verify", "--identity", "salie_4th", "--q", "5", "--n", "0"),
+    ("search", "--prime-min", "50", "--prime-max", "20"),
 ])
 def test_bad_range_is_usage_error_without_traceback(capsys, argv):
     code = cli.main(list(argv))
@@ -149,6 +155,45 @@ def test_bad_range_is_usage_error_without_traceback(capsys, argv):
     assert captured.out == ""
     err = captured.err.strip()
     assert err and "\n" not in err and "Traceback" not in err
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+    return fn
+
+
+def _with_rhs(identity, rhs):
+    entry = registry._ENTRIES[identity]
+    return registry._Entry(entry.descriptor, entry.applies, entry.lhs, rhs)
+
+
+@pytest.mark.parametrize("patch, argv, code, prefix", [
+    # the zhang RHS raises ArithmeticError when its product is not an integer
+    (lambda mp: mp.setitem(registry._ENTRIES, "zhang_composite_4th", _with_rhs(
+        "zhang_composite_4th", _raise(ArithmeticError("zhang rhs not an integer")))),
+     ("verify", "--identity", "zhang_composite_4th", "--q", "15"),
+     cli.EXIT_NUMERIC, "numeric error"),
+    (lambda mp: mp.setattr(conj, "power_mean", _raise(ResidualError("residual 0.4"))),
+     ("conjecture", "--k", "2", "--pmin", "5", "--pmax", "13"),
+     cli.EXIT_NUMERIC, "numeric error"),
+    # a NotRepresentableError is a ValueError, yet not a usage error
+    (lambda mp: mp.setattr(registry, "represent_4p", _raise(NotRepresentableError("p = 7"))),
+     ("verify", "--identity", "zm_cubic_6th", "--pmin", "5", "--pmax", "13", "--workers", "2"),
+     cli.EXIT_FAIL, "internal invariant breach"),
+    (lambda mp: mp.setattr(conj, "represent_4p", _raise(NotRepresentableError("p = 7"))),
+     ("conjecture", "--k", "3", "--pmin", "5", "--pmax", "13"),
+     cli.EXIT_FAIL, "internal invariant breach"),
+], ids=["verify_rhs_not_integer", "conjecture_residual",
+        "verify_not_representable", "conjecture_not_representable"])
+def test_arithmetic_errors_map_to_exit_codes(capsys, monkeypatch, patch, argv, code, prefix):
+    patch(monkeypatch)
+    assert cli.main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(prefix)
+    assert "\n" not in err and "Traceback" not in err
 
 
 def test_search_invariant_breach_exits_1(capsys, monkeypatch):

@@ -1,9 +1,14 @@
 import cmath
 import math
+from dataclasses import replace
+from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 
+from expsumlab import exp_sums, registry
 from expsumlab.arith import Modulus, primes_in_range
 from expsumlab.exp_sums import (
     ALL_RESIDUES,
@@ -197,3 +202,82 @@ def test_gauss_magnitude_all_m():
     for p in primes_in_range(3, 499):
         mags = abs_two_term_all_m(0, 2, p)[1:]
         assert float(abs(mags - math.sqrt(p)).max()) < 1e-9 * math.sqrt(p)
+
+
+# The int64 limb kernel against the big-integer kernel it replaced: the
+# per-entry 60-digit mpmath root table and the sum(map(...)) loop over
+# Python integers.  Both must give the same integers bit for bit.
+
+@lru_cache(maxsize=None)
+def reference_root_table(q):
+    with mpmath.workdps(60):
+        re, im = [], []
+        for j in range(q):
+            z = mpmath.expjpi(mpmath.mpf(2 * j) / q)
+            re.append(int(mpmath.nint(z.real * 2**128)))
+            im.append(int(mpmath.nint(z.imag * 2**128)))
+    return tuple(re), tuple(im)
+
+
+def reference_abs_sq_table(family, q):
+    u, v = exp_sums._family_vectors(family, q)
+    re_t, im_t = reference_root_table(q)
+    re_get, im_get = re_t.__getitem__, im_t.__getitem__
+    out = []
+    for t in range(q):
+        exps = ((t * u + v) % q).tolist()
+        sre = sum(map(re_get, exps))
+        sim = sum(map(im_get, exps))
+        out.append(sre * sre + sim * sim)
+    return tuple(out)
+
+
+def decode_limbs(rows):
+    return tuple(sum(x << (32 * i) for i, x in enumerate(col)) - 2**128 for col in rows.T.tolist())
+
+
+def test_root_table_matches_per_entry_mpmath():
+    for q in list(range(1, 401)) + [1009, 1021, 4999]:
+        limbs = exp_sums._fixed_root_table(q)
+        assert limbs.dtype == np.int64 and limbs.shape == (10, q)
+        assert not limbs.flags.writeable
+        assert limbs.min() >= 0 and limbs.max() < 2**32
+        assert (decode_limbs(limbs[:5]), decode_limbs(limbs[5:])) == reference_root_table(q), q
+
+
+KERNEL_FAMILIES = [
+    registry._salie_family(1),
+    registry._salie_family(2),
+    registry._ZWL_FAMILY,
+    registry._cubic_family(1),
+    registry._cubic_family(2),
+    registry._ZH_FAMILY,
+    CONJECTURE_FAMILY,
+]
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
+    family = replace(family, include_zero_in_sweep=include_zero)
+    start = 0 if include_zero else 1
+    for q in [3, 4, 5, 7, 9, 12, 15, 25, 31, 45, 49, 53, 101, 211]:
+        ref = reference_abs_sq_table(family, q)
+        assert exp_sums._abs_sq_table(family, q) == ref, q
+        for two_k in (2, 6):
+            k = two_k // 2
+            exact = Fraction(sum(s**k for s in ref[start:]), 2 ** (256 * k))
+            r = power_mean(family, q, two_k)
+            assert r.rounded == round(exact), (q, two_k)
+            assert r.residual == float(abs(exact - r.rounded)), (q, two_k)
+
+
+def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("power_mean did work before rejecting q")
+
+    monkeypatch.setattr(exp_sums, "as_modulus", no_work)
+    monkeypatch.setattr(exp_sums, "_abs_sq_table", no_work)
+    for q in (2**31, Modulus.from_int(2**31), 2**40):
+        with pytest.raises(ValueError, match="2\\^31"):
+            power_mean(SALIE, q, 4)
