@@ -120,13 +120,21 @@ def legendre_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=512)
+def _legendre_array(p: int) -> np.ndarray:
+    """legendre_table(p) as a read-only int64 array, built once per p."""
+    table = np.array(legendre_table(p), dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def char_sum_poly(f: PolynomialZ, p: int, range_mode: str = FROM_ONE) -> int:
     """sum over x of ((f(x))/p), x in 1..p-1 (from_one) or 0..p-1."""
     if f.is_zero:
         raise ValueError("character sum of the zero polynomial")
     if range_mode not in (FROM_ONE, FROM_ZERO):
         raise ValueError(f"bad range {range_mode!r}")
-    table = np.array(legendre_table(p), dtype=np.int64)
+    table = _legendre_array(p)
     lo = 1 if range_mode == FROM_ONE else 0
     xs = np.arange(lo, p, dtype=np.int64)
     vals = np.zeros_like(xs)

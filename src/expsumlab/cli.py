@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=None, help="worker count (env: EXPSUMLAB_WORKERS)")
+        p.add_argument("--workers", type=int, default=None,
+                       help="checked (>= 1) but unused: work runs serially (env: EXPSUMLAB_WORKERS)")
 
     p = sub.add_parser("verify", help="verify one identity over a modulus range")
     p.add_argument("--identity", required=True)
@@ -137,7 +138,7 @@ def _exit_code(statuses) -> int:
     return EXIT_OK
 
 
-def _run_verify(args, workers: int) -> int:
+def _run_verify(args) -> int:
     ident = args.identity
     desc = {d.identity_id: d for d in registry.list_identities()}.get(ident)
     if desc is None:
@@ -149,14 +150,14 @@ def _run_verify(args, workers: int) -> int:
     grid = [{"n": n} for n in args.n] if args.n else None
     try:
         if args.q is not None:
-            result = registry.sweep(ident, [args.q], grid, emit_skips=True, parallelism=workers)
+            result = registry.sweep(ident, [args.q], grid, emit_skips=True)
             echo = {"identity": ident, "q": args.q, "n": args.n}
         elif args.pmin is not None and args.pmax is not None:
             moduli = primes_in_range(args.pmin, args.pmax)
-            result = registry.sweep(ident, moduli, grid, parallelism=workers)
+            result = registry.sweep(ident, moduli, grid)
             echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
         elif args.qmin is not None and args.qmax is not None:
-            result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid, parallelism=workers)
+            result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid)
             echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
         else:
             print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
@@ -179,7 +180,7 @@ def _run_verify(args, workers: int) -> int:
     return _exit_code(o.status for o in result.outcomes)
 
 
-def _run_verify_all(args, workers: int) -> int:
+def _run_verify_all(args) -> int:
     rows = []
     statuses = []
     summary = {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
@@ -189,7 +190,7 @@ def _run_verify_all(args, workers: int) -> int:
             moduli = primes_in_range(lo, hi)
         else:
             moduli = range(lo, hi + 1, 2)
-        result = registry.sweep(desc.identity_id, moduli, parallelism=workers)
+        result = registry.sweep(desc.identity_id, moduli)
         for o in result.outcomes:
             rows.append(_outcome_row(o))
             statuses.append(o.status)
@@ -202,12 +203,12 @@ def _run_verify_all(args, workers: int) -> int:
     return _exit_code(statuses)
 
 
-def _run_conjecture(args, workers: int) -> int:
+def _run_conjecture(args) -> int:
     if not 1 <= args.k <= conj.MAX_K:
         print(f"--k must be in 1..{conj.MAX_K}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = conj.conjecture_report(args.k, args.pmin, args.pmax, parallelism=workers)
+        report = conj.conjecture_report(args.k, args.pmin, args.pmax)
     except NotRepresentableError:
         raise  # an invariant breach, reported by main()
     except ValueError as exc:  # pmin > pmax
@@ -244,7 +245,7 @@ def _run_conjecture(args, workers: int) -> int:
     return EXIT_FAIL if n_fail else EXIT_OK
 
 
-def _run_search(args, workers: int) -> int:
+def _run_search(args) -> int:
     try:
         primes = [p for p in primes_in_range(args.prime_min, args.prime_max) if p > 2]
         result = poly_search.search_constant_pairs(
@@ -284,7 +285,7 @@ def _run_search(args, workers: int) -> int:
     return EXIT_OK
 
 
-def _run_sum(args, workers: int) -> int:
+def _run_sum(args) -> int:
     try:
         if args.family == "kloosterman":
             val = exp_sums.kloosterman(args.m, args.n, args.q)
@@ -324,6 +325,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # work runs serially: the sums are pure Python under the GIL, so
+    # threads only added lock waits.  The worker count is still checked
+    # so that existing command lines keep their exit codes.
     workers = args.workers if args.workers is not None else _default_workers()
     if workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
@@ -336,7 +340,7 @@ def main(argv=None) -> int:
         "sum": _run_sum,
     }[args.command]
     try:
-        return runner(args, workers)
+        return runner(args)
     except NotRepresentableError as exc:  # 4p = d^2 + 27b^2 must solve for p = 1 mod 3
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_FAIL

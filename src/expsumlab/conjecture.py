@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .arith import is_prime, primes_in_range, represent_4p
+from .arith import is_prime, primes_in_range
 from .exp_sums import RESIDUAL_TOL, ResidualError, power_mean
-from .registry import CONJECTURE_FAMILY
+from .registry import CONJECTURE_FAMILY, _wz_rhs, _zm_rhs, _zz_rhs
 
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
 
@@ -76,30 +76,20 @@ def closed_form(p: int, k: int) -> int | None:
     """Known exact value of the conjecture sum, where one exists.
 
     k = 1 comes from a counting argument (cube-roots of unity), k = 2..4
-    from the published 4th/6th/8th power-mean identities; the m = 0 term
-    vanishes so those means coincide with the conjecture sum.  Returns
-    None when no closed form applies.
+    from the published 4th/6th/8th power-mean identities, as the registry
+    carries them (zz_cubic_4th, zm_cubic_6th, wz_cubic_8th at n = 1); the
+    m = 0 term vanishes so those means coincide with the conjecture sum.
+    Returns None when no closed form applies.
     """
     if k == 1:
         return p * p - 2 * p if p % 3 == 1 else p * p
-    if p <= 3:
+    rhs = {2: _zz_rhs, 3: _zm_rhs, 4: _wz_rhs}.get(k)
+    if p <= 3 or rhs is None:
         return None
-    if k == 2:
-        return 2 * p**3 - p**2 if (p - 1) % 3 != 0 else 2 * p**3 - 7 * p**2
-    if k == 3:
-        if p % 6 == 5:
-            return 5 * p**3 * (p - 1)
-        d = represent_4p(p).d
-        return 5 * p**4 - 23 * p**3 - d * d * p**2
-    if k == 4:
-        if p % 6 == 5:
-            return 7 * (2 * p**5 - 3 * p**4)
-        d = represent_4p(p).d
-        return 14 * p**5 - 75 * p**4 - 8 * p**3 * d * d
-    return None
+    return rhs(p, {})
 
 
-def conjecture_report(k: int, prime_lo: int, prime_hi: int, parallelism: int = 1) -> ConjectureReport:
+def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:
     """Rows for every odd prime in [prime_lo, prime_hi], ascending."""
     primes = [p for p in primes_in_range(prime_lo, prime_hi) if p > 2]
     ck = catalan(k)
@@ -110,13 +100,7 @@ def conjecture_report(k: int, prime_lo: int, prime_hi: int, parallelism: int = 1
         norm = (r.rounded - main) / p ** (k + 0.5)
         return ConjectureRow(p, k, r.rounded, ck, main, norm), r.residual
 
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(row, primes))
-    else:
-        results = [row(p) for p in primes]
+    results = [row(p) for p in primes]
 
     rows = [r for r, _ in results]
     max_resid = max((res for _, res in results), default=0.0)

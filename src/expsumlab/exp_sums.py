@@ -37,7 +37,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .arith import Modulus, as_modulus
+from .arith import Modulus, as_modulus, is_prime
 
 # residual above this flags a power mean as numerically suspect
 RESIDUAL_TOL = 1e-6
@@ -173,10 +173,6 @@ def _fixed_root_table(q: int) -> np.ndarray:
     return table
 
 
-def _unit_list(q: int) -> list[int]:
-    return [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
-
-
 def kloosterman(m: int, n: int, q) -> complex:
     """Classical Kloosterman sum S(m, n; q) over the units mod q."""
     mod = as_modulus(q)
@@ -185,7 +181,7 @@ def kloosterman(m: int, n: int, q) -> complex:
         raise ValueError(f"q must be >= 2, got {q}")
     roots = root_table(q)
     total = 0j
-    for a in _unit_list(q):
+    for a in mod.units():
         abar = pow(a, -1, q)
         total += roots[(m * a + n * abar) % q]
     return complex(total)
@@ -205,7 +201,9 @@ def two_term_sum(m: int, n: int, k: int, q) -> complex:
 
 
 def twisted_sum(m: int, k: int, p: int) -> complex:
-    """Hybrid sum over units: sum_a e((m*a^k + abar)/p)."""
+    """Hybrid sum over units: sum_a e((m*a^k + abar)/p), p prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     roots = root_table(p)
     total = 0j
     for a in range(1, p):

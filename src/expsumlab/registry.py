@@ -188,16 +188,6 @@ def _mean_lhs(family_of_n, two_k):
     return lhs
 
 
-def _zwl_lhs(mod: Modulus, params) -> tuple[int, float]:
-    r = power_mean(_ZWL_FAMILY, mod, 4)
-    return r.rounded, r.residual
-
-
-def _zh_lhs(mod: Modulus, params) -> tuple[int, float]:
-    r = power_mean(_ZH_FAMILY, mod, 6)
-    return r.rounded, r.residual
-
-
 def _corollary_lhs(mod: Modulus, params) -> tuple[int, float]:
     return char_sums.corollary1_check(mod.q).difference, 0.0
 
@@ -257,7 +247,7 @@ _register(
     "4th power mean of sum_a e((m a^2 + abar)/p), ZWL closed form",
     "primes p > 3",
     _prime_gt3,
-    _zwl_lhs,
+    _mean_lhs(lambda n: _ZWL_FAMILY, 4),
     _zwl_rhs,
 )
 _register(
@@ -265,7 +255,7 @@ _register(
     "4th power mean of sum_a e((m a^2 + abar)/p), Ning-Wang closed form",
     "primes p > 3",
     _prime_gt3,
-    _zwl_lhs,
+    _mean_lhs(lambda n: _ZWL_FAMILY, 4),
     _nw_rhs,
 )
 _register(
@@ -290,7 +280,7 @@ _register(
     "6th power mean over the linear coefficient a of sum_n e((n^3 + a n)/p)",
     "primes p > 3 with 3 not dividing p-1",
     _zh_applies,
-    _zh_lhs,
+    _mean_lhs(lambda n: _ZH_FAMILY, 6),
     _zh_rhs,
 )
 _register(
@@ -352,7 +342,6 @@ def sweep(
     moduli,
     params_grid: list[dict] | None = None,
     emit_skips: bool = False,
-    parallelism: int = 1,
 ) -> SweepResult:
     """Evaluate an identity over every modulus in `moduli` x every params
     combination, in deterministic (modulus, params) order.
@@ -363,18 +352,7 @@ def sweep(
     if identity_id not in _ENTRIES:
         raise UnknownIdentityError(identity_id)
     grid = params_grid if params_grid is not None else [{}]
-    jobs = [(int(q), params) for q in moduli for params in grid]
-
-    def run(job):
-        return evaluate(identity_id, job[0], job[1])
-
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = [evaluate(identity_id, int(q), params) for q in moduli for params in grid]
 
     out = SweepResult()
     for outcome in results:

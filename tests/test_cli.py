@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -147,6 +148,10 @@ def test_conjecture_bad_k(capsys):
     # salie_4th takes no n; n = 0 would change the sum it compares
     ("verify", "--identity", "salie_4th", "--q", "5", "--n", "0"),
     ("search", "--prime-min", "50", "--prime-max", "20"),
+    # the twisted sum is defined for a prime modulus only
+    ("sum", "--family", "twisted", "--m", "1", "--k", "2", "--q", "1"),
+    ("sum", "--family", "twisted", "--m", "1", "--k", "2", "--q", "4"),
+    ("sum", "--family", "twisted", "--m", "1", "--k", "2", "--q", "0"),
 ])
 def test_bad_range_is_usage_error_without_traceback(capsys, argv):
     code = cli.main(list(argv))
@@ -181,7 +186,8 @@ def _with_rhs(identity, rhs):
     (lambda mp: mp.setattr(registry, "represent_4p", _raise(NotRepresentableError("p = 7"))),
      ("verify", "--identity", "zm_cubic_6th", "--pmin", "5", "--pmax", "13", "--workers", "2"),
      cli.EXIT_FAIL, "internal invariant breach"),
-    (lambda mp: mp.setattr(conj, "represent_4p", _raise(NotRepresentableError("p = 7"))),
+    # the conjecture cross-check calls the registry's right-hand sides
+    (lambda mp: mp.setattr(registry, "represent_4p", _raise(NotRepresentableError("p = 7"))),
      ("conjecture", "--k", "3", "--pmin", "5", "--pmax", "13"),
      cli.EXIT_FAIL, "internal invariant breach"),
 ], ids=["verify_rhs_not_integer", "conjecture_residual",
@@ -239,3 +245,18 @@ def test_workers_flag_validation(capsys):
     code, _ = run(capsys, "verify", "--identity", "salie_4th", "--q", "5",
                   "--workers", "0")
     assert code == cli.EXIT_USAGE
+
+
+def test_workers_start_no_thread(capsys, monkeypatch):
+    # the sums are pure Python under the GIL, so sweeps and conjecture
+    # reports run serially whatever --workers says
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, _ = run(capsys, "verify", "--identity", "zz_cubic_4th", "--pmin", "5",
+                  "--pmax", "40", "--workers", "2")
+    assert code == cli.EXIT_OK
+    code, _ = run(capsys, "conjecture", "--k", "3", "--pmin", "5", "--pmax", "40",
+                  "--workers", "2")
+    assert code == cli.EXIT_OK

@@ -75,10 +75,11 @@ def test_report_high_k_residuals_stay_tiny():
         assert all(closed_form(r.p, k) is None for r in rep.rows)
 
 
-def test_report_parallel_matches_sequential():
-    seq = conjecture_report(3, 5, 60)
-    par = conjecture_report(3, 5, 60, parallelism=4)
-    assert seq.rows == par.rows
+def test_report_rows_match_per_prime_values():
+    rep = conjecture_report(3, 5, 60)
+    primes = primes_in_range(5, 60)
+    assert [r.p for r in rep.rows] == primes
+    assert [r.value for r in rep.rows] == [conjecture_value(p, 3) for p in primes]
 
 
 def test_normalized_residual_definition():

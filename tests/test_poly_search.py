@@ -1,6 +1,6 @@
 import pytest
 
-from expsumlab import poly_search
+from expsumlab import char_sums, poly_search
 from expsumlab.arith import legendre, primes_in_range
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X
 from expsumlab.poly_search import (
@@ -137,7 +137,15 @@ def _brute_sums(f, primes):
     return tuple(sum(legendre(f(x), p) for x in range(1, p)) for p in primes)
 
 
-def test_euler_oracle_matches_brute_force():
+def test_euler_oracle_matches_brute_force(monkeypatch):
+    # the oracle must not share the signature path it checks
+    def refuse(*args):
+        raise AssertionError("the oracle used a Legendre table")
+
+    for name in ("legendre_table", "_legendre_array", "char_sum_poly"):
+        monkeypatch.setattr(char_sums, name, refuse)
+    for name in ("legendre_table", "char_sum_poly"):
+        monkeypatch.setattr(poly_search, name, refuse)
     primes = tuple(primes_in_range(3, 60))
     for f in enumerate_polys(2, 2):
         assert _euler_sums(f, primes) == _brute_sums(f, primes), str(f)

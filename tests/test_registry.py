@@ -137,12 +137,12 @@ def test_sweep_counts_and_skip_handling():
     assert res.summary.n_skip == 1 and len(res.outcomes) == 1
 
 
-def test_sweep_params_grid_and_parallelism():
+def test_sweep_params_grid_in_evaluate_order():
     grid = [{"n": 1}, {"n": 2}]
-    seq = sweep("zz_cubic_4th", primes_in_range(5, 40), grid)
-    par = sweep("zz_cubic_4th", primes_in_range(5, 40), grid, parallelism=4)
-    assert seq.outcomes == par.outcomes
-    assert seq.summary.n_pass == 2 * len(primes_in_range(5, 40))
+    primes = primes_in_range(5, 40)
+    res = sweep("zz_cubic_4th", primes, grid)
+    assert res.outcomes == [evaluate("zz_cubic_4th", p, g) for p in primes for g in grid]
+    assert res.summary.n_pass == 2 * len(primes)
 
 
 def test_salie_prime_case_agrees_with_composite_formula():
