@@ -10,7 +10,6 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import conjecture as conj
@@ -38,16 +37,6 @@ VERIFY_ALL_RANGES = {
 }
 
 
-def _default_workers() -> int:
-    env = os.environ.get("EXPSUMLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expsumlab",
@@ -58,8 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=["json", "csv", "text"], default="text")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="checked (>= 1) but unused: work runs serially (env: EXPSUMLAB_WORKERS)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="checked (>= 1) but unused: work runs serially")
 
     p = sub.add_parser("verify", help="verify one identity over a modulus range")
     p.add_argument("--identity", required=True)
@@ -325,11 +314,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # work runs serially: the sums are pure Python under the GIL, so
-    # threads only added lock waits.  The worker count is still checked
-    # so that existing command lines keep their exit codes.
-    workers = args.workers if args.workers is not None else _default_workers()
-    if workers < 1:
+    # checked so that existing command lines keep their exit codes; work
+    # runs serially, as threads only added lock waits under the GIL
+    if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     runner = {

@@ -7,7 +7,10 @@ the totals reach 1e12..1e19 and doubles cannot place them within 1e-6 of
 an integer.  power_mean therefore runs a 128-bit fixed-point integer
 kernel: roots of unity are scaled by 2^128 and rounded to integers,
 inner sums are exact integer additions, and the final mean is a rational
-number that is rounded to the nearest integer.
+number that is rounded to the nearest integer.  The roots come from
+integers alone, with 320 fractional bits: pi by Machin's formula, then
+e(1/q) by one Taylor series for cos and sin (Brent & Zimmermann, Modern
+Computer Arithmetic, ch. 4); _fixed_root_table bounds the error.
 
 The inner sums run in int64 numpy arithmetic without losing a bit.  Each
 scaled root x lies in [-2^128, 2^128], so x + 2^128 fits in 130 bits and
@@ -29,12 +32,9 @@ round to a wrong integer with a small residual.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .arith import Modulus, as_modulus, is_prime
@@ -116,10 +116,10 @@ def root_table(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-_mp_lock = threading.Lock()
-
-# the root table steps omega^j with this many fractional bits
+# the root table steps omega^j with this many fractional bits, and
+# evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
+_WORK_BITS = 320
 # x + 2^128 for a scaled root x, as five 32-bit limbs: 160 >= 130 bits
 _N_LIMBS = 5
 # largest modulus (exclusive) whose limb sums fit in int64
@@ -128,31 +128,57 @@ _MAX_Q = 1 << 31
 _T_BLOCK = 64
 
 
+def _atan_inv(x: int) -> int:
+    """atan(1/x) * 2^320 for an integer x > 1, each series term truncated."""
+    total, power, k = 0, (1 << _WORK_BITS) // x, 1
+    while power:
+        total += power // k if k % 4 == 1 else -(power // k)
+        power //= x * x
+        k += 2
+    return total
+
+
+# pi * 2^320 by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239)
+_PI = 16 * _atan_inv(5) - 4 * _atan_inv(239)
+
+
+def _unit_root(q: int) -> tuple[int, int]:
+    """cos and sin of 2*pi/q scaled by 2^256 and rounded, from the sum of
+    (i*theta)^n / n!: term n goes to re or im with the sign of i^n."""
+    theta = (2 * _PI) // q
+    parts, term, n = [0, 0, 0, 0], 1 << _WORK_BITS, 0
+    while term:
+        parts[n % 4] += term
+        n += 1
+        term = (term * theta >> _WORK_BITS) // n
+    drop = _WORK_BITS - _GUARD_BITS
+    half = 1 << (drop - 1)
+    return (parts[0] - parts[2] + half) >> drop, (parts[1] - parts[3] + half) >> drop
+
+
 @lru_cache(maxsize=64)
 def _fixed_root_table(q: int) -> np.ndarray:
     """Roots of unity e(j/q) scaled by 2^128 and rounded to integers, as
     limbs: row l < 5 holds limb l of re_j + 2^128, row 5 + l limb l of
     im_j + 2^128, column j for j = 0..q-1 (int64, read-only).
 
-    omega = e(1/q) is evaluated once by mpmath at 100 digits and rounded
-    at scale 2^256.  The powers omega^j for j <= q/2 are stepped by
-    integer multiply-and-shift at that scale, and the rest follow by
-    conjugation, e((q-j)/q) = conj(e(j/q)).  Each step adds under 1.5 units
-    of 2^-256 to the error, so omega^j at scale 2^128 is within
-    q * 2^-128 < 2^-97 of the exact value; an entry computed alone by
-    mpmath at 60 digits is within about 2^-70.  Both therefore round to
-    the same integer unless the exact scaled value lies within 2^-70 of a
-    half-integer; the tests compare the two tables entry by entry.
+    omega = e(1/q) comes from _unit_root, in units u = 2^-320: Machin's pi
+    adds 69 and 20 series terms, each truncated by under 1 u, so pi is
+    within 16 * 70 + 4 * 21 < 2^11 u and theta = 2*pi/q within 2^12 u.
+    The Taylor series stops at its first zero term, within 128 terms as
+    theta <= 2*pi, and term n carries each earlier truncation times at
+    most theta^m / m!, so the sum is off by under 128 * e^(2*pi) < 2^17 u.  omega, within 2^-302, is rounded at scale
+    2^256, where the powers omega^j for j <= q/2 are stepped by integer
+    multiply-and-shift; the rest follow by conjugation, e((q-j)/q) =
+    conj(e(j/q)).  Each step adds under 1.5 units of 2^-256, so omega^j
+    at scale 2^128 is within q * 2^-128 < 2^-97 of the exact value.  An
+    entry computed alone at 60 decimal digits is within about 2^-70, and
+    the 100-digit omega the table was first stepped from was within
+    2^-76 at scale 2^256 (this one: 2^-46).  So the tables agree unless
+    an exact value lies that close to a half-integer; the tests compare
+    omega for q = 1..2000 and the tables entry by entry.
     """
-    with _mp_lock:
-        saved = mpmath.mp.dps
-        mpmath.mp.dps = 100
-        try:
-            w = mpmath.expjpi(mpmath.mpf(2) / q)
-            w_re = int(mpmath.nint(w.real * (1 << _GUARD_BITS)))
-            w_im = int(mpmath.nint(w.imag * (1 << _GUARD_BITS)))
-        finally:
-            mpmath.mp.dps = saved
+    w_re, w_im = _unit_root(q)
     drop = _GUARD_BITS - _SCALE_BITS
     half_g, half_d = 1 << (_GUARD_BITS - 1), 1 << (drop - 1)
     re, im = [0] * q, [0] * q
@@ -250,7 +276,7 @@ def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _abs_sq_table(family: PhaseFamily, q: int) -> tuple[int, ...]:
     """|S_t|^2 for t = 0..q-1, scaled by 2^256, exact integers.
 
@@ -299,14 +325,15 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
     total = sum(s2**k_half for s2 in table[start:])
     denom = 1 << (2 * _SCALE_BITS * k_half)
     rounded = (total + denom // 2) // denom
-    frac = Fraction(total, denom) - rounded
+    # int true division rounds the exact quotient once, to nearest
+    r = total - rounded * denom
     return PowerMeanResult(
         family=family,
         modulus=mod,
         two_k=two_k,
-        raw_value=rounded + float(frac),
+        raw_value=rounded + r / denom,
         rounded=int(rounded),
-        residual=float(abs(frac)),
+        residual=abs(r) / denom,
     )
 
 

@@ -8,7 +8,7 @@ pass/fail/skip counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
@@ -98,6 +98,9 @@ def _cubic_family(n: int = 1) -> PhaseFamily:
 _ZH_FAMILY = PhaseFamily(3, ALL_RESIDUES, TWIST_NONE, VARY_LINEAR, 1, False)
 
 CONJECTURE_FAMILY = PhaseFamily(3, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, 1, True)
+
+# sum_a e(m a^2 / p), m = 1..p-1
+_GAUSS_FAMILY = PhaseFamily(2, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, 0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +196,13 @@ def _corollary_lhs(mod: Modulus, params) -> tuple[int, float]:
 
 
 def _gauss_lhs(mod: Modulus, params) -> tuple[int, float]:
-    # second power mean of the Gauss family, plus the per-m magnitude
-    # check |S(m,0,2,p)| = sqrt(p) folded into the residual
-    p = mod.q
-    mags = exp_sums.abs_two_term_all_m(0, 2, p)[1:]
-    sqp = p**0.5
-    max_rel_dev = float(abs(mags - sqp).max() / sqp)
-    total = float((mags**2).sum())
-    rounded = round(total)
-    residual = max(abs(total - rounded), max_rel_dev)
-    return rounded, residual
+    # the 2nd mean, and |S(m,0,2,p)|^2 = p for every m on the same exact
+    # table (scaled by 2^256), its worst deviation folded into the residual
+    r = power_mean(_GAUSS_FAMILY, mod, 2)
+    table = exp_sums._abs_sq_table(replace(_GAUSS_FAMILY, include_zero_in_sweep=True), mod.q)
+    scale = 1 << (2 * exp_sums._SCALE_BITS)
+    max_dev = max(abs(s2 - mod.q * scale) for s2 in table[1:]) / scale
+    return r.rounded, max(r.residual, max_dev)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -111,12 +115,11 @@ def test_csv_none_and_bool_cells():
     assert payload.decode().splitlines()[1] == "x,5,,1,1,0,true"
 
 
-def test_verify_all_deterministic_across_workers(capsys, tmp_path, monkeypatch):
+def test_verify_all_deterministic_across_workers(capsys, tmp_path):
     outputs = {}
     for w in ("1", "8"):
-        monkeypatch.setenv("EXPSUMLAB_WORKERS", w)
         path = tmp_path / f"out{w}.json"
-        code = cli.main(["verify-all", "--format", "json", "--output", str(path)])
+        code = cli.main(["verify-all", "--format", "json", "--output", str(path), "--workers", w])
         assert code == cli.EXIT_FAIL  # the sixth-moment entry fails on its own
         outputs[w] = path.read_bytes()
     assert outputs["1"] == outputs["8"]
@@ -260,3 +263,27 @@ def test_workers_start_no_thread(capsys, monkeypatch):
     code, _ = run(capsys, "conjecture", "--k", "3", "--pmin", "5", "--pmax", "40",
                   "--workers", "2")
     assert code == cli.EXIT_OK
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_runs_without_mpmath():
+    # the root tables are built from integers alone, so mpmath is a
+    # test-side reference only
+    proc = run_python("import sys, expsumlab.cli; print('mpmath' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    proc = run_python(
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from expsumlab import cli\n"
+        "sys.exit(cli.main(['verify', '--identity', 'gauss_magnitude', '--q', '13']))"
+    )
+    assert proc.returncode == cli.EXIT_OK, proc.stderr

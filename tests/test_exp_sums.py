@@ -236,6 +236,16 @@ def decode_limbs(rows):
     return tuple(sum(x << (32 * i) for i, x in enumerate(col)) - 2**128 for col in rows.T.tolist())
 
 
+def test_integer_omega_matches_100_digit_mpmath():
+    # e(1/q) at scale 2^256 from Machin's pi and a Taylor series, against
+    # the 100-digit evaluation the root tables were first built from
+    with mpmath.workdps(100):
+        for q in range(1, 2001):
+            w = mpmath.expjpi(mpmath.mpf(2) / q)
+            ref = (int(mpmath.nint(w.real * 2**256)), int(mpmath.nint(w.imag * 2**256)))
+            assert exp_sums._unit_root(q) == ref, q
+
+
 def test_root_table_matches_per_entry_mpmath():
     for q in list(range(1, 401)) + [1009, 1021, 4999]:
         limbs = exp_sums._fixed_root_table(q)

@@ -1,8 +1,10 @@
 import pytest
 
+from expsumlab import exp_sums
 from expsumlab.arith import primes_in_range
 from expsumlab.registry import (
     FAIL,
+    NUMERIC,
     PASS,
     SKIP,
     UnknownIdentityError,
@@ -121,6 +123,32 @@ def test_zm_wz_spot_values():
 def test_gauss_magnitude_outcome():
     out = evaluate("gauss_magnitude", 11)
     assert out.passed and out.lhs == 110 and out.rhs == 110
+
+
+@pytest.mark.parametrize("p", [499, 1999])
+def test_gauss_magnitude_is_checked_on_exact_table(p):
+    # the mean and every |S_t|^2 come from the 2^256-scaled integer
+    # table, so the residual sits far below double precision
+    out = evaluate("gauss_magnitude", p)
+    assert out.passed and out.residual < 1e-30
+
+
+@pytest.mark.parametrize("offsets", [{1: 1 << 255, 2: -(1 << 255)}, {1: 1 << 255, 12: -(1 << 254)}])
+def test_gauss_magnitude_flags_one_bad_table_entry(monkeypatch, offsets):
+    # |S_1|^2 off by 2^255 (half a unit) while the 2nd mean moves by at
+    # most a quarter: only the per-m magnitude check reaches 0.5
+    real = exp_sums._abs_sq_table
+
+    def skewed(family, q):
+        table = list(real(family, q))
+        for t, off in offsets.items():
+            table[t] += off
+        return tuple(table)
+
+    monkeypatch.setattr(exp_sums, "_abs_sq_table", skewed)
+    out = evaluate("gauss_magnitude", 13)
+    assert out.status == NUMERIC and out.lhs == out.rhs == 156
+    assert out.residual == pytest.approx(0.5, abs=1e-30)
 
 
 def test_skip_versus_fail_distinction():
