@@ -25,7 +25,6 @@ from .exp_sums import (
     kloosterman,
     kloosterman_bound_ratio,
     power_mean,
-    root_table,
     twisted_sum,
     two_term_sum,
     weil_ratio,
@@ -70,7 +69,6 @@ __all__ = [
     "power_mean",
     "primes_in_range",
     "represent_4p",
-    "root_table",
     "salie_twisted_char_sum",
     "search_constant_pairs",
     "signature",

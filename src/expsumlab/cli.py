@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sum", help="evaluate one exponential sum")
     p.add_argument("--family", choices=["kloosterman", "two-term", "twisted"], required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=int, default=None, help="default 0; not for twisted")
+    p.add_argument("--k", type=int, default=None, help="default 1; not for kloosterman")
     p.add_argument("--q", type=int, required=True)
     add_common(p)
 
@@ -275,28 +275,36 @@ def _run_search(args) -> int:
 
 
 def _run_sum(args) -> int:
+    unused = {"kloosterman": "k", "twisted": "n"}.get(args.family)
+    if unused and getattr(args, unused) is not None:
+        print(f"{args.family} takes no --{unused}", file=sys.stderr)
+        return EXIT_USAGE
+    n = args.n or 0
+    k = 1 if args.k is None else args.k
     try:
         if args.family == "kloosterman":
-            val = exp_sums.kloosterman(args.m, args.n, args.q)
+            val = exp_sums.kloosterman(args.m, n, args.q)
         elif args.family == "two-term":
-            val = exp_sums.two_term_sum(args.m, args.n, args.k, args.q)
+            val = exp_sums.two_term_sum(args.m, n, k, args.q)
         else:
-            val = exp_sums.twisted_sum(args.m, args.k, args.q)
+            val = exp_sums.twisted_sum(args.m, k, args.q)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     rows = [{
         "family": args.family,
         "m": args.m,
-        "n": args.n,
-        "k": args.k,
+        "n": n,
+        "k": k,
         "q": args.q,
         "real": val.real,
         "imag": val.imag,
     }]
     if args.format == "text":
-        sign = "+" if val.imag >= 0 else "-"
-        out = f"{val.real:.7f} {sign} {abs(val.imag):.7f}i\n"
+        # rounded first, so that a part that rounds to zero prints no sign
+        re, im = (round(x, 7) + 0.0 for x in (val.real, val.imag))
+        sign = "+" if im >= 0 else "-"
+        out = f"{re:.7f} {sign} {abs(im):.7f}i\n"
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(out)

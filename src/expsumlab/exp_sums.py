@@ -1,25 +1,24 @@
-"""Complex exponential-sum kernels and exact-by-rounding power means.
-
-Scalar sums (Kloosterman, two-term, twisted) are evaluated in double
-precision from a root-of-unity table; that is plenty for their 1e-9
-contracts.  Power means are a different story: at the 8th or 12th power
-the totals reach 1e12..1e19 and doubles cannot place them within 1e-6 of
-an integer.  power_mean therefore runs a 128-bit fixed-point integer
-kernel: roots of unity are scaled by 2^128 and rounded to integers,
-inner sums are exact integer additions, and the final mean is a rational
-number that is rounded to the nearest integer.  The roots come from
-integers alone, with 320 fractional bits: pi by Machin's formula, then
-e(1/q) by one Taylor series for cos and sin (Brent & Zimmermann, Modern
-Computer Arithmetic, ch. 4); _fixed_root_table bounds the error.
+"""Complex exponential sums and exact-by-rounding power means, all on
+one fixed-point integer kernel, _sums: roots of unity are scaled by
+2^128 and rounded to integers, and each inner sum is an exact integer
+addition.  A scalar sum is one inner sum of a PhaseFamily, divided once
+by 2^128 at the end; a real one (Kloosterman sums and odd-degree
+phases, Iwaniec & Kowalski, Analytic Number Theory, ch. 11) gets an
+imaginary part of exactly 0.0, as the table is mirrored.  A 12th power
+mean reaches 1e19, beyond doubles, so power_mean sums the exact |S_t|^2
+and rounds the rational mean once.  The roots come from integers alone,
+with 320 fractional bits: pi by Machin's formula, then e(1/q) by one
+Taylor series for cos and sin (Brent & Zimmermann, Modern Computer
+Arithmetic, ch. 4); _fixed_root_table bounds the error.
 
 The inner sums run in int64 numpy arithmetic without losing a bit.  Each
 scaled root x lies in [-2^128, 2^128], so x + 2^128 fits in 130 bits and
 is stored as five 32-bit limbs (the multiprecision splitting of Knuth,
 TAOCP vol. 2, 4.3.1).  An inner sum adds at most q terms, so every limb
-sum stays below 2^32 * q < 2^63 while q < 2^31 (power_mean rejects larger
-moduli), and the exponents t*u + v stay below q^2 + q < 2^63 as well.
-The limb sums are recombined into Python integers with shifts, minus
-(number of terms) * 2^128 for the offset.
+sum stays below 2^32 * q < 2^63 while q < 2^31 (every public function
+rejects larger moduli before any work), and the exponents t*u + v stay
+below q^2 + q < 2^63 as well.  The limb sums are recombined into Python
+integers with shifts, minus (number of terms) * 2^128 for the offset.
 
 The rounding error of the scaled roots grows with q and the power: the
 residual (distance to the nearest integer) measured for the 12th mean of
@@ -108,14 +107,6 @@ class PowerMeanResult:
         return self.residual < RESIDUAL_TOL
 
 
-@lru_cache(maxsize=256)
-def root_table(q: int) -> np.ndarray:
-    """Entry j is e(j/q), each from its own angle 2*pi*j/q."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    return np.exp(2j * np.pi * np.arange(q) / q)
-
-
 # the root table steps omega^j with this many fractional bits, and
 # evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
@@ -124,7 +115,7 @@ _WORK_BITS = 320
 _N_LIMBS = 5
 # largest modulus (exclusive) whose limb sums fit in int64
 _MAX_Q = 1 << 31
-# sweep values of t handled per numpy gather in _abs_sq_table
+# sweep values of t handled per numpy gather in _sums
 _T_BLOCK = 64
 
 
@@ -199,42 +190,45 @@ def _fixed_root_table(q: int) -> np.ndarray:
     return table
 
 
+def _limb_q(modulus) -> int:
+    """The modulus as an int, rejected before any work unless q < 2^31."""
+    q = modulus.q if isinstance(modulus, Modulus) else int(modulus)
+    if q >= _MAX_Q:
+        raise ValueError(f"modulus must be below 2^31 for the int64 kernel, got {q}")
+    return q
+
+
+def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
+    """The family's inner sum at sweep value t, divided once by 2^128."""
+    ((re, im),) = _sums(family, q, [t % q])
+    return complex(re / _SCALE, im / _SCALE)
+
+
 def kloosterman(m: int, n: int, q) -> complex:
     """Classical Kloosterman sum S(m, n; q) over the units mod q."""
-    mod = as_modulus(q)
-    q = mod.q
+    q = _limb_q(q)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    roots = root_table(q)
-    total = 0j
-    for a in mod.units():
-        abar = pow(a, -1, q)
-        total += roots[(m * a + n * abar) % q]
-    return complex(total)
+    return _scalar_sum(PhaseFamily(1, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, n), q, m)
 
 
 def two_term_sum(m: int, n: int, k: int, q) -> complex:
     """Two-term exponential sum: sum over a complete residue system of
     e((m*a^k + n*a)/q)."""
-    mod = as_modulus(q)
-    q = mod.q
+    q = _limb_q(q)
     if q < 2 or k < 1:
         raise ValueError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
-    roots = root_table(q)
-    a = np.arange(q, dtype=np.int64)
-    ak = np.array([pow(int(x), k, q) for x in range(q)], dtype=np.int64)
-    return complex(roots[(m * ak + n * a) % q].sum())
+    return _scalar_sum(PhaseFamily(k, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n), q, m)
 
 
 def twisted_sum(m: int, k: int, p: int) -> complex:
     """Hybrid sum over units: sum_a e((m*a^k + abar)/p), p prime."""
+    p = _limb_q(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    roots = root_table(p)
-    total = 0j
-    for a in range(1, p):
-        total += roots[(m * pow(a, k, p) + pow(a, -1, p)) % p]
-    return complex(total)
+    # a^k depends on k mod p-1 only, which also admits k <= 0
+    k = k % (p - 1) or p - 1
+    return _scalar_sum(PhaseFamily(k, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, 1), p, m)
 
 
 def kloosterman_bound_ratio(m: int, n: int, q) -> float:
@@ -276,29 +270,30 @@ def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-@lru_cache(maxsize=256)
-def _abs_sq_table(family: PhaseFamily, q: int) -> tuple[int, ...]:
-    """|S_t|^2 for t = 0..q-1, scaled by 2^256, exact integers.
-
-    For a block of t values the exponents (t*u + v) mod q gather each
-    limb row of the root table; the int64 row sums are exact (module
-    docstring) and are recombined into the real and imaginary parts of
-    S_t scaled by 2^128.
-    """
+def _sums(family: PhaseFamily, q: int, ts) -> list[tuple[int, int]]:
+    """Exact (re, im) of S_t * 2^128 for the sweep values ts in 0..q-1:
+    per block of t, the exponents (t*u + v) mod q gather each limb row
+    of the root table, and the exact int64 row sums are recombined."""
     u, v = _family_vectors(family, q)
     limbs = _fixed_root_table(q)
     offset = len(u) << _SCALE_BITS
+    ts = np.asarray(ts, dtype=np.int64)
     out = []
-    for t0 in range(0, q, _T_BLOCK):
-        t = np.arange(t0, min(t0 + _T_BLOCK, q), dtype=np.int64)
-        exps = (t[:, None] * u + v) % q
+    for t0 in range(0, len(ts), _T_BLOCK):
+        exps = (ts[t0:t0 + _T_BLOCK, None] * u + v) % q
         sums = np.stack([row[exps].sum(axis=1) for row in limbs], axis=1).tolist()
         # five limbs of re, then five of im, at 32-bit steps
         for r0, r1, r2, r3, r4, i0, i1, i2, i3, i4 in sums:
             sre = r0 + (r1 << 32) + (r2 << 64) + (r3 << 96) + (r4 << 128) - offset
             sim = i0 + (i1 << 32) + (i2 << 64) + (i3 << 96) + (i4 << 128) - offset
-            out.append(sre * sre + sim * sim)
-    return tuple(out)
+            out.append((sre, sim))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _abs_sq_table(family: PhaseFamily, q: int) -> tuple[int, ...]:
+    """|S_t|^2 for t = 0..q-1, scaled by 2^256, exact integers."""
+    return tuple(re * re + im * im for re, im in _sums(family, q, range(q)))
 
 
 def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
@@ -312,11 +307,9 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
     """
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
-    q = modulus.q if isinstance(modulus, Modulus) else int(modulus)
+    q = _limb_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    if q >= _MAX_Q:
-        raise ValueError(f"modulus must be below 2^31 for the int64 kernel, got {q}")
     mod = as_modulus(modulus)
     # the cache key ignores the sweep-zero flag; slicing handles it
     table = _abs_sq_table(replace(family, include_zero_in_sweep=True), q)
@@ -338,10 +331,7 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
 
 
 def abs_two_term_all_m(n: int, k: int, p: int) -> np.ndarray:
-    """|S(m, n, k; p)| for m = 0..p-1, vectorized (double precision)."""
-    roots = root_table(p)
-    ak = np.array([pow(a, k, p) for a in range(p)], dtype=np.int64)
-    a = np.arange(p, dtype=np.int64)
-    m = np.arange(p, dtype=np.int64)[:, None]
-    s = roots[(m * ak[None, :] + n * a[None, :]) % p].sum(axis=1)
-    return np.abs(s)
+    """|S(m, n, k; p)| for m = 0..p-1, from the exact |S_m|^2 table."""
+    family = PhaseFamily(k, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n)
+    scale = _SCALE * _SCALE
+    return np.sqrt([s2 / scale for s2 in _abs_sq_table(family, _limb_q(p))])

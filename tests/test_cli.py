@@ -155,6 +155,11 @@ def test_conjecture_bad_k(capsys):
     ("sum", "--family", "twisted", "--m", "1", "--k", "2", "--q", "1"),
     ("sum", "--family", "twisted", "--m", "1", "--k", "2", "--q", "4"),
     ("sum", "--family", "twisted", "--m", "1", "--k", "2", "--q", "0"),
+    # a flag the family has no parameter for
+    ("sum", "--family", "twisted", "--m", "1", "--n", "5", "--q", "7"),
+    ("sum", "--family", "twisted", "--m", "1", "--n", "0", "--k", "2", "--q", "7"),
+    ("sum", "--family", "kloosterman", "--m", "1", "--k", "9", "--q", "7"),
+    ("sum", "--family", "kloosterman", "--m", "1", "--n", "1", "--k", "1", "--q", "7"),
 ])
 def test_bad_range_is_usage_error_without_traceback(capsys, argv):
     code = cli.main(list(argv))
@@ -233,6 +238,18 @@ def test_sum_text_format(capsys):
                     "--n", "1", "--q", "5")
     assert code == cli.EXIT_OK
     assert out == "0.3819660 + 0.0000000i\n"
+    # a part that rounds to zero prints unsigned, also where the exact
+    # kernel leaves about -1e-38 (q = 210, 499) before the rounding
+    for argv, text in [
+        (("twisted", "--m", "1", "--k", "2", "--q", "5"), "-0.3090170 + 2.1266270i"),
+        (("two-term", "--m", "1", "--n", "0", "--k", "1", "--q", "7"), "0.0000000 + 0.0000000i"),
+        (("two-term", "--m", "1", "--n", "1", "--k", "3", "--q", "210"), "0.0000000 + 0.0000000i"),
+        (("two-term", "--m", "-3", "--n", "1", "--k", "2", "--q", "210"), "0.0000000 + 0.0000000i"),
+        (("two-term", "--m", "2", "--n", "0", "--k", "2", "--q", "210"), "20.4939015 + 0.0000000i"),
+        (("two-term", "--m", "2", "--n", "0", "--k", "2", "--q", "499"), "0.0000000 - 22.3383079i"),
+    ]:
+        code, out = run(capsys, "sum", "--family", *argv)
+        assert (code, out) == (cli.EXIT_OK, text + "\n"), argv
 
 
 def test_sum_json_format(capsys):
@@ -242,6 +259,18 @@ def test_sum_json_format(capsys):
     doc = json.loads(out)
     row = doc["rows"][0]
     assert row["real"] ** 2 + row["imag"] ** 2 == pytest.approx(5.0, abs=1e-9)
+
+
+def test_sum_echoes_defaults_and_names_an_ignored_flag(capsys):
+    code, out = run(capsys, "sum", "--family", "kloosterman", "--m", "1",
+                    "--q", "5", "--format", "json")
+    assert code == cli.EXIT_OK
+    row = json.loads(out)["rows"][0]
+    assert (row["n"], row["k"], row["imag"]) == (0, 1, 0.0)
+    for family, flag in [("twisted", "--n"), ("kloosterman", "--k")]:
+        code = cli.main(["sum", "--family", family, "--m", "1", flag, "5", "--q", "7"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"{family} takes no {flag}\n"
 
 
 def test_workers_flag_validation(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from expsumlab import exp_sums, registry
-from expsumlab.arith import Modulus, primes_in_range
+from expsumlab.arith import Modulus, is_prime, primes_in_range
 from expsumlab.exp_sums import (
     ALL_RESIDUES,
     TWIST_INVERSE,
@@ -22,7 +22,6 @@ from expsumlab.exp_sums import (
     kloosterman,
     kloosterman_bound_ratio,
     power_mean,
-    root_table,
     twisted_sum,
     two_term_sum,
     weil_ratio,
@@ -30,12 +29,6 @@ from expsumlab.exp_sums import (
 from expsumlab.registry import CONJECTURE_FAMILY
 
 from conftest import e_p, power_mean_direct
-
-
-def test_root_table_small():
-    assert root_table(1) == pytest.approx([1.0])
-    assert root_table(4) == pytest.approx([1, 1j, -1, -1j])
-    assert root_table(8)[1] == pytest.approx((math.sqrt(2) / 2) * (1 + 1j), abs=1e-12)
 
 
 def test_kloosterman_zero_args_gives_phi():
@@ -291,3 +284,79 @@ def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):
     for q in (2**31, Modulus.from_int(2**31), 2**40):
         with pytest.raises(ValueError, match="2\\^31"):
             power_mean(SALIE, q, 4)
+
+
+def test_scalar_sums_reject_moduli_beyond_int64_limbs(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a scalar sum did work before rejecting q")
+
+    for name in ("as_modulus", "is_prime", "_family_vectors", "_fixed_root_table"):
+        monkeypatch.setattr(exp_sums, name, no_work)
+    for q in (2**31, Modulus.from_int(2**31), 2**40):
+        for call in (
+            lambda: kloosterman(1, 1, q),
+            lambda: two_term_sum(1, 1, 3, q),
+            lambda: abs_two_term_all_m(1, 3, q),
+        ):
+            with pytest.raises(ValueError, match="2\\^31"):
+                call()
+    for p in (2**31, 2**31 + 11, 2**40):
+        with pytest.raises(ValueError, match="2\\^31"):
+            twisted_sum(1, 3, p)
+
+
+# The scalar sums against independent loops over the 60-digit mpmath
+# root table: the same integers, divided once by 2^128.
+
+SCALAR_MODULI = [2, 3, 4, 5, 7, 9, 12, 15, 16, 31, 45, 97, 101, 210]
+
+
+def reference_sum(q, phases):
+    re_t, im_t = reference_root_table(q)
+    phases = [x % q for x in phases]
+    return complex(sum(re_t[j] for j in phases) / 2**128, sum(im_t[j] for j in phases) / 2**128)
+
+
+def test_scalar_sums_are_the_exact_kernel_divided_once():
+    for q in SCALAR_MODULI:
+        units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        for m in (0, 1, 2, -3, q + 1):
+            for n in (0, 1, 5, -2):
+                ref = reference_sum(q, [m * a + n * pow(a, -1, q) for a in units])
+                assert kloosterman(m, n, q) == ref, (m, n, q)
+                for k in (1, 2, 3, 4):
+                    ref = reference_sum(q, [m * a**k + n * a for a in range(q)])
+                    assert two_term_sum(m, n, k, q) == ref, (m, n, k, q)
+            if is_prime(q):
+                for k in (-1, 1, 2, 3, 4, q):
+                    ref = reference_sum(q, [m * pow(a, k, q) + pow(a, -1, q) for a in units])
+                    assert twisted_sum(m, k, q) == ref, (m, k, q)
+
+
+def test_real_sums_have_zero_imaginary_part():
+    # a -> -a negates the phase of a Kloosterman sum and of an odd-degree
+    # two-term sum; the mirrored table cancels the imaginary limbs exactly
+    for q in SCALAR_MODULI:
+        for m in (0, 1, 2, -3, q + 1):
+            for n in (0, 1, 5):
+                assert kloosterman(m, n, q).imag == 0.0, (m, n, q)
+                for k in (1, 3, 5):
+                    assert two_term_sum(m, n, k, q).imag == 0.0, (m, n, k, q)
+
+
+def test_abs_two_term_all_m_is_the_exact_table():
+    for p in (3, 5, 7, 31, 101):
+        for n, k in [(0, 2), (1, 3), (5, 4)]:
+            fam = PhaseFamily(k, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n)
+            ref = np.sqrt([s / 2**256 for s in reference_abs_sq_table(fam, p)])
+            assert np.array_equal(abs_two_term_all_m(n, k, p), ref), (p, n, k)
+
+
+def test_star_import_resolves_every_public_name():
+    import expsumlab
+
+    names = {}
+    exec("from expsumlab import *", names)
+    for name in expsumlab.__all__:
+        assert names[name] is getattr(expsumlab, name), name
+    assert "root_table" not in names and not hasattr(expsumlab, "root_table")
