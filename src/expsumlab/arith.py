@@ -87,9 +87,6 @@ class Modulus:
         """Primes p with p | q and p^2 not dividing q (p || q)."""
         return tuple(p for p, e in self.factorization if e == 1)
 
-    def units(self) -> list[int]:
-        return [a for a in range(1, self.q + 1) if math.gcd(a, self.q) == 1]
-
 
 def as_modulus(q) -> Modulus:
     return q if isinstance(q, Modulus) else Modulus.from_int(int(q))

@@ -139,7 +139,7 @@ def char_sum_poly(f: PolynomialZ, p: int, range_mode: str = FROM_ONE) -> int:
     xs = np.arange(lo, p, dtype=np.int64)
     vals = np.zeros_like(xs)
     for c in reversed(f.coeffs):
-        vals = (vals * xs + c) % p
+        vals = (vals * xs + c % p) % p  # c reduced first: it may exceed int64
     return int(table[vals].sum())
 
 

@@ -45,8 +45,6 @@ RESIDUAL_TOL = 1e-6
 _SCALE_BITS = 128
 _SCALE = 1 << _SCALE_BITS
 
-ALL_RESIDUES = "all_residues"
-UNITS_ONLY = "units_only"
 TWIST_NONE = "none"
 TWIST_INVERSE = "inverse"
 VARY_MONOMIAL = "monomial_coefficient"
@@ -67,12 +65,11 @@ class PhaseFamily:
       twist none,    vary linear:    sum_a e((c*a^k + t*a) / q)
       twist inverse, vary monomial:  sum_a e((t*a^k + c*abar) / q)  (a a unit)
 
-    where c is fixed_coefficient and the a-domain is all residues or the
-    units mod q.
+    where c is fixed_coefficient.  The a-domain is the units mod q under
+    the inverse twist and all residues mod q otherwise.
     """
 
     monomial_degree: int
-    inner_domain: str = ALL_RESIDUES
     twist: str = TWIST_NONE
     varying_slot: str = VARY_MONOMIAL
     fixed_coefficient: int = 1
@@ -81,14 +78,10 @@ class PhaseFamily:
     def __post_init__(self):
         if self.monomial_degree < 1:
             raise ValueError("monomial_degree must be >= 1")
-        if self.inner_domain not in (ALL_RESIDUES, UNITS_ONLY):
-            raise ValueError(f"bad inner_domain {self.inner_domain!r}")
         if self.twist not in (TWIST_NONE, TWIST_INVERSE):
             raise ValueError(f"bad twist {self.twist!r}")
         if self.varying_slot not in (VARY_MONOMIAL, VARY_LINEAR):
             raise ValueError(f"bad varying_slot {self.varying_slot!r}")
-        if self.twist == TWIST_INVERSE and self.inner_domain != UNITS_ONLY:
-            raise ValueError("inverse twist requires units_only inner domain")
         if self.twist == TWIST_INVERSE and self.varying_slot != VARY_MONOMIAL:
             raise ValueError("inverse twist varies the monomial coefficient")
 
@@ -209,7 +202,7 @@ def kloosterman(m: int, n: int, q) -> complex:
     q = _limb_q(q)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    return _scalar_sum(PhaseFamily(1, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, n), q, m)
+    return _scalar_sum(PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, n), q, m)
 
 
 def two_term_sum(m: int, n: int, k: int, q) -> complex:
@@ -218,7 +211,7 @@ def two_term_sum(m: int, n: int, k: int, q) -> complex:
     q = _limb_q(q)
     if q < 2 or k < 1:
         raise ValueError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
-    return _scalar_sum(PhaseFamily(k, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n), q, m)
+    return _scalar_sum(PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n), q, m)
 
 
 def twisted_sum(m: int, k: int, p: int) -> complex:
@@ -228,7 +221,7 @@ def twisted_sum(m: int, k: int, p: int) -> complex:
         raise ValueError(f"p must be prime, got {p}")
     # a^k depends on k mod p-1 only, which also admits k <= 0
     k = k % (p - 1) or p - 1
-    return _scalar_sum(PhaseFamily(k, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, 1), p, m)
+    return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, VARY_MONOMIAL, 1), p, m)
 
 
 def kloosterman_bound_ratio(m: int, n: int, q) -> float:
@@ -252,21 +245,18 @@ def weil_ratio(m: int, n: int, k: int, p: int) -> float:
 
 def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family."""
-    if family.inner_domain == UNITS_ONLY:
-        dom = [a for a in range(1, q) if math.gcd(a, q) == 1]
-    else:
-        dom = list(range(q))
     k = family.monomial_degree
     c = family.fixed_coefficient % q
     if family.twist == TWIST_INVERSE:
+        dom = [a for a in range(1, q) if math.gcd(a, q) == 1]
         u = [pow(a, k, q) for a in dom]
         v = [(c * pow(a, -1, q)) % q for a in dom]
     elif family.varying_slot == VARY_MONOMIAL:
-        u = [pow(a, k, q) for a in dom]
-        v = [(c * a) % q for a in dom]
+        u = [pow(a, k, q) for a in range(q)]
+        v = [(c * a) % q for a in range(q)]
     else:
-        u = [a % q for a in dom]
-        v = [(c * pow(a, k, q)) % q for a in dom]
+        u = list(range(q))
+        v = [(c * pow(a, k, q)) % q for a in range(q)]
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
@@ -332,6 +322,6 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
 
 def abs_two_term_all_m(n: int, k: int, p: int) -> np.ndarray:
     """|S(m, n, k; p)| for m = 0..p-1, from the exact |S_m|^2 table."""
-    family = PhaseFamily(k, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n)
+    family = PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n)
     scale = _SCALE * _SCALE
     return np.sqrt([s2 / scale for s2 in _abs_sq_table(family, _limb_q(p))])

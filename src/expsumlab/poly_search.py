@@ -1,17 +1,26 @@
 """Search for constant-difference pairs of character-sum signatures.
 
-Enumerates bounded integer polynomials (pruned under shift, reflection
-and square scaling -- integer-level transforms that provably preserve
-the signature or reproduce an in-bounds representative), computes the
-vector of Legendre character sums across a prime list, and groups by a
-normalized key so that pairs whose sums differ by a fixed constant land
-in the same bucket.  Every emitted hit is re-verified at every evidence
-prime by an independent oracle: f(x) is evaluated over Z and classified
-by Euler's criterion, never through legendre_table or char_sum_poly.
-The oracle vector is computed once per polynomial that appears in a hit
-and memoised for the rest of the search call, so a polynomial shared by
-many pairs costs one evaluation.  Hits are conjectural evidence, never
-theorems.
+Enumerates bounded integer polynomials, computes the vector of Legendre
+character sums sum_{x=1}^{p-1} (f(x)/p) across a prime list, and groups
+by a normalized key so that pairs whose sums differ by a fixed constant
+land in the same bucket.
+
+The enumeration covers degree 1..max_degree, coefficients in
+[-bound, bound], leading coefficient positive, and prunes only by two
+exact symmetries of that sum at every odd prime p:
+  - 4f has the same symbol as f, so f is dropped when 4 divides every
+    coefficient (f/4 is enumerated instead);
+  - x -> -x permutes 1..p-1, so f is dropped when f(-x) is also in the
+    space and is smaller.
+Sign normalization is a scope choice, not a symmetry: -f carries a factor
+(-1/p), which the twisted pass covers.  Shifts x -> x+t are not symmetries
+of the from-one sum (they move it by (f(t)/p) - (f(0)/p)) and prune nothing.
+
+Every emitted hit is re-verified at every evidence prime by an
+independent oracle computed once for all polynomials of the search:
+f(x) is evaluated mod p and classified by Euler's criterion, never
+through legendre_table or char_sum_poly.  Hits are conjectural
+evidence, never theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
@@ -19,9 +28,10 @@ the form the corollary's own pair takes.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+
+import numpy as np
 
 from .arith import legendre
 from .char_sums import FROM_ONE, PolynomialZ, char_sum_poly, legendre_table
@@ -85,46 +95,19 @@ def fundamentally_different(f: PolynomialZ, g: PolynomialZ, primes) -> bool:
     return False
 
 
-def _square_content(f: PolynomialZ) -> int:
-    """Largest s with s^2 dividing every coefficient."""
-    content = 0
-    for c in f.coeffs:
-        content = math.gcd(content, c)
-    s = 1
-    d = 2
-    while d * d <= content:
-        while content % (d * d) == 0:
-            content //= d * d
-            s *= d
-        d += 1
-    return s
-
-
-def _in_bounds(f: PolynomialZ, coeff_bound: int) -> bool:
-    return all(abs(c) <= coeff_bound for c in f.coeffs)
-
-
 def _order_key(f: PolynomialZ) -> tuple:
     # prefer small representatives: low degree, small coefficients
     return (f.degree, sum(abs(c) for c in f.coeffs), f.coeffs)
 
 
-def _is_canonical(f: PolynomialZ, coeff_bound: int) -> bool:
-    """Keep f only if it is the minimal in-bounds member of its orbit
-    under x -> x+t (|t| <= bound), x -> -x, and square scaling."""
-    if _square_content(f) > 1:
-        return False  # the square-free representative is enumerated instead
-    me = _order_key(f)
-    for t in range(-coeff_bound, coeff_bound + 1):
-        for reflected in (False, True):
-            g = f.shift(t)
-            if reflected:
-                g = g.reflect()
-            if g.coeffs[-1] < 0:
-                continue  # outside the sign-normalized space
-            if g != f and _in_bounds(g, coeff_bound) and _order_key(g) < me:
-                return False
-    return True
+def _is_canonical(f: PolynomialZ) -> bool:
+    """Keep f unless 4 divides every coefficient or f(-x) is a smaller
+    member of the sign-normalized space: both leave every odd-prime
+    signature unchanged."""
+    if all(c % 4 == 0 for c in f.coeffs):
+        return False
+    g = f.reflect()
+    return not (g.coeffs[-1] > 0 and _order_key(g) < _order_key(f))
 
 
 def enumerate_polys(max_degree: int, coeff_bound: int):
@@ -146,7 +129,7 @@ def enumerate_polys(max_degree: int, coeff_bound: int):
         for lead in range(1, coeff_bound + 1):
             for lower in rec([], degree):
                 f = PolynomialZ(tuple(lower) + (lead,))
-                if _is_canonical(f, coeff_bound):
+                if _is_canonical(f):
                     yield f
 
 
@@ -154,19 +137,36 @@ def _structural_notes(f: PolynomialZ, g: PolynomialZ) -> str:
     return f"deg {f.degree} vs deg {g.degree}"
 
 
-def _euler_sums(f: PolynomialZ, primes) -> tuple[int, ...]:
-    """sum_{x=1}^{p-1} (f(x)/p) at each prime: the re-verify oracle.
+def _euler_sums(polys, primes) -> np.ndarray:
+    """sum_{x=1}^{p-1} (f(x)/p) for f in polys (rows) and p in primes
+    (columns): the re-verify oracle.
 
-    f(x) is evaluated as an integer and classified by Euler's criterion
-    f(x)^((p-1)/2) mod p, which is 1, p-1 or 0.  The primes are the
-    search's validated odd evidence primes, so pow is called directly
-    rather than through arith.legendre.
+    Per prime, one Horner pass evaluates every f over x = 1..p-1 in int64,
+    with each coefficient reduced mod p first so seeded polynomials of any
+    size stay exact.  Euler's criterion f(x)^((p-1)/2) mod p, by
+    square-and-multiply, gives 1, p-1 or 0.  The primes are the search's
+    evidence primes, already validated as odd primes by the signatures and
+    small enough that p^2 fits in int64.
     """
-    out = []
-    for p in primes:
-        euler = [pow(v, (p - 1) // 2, p) for v in map(f, range(1, p))]
-        out.append(euler.count(1) - euler.count(p - 1))
-    return tuple(out)
+    width = max(len(f.coeffs) for f in polys)
+    # descending coefficients, zero-padded to a common degree
+    coeffs = [(0,) * (width - len(f.coeffs)) + f.coeffs[::-1] for f in polys]
+    out = np.empty((len(polys), len(primes)), dtype=np.int64)
+    for j, p in enumerate(primes):
+        reduced = np.array([[c % p for c in row] for row in coeffs], dtype=np.int64)
+        xs = np.arange(1, p, dtype=np.int64)
+        vals = np.zeros((len(polys), p - 1), dtype=np.int64)
+        for col in reduced.T:
+            vals = (vals * xs + col[:, None]) % p
+        power = np.ones_like(vals)
+        e = (p - 1) // 2
+        while e:
+            if e & 1:
+                power = power * vals % p
+            vals = vals * vals % p
+            e >>= 1
+        out[:, j] = (power == 1).sum(axis=1) - (power == p - 1).sum(axis=1)
+    return out
 
 
 def _verify_pair(sums_f, sums_g, c: int, twisted: bool, minus_one) -> bool:
@@ -208,12 +208,7 @@ def search_constant_pairs(
 
     hits: list[SearchHit] = []
     minus_one = [legendre(-1, p) for p in primes]
-    oracle: dict[PolynomialZ, tuple[int, ...]] = {}
-
-    def euler_sums(f: PolynomialZ) -> tuple[int, ...]:
-        if f not in oracle:
-            oracle[f] = _euler_sums(f, primes)
-        return oracle[f]
+    oracle = dict(zip(polys, _euler_sums(polys, primes).tolist()))
 
     def emit(sf: Signature, sg: Signature, is_twisted: bool):
         f, g = sf.poly, sg.poly
@@ -226,7 +221,7 @@ def search_constant_pairs(
             c = diffs.pop()
         else:
             c = sf.sums[0] - sg.sums[0]
-        if not _verify_pair(euler_sums(f), euler_sums(g), c, is_twisted, minus_one):
+        if not _verify_pair(oracle[f], oracle[g], c, is_twisted, minus_one):
             raise AssertionError(f"grouping produced an unsound hit: {f} vs {g}")
         hits.append(SearchHit(f, g, c, primes, is_twisted, _structural_notes(f, g)))
 

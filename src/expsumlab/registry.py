@@ -15,11 +15,9 @@ from math import gcd
 from . import char_sums, exp_sums
 from .arith import Modulus, as_modulus, is_prime, legendre, represent_4p
 from .exp_sums import (
-    ALL_RESIDUES,
     RESIDUAL_TOL,
     TWIST_INVERSE,
     TWIST_NONE,
-    UNITS_ONLY,
     VARY_LINEAR,
     VARY_MONOMIAL,
     PhaseFamily,
@@ -84,23 +82,23 @@ class SweepResult:
 def _salie_family(n: int = 1) -> PhaseFamily:
     # sum over units of e((m*a + n*abar)/q), m swept over a complete
     # residue system (the displayed m=1..q / m=0..p-1 ranges coincide)
-    return PhaseFamily(1, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, n, True)
+    return PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, n, True)
 
 
-_ZWL_FAMILY = PhaseFamily(2, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
+_ZWL_FAMILY = PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
 
 
 def _cubic_family(n: int = 1) -> PhaseFamily:
     # sum_{a=0}^{p-1} e((m*a^3 + n*a)/p), m = 1..p-1
-    return PhaseFamily(3, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n, False)
+    return PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, n, False)
 
 
-_ZH_FAMILY = PhaseFamily(3, ALL_RESIDUES, TWIST_NONE, VARY_LINEAR, 1, False)
+_ZH_FAMILY = PhaseFamily(3, TWIST_NONE, VARY_LINEAR, 1, False)
 
-CONJECTURE_FAMILY = PhaseFamily(3, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, 1, True)
+CONJECTURE_FAMILY = PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, 1, True)
 
 # sum_a e(m a^2 / p), m = 1..p-1
-_GAUSS_FAMILY = PhaseFamily(2, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, 0, False)
+_GAUSS_FAMILY = PhaseFamily(2, TWIST_NONE, VARY_MONOMIAL, 0, False)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,11 @@ def test_char_sum_examples():
     assert char_sum_poly(X, 7, FROM_ZERO) == 0
     assert char_sum_poly(X, 7) == 0
     assert char_sum_poly(CUBIC_CCC, 7) == char_sum_direct((0, 1, 1, 1), 7)
+    # coefficients near or beyond int64 (seeded search polynomials) stay exact
+    for c in (2**63 - 2, 2**64 + 3, -(2**70)):
+        f = PolynomialZ.of(c, 1, 1)
+        for p in (5, 7, 11):
+            assert char_sum_poly(f, p) == char_sum_direct(f.coeffs, p), (c, p)
 
 
 def test_char_sum_rejects_zero_poly():

@@ -11,10 +11,8 @@ import pytest
 from expsumlab import exp_sums, registry
 from expsumlab.arith import Modulus, is_prime, primes_in_range
 from expsumlab.exp_sums import (
-    ALL_RESIDUES,
     TWIST_INVERSE,
     TWIST_NONE,
-    UNITS_ONLY,
     VARY_LINEAR,
     VARY_MONOMIAL,
     PhaseFamily,
@@ -82,8 +80,8 @@ def test_twisted_sum_examples():
     assert twisted_sum(1, 2, 5) == pytest.approx(-0.3090170 + 2.1266270j, abs=1e-7)
 
 
-SALIE = PhaseFamily(1, UNITS_ONLY, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
-CUBIC_N1 = PhaseFamily(3, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, 1, False)
+SALIE = PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
+CUBIC_N1 = PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, 1, False)
 
 
 def test_power_mean_salie_p5_brute_force():
@@ -106,7 +104,7 @@ def test_power_mean_cubic_p7():
 
 def test_power_mean_degenerate_linear_family():
     # n = 0, k = 1, full residues: |S(m)| = p at m = 0 and 0 otherwise
-    fam = PhaseFamily(1, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, 0, True)
+    fam = PhaseFamily(1, TWIST_NONE, VARY_MONOMIAL, 0, True)
     for p in (5, 11):
         assert power_mean(fam, p, 4).rounded == p**4
 
@@ -132,7 +130,9 @@ def test_power_mean_validates_args():
     with pytest.raises(ValueError):
         power_mean(SALIE, 2, 4)
     with pytest.raises(ValueError):
-        PhaseFamily(3, ALL_RESIDUES, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
+        PhaseFamily(3, TWIST_INVERSE, VARY_LINEAR, 1, True)
+    with pytest.raises(ValueError):
+        PhaseFamily(3, "units_only")  # the domain follows the twist
 
 
 def test_conjecture_family_counting_oracle(small_odd_primes):
@@ -347,7 +347,7 @@ def test_real_sums_have_zero_imaginary_part():
 def test_abs_two_term_all_m_is_the_exact_table():
     for p in (3, 5, 7, 31, 101):
         for n, k in [(0, 2), (1, 3), (5, 4)]:
-            fam = PhaseFamily(k, ALL_RESIDUES, TWIST_NONE, VARY_MONOMIAL, n)
+            fam = PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n)
             ref = np.sqrt([s / 2**256 for s in reference_abs_sq_table(fam, p)])
             assert np.array_equal(abs_two_term_all_m(n, k, p), ref), (p, n, k)
 

@@ -45,9 +45,30 @@ def test_fundamentally_different_cases():
 def test_enumerate_canonical_representatives():
     polys = list(enumerate_polys(1, 1))
     assert X in polys
-    # -x is the reflection of x and x+1 is a shift of x: both pruned
+    # -x is outside the sign-normalized space; x+1 is a shift of x, and a
+    # shift is no symmetry of the from-one sum: (x/p) sums to 0, ((x+1)/p)
+    # to -1, so x+1 is kept
     assert PolynomialZ.of(0, -1) not in polys
-    assert PolynomialZ.of(1, 1) not in polys
+    assert PolynomialZ.of(1, 1) in polys
+
+
+def test_enumerate_prunes_only_exact_symmetries():
+    # every polynomial enumerate_polys(2, 4) drops has a kept representative
+    # with the identical from-one signature
+    kept = list(enumerate_polys(2, 4))
+    kept_sums = {signature(f, PRIMES).sums for f in kept}
+    candidates = [
+        PolynomialZ((a, b, c)[: degree + 1])
+        for degree in (1, 2)
+        for a in range(-4, 5)
+        for b in range(-4, 5)
+        for c in range(-4, 5)
+        if (a, b, c)[degree] > 0 and (degree == 2 or c == 0)
+    ]
+    dropped = set(candidates) - set(kept)
+    assert dropped  # the pruning does prune
+    for f in dropped:
+        assert signature(f, PRIMES).sums in kept_sums, str(f)
 
 
 def test_enumerate_excludes_square_multiples():
@@ -82,6 +103,10 @@ def test_search_finds_quadratic_pair():
     # sum((x^2 + a)/p) over x = 1..p-1 is -1 - (a/p): equal sums whenever
     # (1/p) = (4/p), i.e. always, so this pair sits at c = 0
     assert ((1, 0, 1), (4, 0, 1), 0) in pairs
+    # both sum to -1 at every p (a nonzero discriminant, and a root at x = 0);
+    # x^2-2x is the shift of x^2-1 by -1, whose sum -1 - (-1/p) differs, so
+    # it must not be pruned in favour of x^2-1
+    assert ((0, -1, 1), (0, -2, 1), 0) in pairs
     # (2/p) genuinely varies with p, so x^2+1 vs x^2+2 must not appear
     assert not any(
         {h.f.coeffs, h.g.coeffs} == {(1, 0, 1), (2, 0, 1)} for h in res.hits
@@ -147,34 +172,21 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
     for name in ("legendre_table", "char_sum_poly"):
         monkeypatch.setattr(poly_search, name, refuse)
     primes = tuple(primes_in_range(3, 60))
-    for f in enumerate_polys(2, 2):
-        assert _euler_sums(f, primes) == _brute_sums(f, primes), str(f)
-
-
-def test_search_computes_oracle_once_per_hit_polynomial(monkeypatch):
-    primes = tuple(primes_in_range(3, 60))
-    computed = []
-
-    def recording(f, ps):
-        sums = _euler_sums(f, ps)
-        computed.append((f, sums))
-        return sums
-
-    monkeypatch.setattr(poly_search, "_euler_sums", recording)
-    res = search_constant_pairs(2, 2, primes, twisted=True)
-    polys = [f for f, _ in computed]
-    assert len(polys) == len(set(polys))
-    assert set(polys) == {h.f for h in res.hits} | {h.g for h in res.hits}
-    for f, sums in computed:
-        assert sums == _brute_sums(f, primes), str(f)
+    # seeded polynomials may have coefficients beyond int64
+    huge = PolynomialZ.of(-(2**70) - 1, 2**64 + 3, 5, 2**63 + 7)
+    polys = [*enumerate_polys(2, 2), CUBIC_CCC, NING_WANG_QUARTIC, huge]
+    rows = _euler_sums(polys, primes)
+    assert rows.shape == (len(polys), len(primes))
+    for f, row in zip(polys, rows.tolist()):
+        assert tuple(row) == _brute_sums(f, primes), str(f)
 
 
 def test_verify_pair_rejects_wrong_constant_and_flipped_twist():
     minus_one = [legendre(-1, p) for p in PRIMES]
-    quad_1 = _euler_sums(PolynomialZ.of(1, 0, 1), PRIMES)
-    quad_4 = _euler_sums(PolynomialZ.of(4, 0, 1), PRIMES)
-    cubic = _euler_sums(CUBIC_CCC, PRIMES)
-    quartic = _euler_sums(NING_WANG_QUARTIC, PRIMES)
+    quad_1, quad_4, cubic, quartic = _euler_sums(
+        [PolynomialZ.of(1, 0, 1), PolynomialZ.of(4, 0, 1), CUBIC_CCC, NING_WANG_QUARTIC],
+        PRIMES,
+    ).tolist()
     # known hits: x^2+1 vs x^2+4 at c = 0, and the corollary's twisted pair at c = 2
     assert _verify_pair(quad_1, quad_4, 0, False, minus_one)
     assert _verify_pair(cubic, quartic, 2, True, minus_one)
