@@ -20,6 +20,22 @@ rejects larger moduli before any work), and the exponents t*u + v stay
 below q^2 + q < 2^63 as well.  The limb sums are recombined into Python
 integers with shifts, minus (number of terms) * 2^128 for the offset.
 
+Most families are real: the cubic, Salie/Kloosterman and ZH families
+have e_{-a}(t) = -e_a(t) mod q on a domain closed under a -> -a.  _sums
+tests this on each table's own u, v vectors: the domain without a = 0
+is ascending and reverses onto its negatives, so the family is real iff
+(u_r + u_r[::-1]) and (v_r + v_r[::-1]) vanish mod q.  A real family
+gathers the five real limb rows only, over one a of each pair {a, -a},
+doubles those limb sums and adds the self-paired terms (a = 0 in the
+all-residues domain, a = q/2 for even q).  That is exact, not an
+approximation: the table is mirrored as integers, re[q-j] = re[j] and
+im[q-j] = -im[j], and im is exactly 0 at j = 0 and j = q/2, where every
+self-paired term lands, so the full gather's imaginary sum is exactly 0
+and its real sum is the halved one bit for bit.  The weighted count is
+still the number of terms, at most q, so the 2^32 * q < 2^63 bound is
+unchanged.  ZWL (a^2 + abar) and the Gauss family (a^2) fail the test
+and gather all ten rows over the whole domain.
+
 The rounding error of the scaled roots grows with q and the power: the
 residual (distance to the nearest integer) measured for the 12th mean of
 the conjecture family is 9.5e-19 at p = 499 and 8.9e-12 at p = 4999.
@@ -233,7 +249,10 @@ def kloosterman_bound_ratio(m: int, n: int, q) -> float:
 
 
 def weil_ratio(m: int, n: int, k: int, p: int) -> float:
-    """|S(m,n,k;p)| / sqrt(p) for 2 <= k < p and p not dividing m."""
+    """|S(m,n,k;p)| / sqrt(p) for p prime, 2 <= k < p and p not dividing m."""
+    p = _limb_q(p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if k < 2:
         raise ValueError("weil_ratio requires k >= 2 (k = 1 degenerates)")
     if k >= p:
@@ -260,23 +279,62 @@ def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
+def _pieces(u: np.ndarray, v: np.ndarray, q: int):
+    """(weight, u, v) pieces of the a-domain whose weighted limb sums
+    equal the full ones, and how many limb rows _sums must gather.
+
+    The domain from _family_vectors is ascending, so without a = 0 its
+    reversal maps each a to -a.  If that negates u and v mod q, the
+    family is real: one a of each pair {a, -a} with weight 2, the
+    self-paired a = 0 and a = q/2 (where the domain holds them) with
+    weight 1, over the five real rows.  Otherwise the whole domain and
+    all ten rows.
+    """
+    lead = int(len(u) == q)  # the all-residues domain starts at a = 0
+    ur, vr = u[lead:], v[lead:]
+    if ((ur + ur[::-1]) % q).any() or ((vr + vr[::-1]) % q).any():
+        return [(1, u, v)], 2 * _N_LIMBS
+    half = len(ur) // 2
+    self_paired = np.r_[0:lead, lead + half:len(u) - half]
+    return [(2, ur[:half], vr[:half]), (1, u[self_paired], v[self_paired])], _N_LIMBS
+
+
+def _join(r0: int, r1: int, r2: int, r3: int, r4: int) -> int:
+    """Five limb sums recombined at 32-bit steps."""
+    return r0 + (r1 << 32) + (r2 << 64) + (r3 << 96) + (r4 << 128)
+
+
 def _sums(family: PhaseFamily, q: int, ts) -> list[tuple[int, int]]:
     """Exact (re, im) of S_t * 2^128 for the sweep values ts in 0..q-1:
-    per block of t, the exponents (t*u + v) mod q gather each limb row
-    of the root table, and the exact int64 row sums are recombined."""
+    per block of t and per piece of the a-domain (_pieces), the exponents
+    (t*u + v) mod q gather each limb row of the root table, and the exact
+    int64 row sums, weighted, are recombined.
+
+    A real family, one whose u and v both reverse onto their negatives
+    mod q once a = 0 is set aside (see _pieces), gathers half the domain
+    over the five real rows and returns (re, 0), bit for bit what the
+    full path gives: the table is mirrored as integers, re[q-j] = re[j]
+    and im[q-j] = -im[j], and im is exactly 0 at j = 0 and j = q/2,
+    where every self-paired term (a = 0, a = q/2) lands.  The weights
+    add up to the number of terms, at most q, so each limb sum stays
+    below 2^32 * q < 2^63 as before.
+    """
     u, v = _family_vectors(family, q)
-    limbs = _fixed_root_table(q)
+    pieces, rows = _pieces(u, v, q)
+    limbs = _fixed_root_table(q)[:rows]
     offset = len(u) << _SCALE_BITS
     ts = np.asarray(ts, dtype=np.int64)
     out = []
     for t0 in range(0, len(ts), _T_BLOCK):
-        exps = (ts[t0:t0 + _T_BLOCK, None] * u + v) % q
-        sums = np.stack([row[exps].sum(axis=1) for row in limbs], axis=1).tolist()
-        # five limbs of re, then five of im, at 32-bit steps
-        for r0, r1, r2, r3, r4, i0, i1, i2, i3, i4 in sums:
-            sre = r0 + (r1 << 32) + (r2 << 64) + (r3 << 96) + (r4 << 128) - offset
-            sim = i0 + (i1 << 32) + (i2 << 64) + (i3 << 96) + (i4 << 128) - offset
-            out.append((sre, sim))
+        block = ts[t0:t0 + _T_BLOCK, None]
+        sums = 0
+        for weight, pu, pv in pieces:
+            exps = (block * pu + pv) % q
+            sums = sums + weight * np.stack([row[exps].sum(axis=1) for row in limbs], axis=1)
+        # five limbs of re, then (full path) five of im
+        for row in sums.tolist():
+            re = _join(*row[:_N_LIMBS]) - offset
+            out.append((re, _join(*row[_N_LIMBS:]) - offset if rows > _N_LIMBS else 0))
     return out
 
 

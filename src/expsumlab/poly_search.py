@@ -36,6 +36,10 @@ import numpy as np
 from .arith import legendre
 from .char_sums import FROM_ONE, PolynomialZ, char_sum_poly, legendre_table
 
+# elements of one int64 (polynomials x points) array in _euler_sums: the
+# degree-3 bound-2 search at primes up to 103 is one block per prime
+_EULER_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -141,12 +145,14 @@ def _euler_sums(polys, primes) -> np.ndarray:
     """sum_{x=1}^{p-1} (f(x)/p) for f in polys (rows) and p in primes
     (columns): the re-verify oracle.
 
-    Per prime, one Horner pass evaluates every f over x = 1..p-1 in int64,
-    with each coefficient reduced mod p first so seeded polynomials of any
-    size stay exact.  Euler's criterion f(x)^((p-1)/2) mod p, by
-    square-and-multiply, gives 1, p-1 or 0.  The primes are the search's
-    evidence primes, already validated as odd primes by the signatures and
-    small enough that p^2 fits in int64.
+    Per prime, one Horner pass evaluates the polynomials over x = 1..p-1
+    in int64, a block of rows at a time so that each (rows x (p-1)) array
+    holds at most _EULER_BLOCK elements, with each coefficient reduced
+    mod p first so seeded polynomials of any size stay exact.  Euler's
+    criterion f(x)^((p-1)/2) mod p, by square-and-multiply, gives 1, p-1
+    or 0.  The primes are the search's evidence primes, already validated
+    as odd primes by the signatures and small enough that p^2 fits in
+    int64.
     """
     width = max(len(f.coeffs) for f in polys)
     # descending coefficients, zero-padded to a common degree
@@ -155,17 +161,20 @@ def _euler_sums(polys, primes) -> np.ndarray:
     for j, p in enumerate(primes):
         reduced = np.array([[c % p for c in row] for row in coeffs], dtype=np.int64)
         xs = np.arange(1, p, dtype=np.int64)
-        vals = np.zeros((len(polys), p - 1), dtype=np.int64)
-        for col in reduced.T:
-            vals = (vals * xs + col[:, None]) % p
-        power = np.ones_like(vals)
-        e = (p - 1) // 2
-        while e:
-            if e & 1:
-                power = power * vals % p
-            vals = vals * vals % p
-            e >>= 1
-        out[:, j] = (power == 1).sum(axis=1) - (power == p - 1).sum(axis=1)
+        step = max(1, _EULER_BLOCK // (p - 1))
+        for r0 in range(0, len(polys), step):
+            block = reduced[r0:r0 + step]
+            vals = np.zeros((len(block), p - 1), dtype=np.int64)
+            for col in block.T:
+                vals = (vals * xs + col[:, None]) % p
+            power = np.ones_like(vals)
+            e = (p - 1) // 2
+            while e:
+                if e & 1:
+                    power = power * vals % p
+                vals = vals * vals % p
+                e >>= 1
+            out[r0:r0 + step, j] = (power == 1).sum(axis=1) - (power == p - 1).sum(axis=1)
     return out
 
 

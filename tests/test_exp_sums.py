@@ -179,6 +179,8 @@ def test_weil_ratio_rejects_bad_input():
         weil_ratio(7, 0, 2, 7)
     with pytest.raises(ValueError):
         weil_ratio(1, 0, 11, 7)
+    with pytest.raises(ValueError, match="prime"):
+        weil_ratio(1, 1, 2, 15)
 
 
 def test_weil_bound_exhaustive_small():
@@ -256,7 +258,19 @@ KERNEL_FAMILIES = [
     registry._cubic_family(2),
     registry._ZH_FAMILY,
     CONJECTURE_FAMILY,
+    registry._salie_family(5),
+    PhaseFamily(5, TWIST_NONE, VARY_MONOMIAL, 1, True),
+    registry._GAUSS_FAMILY,
 ]
+FULL_FAMILIES = [
+    registry._ZWL_FAMILY,
+    registry._GAUSS_FAMILY,
+    PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 1, True),
+    PhaseFamily(2, TWIST_NONE, VARY_LINEAR, 1, True),
+]
+# S_t is real for the rest (a -> -a negates every phase), so _sums
+# gathers half the domain over the five real limb rows
+REAL_FAMILIES = [f for f in KERNEL_FAMILIES if f not in FULL_FAMILIES]
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -264,7 +278,9 @@ KERNEL_FAMILIES = [
 def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
     family = replace(family, include_zero_in_sweep=include_zero)
     start = 0 if include_zero else 1
-    for q in [3, 4, 5, 7, 9, 12, 15, 25, 31, 45, 49, 53, 101, 211]:
+    # even q hold the self-paired a = q/2; under the inverse twist only
+    # the units count
+    for q in [3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 30, 31, 45, 49, 53, 101, 211]:
         ref = reference_abs_sq_table(family, q)
         assert exp_sums._abs_sq_table(family, q) == ref, q
         for two_k in (2, 6):
@@ -273,6 +289,25 @@ def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
             r = power_mean(family, q, two_k)
             assert r.rounded == round(exact), (q, two_k)
             assert r.residual == float(abs(exact - r.rounded)), (q, two_k)
+            assert r.raw_value.hex() == (r.rounded + float(exact - r.rounded)).hex(), (q, two_k)
+
+
+def test_real_families_gather_half_the_domain_over_five_rows():
+    for q in range(3, 64):
+        for family in REAL_FAMILIES:
+            u, v = exp_sums._family_vectors(family, q)
+            (twice, once), rows = exp_sums._pieces(u, v, q)
+            assert rows == 5 and twice[0] == 2 and once[0] == 1, (family, q)
+            # a = 0 and, for even q, a = q/2 in the all-residues domain;
+            # no unit is its own negative for q >= 3
+            self_paired = 1 + (q % 2 == 0) if len(u) == q else 0
+            assert len(once[1]) == self_paired, (family, q)
+            assert 2 * len(twice[1]) + len(once[1]) == len(u), (family, q)
+        for family in FULL_FAMILIES:
+            u, v = exp_sums._family_vectors(family, q)
+            pieces, rows = exp_sums._pieces(u, v, q)
+            assert rows == 10 and len(pieces) == 1, (family, q)
+            assert pieces[0][0] == 1 and len(pieces[0][1]) == len(u), (family, q)
 
 
 def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):

@@ -181,6 +181,17 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
         assert tuple(row) == _brute_sums(f, primes), str(f)
 
 
+def test_euler_oracle_blocks_match_one_block(monkeypatch):
+    primes = tuple(primes_in_range(3, 103))
+    polys = list(enumerate_polys(3, 2))
+    # the degree-3 bound-2 search at primes to 103 stays one block
+    assert len(polys) * (primes[-1] - 1) <= poly_search._EULER_BLOCK
+    one_block = _euler_sums(polys, primes)
+    for budget in (1, 7, 500, 4099):
+        monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
+        assert (_euler_sums(polys, primes) == one_block).all(), budget
+
+
 def test_verify_pair_rejects_wrong_constant_and_flipped_twist():
     minus_one = [legendre(-1, p) for p in PRIMES]
     quad_1, quad_4, cubic, quartic = _euler_sums(
