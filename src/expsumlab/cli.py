@@ -3,7 +3,9 @@ search, and ad-hoc sum evaluation.
 
 Exit codes: 0 all checks passed (skips allowed), 1 identity/invariant
 failure, 2 usage error, 3 numerical-residual or other arithmetic
-failure.  Machine output (JSON/CSV) goes to --output or stdout;
+failure.  The runners return 0, 1 or 3 from the outcomes they count and
+2 for a usage error they spot themselves; main() alone maps exceptions
+to exit codes.  Machine output (JSON/CSV) goes to --output or stdout;
 diagnostics go to stderr.
 """
 
@@ -15,7 +17,6 @@ import sys
 from . import conjecture as conj
 from . import exp_sums, poly_search, registry, reporting
 from .arith import NotRepresentableError, primes_in_range
-from .char_sums import PolynomialZ
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -100,16 +101,7 @@ def _outcome_row(o: registry.IdentityOutcome) -> dict:
     }
 
 
-def _finish(args, command, config_echo, rows, summary, text_extra=""):
-    fmt = args.format
-    if fmt == "json":
-        payload = reporting.emit_json(command, config_echo, rows, summary)
-    elif fmt == "csv":
-        payload = reporting.emit_csv(command, rows)
-    else:
-        payload = reporting.emit_text(command, rows, summary)
-        if text_extra:
-            payload += text_extra.encode("utf-8")
+def _write(args, payload: bytes) -> None:
     if args.output:
         with open(args.output, "wb") as fh:
             fh.write(payload)
@@ -118,13 +110,29 @@ def _finish(args, command, config_echo, rows, summary, text_extra=""):
         sys.stdout.buffer.flush()
 
 
-def _exit_code(statuses) -> int:
-    statuses = list(statuses)
-    if any(s == registry.NUMERIC for s in statuses):
+def _finish(args, command, config_echo, rows, summary):
+    if args.format == "json":
+        payload = reporting.emit_json(command, config_echo, rows, summary)
+    elif args.format == "csv":
+        payload = reporting.emit_csv(command, rows)
+    else:
+        payload = reporting.emit_text(command, rows, summary)
+    _write(args, payload)
+
+
+def _finish_outcomes(args, command, config_echo, outcomes) -> int:
+    s = registry.summarize(outcomes)
+    summary = {
+        "pass": s.n_pass,
+        "fail": s.n_fail,
+        "skip": s.n_skip,
+        "numeric": s.n_numeric,
+        "max_residual": s.max_residual,
+    }
+    _finish(args, command, config_echo, [_outcome_row(o) for o in outcomes], summary)
+    if s.n_numeric:
         return EXIT_NUMERIC
-    if any(s == registry.FAIL for s in statuses):
-        return EXIT_FAIL
-    return EXIT_OK
+    return EXIT_FAIL if s.n_fail else EXIT_OK
 
 
 def _run_verify(args) -> int:
@@ -137,72 +145,37 @@ def _run_verify(args) -> int:
         print(f"{ident} takes no --n", file=sys.stderr)
         return EXIT_USAGE
     grid = [{"n": n} for n in args.n] if args.n else None
-    try:
-        if args.q is not None:
-            result = registry.sweep(ident, [args.q], grid, emit_skips=True)
-            echo = {"identity": ident, "q": args.q, "n": args.n}
-        elif args.pmin is not None and args.pmax is not None:
-            moduli = primes_in_range(args.pmin, args.pmax)
-            result = registry.sweep(ident, moduli, grid)
-            echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
-        elif args.qmin is not None and args.qmax is not None:
-            result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid)
-            echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
-        else:
-            print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
-            return EXIT_USAGE
-    except NotRepresentableError:
-        raise  # an invariant breach, reported by main()
-    except ValueError as exc:  # an empty prime range or a modulus below 1
-        print(str(exc), file=sys.stderr)
+    if args.q is not None:
+        result = registry.sweep(ident, [args.q], grid, emit_skips=True)
+        echo = {"identity": ident, "q": args.q, "n": args.n}
+    elif args.pmin is not None and args.pmax is not None:
+        moduli = primes_in_range(args.pmin, args.pmax)
+        result = registry.sweep(ident, moduli, grid)
+        echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
+    elif args.qmin is not None and args.qmax is not None:
+        result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid)
+        echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
+    else:
+        print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
         return EXIT_USAGE
-
-    rows = [_outcome_row(o) for o in result.outcomes]
-    summary = {
-        "pass": result.summary.n_pass,
-        "fail": result.summary.n_fail,
-        "skip": result.summary.n_skip,
-        "numeric": result.summary.n_numeric,
-        "max_residual": result.summary.max_residual,
-    }
-    _finish(args, "verify", echo, rows, summary)
-    return _exit_code(o.status for o in result.outcomes)
+    return _finish_outcomes(args, "verify", echo, result.outcomes)
 
 
 def _run_verify_all(args) -> int:
-    rows = []
-    statuses = []
-    summary = {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
+    outcomes = []
     for desc in registry.list_identities():
         kind, lo, hi = VERIFY_ALL_RANGES[desc.identity_id]
-        if kind == "primes":
-            moduli = primes_in_range(lo, hi)
-        else:
-            moduli = range(lo, hi + 1, 2)
-        result = registry.sweep(desc.identity_id, moduli)
-        for o in result.outcomes:
-            rows.append(_outcome_row(o))
-            statuses.append(o.status)
-        summary["pass"] += result.summary.n_pass
-        summary["fail"] += result.summary.n_fail
-        summary["skip"] += result.summary.n_skip
-        summary["numeric"] += result.summary.n_numeric
-        summary["max_residual"] = max(summary["max_residual"], result.summary.max_residual)
-    _finish(args, "verify-all", {"ranges": {k: list(v) for k, v in VERIFY_ALL_RANGES.items()}}, rows, summary)
-    return _exit_code(statuses)
+        moduli = primes_in_range(lo, hi) if kind == "primes" else range(lo, hi + 1, 2)
+        outcomes += registry.sweep(desc.identity_id, moduli).outcomes
+    echo = {"ranges": {k: list(v) for k, v in VERIFY_ALL_RANGES.items()}}
+    return _finish_outcomes(args, "verify-all", echo, outcomes)
 
 
 def _run_conjecture(args) -> int:
     if not 1 <= args.k <= conj.MAX_K:
         print(f"--k must be in 1..{conj.MAX_K}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = conj.conjecture_report(args.k, args.pmin, args.pmax)
-    except NotRepresentableError:
-        raise  # an invariant breach, reported by main()
-    except ValueError as exc:  # pmin > pmax
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    report = conj.conjecture_report(args.k, args.pmin, args.pmax)
     if not report.rows:
         print(f"no odd primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
         return EXIT_USAGE
@@ -217,35 +190,27 @@ def _run_conjecture(args) -> int:
         }
         for r in report.rows
     ]
-    cc = report.crosscheck
-    n_fail = len(cc.mismatches) if cc.checked else 0
-    numeric_fail = report.max_power_mean_residual >= exp_sums.RESIDUAL_TOL
+    # mismatches stays empty when no closed form covers k
+    n_fail = len(report.crosscheck.mismatches)
     summary = {
         "pass": len(rows) - n_fail,
         "fail": n_fail,
         "skip": 0,
         "max_residual": report.max_power_mean_residual,
         "max_normalized_residual": report.max_abs_normalized_residual,
-        "crosscheck": "ok" if (not cc.checked or cc.all_match) else "mismatch",
+        "crosscheck": "mismatch" if n_fail else "ok",
     }
     _finish(args, "conjecture", {"k": args.k, "pmin": args.pmin, "pmax": args.pmax}, rows, summary)
-    if numeric_fail:
+    if report.max_power_mean_residual >= exp_sums.RESIDUAL_TOL:
         return EXIT_NUMERIC
     return EXIT_FAIL if n_fail else EXIT_OK
 
 
 def _run_search(args) -> int:
-    try:
-        primes = [p for p in primes_in_range(args.prime_min, args.prime_max) if p > 2]
-        result = poly_search.search_constant_pairs(
-            args.max_degree, args.coeff_bound, primes, twisted=args.twisted
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except AssertionError as exc:  # a hit failed the independent re-verify
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    primes = [p for p in primes_in_range(args.prime_min, args.prime_max) if p > 2]
+    result = poly_search.search_constant_pairs(
+        args.max_degree, args.coeff_bound, primes, twisted=args.twisted
+    )
     rows = [
         {
             "c": h.c,
@@ -281,16 +246,18 @@ def _run_sum(args) -> int:
         return EXIT_USAGE
     n = args.n or 0
     k = 1 if args.k is None else args.k
-    try:
-        if args.family == "kloosterman":
-            val = exp_sums.kloosterman(args.m, n, args.q)
-        elif args.family == "two-term":
-            val = exp_sums.two_term_sum(args.m, n, k, args.q)
-        else:
-            val = exp_sums.twisted_sum(args.m, k, args.q)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    if args.family == "kloosterman":
+        val = exp_sums.kloosterman(args.m, n, args.q)
+    elif args.family == "two-term":
+        val = exp_sums.two_term_sum(args.m, n, k, args.q)
+    else:
+        val = exp_sums.twisted_sum(args.m, k, args.q)
+    if args.format == "text":
+        # rounded first, so that a part that rounds to zero prints no sign
+        re, im = (round(x, 7) + 0.0 for x in (val.real, val.imag))
+        sign = "+" if im >= 0 else "-"
+        _write(args, f"{re:.7f} {sign} {abs(im):.7f}i\n".encode("utf-8"))
+        return EXIT_OK
     rows = [{
         "family": args.family,
         "m": args.m,
@@ -300,19 +267,8 @@ def _run_sum(args) -> int:
         "real": val.real,
         "imag": val.imag,
     }]
-    if args.format == "text":
-        # rounded first, so that a part that rounds to zero prints no sign
-        re, im = (round(x, 7) + 0.0 for x in (val.real, val.imag))
-        sign = "+" if im >= 0 else "-"
-        out = f"{re:.7f} {sign} {abs(im):.7f}i\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(out)
-        else:
-            sys.stdout.write(out)
-    else:
-        _finish(args, "sum", {"family": args.family}, rows,
-                {"pass": 1, "fail": 0, "skip": 0, "max_residual": 0.0})
+    _finish(args, "sum", {"family": args.family}, rows,
+            {"pass": 1, "fail": 0, "skip": 0, "max_residual": 0.0})
     return EXIT_OK
 
 
@@ -336,9 +292,14 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return runner(args)
-    except NotRepresentableError as exc:  # 4p = d^2 + 27b^2 must solve for p = 1 mod 3
+    except (NotRepresentableError, AssertionError) as exc:  # before ValueError, its base class
+        # a prime p = 1 mod 3 with no 4p = d^2 + 27b^2, or a search hit
+        # that fails its independent re-verification
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except ValueError as exc:  # an empty or reversed range, a modulus below 1
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
     except ArithmeticError as exc:  # a residual too large, a non-integral closed form
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -36,8 +36,11 @@ class ConjectureRow:
 @dataclass
 class CrossCheck:
     checked: bool
-    all_match: bool = True
     mismatches: list[tuple[int, int, int]] = field(default_factory=list)  # (p, value, expected)
+
+    @property
+    def all_match(self) -> bool:
+        return not self.mismatches
 
 
 @dataclass
@@ -109,7 +112,6 @@ def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:
         for r in rows:
             expected = closed_form(r.p, k)
             if expected is not None and expected != r.value:
-                cc.all_match = False
                 cc.mismatches.append((r.p, r.value, expected))
     return ConjectureReport(
         k=k,

@@ -111,10 +111,6 @@ class PowerMeanResult:
     rounded: int
     residual: float
 
-    @property
-    def is_exact(self) -> bool:
-        return self.residual < RESIDUAL_TOL
-
 
 # the root table steps omega^j with this many fractional bits, and
 # evaluates omega itself with _WORK_BITS

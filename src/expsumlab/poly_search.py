@@ -223,13 +223,8 @@ def search_constant_pairs(
         f, g = sf.poly, sg.poly
         if not fundamentally_different(f, g, primes):
             return
-        if is_twisted:
-            diffs = {l * a - b for l, a, b in zip(minus_one, sf.sums, sg.sums)}
-            if len(diffs) != 1:
-                return
-            c = diffs.pop()
-        else:
-            c = sf.sums[0] - sg.sums[0]
+        # grouped signatures differ by the same constant at every prime
+        c = (minus_one[0] if is_twisted else 1) * sf.sums[0] - sg.sums[0]
         if not _verify_pair(oracle[f], oracle[g], c, is_twisted, minus_one):
             raise AssertionError(f"grouping produced an unsound hit: {f} vs {g}")
         hits.append(SearchHit(f, g, c, primes, is_twisted, _structural_notes(f, g)))
@@ -243,9 +238,8 @@ def search_constant_pairs(
     if twisted:
         twisted_groups: dict[tuple, list[Signature]] = defaultdict(list)
         for sig in sigs:
-            tsums = [l * s for l, s in zip(minus_one, sig.sums)]
-            key = tuple(s - tsums[0] for s in tsums)
-            twisted_groups[key].append(sig)
+            tsums = tuple(l * s for l, s in zip(minus_one, sig.sums))
+            twisted_groups[normalized_key(Signature(sig.poly, primes, tsums))].append(sig)
         for key, tmembers in sorted(twisted_groups.items()):
             plain = groups.get(key, [])
             for sf in sorted(tmembers, key=lambda s: _order_key(s.poly)):

@@ -8,7 +8,8 @@ pass/fail/skip counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -63,17 +64,17 @@ class IdentityDescriptor:
 
 @dataclass
 class SweepSummary:
-    n_pass: int = 0
-    n_fail: int = 0
-    n_skip: int = 0
-    n_numeric: int = 0
-    max_residual: float = 0.0
+    n_pass: int
+    n_fail: int
+    n_skip: int
+    n_numeric: int
+    max_residual: float
 
 
 @dataclass
 class SweepResult:
-    outcomes: list[IdentityOutcome] = field(default_factory=list)
-    summary: SweepSummary = field(default_factory=SweepSummary)
+    outcomes: list[IdentityOutcome]
+    summary: SweepSummary
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +352,18 @@ def sweep(
         raise UnknownIdentityError(identity_id)
     grid = params_grid if params_grid is not None else [{}]
     results = [evaluate(identity_id, int(q), params) for q in moduli for params in grid]
+    outcomes = [o for o in results if emit_skips or o.status != SKIP]
+    return SweepResult(outcomes, summarize(outcomes))
 
-    out = SweepResult()
-    for outcome in results:
-        if outcome.status == SKIP and not emit_skips:
-            continue
-        out.outcomes.append(outcome)
-        if outcome.status == PASS:
-            out.summary.n_pass += 1
-        elif outcome.status == SKIP:
-            out.summary.n_skip += 1
-        elif outcome.status == NUMERIC:
-            out.summary.n_numeric += 1
-        else:
-            out.summary.n_fail += 1
-        out.summary.max_residual = max(out.summary.max_residual, outcome.residual)
-    return out
+
+def summarize(outcomes) -> SweepSummary:
+    """Count outcomes by status, with the largest residual (0.0 if none);
+    the one place where statuses are tallied."""
+    counts = Counter(o.status for o in outcomes)
+    return SweepSummary(
+        n_pass=counts[PASS],
+        n_fail=counts[FAIL],
+        n_skip=counts[SKIP],
+        n_numeric=counts[NUMERIC],
+        max_residual=max((o.residual for o in outcomes), default=0.0),
+    )

@@ -9,9 +9,9 @@ import pytest
 
 from expsumlab import cli, poly_search, registry
 from expsumlab import conjecture as conj
-from expsumlab.arith import NotRepresentableError
+from expsumlab.arith import NotRepresentableError, primes_in_range
 from expsumlab.exp_sums import ResidualError
-from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json
+from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json, prepare_reals
 
 
 def run(capsys, *argv):
@@ -129,6 +129,28 @@ def test_verify_all_deterministic_across_workers(capsys, tmp_path):
     assert doc["summary"]["max_residual"] < 1e-6
 
 
+def test_verify_empty_prime_range_reports_zero_counts(capsys):
+    code, out = run(capsys, "verify", "--identity", "salie_4th", "--pmin", "24",
+                    "--pmax", "28", "--format", "json")
+    assert code == cli.EXIT_OK
+    doc = json.loads(out)
+    assert doc["rows"] == []
+    assert doc["summary"] == {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
+
+
+def test_verify_all_summary_is_the_sum_of_the_sweeps(capsys):
+    code, out = run(capsys, "verify-all", "--format", "json")
+    assert code == cli.EXIT_FAIL
+    total = {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
+    for ident, (kind, lo, hi) in cli.VERIFY_ALL_RANGES.items():
+        moduli = primes_in_range(lo, hi) if kind == "primes" else range(lo, hi + 1, 2)
+        s = registry.sweep(ident, moduli).summary
+        for key, n in (("pass", s.n_pass), ("fail", s.n_fail), ("skip", s.n_skip), ("numeric", s.n_numeric)):
+            total[key] += n
+        total["max_residual"] = max(total["max_residual"], s.max_residual)
+    assert json.loads(out)["summary"] == prepare_reals(total)
+
+
 def test_conjecture_command(capsys):
     code, out = run(capsys, "conjecture", "--k", "2", "--pmin", "5",
                     "--pmax", "40", "--format", "json")
@@ -136,6 +158,16 @@ def test_conjecture_command(capsys):
     doc = json.loads(out)
     assert doc["summary"]["crosscheck"] == "ok"
     assert all(r["catalan"] == 2 for r in doc["rows"])
+
+
+def test_conjecture_crosscheck_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(conj, "closed_form", lambda p, k: conj.conjecture_value(p, k) + 1)
+    assert not conj.conjecture_report(2, 5, 13).crosscheck.all_match
+    code, out = run(capsys, "conjecture", "--k", "2", "--pmin", "5", "--pmax", "13",
+                    "--format", "json")
+    assert code == cli.EXIT_FAIL
+    summary = json.loads(out)["summary"]
+    assert (summary["pass"], summary["fail"], summary["crosscheck"]) == (0, 4, "mismatch")
 
 
 def test_conjecture_bad_k(capsys):

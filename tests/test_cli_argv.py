@@ -2,8 +2,9 @@
 
 Every subcommand gets small moduli (at most 60), small degrees and
 bounds, and values that are out of range, reversed or left out.  Whatever
-the argv, main() must return one of the documented exit codes and must
-never let an exception escape as a traceback.
+the argv, main() must return one of the documented exit codes, must never
+let an exception escape as a traceback, and must print nothing to stdout
+when it returns the usage-error code.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -76,6 +77,8 @@ SUM = argv_of(
 @given(argv=st.one_of(VERIFY, VERIFY_ALL, CONJECTURE, SEARCH, SUM))
 def test_any_argv_exits_with_a_documented_code(capsys, argv):
     code = cli.main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in (cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE, cli.EXIT_NUMERIC), argv
     assert "Traceback" not in err, argv
+    # a usage error is found before any output is written
+    assert code != cli.EXIT_USAGE or out == "", argv
