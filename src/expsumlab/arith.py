@@ -131,10 +131,15 @@ def factor_functions(q: int) -> tuple[int, int, int]:
     return m.phi, m.omega, m.divisor_count
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
+def check_range(lo: int, hi: int) -> None:
+    """The one check of every modulus range: lo > hi is a usage error."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
+
+
+def primes_in_range(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, ascending."""
+    check_range(lo, hi)
     if hi < 2:
         return []
     sieve = bytearray([1]) * (hi + 1)

@@ -16,10 +16,17 @@ Sign normalization is a scope choice, not a symmetry: -f carries a factor
 (-1/p), which the twisted pass covers.  Shifts x -> x+t are not symmetries
 of the from-one sum (they move it by (f(t)/p) - (f(0)/p)) and prune nothing.
 
+Signatures come from one batched pass per prime (_symbol_rows): every
+polynomial is evaluated over x = 1..p-1 by Horner's rule on int64 blocks,
+and the symbols are gathered from the Legendre table of p.  The same
+symbol rows decide whether a grouped pair is fundamentally different, so
+the search has one signature path and no per-x Python loop.
+
 Every emitted hit is re-verified at every evidence prime by an
 independent oracle computed once for all polynomials of the search:
 f(x) is evaluated mod p and classified by Euler's criterion, never
-through legendre_table or char_sum_poly.  Hits are conjectural
+through a Legendre table, char_sum_poly or _symbol_rows; the oracle
+shares no code with the signature path it checks.  Hits are conjectural
 evidence, never theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
@@ -34,10 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import legendre
-from .char_sums import FROM_ONE, PolynomialZ, char_sum_poly, legendre_table
+# char_sum_poly and legendre_table are unused here, but stay importable
+# from this module: the oracle test replaces them to show it never calls them
+from .char_sums import PolynomialZ, _legendre_array, char_sum_poly, legendre_table  # noqa: F401
 
-# elements of one int64 (polynomials x points) array in _euler_sums: the
-# degree-3 bound-2 search at primes up to 103 is one block per prime
+# elements of one int64 (polynomials x points) array in _symbol_rows and
+# _euler_sums: the degree-3 bound-2 search at primes up to 103 is one block
+# per prime
 _EULER_BLOCK = 1 << 15
 
 
@@ -65,13 +75,58 @@ class SearchResult:
     n_polynomials: int
 
 
+def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
+    """The signature path: sums and symbols of every f in polys (rows).
+
+    sums[i, j] = sum_{x=1}^{p_j-1} (f_i(x)/p_j), an int64 matrix.  symbols
+    is the int8 matrix of the symbols (f_i(x)/p) themselves, sum(p - 1)
+    columns: x = 1..p-1 of the first prime, then of the next.
+
+    Per prime, the coefficients are reduced mod p first, as Python
+    integers, so seeded polynomials of any size stay exact.  Horner's rule
+    then runs over blocks of rows, each int64 (rows x (p-1)) array holding
+    at most _EULER_BLOCK elements, and each block gathers its symbols from
+    _legendre_array(p), which also validates p, straight into the one
+    preallocated symbol matrix.
+    """
+    if any(f.is_zero for f in polys):
+        raise ValueError("character sum of the zero polynomial")
+    width = max(len(f.coeffs) for f in polys)
+    # descending coefficients, zero-padded to a common degree
+    coeffs = np.array([(0,) * (width - len(f.coeffs)) + f.coeffs[::-1] for f in polys],
+                      dtype=object)
+    sums = np.empty((len(polys), len(primes)), dtype=np.int64)
+    symbols = np.empty((len(polys), sum(p - 1 for p in primes)), dtype=np.int8)
+    lo = 0
+    for j, p in enumerate(primes):
+        table = _legendre_array(p).astype(np.int8)
+        reduced = (coeffs % p).astype(np.int64)
+        xs = np.arange(1, p, dtype=np.int64)
+        step = max(1, _EULER_BLOCK // (p - 1))
+        for r0 in range(0, len(polys), step):
+            rows = reduced[r0:r0 + step]
+            vals = np.zeros((len(rows), p - 1), dtype=np.int64)
+            for col in rows.T:
+                vals *= xs  # in place: no temporaries beside the block
+                vals += col[:, None]
+                vals %= p
+            block = table[vals]
+            symbols[r0:r0 + step, lo:lo + p - 1] = block
+            sums[r0:r0 + step, j] = block.sum(axis=1)
+        lo += p - 1
+    return sums, symbols
+
+
+def _differ(symbols_f: np.ndarray, symbols_g: np.ndarray) -> bool:
+    """True iff some column of the two symbol rows multiplies to -1: both
+    symbols nonzero and different."""
+    return bool((symbols_f * symbols_g == -1).any())
+
+
 def signature(f: PolynomialZ, primes) -> Signature:
     primes = tuple(primes)
-    return Signature(
-        poly=f,
-        primes=primes,
-        sums=tuple(char_sum_poly(f, p, FROM_ONE) for p in primes),
-    )
+    sums, _ = _symbol_rows([f], primes)
+    return Signature(poly=f, primes=primes, sums=tuple(sums[0].tolist()))
 
 
 def normalized_key(sig: Signature) -> tuple[int, ...]:
@@ -89,14 +144,8 @@ def fundamentally_different(f: PolynomialZ, g: PolynomialZ, primes) -> bool:
     Zeros are excluded so that f and h^2*f (which disagree only at roots
     of h) count as the same polynomial for the search.
     """
-    for p in primes:
-        table = legendre_table(p)
-        for x in range(1, p):
-            sf = table[f.eval_mod(x, p)]
-            sg = table[g.eval_mod(x, p)]
-            if sf != 0 and sg != 0 and sf != sg:
-                return True
-    return False
+    _, symbols = _symbol_rows([f, g], tuple(primes))
+    return _differ(symbols[0], symbols[1])
 
 
 def _order_key(f: PolynomialZ) -> tuple:
@@ -209,7 +258,12 @@ def search_constant_pairs(
     for f in extra_polys:
         if f not in polys:
             polys.append(f)
-    sigs = [signature(f, primes) for f in polys]
+    # sorted once, so that every bucket below is already in _order_key order
+    polys.sort(key=_order_key)
+    # the oracle's blocks come and go before the symbol matrix is allocated
+    oracle = _euler_sums(polys, primes).tolist()
+    sums, symbols = _symbol_rows(polys, primes)
+    sigs = [Signature(f, primes, tuple(row)) for f, row in zip(polys, sums.tolist())]
 
     groups: dict[tuple, list[Signature]] = defaultdict(list)
     for sig in sigs:
@@ -217,20 +271,20 @@ def search_constant_pairs(
 
     hits: list[SearchHit] = []
     minus_one = [legendre(-1, p) for p in primes]
-    oracle = dict(zip(polys, _euler_sums(polys, primes).tolist()))
+    index = {f: i for i, f in enumerate(polys)}
 
     def emit(sf: Signature, sg: Signature, is_twisted: bool):
         f, g = sf.poly, sg.poly
-        if not fundamentally_different(f, g, primes):
+        i, j = index[f], index[g]
+        if not _differ(symbols[i], symbols[j]):
             return
         # grouped signatures differ by the same constant at every prime
         c = (minus_one[0] if is_twisted else 1) * sf.sums[0] - sg.sums[0]
-        if not _verify_pair(oracle[f], oracle[g], c, is_twisted, minus_one):
+        if not _verify_pair(oracle[i], oracle[j], c, is_twisted, minus_one):
             raise AssertionError(f"grouping produced an unsound hit: {f} vs {g}")
         hits.append(SearchHit(f, g, c, primes, is_twisted, _structural_notes(f, g)))
 
-    for key in groups:
-        members = sorted(groups[key], key=lambda s: _order_key(s.poly))
+    for members in groups.values():
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 emit(members[i], members[j], False)
@@ -240,12 +294,14 @@ def search_constant_pairs(
         for sig in sigs:
             tsums = tuple(l * s for l, s in zip(minus_one, sig.sums))
             twisted_groups[normalized_key(Signature(sig.poly, primes, tsums))].append(sig)
-        for key, tmembers in sorted(twisted_groups.items()):
-            plain = groups.get(key, [])
-            for sf in sorted(tmembers, key=lambda s: _order_key(s.poly)):
-                for sg in sorted(plain, key=lambda s: _order_key(s.poly)):
+        for key, tmembers in twisted_groups.items():
+            for sf in tmembers:
+                for sg in groups.get(key, []):
                     if sf.poly != sg.poly:
                         emit(sf, sg, True)
+    # every pair is decided: free the symbols (19 MB at degree 4, bound 4,
+    # primes to 103) before the hits are sorted
+    del symbols
 
     hits.sort(key=lambda h: (h.c, _order_key(h.f), _order_key(h.g), h.twisted))
     return SearchResult(

@@ -170,6 +170,17 @@ def test_conjecture_crosscheck_mismatch_exits_1(capsys, monkeypatch):
     assert (summary["pass"], summary["fail"], summary["crosscheck"]) == (0, 4, "mismatch")
 
 
+def test_conjecture_without_closed_form_is_unchecked(capsys):
+    # no closed form covers k = 5: the rows are skips, not passes, and the
+    # exit code stays 0
+    code, out = run(capsys, "conjecture", "--k", "5", "--pmin", "5", "--pmax", "13",
+                    "--format", "json")
+    assert code == cli.EXIT_OK
+    summary = json.loads(out)["summary"]
+    assert (summary["pass"], summary["fail"], summary["skip"], summary["crosscheck"]) == (
+        0, 0, 4, "unchecked")
+
+
 def test_conjecture_bad_k(capsys):
     code, _ = run(capsys, "conjecture", "--k", "9", "--pmin", "5", "--pmax", "40")
     assert code == cli.EXIT_USAGE

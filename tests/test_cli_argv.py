@@ -4,9 +4,11 @@ Every subcommand gets small moduli (at most 60), small degrees and
 bounds, and values that are out of range, reversed or left out.  Whatever
 the argv, main() must return one of the documented exit codes, must never
 let an exception escape as a traceback, and must print nothing to stdout
-when it returns the usage-error code.
+when it returns the usage-error code.  A reversed --pmin/--pmax and a
+reversed --qmin/--qmax range give the same one-line usage error.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +84,10 @@ def test_any_argv_exits_with_a_documented_code(capsys, argv):
     assert "Traceback" not in err, argv
     # a usage error is found before any output is written
     assert code != cli.EXIT_USAGE or out == "", argv
+
+
+@pytest.mark.parametrize("lo_flag, hi_flag", [("--pmin", "--pmax"), ("--qmin", "--qmax")])
+def test_reversed_ranges_share_one_usage_error(capsys, lo_flag, hi_flag):
+    code = cli.main(["verify", "--identity", "salie_4th", lo_flag, "5", hi_flag, "3"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "empty range: lo=5 > hi=3\n")

@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
+from conftest import legendre_by_squares
 
 from expsumlab import char_sums, poly_search
 from expsumlab.arith import legendre, primes_in_range
-from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X
+from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X, char_sum_poly
 from expsumlab.poly_search import (
     _euler_sums,
+    _symbol_rows,
     _verify_pair,
     enumerate_polys,
     fundamentally_different,
@@ -14,6 +18,8 @@ from expsumlab.poly_search import (
 )
 
 PRIMES = tuple(primes_in_range(3, 100))
+# a seeded polynomial may have coefficients beyond int64
+HUGE = PolynomialZ.of(-(2**70) - 1, 2**64 + 3, 5, 2**63 + 7)
 
 
 def test_signature_examples():
@@ -179,6 +185,66 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
     assert rows.shape == (len(polys), len(primes))
     for f, row in zip(polys, rows.tolist()):
         assert tuple(row) == _brute_sums(f, primes), str(f)
+
+
+def test_symbol_rows_sums_match_char_sum_poly():
+    primes = tuple(primes_in_range(3, 103))
+    polys = [*enumerate_polys(3, 2), CUBIC_CCC, NING_WANG_QUARTIC, HUGE]
+    sums, symbols = _symbol_rows(polys, primes)
+    assert sums.shape == (len(polys), len(primes))
+    assert symbols.shape == (len(polys), sum(p - 1 for p in primes))
+    for f, row in zip(polys, sums.tolist()):
+        assert row == [char_sum_poly(f, p) for p in primes], str(f)
+
+
+def _brute_symbols(f, primes):
+    return [legendre_by_squares(f(x), p) for p in primes for x in range(1, p)]
+
+
+def test_symbol_rows_decide_difference_like_brute_force():
+    primes = tuple(primes_in_range(3, 60))
+    f = PolynomialZ.of(1, 0, 1)  # x^2+1
+    four_f = PolynomialZ.of(4, 0, 4)  # same symbols as f
+    x2_f = PolynomialZ.of(0, 0, 1, 0, 1)  # x^2*f: differs from f only at x = 0
+    # (x+1)^2*f: differs from f only where it is 0, at x = -1
+    shifted_square_f = PolynomialZ.of(1, 2, 2, 2, 1)
+    quad_4 = PolynomialZ.of(4, 0, 1)  # the same sums as f, other symbols
+    small = [
+        f, four_f, x2_f, shifted_square_f, quad_4,
+        PolynomialZ.of(-1, 0, -1),  # -f
+        PolynomialZ.of(2, 0, 1),
+        PolynomialZ.of(0, 0, 1),
+        X,
+        CUBIC_CCC,
+        NING_WANG_QUARTIC,
+        HUGE,
+    ]
+    brute = [_brute_symbols(g, primes) for g in small]
+    _, symbols = _symbol_rows(small, primes)
+    assert symbols.tolist() == brute
+    decided = {}
+    for (i, a), (j, b) in itertools.combinations(enumerate(small), 2):
+        decided[a, b] = poly_search._differ(symbols[i], symbols[j])
+        # per x: both symbols nonzero and different
+        assert decided[a, b] == any(u * v == -1 for u, v in zip(brute[i], brute[j])), (
+            str(a), str(b))
+        assert fundamentally_different(a, b, primes) == decided[a, b], (str(a), str(b))
+    assert not decided[f, four_f]
+    assert not decided[f, x2_f]
+    assert not decided[f, shifted_square_f]
+    assert decided[f, quad_4]
+
+
+def test_symbol_rows_blocks_match_one_block(monkeypatch):
+    primes = tuple(primes_in_range(3, 103))
+    polys = [*enumerate_polys(3, 2), CUBIC_CCC, NING_WANG_QUARTIC, HUGE]
+    assert len(polys) * (primes[-1] - 1) <= poly_search._EULER_BLOCK
+    one_sums, one_symbols = _symbol_rows(polys, primes)
+    for budget in (1, 7, 500, 4099):
+        monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
+        sums, symbols = _symbol_rows(polys, primes)
+        assert (sums == one_sums).all(), budget
+        assert (symbols == one_symbols).all(), budget
 
 
 def test_euler_oracle_blocks_match_one_block(monkeypatch):
