@@ -20,10 +20,13 @@ if __name__ == "__main__":
 
     primes = [p for p in primes_in_range(3, args.prime_max)]
     extra = [CUBIC_CCC, NING_WANG_QUARTIC] if args.seed_corollary_pair else []
-    res = search_constant_pairs(args.max_degree, args.coeff_bound, primes,
-                                twisted=args.twisted, extra_polys=extra)
+    try:
+        res = search_constant_pairs(args.max_degree, args.coeff_bound, primes,
+                                    twisted=args.twisted, extra_polys=extra)
+    except ValueError as exc:  # too few evidence primes or bad bounds
+        ap.error(str(exc))
     print(f"{res.n_polynomials} canonical polynomials, {len(res.hits)} hits")
     print("histogram of c:", dict(sorted(res.histogram.items())))
     for h in res.hits:
         tag = " [twisted]" if h.twisted else ""
-        print(f"  c={h.c:+d}{tag}  {h.f}  vs  {h.g}   ({h.structural_notes})")
+        print(f"  c={h.c:+d}{tag}  {h.f}  vs  {h.g}   (deg {h.f.degree} vs deg {h.g.degree})")

@@ -4,10 +4,7 @@ sums, power-mean identities and Legendre character-sum problems."""
 from .arith import (
     DRep,
     Modulus,
-    factor_functions,
-    gcd3,
     legendre,
-    mod_inverse,
     primes_in_range,
     represent_4p,
 )
@@ -16,18 +13,15 @@ from .char_sums import (
     char_sum_poly,
     corollary1_check,
     ning_wang_c,
-    salie_twisted_char_sum,
 )
 from .conjecture import catalan, conjecture_report, conjecture_value
 from .exp_sums import (
     PhaseFamily,
     PowerMeanResult,
     kloosterman,
-    kloosterman_bound_ratio,
     power_mean,
     twisted_sum,
     two_term_sum,
-    weil_ratio,
 )
 from .poly_search import (
     SearchHit,
@@ -56,24 +50,18 @@ __all__ = [
     "corollary1_check",
     "enumerate_polys",
     "evaluate",
-    "factor_functions",
     "fundamentally_different",
-    "gcd3",
     "kloosterman",
-    "kloosterman_bound_ratio",
     "legendre",
     "list_identities",
-    "mod_inverse",
     "ning_wang_c",
     "normalized_key",
     "power_mean",
     "primes_in_range",
     "represent_4p",
-    "salie_twisted_char_sum",
     "search_constant_pairs",
     "signature",
     "sweep",
     "twisted_sum",
     "two_term_sum",
-    "weil_ratio",
 ]

@@ -76,13 +76,6 @@ class Modulus:
         return len(self.factorization)
 
     @property
-    def divisor_count(self) -> int:
-        out = 1
-        for _, e in self.factorization:
-            out *= e + 1
-        return out
-
-    @property
     def unitary_primes(self) -> tuple[int, ...]:
         """Primes p with p | q and p^2 not dividing q (p || q)."""
         return tuple(p for p, e in self.factorization if e == 1)
@@ -90,23 +83,6 @@ class Modulus:
 
 def as_modulus(q) -> Modulus:
     return q if isinstance(q, Modulus) else Modulus.from_int(int(q))
-
-
-def gcd3(m: int, n: int, q: int) -> int:
-    """gcd of three arguments; gcd3(0, 0, q) = q."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    return math.gcd(m, n, q)
-
-
-def mod_inverse(a: int, q: int) -> int:
-    """The inverse of a mod q, in [1, q-1]. Requires gcd(a, q) = 1."""
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    a %= q
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"{a} is not a unit mod {q}")
-    return pow(a, -1, q)
 
 
 @lru_cache(maxsize=4096)
@@ -123,12 +99,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def factor_functions(q: int) -> tuple[int, int, int]:
-    """(phi(q), omega(q), d(q)) from one trial-division factorization."""
-    m = as_modulus(q)
-    return m.phi, m.omega, m.divisor_count
 
 
 def check_range(lo: int, hi: int) -> None:

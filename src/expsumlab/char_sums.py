@@ -2,6 +2,8 @@
 
 Includes the two specific sums whose difference is the corollary under
 test: (-1/p) * sum((c^3+c^2+c)/p) and C(p) = sum(((b^2+1)(b^2+4b+1))/p).
+The ZWL closed form's sum((c+1+cbar)/p), cbar = 1/c mod p, is that cubic sum
+term by term: c+1+cbar = cbar*(c^2+c+1) and (cbar/p) = (c/p).
 """
 
 from __future__ import annotations
@@ -11,10 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _check_odd_prime, mod_inverse
-
-FROM_ONE = "from_one"
-FROM_ZERO = "from_zero"
+from .arith import _check_odd_prime
 
 
 @dataclass(frozen=True)
@@ -51,34 +50,9 @@ class PolynomialZ:
             v = v * x + c
         return v
 
-    def eval_mod(self, x: int, p: int) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = (v * x + c) % p
-        return v
-
-    def shift(self, t: int) -> "PolynomialZ":
-        """f(x + t)."""
-        out = [0]
-        for c in reversed(self.coeffs):
-            # out(x) = out(x) * (x + t) + c
-            nxt = [0] * (len(out) + 1)
-            for i, o in enumerate(out):
-                nxt[i + 1] += o
-                nxt[i] += o * t
-            nxt[0] += c
-            out = nxt
-        return PolynomialZ.of(*out)
-
     def reflect(self) -> "PolynomialZ":
         """f(-x)."""
         return PolynomialZ.of(*((-1) ** i * c for i, c in enumerate(self.coeffs)))
-
-    def scale(self, s: int) -> "PolynomialZ":
-        return PolynomialZ.of(*(s * c for c in self.coeffs))
-
-    def derivative(self) -> "PolynomialZ":
-        return PolynomialZ.of(*(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -128,15 +102,12 @@ def _legendre_array(p: int) -> np.ndarray:
     return table
 
 
-def char_sum_poly(f: PolynomialZ, p: int, range_mode: str = FROM_ONE) -> int:
-    """sum over x of ((f(x))/p), x in 1..p-1 (from_one) or 0..p-1."""
+def char_sum_poly(f: PolynomialZ, p: int) -> int:
+    """sum_{x=1}^{p-1} ((f(x))/p)."""
     if f.is_zero:
         raise ValueError("character sum of the zero polynomial")
-    if range_mode not in (FROM_ONE, FROM_ZERO):
-        raise ValueError(f"bad range {range_mode!r}")
     table = _legendre_array(p)
-    lo = 1 if range_mode == FROM_ONE else 0
-    xs = np.arange(lo, p, dtype=np.int64)
+    xs = np.arange(1, p, dtype=np.int64)
     vals = np.zeros_like(xs)
     for c in reversed(f.coeffs):
         vals = (vals * xs + c % p) % p  # c reduced first: it may exceed int64
@@ -145,13 +116,7 @@ def char_sum_poly(f: PolynomialZ, p: int, range_mode: str = FROM_ONE) -> int:
 
 def ning_wang_c(p: int) -> int:
     """C(p) = sum_{b=1}^{p-1} (((b^2+1)(b^2+4b+1))/p)."""
-    return char_sum_poly(NING_WANG_QUARTIC, p, FROM_ONE)
-
-
-def salie_twisted_char_sum(p: int) -> int:
-    """sum_{c=1}^{p-1} ((c + 1 + cbar)/p)."""
-    table = legendre_table(p)
-    return sum(table[(c + 1 + mod_inverse(c, p)) % p] for c in range(1, p))
+    return char_sum_poly(NING_WANG_QUARTIC, p)
 
 
 @dataclass(frozen=True)
@@ -166,7 +131,7 @@ class Corollary1Result:
 def corollary1_check(p: int) -> Corollary1Result:
     """Check that the two character sums differ by exactly 2."""
     table = legendre_table(p)
-    term1 = table[p - 1] * char_sum_poly(CUBIC_CCC, p, FROM_ONE)
+    term1 = table[p - 1] * char_sum_poly(CUBIC_CCC, p)
     term2 = ning_wang_c(p)
     diff = term1 - term2
     return Corollary1Result(p=p, term1=term1, term2=term2, difference=diff, passed=(diff == 2))

@@ -236,28 +236,6 @@ def twisted_sum(m: int, k: int, p: int) -> complex:
     return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, VARY_MONOMIAL, 1), p, m)
 
 
-def kloosterman_bound_ratio(m: int, n: int, q) -> float:
-    """|S(m,n;q)| / ((m,n,q)^(1/2) d(q) q^(1/2)) -- exploratory statistic,
-    no threshold is asserted (the Chowla-Estermann constant is implicit)."""
-    mod = as_modulus(q)
-    g = math.gcd(m, n, mod.q)
-    return abs(kloosterman(m, n, mod)) / (math.sqrt(g) * mod.divisor_count * math.sqrt(mod.q))
-
-
-def weil_ratio(m: int, n: int, k: int, p: int) -> float:
-    """|S(m,n,k;p)| / sqrt(p) for p prime, 2 <= k < p and p not dividing m."""
-    p = _limb_q(p)
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if k < 2:
-        raise ValueError("weil_ratio requires k >= 2 (k = 1 degenerates)")
-    if k >= p:
-        raise ValueError(f"need k < p, got k={k}, p={p}")
-    if m % p == 0:
-        raise ValueError("weil_ratio requires p not dividing m")
-    return abs(two_term_sum(m, n, k, p)) / math.sqrt(p)
-
-
 def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family."""
     k = family.monomial_degree

@@ -41,9 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import legendre
-# char_sum_poly and legendre_table are unused here, but stay importable
-# from this module: the oracle test replaces them to show it never calls them
-from .char_sums import PolynomialZ, _legendre_array, char_sum_poly, legendre_table  # noqa: F401
+from .char_sums import PolynomialZ, _legendre_array
 
 # elements of one int64 (polynomials x points) array in _symbol_rows and
 # _euler_sums: the degree-3 bound-2 search at primes up to 103 is one block
@@ -65,7 +63,6 @@ class SearchHit:
     c: int
     primes: tuple[int, ...]
     twisted: bool
-    structural_notes: str
 
 
 @dataclass
@@ -186,10 +183,6 @@ def enumerate_polys(max_degree: int, coeff_bound: int):
                     yield f
 
 
-def _structural_notes(f: PolynomialZ, g: PolynomialZ) -> str:
-    return f"deg {f.degree} vs deg {g.degree}"
-
-
 def _euler_sums(polys, primes) -> np.ndarray:
     """sum_{x=1}^{p-1} (f(x)/p) for f in polys (rows) and p in primes
     (columns): the re-verify oracle.
@@ -282,7 +275,7 @@ def search_constant_pairs(
         c = (minus_one[0] if is_twisted else 1) * sf.sums[0] - sg.sums[0]
         if not _verify_pair(oracle[i], oracle[j], c, is_twisted, minus_one):
             raise AssertionError(f"grouping produced an unsound hit: {f} vs {g}")
-        hits.append(SearchHit(f, g, c, primes, is_twisted, _structural_notes(f, g)))
+        hits.append(SearchHit(f, g, c, primes, is_twisted))
 
     for members in groups.values():
         for i in range(len(members)):

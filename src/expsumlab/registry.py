@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import char_sums, exp_sums
-from .arith import Modulus, as_modulus, is_prime, legendre, represent_4p
+from .arith import Modulus, as_modulus, legendre, represent_4p
 from .exp_sums import (
     RESIDUAL_TOL,
     TWIST_INVERSE,
@@ -145,7 +145,8 @@ def _zhang_rhs(q: int, params) -> int:
 
 def _zwl_rhs(p: int, params) -> int:
     leg3 = legendre(3, p)
-    t = char_sums.salie_twisted_char_sum(p)
+    # sum((c+1+cbar)/p) = sum((c^3+c^2+c)/p), see char_sums
+    t = char_sums.char_sum_poly(char_sums.CUBIC_CCC, p)
     if p % 4 == 3:
         return 2 * p**3 - 6 * p**2 - 5 * p + 2 * leg3 * p**2 - p**2 * t
     return 2 * p**3 - 10 * p**2 - 9 * p - 2 * leg3 * p**2 + p**2 * t

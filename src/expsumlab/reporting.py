@@ -65,7 +65,7 @@ def emit_csv(command: str, rows: list[dict]) -> bytes:
 
 
 def emit_text(command: str, rows: list[dict], summary: dict) -> bytes:
-    header = CSV_HEADERS.get(command, sorted({k for r in rows for k in r}))
+    header = CSV_HEADERS[command]
     lines = []
     for row in rows:
         lines.append("  ".join(f"{col}={_csv_cell(row.get(col))}" for col in header))

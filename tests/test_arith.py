@@ -1,19 +1,16 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from expsumlab.arith import (
     DRep,
     Modulus,
     NotRepresentableError,
-    factor_functions,
     factorize,
-    gcd3,
     is_prime,
     legendre,
-    mod_inverse,
     primes_in_range,
     represent_4p,
 )
@@ -21,26 +18,6 @@ from expsumlab.arith import (
 from conftest import legendre_by_squares
 
 ODD_PRIMES = st.sampled_from(primes_in_range(3, 200))
-
-
-def test_gcd3_examples():
-    assert gcd3(0, 0, 7) == 7
-    assert gcd3(1, 123, 456) == 1
-    assert gcd3(4, 6, 10) == 2
-    assert gcd3(-4, 6, 10) == 2
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(1, 17) == 1
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(2, 9) == 5
-
-
-def test_mod_inverse_rejects_non_coprime():
-    with pytest.raises(ValueError):
-        mod_inverse(6, 9)
-    with pytest.raises(ValueError):
-        mod_inverse(4, 2)
 
 
 def test_legendre_examples():
@@ -71,19 +48,6 @@ def test_legendre_sums_to_zero(p):
     assert sum(legendre(a, p) for a in range(1, p)) == 0
 
 
-@given(ODD_PRIMES, st.integers(1, 10**6))
-def test_mod_inverse_involution(p, a):
-    if a % p == 0:
-        a += 1
-    assert mod_inverse(mod_inverse(a, p), p) == a % p
-
-
-def test_factor_functions_examples():
-    assert factor_functions(1) == (1, 0, 1)
-    assert factor_functions(12) == (4, 2, 6)
-    assert factor_functions(9) == (6, 1, 3)
-
-
 @given(st.integers(1, 5000))
 def test_factorization_reassembles(q):
     prod = 1
@@ -97,7 +61,7 @@ def test_modulus_fields():
     m = Modulus.from_int(45)
     assert m.factorization == ((3, 2), (5, 1))
     assert not m.is_prime
-    assert m.phi == 24 and m.omega == 2 and m.divisor_count == 6
+    assert m.phi == 24 and m.omega == 2
     assert m.unitary_primes == (5,)
     assert Modulus.from_int(7).is_prime
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -18,11 +17,9 @@ from expsumlab.exp_sums import (
     PhaseFamily,
     abs_two_term_all_m,
     kloosterman,
-    kloosterman_bound_ratio,
     power_mean,
     twisted_sum,
     two_term_sum,
-    weil_ratio,
 )
 from expsumlab.registry import CONJECTURE_FAMILY
 
@@ -152,35 +149,16 @@ def test_conjecture_family_counting_oracle(small_odd_primes):
         assert abs(oracle - r.rounded) < 1e-5
 
 
-def test_kloosterman_bound_ratio_examples():
-    for q in (5, 12, 45):
-        mod = Modulus.from_int(q)
-        expected = mod.phi / (q * mod.divisor_count)
-        assert kloosterman_bound_ratio(0, 0, q) == pytest.approx(expected, abs=1e-9)
-    assert kloosterman_bound_ratio(1, 1, 5) == pytest.approx(0.0854102, abs=1e-7)
-    assert kloosterman_bound_ratio(1, 0, 6) == pytest.approx(0.1020621, abs=1e-7)
-
-
 def test_weil_ratio_gauss_case():
+    # |S(m, 0, 2; p)| / sqrt(p) = 1: a quadratic Gauss sum
     for p in (5, 7, 13):
         for m in range(1, p):
-            assert weil_ratio(m, 0, 2, p) == pytest.approx(1.0, abs=1e-9)
+            assert abs(two_term_sum(m, 0, 2, p)) / math.sqrt(p) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_weil_ratio_cubic_bound():
-    worst = max(weil_ratio(m, 1, 3, 7) for m in range(1, 7))
+    worst = max(abs(two_term_sum(m, 1, 3, 7)) / math.sqrt(7) for m in range(1, 7))
     assert worst <= 2.0 + 1e-9
-
-
-def test_weil_ratio_rejects_bad_input():
-    with pytest.raises(ValueError):
-        weil_ratio(1, 0, 1, 7)
-    with pytest.raises(ValueError):
-        weil_ratio(7, 0, 2, 7)
-    with pytest.raises(ValueError):
-        weil_ratio(1, 0, 11, 7)
-    with pytest.raises(ValueError, match="prime"):
-        weil_ratio(1, 1, 2, 15)
 
 
 def test_weil_bound_exhaustive_small():
@@ -394,4 +372,29 @@ def test_star_import_resolves_every_public_name():
     exec("from expsumlab import *", names)
     for name in expsumlab.__all__:
         assert names[name] is getattr(expsumlab, name), name
-    assert "root_table" not in names and not hasattr(expsumlab, "root_table")
+    deleted = ("root_table", "salie_twisted_char_sum", "kloosterman_bound_ratio", "weil_ratio",
+               "gcd3", "factor_functions", "mod_inverse")
+    for name in deleted:
+        assert name not in names and not hasattr(expsumlab, name), name
+
+
+def test_names_nothing_calls_stay_deleted():
+    import dataclasses
+    import inspect
+
+    from expsumlab import arith, char_sums, poly_search
+
+    gone = {
+        arith: ("gcd3", "factor_functions", "mod_inverse"),
+        arith.Modulus: ("divisor_count",),
+        char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
+        char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod"),
+        exp_sums: ("kloosterman_bound_ratio", "weil_ratio"),
+        poly_search: ("_structural_notes", "char_sum_poly", "legendre_table"),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    fields = [f.name for f in dataclasses.fields(poly_search.SearchHit)]
+    assert "structural_notes" not in fields
+    assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]

@@ -1,0 +1,49 @@
+"""The scripts under scripts/, each run in a subprocess at a tiny size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_search_pairs_prints_hits():
+    r = run_script("search_pairs.py", "--max-degree", "2", "--coeff-bound", "1",
+                   "--prime-max", "60")
+    assert r.returncode == 0, r.stderr
+    assert "  c=+1  x  vs  x+1   (deg 1 vs deg 1)\n" in r.stdout
+
+
+def test_search_pairs_too_few_primes_is_a_usage_error():
+    r = run_script("search_pairs.py", "--prime-max", "17")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "Traceback" not in r.stderr
+    assert r.stderr.splitlines()[-1] == (
+        "search_pairs.py: error: evidence prime list must have at least 8 primes")
+
+
+def test_conjecture_sweep_reports_every_k():
+    r = run_script("conjecture_sweep.py", "--pmin", "5", "--pmax", "40")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"k={k}" for k in range(1, 7)]
+
+
+def test_verify_identities_fails_only_the_known_false_formula():
+    # zh_cubic_6th_over_a reproduces a false published formula: 12 rows fail
+    r = run_script("verify_identities.py")
+    assert r.returncode == 1, r.stderr
+    summary = r.stdout.splitlines()[-1]
+    assert summary.startswith("summary: ") and "  fail=12  " in summary
+    failing = {line.split()[0] for line in r.stdout.splitlines() if line.endswith("pass=false")}
+    assert failing == {"identity=zh_cubic_6th_over_a"}
