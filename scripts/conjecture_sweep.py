@@ -5,13 +5,15 @@ normalized error-term maxima in the conjecture's own p^(k+1/2) scale."""
 import argparse
 
 from expsumlab.conjecture import MAX_K, conjecture_report
+from expsumlab.registry import summarize
 
 
 def run(pmin: int, pmax: int):
     for k in range(1, MAX_K + 1):
         rep = conjecture_report(k, pmin, pmax)
-        cc = "exact match with closed forms" if rep.crosscheck.checked and rep.crosscheck.all_match else (
-            "MISMATCH" if rep.crosscheck.checked else "no closed form (k > 4)"
+        s = summarize(rep.rows)
+        cc = "MISMATCH" if s["fail"] else (
+            "exact match with closed forms" if s["pass"] else "no closed form (k > 4)"
         )
         print(
             f"k={k}: {len(rep.rows)} primes, C_k={rep.rows[0].catalan if rep.rows else '-'}, "

@@ -120,56 +120,53 @@ def _finish(args, command, config_echo, rows, summary):
     _write(args, payload)
 
 
-def _finish_outcomes(args, command, config_echo, outcomes) -> int:
-    s = registry.summarize(outcomes)
-    summary = {
-        "pass": s.n_pass,
-        "fail": s.n_fail,
-        "skip": s.n_skip,
-        "numeric": s.n_numeric,
-        "max_residual": s.max_residual,
-    }
-    _finish(args, command, config_echo, [_outcome_row(o) for o in outcomes], summary)
-    if s.n_numeric:
+def _finish_checked(args, command, config_echo, rows, summary) -> int:
+    """Write the rows of a command that checks values, with its summary
+    (registry.summarize plus any extra keys); the exit code comes from
+    the counts alone."""
+    _finish(args, command, config_echo, rows, summary)
+    if summary[registry.NUMERIC]:
         return EXIT_NUMERIC
-    return EXIT_FAIL if s.n_fail else EXIT_OK
+    return EXIT_FAIL if summary[registry.FAIL] else EXIT_OK
 
 
 def _run_verify(args) -> int:
     ident = args.identity
-    desc = {d.identity_id: d for d in registry.list_identities()}.get(ident)
-    if desc is None:
+    identity = {i.identity_id: i for i in registry.list_identities()}.get(ident)
+    if identity is None:
         print(f"unknown identity: {ident}", file=sys.stderr)
         return EXIT_USAGE
-    if args.n and not desc.takes_n:
+    if args.n and not identity.takes_n:
         print(f"{ident} takes no --n", file=sys.stderr)
         return EXIT_USAGE
     grid = [{"n": n} for n in args.n] if args.n else None
     if args.q is not None:
-        result = registry.sweep(ident, [args.q], grid, emit_skips=True)
+        outcomes = registry.sweep(ident, [args.q], grid, emit_skips=True)
         echo = {"identity": ident, "q": args.q, "n": args.n}
     elif args.pmin is not None and args.pmax is not None:
         moduli = primes_in_range(args.pmin, args.pmax)
-        result = registry.sweep(ident, moduli, grid)
+        outcomes = registry.sweep(ident, moduli, grid)
         echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
     elif args.qmin is not None and args.qmax is not None:
         check_range(args.qmin, args.qmax)
-        result = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid)
+        outcomes = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid)
         echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
     else:
         print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
         return EXIT_USAGE
-    return _finish_outcomes(args, "verify", echo, result.outcomes)
+    rows = [_outcome_row(o) for o in outcomes]
+    return _finish_checked(args, "verify", echo, rows, registry.summarize(outcomes))
 
 
 def _run_verify_all(args) -> int:
     outcomes = []
-    for desc in registry.list_identities():
-        kind, lo, hi = VERIFY_ALL_RANGES[desc.identity_id]
+    for identity in registry.list_identities():
+        kind, lo, hi = VERIFY_ALL_RANGES[identity.identity_id]
         moduli = primes_in_range(lo, hi) if kind == "primes" else range(lo, hi + 1, 2)
-        outcomes += registry.sweep(desc.identity_id, moduli).outcomes
+        outcomes += registry.sweep(identity.identity_id, moduli)
     echo = {"ranges": {k: list(v) for k, v in VERIFY_ALL_RANGES.items()}}
-    return _finish_outcomes(args, "verify-all", echo, outcomes)
+    rows = [_outcome_row(o) for o in outcomes]
+    return _finish_checked(args, "verify-all", echo, rows, registry.summarize(outcomes))
 
 
 def _run_conjecture(args) -> int:
@@ -191,21 +188,14 @@ def _run_conjecture(args) -> int:
         }
         for r in report.rows
     ]
-    # without a closed form for k (k = 5, 6) no row was checked: each is a skip
-    checked = report.crosscheck.checked
-    n_fail = len(report.crosscheck.mismatches)
-    summary = {
-        "pass": len(rows) - n_fail if checked else 0,
-        "fail": n_fail,
-        "skip": 0 if checked else len(rows),
-        "max_residual": report.max_power_mean_residual,
-        "max_normalized_residual": report.max_abs_normalized_residual,
-        "crosscheck": ("mismatch" if n_fail else "ok") if checked else "unchecked",
-    }
-    _finish(args, "conjecture", {"k": args.k, "pmin": args.pmin, "pmax": args.pmax}, rows, summary)
-    if report.max_power_mean_residual >= exp_sums.RESIDUAL_TOL:
-        return EXIT_NUMERIC
-    return EXIT_FAIL if n_fail else EXIT_OK
+    summary = registry.summarize(report.rows)
+    summary["max_normalized_residual"] = report.max_abs_normalized_residual
+    # a row no closed form covers (every row at k = 5, 6) is a skip
+    summary["crosscheck"] = (
+        "mismatch" if summary[registry.FAIL] else "ok" if summary[registry.PASS] else "unchecked"
+    )
+    echo = {"k": args.k, "pmin": args.pmin, "pmax": args.pmax}
+    return _finish_checked(args, "conjecture", echo, rows, summary)
 
 
 def _run_search(args) -> int:

@@ -6,19 +6,21 @@ The conjectured asymptotic is
         = C_k * p^{k+1} + O(p^{k+1/2}),   C_k = binom(2k,k)/(k+1).
 
 Exact values come from the fixed-point power-mean kernel; the error term
-is tracked in the conjecture's own scale p^{k+1/2}.  For k <= 4 every
-value is cross-checked against the closed forms the registry carries;
-for k = 5, 6 only observed maxima are reported, no threshold asserted.
+is tracked in the conjecture's own scale p^{k+1/2}.  Each row gets its
+status from registry.verdict against closed_form(p, k), the closed forms
+the registry carries for k <= 4; a row no closed form covers (p = 3 at
+k = 2..4, every row at k = 5, 6) is a skip, for which only observed
+maxima are reported, no threshold asserted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import is_prime, primes_in_range
 from .exp_sums import RESIDUAL_TOL, ResidualError, power_mean
-from .registry import CONJECTURE_FAMILY, _wz_rhs, _zm_rhs, _zz_rhs
+from .registry import CONJECTURE_FAMILY, _wz_rhs, _zm_rhs, _zz_rhs, verdict
 
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
 
@@ -31,16 +33,8 @@ class ConjectureRow:
     catalan: int
     main_term: int
     normalized_residual: float  # (value - main_term) / p^(k + 1/2)
-
-
-@dataclass
-class CrossCheck:
-    checked: bool
-    mismatches: list[tuple[int, int, int]] = field(default_factory=list)  # (p, value, expected)
-
-    @property
-    def all_match(self) -> bool:
-        return not self.mismatches
+    residual: float  # the power mean's pre-rounding residual
+    status: str  # registry.verdict against closed_form(p, k)
 
 
 @dataclass
@@ -48,8 +42,6 @@ class ConjectureReport:
     k: int
     rows: list[ConjectureRow]
     max_abs_normalized_residual: float
-    max_power_mean_residual: float
-    crosscheck: CrossCheck
 
 
 def catalan(k: int) -> int:
@@ -97,26 +89,16 @@ def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:
     primes = [p for p in primes_in_range(prime_lo, prime_hi) if p > 2]
     ck = catalan(k)
 
-    def row(p: int) -> tuple[ConjectureRow, float]:
+    def row(p: int) -> ConjectureRow:
         r = power_mean(CONJECTURE_FAMILY, p, 2 * k)
         main = ck * p ** (k + 1)
         norm = (r.rounded - main) / p ** (k + 0.5)
-        return ConjectureRow(p, k, r.rounded, ck, main, norm), r.residual
+        status = verdict(r.rounded, closed_form(p, k), r.residual)
+        return ConjectureRow(p, k, r.rounded, ck, main, norm, r.residual, status)
 
-    results = [row(p) for p in primes]
-
-    rows = [r for r, _ in results]
-    max_resid = max((res for _, res in results), default=0.0)
-    cc = CrossCheck(checked=(k <= 4))
-    if cc.checked:
-        for r in rows:
-            expected = closed_form(r.p, k)
-            if expected is not None and expected != r.value:
-                cc.mismatches.append((r.p, r.value, expected))
+    rows = [row(p) for p in primes]
     return ConjectureReport(
         k=k,
         rows=rows,
         max_abs_normalized_residual=max((abs(r.normalized_residual) for r in rows), default=0.0),
-        max_power_mean_residual=max_resid,
-        crosscheck=cc,
     )

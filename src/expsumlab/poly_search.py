@@ -197,11 +197,13 @@ def _euler_sums(polys, primes) -> np.ndarray:
     int64.
     """
     width = max(len(f.coeffs) for f in polys)
-    # descending coefficients, zero-padded to a common degree
-    coeffs = [(0,) * (width - len(f.coeffs)) + f.coeffs[::-1] for f in polys]
+    # descending coefficients, zero-padded to a common degree, as Python
+    # ints (object dtype) so that % p is exact at any size
+    padded = [(0,) * (width - len(f.coeffs)) + f.coeffs[::-1] for f in polys]
+    coeffs = np.array(padded, dtype=object)
     out = np.empty((len(polys), len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
-        reduced = np.array([[c % p for c in row] for row in coeffs], dtype=np.int64)
+        reduced = (coeffs % p).astype(np.int64)
         xs = np.arange(1, p, dtype=np.int64)
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):

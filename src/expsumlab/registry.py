@@ -2,8 +2,9 @@
 
 Each entry binds an LHS recipe (a power mean or character-sum
 combination) to an integer RHS closed form plus an applicability
-predicate.  evaluate() compares LHS and RHS exactly; sweeps report
-pass/fail/skip counts.
+predicate.  verdict() is the one rule that gives a checked value its
+status, for registry rows and conjecture rows alike, and summarize() the
+one place where statuses are counted.
 """
 
 from __future__ import annotations
@@ -52,29 +53,6 @@ class IdentityOutcome:
     @property
     def skipped(self) -> bool:
         return self.status == SKIP
-
-
-@dataclass(frozen=True)
-class IdentityDescriptor:
-    identity_id: str
-    description: str
-    applicability: str
-    takes_n: bool = False
-
-
-@dataclass
-class SweepSummary:
-    n_pass: int
-    n_fail: int
-    n_skip: int
-    n_numeric: int
-    max_residual: float
-
-
-@dataclass
-class SweepResult:
-    outcomes: list[IdentityOutcome]
-    summary: SweepSummary
 
 
 # ---------------------------------------------------------------------------
@@ -206,22 +184,22 @@ def _gauss_lhs(mod: Modulus, params) -> tuple[int, float]:
 
 
 @dataclass(frozen=True)
-class _Entry:
-    descriptor: IdentityDescriptor
+class Identity:
+    identity_id: str
+    description: str
+    applicability: str
     applies: callable
     lhs: callable
     rhs: callable
+    takes_n: bool = False
 
 
-_ENTRIES: dict[str, _Entry] = {}
+_ENTRIES: dict[str, Identity] = {}
 
 
 def _register(identity_id, description, applicability, applies, lhs, rhs, takes_n=False):
-    _ENTRIES[identity_id] = _Entry(
-        descriptor=IdentityDescriptor(identity_id, description, applicability, takes_n),
-        applies=applies,
-        lhs=lhs,
-        rhs=rhs,
+    _ENTRIES[identity_id] = Identity(
+        identity_id, description, applicability, applies, lhs, rhs, takes_n
     )
 
 
@@ -312,8 +290,19 @@ _register(
 )
 
 
-def list_identities() -> list[IdentityDescriptor]:
-    return [e.descriptor for e in _ENTRIES.values()]
+def list_identities() -> list[Identity]:
+    return list(_ENTRIES.values())
+
+
+def verdict(lhs: int | None, rhs: int | None, residual: float) -> str:
+    """The status of a checked value: NUMERIC when the residual is too
+    large to trust the rounding, whatever the RHS; else SKIP when no RHS
+    applies; else PASS or FAIL by exact comparison."""
+    if residual >= RESIDUAL_TOL:
+        return NUMERIC
+    if rhs is None:
+        return SKIP
+    return PASS if lhs == rhs else FAIL
 
 
 def evaluate(identity_id: str, modulus, params: dict | None = None) -> IdentityOutcome:
@@ -324,16 +313,11 @@ def evaluate(identity_id: str, modulus, params: dict | None = None) -> IdentityO
     entry = _ENTRIES[identity_id]
     params = dict(params or {})
     mod = as_modulus(modulus)
-    if not entry.applies(mod, params):
-        return IdentityOutcome(identity_id, mod.q, params, None, None, 0.0, SKIP)
-    lhs, residual = entry.lhs(mod, params)
-    rhs = entry.rhs(mod.q, params)
-    if residual >= RESIDUAL_TOL:
-        status = NUMERIC
-    elif lhs == rhs:
-        status = PASS
-    else:
-        status = FAIL
+    lhs, rhs, residual = None, None, 0.0
+    if entry.applies(mod, params):
+        lhs, residual = entry.lhs(mod, params)
+        rhs = entry.rhs(mod.q, params)
+    status = verdict(lhs, rhs, residual)
     return IdentityOutcome(identity_id, mod.q, params, lhs, rhs, residual, status)
 
 
@@ -342,7 +326,7 @@ def sweep(
     moduli,
     params_grid: list[dict] | None = None,
     emit_skips: bool = False,
-) -> SweepResult:
+) -> list[IdentityOutcome]:
     """Evaluate an identity over every modulus in `moduli` x every params
     combination, in deterministic (modulus, params) order.
 
@@ -353,18 +337,14 @@ def sweep(
         raise UnknownIdentityError(identity_id)
     grid = params_grid if params_grid is not None else [{}]
     results = [evaluate(identity_id, int(q), params) for q in moduli for params in grid]
-    outcomes = [o for o in results if emit_skips or o.status != SKIP]
-    return SweepResult(outcomes, summarize(outcomes))
+    return [o for o in results if emit_skips or o.status != SKIP]
 
 
-def summarize(outcomes) -> SweepSummary:
-    """Count outcomes by status, with the largest residual (0.0 if none);
-    the one place where statuses are tallied."""
-    counts = Counter(o.status for o in outcomes)
-    return SweepSummary(
-        n_pass=counts[PASS],
-        n_fail=counts[FAIL],
-        n_skip=counts[SKIP],
-        n_numeric=counts[NUMERIC],
-        max_residual=max((o.residual for o in outcomes), default=0.0),
-    )
+def summarize(rows) -> dict:
+    """Count rows (anything with a status and a residual) by status, with
+    the largest residual (0.0 if none): the one place where statuses are
+    tallied, in the key order of the CLI summaries."""
+    counts = Counter(r.status for r in rows)
+    summary = {status: counts[status] for status in (PASS, FAIL, SKIP, NUMERIC)}
+    summary["max_residual"] = max((r.residual for r in rows), default=0.0)
+    return summary

@@ -16,7 +16,7 @@ from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ
 from expsumlab.conjecture import closed_form, conjecture_report, conjecture_value
 from expsumlab.exp_sums import abs_two_term_all_m
 from expsumlab.poly_search import search_constant_pairs
-from expsumlab.registry import evaluate, sweep
+from expsumlab.registry import evaluate, summarize, sweep
 
 
 def _report(n: int, ok: bool, detail: str):
@@ -26,28 +26,30 @@ def _report(n: int, ok: bool, detail: str):
 
 def test_acceptance_01_corollary_difference_is_two():
     t0 = time.perf_counter()
-    res = sweep("corollary1", primes_in_range(3, 199))
+    outcomes = sweep("corollary1", primes_in_range(3, 199))
     elapsed = time.perf_counter() - t0
+    s = summarize(outcomes)
     ok = (
-        res.summary.n_fail == 0
-        and res.summary.n_pass == len(primes_in_range(3, 199))
-        and all(o.lhs == 2 for o in res.outcomes)
+        s["fail"] == 0
+        and s["pass"] == len(primes_in_range(3, 199))
+        and all(o.lhs == 2 for o in outcomes)
         and elapsed < 1.0
     )
-    _report(1, ok, f"difference 2 at all {res.summary.n_pass} odd primes < 200 in {elapsed:.3f}s")
+    _report(1, ok, f"difference 2 at all {s['pass']} odd primes < 200 in {elapsed:.3f}s")
 
 
 def test_acceptance_02_salie_fourth_mean():
     t0 = time.perf_counter()
-    res = sweep("salie_4th", primes_in_range(3, 499))
+    outcomes = sweep("salie_4th", primes_in_range(3, 499))
     elapsed = time.perf_counter() - t0
+    s = summarize(outcomes)
     ok = (
-        res.summary.n_fail == 0
-        and res.summary.max_residual < 1e-6
+        s["fail"] == 0
+        and s["max_residual"] < 1e-6
         and elapsed < 30.0
     )
-    _report(2, ok, f"2p^3-3p^2-3p exact for {res.summary.n_pass} primes < 500, "
-                   f"max residual {res.summary.max_residual:.2e}, {elapsed:.1f}s")
+    _report(2, ok, f"2p^3-3p^2-3p exact for {s['pass']} primes < 500, "
+                   f"max residual {s['max_residual']:.2e}, {elapsed:.1f}s")
 
 
 def test_acceptance_03_composite_fourth_mean():
@@ -151,8 +153,9 @@ def test_acceptance_08_conjecture_crosscheck_and_high_k():
     if not bad:
         for k in (5, 6):
             rep = conjecture_report(k, 50, 300)
-            if rep.max_power_mean_residual >= 1e-6:
-                bad = f"k={k}: residual {rep.max_power_mean_residual}"
+            residual = summarize(rep.rows)["max_residual"]
+            if residual >= 1e-6:
+                bad = f"k={k}: residual {residual}"
                 break
             if not math.isfinite(rep.max_abs_normalized_residual):
                 bad = f"k={k}: non-finite normalized residual"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -69,8 +70,7 @@ def test_corrupted_rhs_flips_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(
         registry._ENTRIES,
         "salie_4th",
-        registry._Entry(entry.descriptor, entry.applies, entry.lhs,
-                        lambda p, params: entry.rhs(p, params) + 1),
+        dataclasses.replace(entry, rhs=lambda p, params: entry.rhs(p, params) + 1),
     )
     code, _ = run(capsys, "verify", "--identity", "salie_4th", "--q", "5")
     assert code == cli.EXIT_FAIL
@@ -81,8 +81,7 @@ def test_large_residual_maps_to_numeric_exit(capsys, monkeypatch):
     monkeypatch.setitem(
         registry._ENTRIES,
         "salie_4th",
-        registry._Entry(entry.descriptor, entry.applies,
-                        lambda mod, params: (160, 0.5), entry.rhs),
+        dataclasses.replace(entry, lhs=lambda mod, params: (160, 0.5)),
     )
     code, out = run(capsys, "verify", "--identity", "salie_4th", "--q", "5",
                     "--format", "json")
@@ -144,10 +143,10 @@ def test_verify_all_summary_is_the_sum_of_the_sweeps(capsys):
     total = {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
     for ident, (kind, lo, hi) in cli.VERIFY_ALL_RANGES.items():
         moduli = primes_in_range(lo, hi) if kind == "primes" else range(lo, hi + 1, 2)
-        s = registry.sweep(ident, moduli).summary
-        for key, n in (("pass", s.n_pass), ("fail", s.n_fail), ("skip", s.n_skip), ("numeric", s.n_numeric)):
-            total[key] += n
-        total["max_residual"] = max(total["max_residual"], s.max_residual)
+        s = registry.summarize(registry.sweep(ident, moduli))
+        for key in ("pass", "fail", "skip", "numeric"):
+            total[key] += s[key]
+        total["max_residual"] = max(total["max_residual"], s["max_residual"])
     assert json.loads(out)["summary"] == prepare_reals(total)
 
 
@@ -162,7 +161,7 @@ def test_conjecture_command(capsys):
 
 def test_conjecture_crosscheck_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(conj, "closed_form", lambda p, k: conj.conjecture_value(p, k) + 1)
-    assert not conj.conjecture_report(2, 5, 13).crosscheck.all_match
+    assert all(r.status == registry.FAIL for r in conj.conjecture_report(2, 5, 13).rows)
     code, out = run(capsys, "conjecture", "--k", "2", "--pmin", "5", "--pmax", "13",
                     "--format", "json")
     assert code == cli.EXIT_FAIL
@@ -179,6 +178,43 @@ def test_conjecture_without_closed_form_is_unchecked(capsys):
     summary = json.loads(out)["summary"]
     assert (summary["pass"], summary["fail"], summary["skip"], summary["crosscheck"]) == (
         0, 0, 4, "unchecked")
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_conjecture_row_without_closed_form_is_a_skip(capsys, k):
+    # closed_form(3, k) is None for k = 2..4: p = 3 is a skip, not a pass
+    code, out = run(capsys, "conjecture", "--k", str(k), "--pmin", "3", "--pmax", "7",
+                    "--format", "json")
+    assert code == cli.EXIT_OK
+    summary = json.loads(out)["summary"]
+    assert (summary["pass"], summary["fail"], summary["skip"], summary["numeric"],
+            summary["crosscheck"]) == (2, 0, 1, 0, "ok")
+    code, out = run(capsys, "conjecture", "--k", str(k), "--pmin", "3", "--pmax", "3",
+                    "--format", "json")
+    assert code == cli.EXIT_OK
+    summary = json.loads(out)["summary"]
+    assert (summary["pass"], summary["skip"], summary["crosscheck"]) == (0, 1, "unchecked")
+
+
+def test_conjecture_numeric_row_is_not_a_fail(capsys, monkeypatch):
+    # a value whose rounding cannot be trusted is numeric, not a fail,
+    # even where it misses its closed form
+    real = conj.power_mean
+
+    def untrusted(*args):
+        r = real(*args)
+        return dataclasses.replace(r, rounded=r.rounded + 1, residual=0.5)
+
+    monkeypatch.setattr(conj, "power_mean", untrusted)
+    code, out = run(capsys, "conjecture", "--k", "2", "--pmin", "5", "--pmax", "13",
+                    "--format", "json")
+    assert code == cli.EXIT_NUMERIC
+    doc = json.loads(out)
+    summary = doc["summary"]
+    assert (summary["pass"], summary["fail"], summary["skip"], summary["numeric"]) == (
+        0, 0, 0, len(doc["rows"]))
+    assert len(doc["rows"]) == 4
+    assert summary["max_residual"] == 0.5
 
 
 def test_conjecture_bad_k(capsys):
@@ -220,8 +256,7 @@ def _raise(exc):
 
 
 def _with_rhs(identity, rhs):
-    entry = registry._ENTRIES[identity]
-    return registry._Entry(entry.descriptor, entry.applies, entry.lhs, rhs)
+    return dataclasses.replace(registry._ENTRIES[identity], rhs=rhs)
 
 
 @pytest.mark.parametrize("patch, argv, code, prefix", [

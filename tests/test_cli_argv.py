@@ -4,9 +4,13 @@ Every subcommand gets small moduli (at most 60), small degrees and
 bounds, and values that are out of range, reversed or left out.  Whatever
 the argv, main() must return one of the documented exit codes, must never
 let an exception escape as a traceback, and must print nothing to stdout
-when it returns the usage-error code.  A reversed --pmin/--pmax and a
-reversed --qmin/--qmax range give the same one-line usage error.
+when it returns the usage-error code.  A JSON verify, verify-all or
+conjecture summary must count every row once, and the exit code must
+follow from its counts alone.  A reversed --pmin/--pmax and a reversed
+--qmin/--qmax range give the same one-line usage error.
 """
+
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -84,6 +88,25 @@ def test_any_argv_exits_with_a_documented_code(capsys, argv):
     assert "Traceback" not in err, argv
     # a usage error is found before any output is written
     assert code != cli.EXIT_USAGE or out == "", argv
+    if argv[0] in ("verify", "verify-all", "conjecture") and code != cli.EXIT_USAGE:
+        # the same run in JSON, whatever the format asked for: the same
+        # exit code, every row counted once, and the code from the counts
+        as_json = _with_json_format(argv)
+        if as_json != argv:
+            assert cli.main(as_json) == code, argv
+            out = capsys.readouterr().out
+        doc = json.loads(out)
+        s = doc["summary"]
+        assert s["pass"] + s["fail"] + s["skip"] + s["numeric"] == len(doc["rows"]), argv
+        expected = cli.EXIT_NUMERIC if s["numeric"] else cli.EXIT_FAIL if s["fail"] else cli.EXIT_OK
+        assert code == expected, argv
+
+
+def _with_json_format(argv):
+    if "--format" not in argv:
+        return argv + ["--format", "json"]
+    i = argv.index("--format")
+    return argv[:i + 1] + ["json"] + argv[i + 2:]
 
 
 @pytest.mark.parametrize("lo_flag, hi_flag", [("--pmin", "--pmax"), ("--qmin", "--qmax")])

@@ -1,6 +1,7 @@
 import pytest
 
 from expsumlab.arith import primes_in_range
+from expsumlab.registry import PASS, SKIP, summarize
 from expsumlab.conjecture import (
     MAX_K,
     catalan,
@@ -60,17 +61,19 @@ def test_spot_values_small():
 def test_report_crosscheck_k_le_4():
     for k in (1, 2, 3, 4):
         rep = conjecture_report(k, 5, 80)
-        assert rep.crosscheck.checked
-        assert rep.crosscheck.all_match, rep.crosscheck.mismatches
-        assert rep.max_power_mean_residual < 1e-6
+        # every row was checked against its closed form, and matched
+        bad = [(r.p, r.status) for r in rep.rows if r.status != PASS]
+        assert not bad, (k, bad)
+        assert summarize(rep.rows)["max_residual"] < 1e-6
         assert all(r.catalan == catalan(k) for r in rep.rows)
 
 
 def test_report_high_k_residuals_stay_tiny():
     for k in (5, 6):
         rep = conjecture_report(k, 5, 60)
-        assert not rep.crosscheck.checked
-        assert rep.max_power_mean_residual < 1e-6
+        # no row was checked
+        assert all(r.status == SKIP for r in rep.rows)
+        assert summarize(rep.rows)["max_residual"] < 1e-6
         assert rep.max_abs_normalized_residual < float("inf")
         assert all(closed_form(r.p, k) is None for r in rep.rows)
 

@@ -382,7 +382,7 @@ def test_names_nothing_calls_stay_deleted():
     import dataclasses
     import inspect
 
-    from expsumlab import arith, char_sums, poly_search
+    from expsumlab import arith, char_sums, conjecture, poly_search, registry
 
     gone = {
         arith: ("gcd3", "factor_functions", "mod_inverse"),
@@ -391,10 +391,14 @@ def test_names_nothing_calls_stay_deleted():
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table"),
+        registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry"),
+        conjecture: ("CrossCheck",),
     }
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
     fields = [f.name for f in dataclasses.fields(poly_search.SearchHit)]
     assert "structural_notes" not in fields
+    fields = [f.name for f in dataclasses.fields(conjecture.ConjectureReport)]
+    assert "crosscheck" not in fields and "max_power_mean_residual" not in fields
     assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]

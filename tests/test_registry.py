@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from expsumlab import exp_sums
@@ -10,7 +12,9 @@ from expsumlab.registry import (
     UnknownIdentityError,
     evaluate,
     list_identities,
+    summarize,
     sweep,
+    verdict,
 )
 
 ALL_IDS = [
@@ -158,19 +162,47 @@ def test_skip_versus_fail_distinction():
 
 
 def test_sweep_counts_and_skip_handling():
-    res = sweep("salie_4th", range(3, 20))
-    assert res.summary.n_pass == len(primes_in_range(3, 19))
-    assert res.summary.n_fail == 0 and res.summary.n_skip == 0
-    res = sweep("salie_4th", [4], emit_skips=True)
-    assert res.summary.n_skip == 1 and len(res.outcomes) == 1
+    s = summarize(sweep("salie_4th", range(3, 20)))
+    assert s["pass"] == len(primes_in_range(3, 19))
+    assert s["fail"] == 0 and s["skip"] == 0
+    outcomes = sweep("salie_4th", [4], emit_skips=True)
+    assert summarize(outcomes)["skip"] == 1 and len(outcomes) == 1
 
 
 def test_sweep_params_grid_in_evaluate_order():
     grid = [{"n": 1}, {"n": 2}]
     primes = primes_in_range(5, 40)
-    res = sweep("zz_cubic_4th", primes, grid)
-    assert res.outcomes == [evaluate("zz_cubic_4th", p, g) for p in primes for g in grid]
-    assert res.summary.n_pass == 2 * len(primes)
+    outcomes = sweep("zz_cubic_4th", primes, grid)
+    assert outcomes == [evaluate("zz_cubic_4th", p, g) for p in primes for g in grid]
+    assert summarize(outcomes)["pass"] == 2 * len(primes)
+
+
+def test_verdict_order():
+    tol = exp_sums.RESIDUAL_TOL
+    # a residual too large flags the row, with or without an RHS, matching or not
+    assert verdict(5, 5, tol) == NUMERIC
+    assert verdict(5, None, tol) == NUMERIC
+    assert verdict(5, 6, 0.5) == NUMERIC
+    # then a missing RHS is a skip, before any comparison
+    assert verdict(5, None, 0.0) == SKIP
+    assert verdict(None, None, 0.0) == SKIP
+    assert verdict(5, 5, 0.0) == PASS
+    assert verdict(5, 6, tol / 2) == FAIL
+
+
+def test_summarize_counts_every_status_in_order():
+    skip, five, seven = (evaluate("salie_4th", q) for q in (4, 5, 7))
+    outcomes = [
+        skip,
+        five,
+        seven,
+        dataclasses.replace(five, status=FAIL, residual=0.25),
+        dataclasses.replace(seven, status=NUMERIC, residual=0.5),
+    ]
+    s = summarize(outcomes)
+    assert list(s) == ["pass", "fail", "skip", "numeric", "max_residual"]
+    assert s == {"pass": 2, "fail": 1, "skip": 1, "numeric": 1, "max_residual": 0.5}
+    assert summarize([]) == {"pass": 0, "fail": 0, "skip": 0, "numeric": 0, "max_residual": 0.0}
 
 
 def test_salie_prime_case_agrees_with_composite_formula():
