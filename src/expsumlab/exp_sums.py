@@ -13,28 +13,35 @@ Arithmetic, ch. 4); _fixed_root_table bounds the error.
 
 The inner sums run in int64 numpy arithmetic without losing a bit.  Each
 scaled root x lies in [-2^128, 2^128], so x + 2^128 fits in 130 bits and
-is stored as five 32-bit limbs (the multiprecision splitting of Knuth,
-TAOCP vol. 2, 4.3.1).  An inner sum adds at most q terms, so every limb
-sum stays below 2^32 * q < 2^63 while q < 2^31 (every public function
-rejects larger moduli before any work), and the exponents t*u + v stay
-below q^2 + q < 2^63 as well.  The limb sums are recombined into Python
-integers with shifts, minus (number of terms) * 2^128 for the offset.
+is stored as limbs of w bits (the multiprecision splitting of Knuth,
+TAOCP vol. 2, 4.3.1).  The width depends on q alone (_limb_shape): with
+b = bitlen(q), a limb has 8 * floor((63 - b) / 8) bits, so three 48-bit
+limbs for q < 2^15, four 40-bit ones below 2^23 and five 32-bit ones
+below 2^31.  An inner sum adds at most q < 2^b terms, each below 2^w, so
+every limb sum stays below 2^(w + b) <= 2^63 (every public function
+rejects q >= 2^31 before any work).  The table holds two periods, so a
+sweep block gathers at (t0*u + v) mod q plus (dt*u) mod q, an exponent
+in [0, 2q - 2], with no reduction per element; t0*u + v stays below
+q^2 + q < 2^63.  The limb sums are recombined into Python integers with
+shifts, minus (number of terms) * 2^128 for the offset.
 
-Most families are real: the cubic, Salie/Kloosterman and ZH families
-have e_{-a}(t) = -e_a(t) mod q on a domain closed under a -> -a.  _sums
-tests this on each table's own u, v vectors: the domain without a = 0
-is ascending and reverses onto its negatives, so the family is real iff
-(u_r + u_r[::-1]) and (v_r + v_r[::-1]) vanish mod q.  A real family
-gathers the five real limb rows only, over one a of each pair {a, -a},
-doubles those limb sums and adds the self-paired terms (a = 0 in the
-all-residues domain, a = q/2 for even q).  That is exact, not an
-approximation: the table is mirrored as integers, re[q-j] = re[j] and
+Most families are odd, hence real: the cubic, Salie/Kloosterman and ZH
+families have e_{-a}(t) = -e_a(t) mod q on a domain closed under
+a -> -a.  The Gauss family a^2 is even, e_{-a}(t) = e_a(t).  _pieces
+tests both on each table's own u, v vectors: the domain without a = 0 is
+ascending and reverses onto its negatives, so the family is odd iff
+(u_r + u_r[::-1]) and (v_r + v_r[::-1]) vanish mod q, and even iff
+(u_r - u_r[::-1]) and (v_r - v_r[::-1]) do.  Either way _sums gathers
+one a of each pair {a, -a} at weight 2 plus the self-paired terms (a = 0
+in the all-residues domain, a = q/2 for even q) at weight 1.  An even
+family gathers re and im limbs: a and -a give the same exponent, so that
+is exact.  An odd one gathers the re limbs only and returns im = 0, also
+exact: the table is mirrored as integers, re[q-j] = re[j] and
 im[q-j] = -im[j], and im is exactly 0 at j = 0 and j = q/2, where every
 self-paired term lands, so the full gather's imaginary sum is exactly 0
-and its real sum is the halved one bit for bit.  The weighted count is
-still the number of terms, at most q, so the 2^32 * q < 2^63 bound is
-unchanged.  ZWL (a^2 + abar) and the Gauss family (a^2) fail the test
-and gather all ten rows over the whole domain.
+and its real sum is the paired one bit for bit.  The weighted count is
+still the number of terms, at most q, so the limb bound is unchanged.
+ZWL (a^2 + abar) is neither and gathers the whole domain.
 
 The rounding error of the scaled roots grows with q and the power: the
 residual (distance to the nearest integer) measured for the 12th mean of
@@ -116,11 +123,10 @@ class PowerMeanResult:
 # evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
 _WORK_BITS = 320
-# x + 2^128 for a scaled root x, as five 32-bit limbs: 160 >= 130 bits
-_N_LIMBS = 5
 # largest modulus (exclusive) whose limb sums fit in int64
 _MAX_Q = 1 << 31
-# sweep values of t handled per numpy gather in _sums
+# consecutive sweep values t per numpy gather in _sums, and the rows of
+# the (dt * u) mod q offsets it builds once per table and piece
 _T_BLOCK = 64
 
 
@@ -152,11 +158,21 @@ def _unit_root(q: int) -> tuple[int, int]:
     return (parts[0] - parts[2] + half) >> drop, (parts[1] - parts[3] + half) >> drop
 
 
+def _limb_shape(q: int) -> tuple[int, int]:
+    """(bytes per limb, limbs per root) for modulus q: w = 8 * bytes bits
+    with w + bitlen(q) <= 63, so q limbs below 2^w sum below 2^63, and
+    enough limbs to hold the 130 bits of x + 2^128."""
+    nbytes = (63 - q.bit_length()) // 8
+    return nbytes, -(-(_SCALE_BITS + 2) // (8 * nbytes))
+
+
 @lru_cache(maxsize=64)
 def _fixed_root_table(q: int) -> np.ndarray:
     """Roots of unity e(j/q) scaled by 2^128 and rounded to integers, as
-    limbs: row l < 5 holds limb l of re_j + 2^128, row 5 + l limb l of
-    im_j + 2^128, column j for j = 0..q-1 (int64, read-only).
+    limbs of _limb_shape(q), L limbs of w bits: row l < L holds limb l of
+    re_j + 2^128, row L + l limb l of im_j + 2^128, in [0, 2^w).  It holds
+    two periods: column j + q repeats column j for j < q, so any exponent
+    in [0, 2q - 2] indexes it unreduced (int64, shape (2L, 2q), read-only).
 
     omega = e(1/q) comes from _unit_root, in units u = 2^-320: Machin's pi
     adds 69 and 20 series terms, each truncated by under 1 u, so pi is
@@ -188,9 +204,13 @@ def _fixed_root_table(q: int) -> np.ndarray:
         )
     for j in range(q // 2 + 1, q):
         re[j], im[j] = re[q - j], -im[q - j]
-    raw = b"".join((x + _SCALE).to_bytes(4 * _N_LIMBS, "little") for x in re + im)
-    limbs = np.frombuffer(raw, dtype="<u4").reshape(2, q, _N_LIMBS).transpose(0, 2, 1)
-    table = limbs.reshape(2 * _N_LIMBS, q).astype(np.int64)
+    nbytes, n_limbs = _limb_shape(q)
+    raw = b"".join((x + _SCALE).to_bytes(nbytes * n_limbs, "little") for x in re + im)
+    # each limb's bytes, zero-padded to one little-endian int64
+    padded = np.zeros((2, q, n_limbs, 8), dtype=np.uint8)
+    padded[..., :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(2, q, n_limbs, nbytes)
+    limbs = padded.view("<i8")[..., 0].transpose(0, 2, 1).reshape(2 * n_limbs, q)
+    table = np.tile(limbs, 2)
     table.flags.writeable = False
     return table
 
@@ -205,7 +225,8 @@ def _limb_q(modulus) -> int:
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
     """The family's inner sum at sweep value t, divided once by 2^128."""
-    ((re, im),) = _sums(family, q, [t % q])
+    t %= q
+    ((re, im),) = _sums(family, q, range(t, t + 1))
     return complex(re / _SCALE, im / _SCALE)
 
 
@@ -255,60 +276,62 @@ def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray
 
 def _pieces(u: np.ndarray, v: np.ndarray, q: int):
     """(weight, u, v) pieces of the a-domain whose weighted limb sums
-    equal the full ones, and how many limb rows _sums must gather.
+    equal the full ones, and how many parts _sums must gather: 1 for re
+    only, 2 for re and im.
 
     The domain from _family_vectors is ascending, so without a = 0 its
     reversal maps each a to -a.  If that negates u and v mod q, the
-    family is real: one a of each pair {a, -a} with weight 2, the
-    self-paired a = 0 and a = q/2 (where the domain holds them) with
-    weight 1, over the five real rows.  Otherwise the whole domain and
-    all ten rows.
+    family is odd (real); if it keeps them, even.  Either way: one a of
+    each pair {a, -a} with weight 2, the self-paired a = 0 and a = q/2
+    (where the domain holds them) with weight 1, over re alone for an
+    odd family and re and im for an even one.  Otherwise the whole
+    domain over re and im.
     """
     lead = int(len(u) == q)  # the all-residues domain starts at a = 0
     ur, vr = u[lead:], v[lead:]
-    if ((ur + ur[::-1]) % q).any() or ((vr + vr[::-1]) % q).any():
-        return [(1, u, v)], 2 * _N_LIMBS
     half = len(ur) // 2
     self_paired = np.r_[0:lead, lead + half:len(u) - half]
-    return [(2, ur[:half], vr[:half]), (1, u[self_paired], v[self_paired])], _N_LIMBS
+    paired = [(2, ur[:half], vr[:half]), (1, u[self_paired], v[self_paired])]
+    for sign, parts in ((1, 1), (-1, 2)):
+        if not ((ur + sign * ur[::-1]) % q).any() and not ((vr + sign * vr[::-1]) % q).any():
+            return paired, parts
+    return [(1, u, v)], 2
 
 
-def _join(r0: int, r1: int, r2: int, r3: int, r4: int) -> int:
-    """Five limb sums recombined at 32-bit steps."""
-    return r0 + (r1 << 32) + (r2 << 64) + (r3 << 96) + (r4 << 128)
-
-
-def _sums(family: PhaseFamily, q: int, ts) -> list[tuple[int, int]]:
-    """Exact (re, im) of S_t * 2^128 for the sweep values ts in 0..q-1:
-    per block of t and per piece of the a-domain (_pieces), the exponents
-    (t*u + v) mod q gather each limb row of the root table, and the exact
+def _sums(family: PhaseFamily, q: int, ts: range) -> list[tuple[int, int]]:
+    """Exact (re, im) of S_t * 2^128 for the consecutive sweep values ts
+    in 0..q-1: per piece of the a-domain (_pieces) and per block of t,
+    the exponents gather each limb row of the root table, and the exact
     int64 row sums, weighted, are recombined.
 
-    A real family, one whose u and v both reverse onto their negatives
-    mod q once a = 0 is set aside (see _pieces), gathers half the domain
-    over the five real rows and returns (re, 0), bit for bit what the
-    full path gives: the table is mirrored as integers, re[q-j] = re[j]
-    and im[q-j] = -im[j], and im is exactly 0 at j = 0 and j = q/2,
-    where every self-paired term (a = 0, a = q/2) lands.  The weights
-    add up to the number of terms, at most q, so each limb sum stays
-    below 2^32 * q < 2^63 as before.
+    Per table and piece, D[dt, a] = (dt * u_a) mod q is built once for
+    dt < _T_BLOCK; per block starting at t0 only the vector
+    (t0 * u + v) mod q is reduced, and the gather reads the two-period
+    table at base + D, which lies in [0, 2q - 2].  Each limb sum is below
+    2^w * q <= 2^63 (_limb_shape), the weights adding up to the number of
+    terms.  The recombination dots the limb sums, as Python integers,
+    with (1, 2^w, 2^2w, ...), one path for every limb count.  An odd
+    family gathers the re limbs only and returns (re, 0), bit for bit
+    what the full path gives (see the module docstring).
     """
     u, v = _family_vectors(family, q)
-    pieces, rows = _pieces(u, v, q)
-    limbs = _fixed_root_table(q)[:rows]
+    pieces, parts = _pieces(u, v, q)
+    nbytes, n_limbs = _limb_shape(q)
+    limbs = _fixed_root_table(q)[:parts * n_limbs]
+    shifts = np.array([1 << (8 * nbytes * i) for i in range(n_limbs)], dtype=object)
     offset = len(u) << _SCALE_BITS
-    ts = np.asarray(ts, dtype=np.int64)
+    steps = np.arange(min(_T_BLOCK, len(ts)), dtype=np.int64)[:, None]
+    pieces = [(weight, pu, pv, (steps * pu) % q) for weight, pu, pv in pieces]
     out = []
-    for t0 in range(0, len(ts), _T_BLOCK):
-        block = ts[t0:t0 + _T_BLOCK, None]
+    for t0 in ts[::_T_BLOCK]:
+        n = min(_T_BLOCK, ts.stop - t0)
         sums = 0
-        for weight, pu, pv in pieces:
-            exps = (block * pu + pv) % q
-            sums = sums + weight * np.stack([row[exps].sum(axis=1) for row in limbs], axis=1)
-        # five limbs of re, then (full path) five of im
-        for row in sums.tolist():
-            re = _join(*row[:_N_LIMBS]) - offset
-            out.append((re, _join(*row[_N_LIMBS:]) - offset if rows > _N_LIMBS else 0))
+        for weight, pu, pv, d in pieces:
+            exps = (t0 * pu + pv) % q + d[:n]
+            sums = sums + weight * np.stack([row.take(exps).sum(axis=1) for row in limbs], axis=1)
+        joined = sums.reshape(n, parts, n_limbs).astype(object).dot(shifts) - offset
+        im = joined[:, 1].tolist() if parts == 2 else [0] * n
+        out.extend(zip(joined[:, 0].tolist(), im))
     return out
 
 

@@ -205,8 +205,8 @@ def reference_abs_sq_table(family, q):
     return tuple(out)
 
 
-def decode_limbs(rows):
-    return tuple(sum(x << (32 * i) for i, x in enumerate(col)) - 2**128 for col in rows.T.tolist())
+def decode_limbs(rows, width):
+    return tuple(sum(x << (width * i) for i, x in enumerate(col)) - 2**128 for col in rows.T.tolist())
 
 
 def test_integer_omega_matches_100_digit_mpmath():
@@ -221,11 +221,32 @@ def test_integer_omega_matches_100_digit_mpmath():
 
 def test_root_table_matches_per_entry_mpmath():
     for q in list(range(1, 401)) + [1009, 1021, 4999]:
+        nbytes, n_limbs = exp_sums._limb_shape(q)
+        width = 8 * nbytes
         limbs = exp_sums._fixed_root_table(q)
-        assert limbs.dtype == np.int64 and limbs.shape == (10, q)
+        assert limbs.dtype == np.int64 and limbs.shape == (2 * n_limbs, 2 * q)
         assert not limbs.flags.writeable
-        assert limbs.min() >= 0 and limbs.max() < 2**32
-        assert (decode_limbs(limbs[:5]), decode_limbs(limbs[5:])) == reference_root_table(q), q
+        assert limbs.min() >= 0 and limbs.max() < 2**width, q
+        # the second period repeats the first, column for column
+        assert np.array_equal(limbs[:, q:], limbs[:, :q]), q
+        first = limbs[:, :q]
+        decoded = (decode_limbs(first[:n_limbs], width), decode_limbs(first[n_limbs:], width))
+        assert decoded == reference_root_table(q), q
+
+
+def test_limb_shape_keeps_every_limb_sum_in_int64():
+    shapes = set()
+    for b in range(2, 32):
+        for q in (1 << (b - 1), (1 << b) - 1):
+            nbytes, n_limbs = exp_sums._limb_shape(q)
+            width = 8 * nbytes
+            # q terms below 2^w each, with q < 2^b
+            assert (2**width - 1) * (2**b - 1) < 2**63, (b, width)
+            assert n_limbs * width >= 130, (b, n_limbs, width)
+            shapes.add((q.bit_length(), width, n_limbs))
+    widths = {b: (w, n) for b, w, n in shapes}
+    assert widths[15] == (48, 3) and widths[16] == (40, 4)
+    assert widths[23] == (40, 4) and widths[24] == (32, 5) and widths[31] == (32, 5)
 
 
 KERNEL_FAMILIES = [
@@ -242,13 +263,19 @@ KERNEL_FAMILIES = [
 ]
 FULL_FAMILIES = [
     registry._ZWL_FAMILY,
-    registry._GAUSS_FAMILY,
     PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 1, True),
     PhaseFamily(2, TWIST_NONE, VARY_LINEAR, 1, True),
 ]
+# a -> -a keeps every phase of these, so _sums gathers half the domain
+# over re and im
+EVEN_FAMILIES = [
+    registry._GAUSS_FAMILY,
+    PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 0, True),
+    PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 0, True),
+]
 # S_t is real for the rest (a -> -a negates every phase), so _sums
-# gathers half the domain over the five real limb rows
-REAL_FAMILIES = [f for f in KERNEL_FAMILIES if f not in FULL_FAMILIES]
+# gathers half the domain over the re limbs only
+ODD_FAMILIES = [f for f in KERNEL_FAMILIES if f not in FULL_FAMILIES + EVEN_FAMILIES]
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -270,12 +297,12 @@ def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
             assert r.raw_value.hex() == (r.rounded + float(exact - r.rounded)).hex(), (q, two_k)
 
 
-def test_real_families_gather_half_the_domain_over_five_rows():
+def test_odd_and_even_families_gather_half_the_domain():
     for q in range(3, 64):
-        for family in REAL_FAMILIES:
+        for family, parts in [(f, 1) for f in ODD_FAMILIES] + [(f, 2) for f in EVEN_FAMILIES]:
             u, v = exp_sums._family_vectors(family, q)
-            (twice, once), rows = exp_sums._pieces(u, v, q)
-            assert rows == 5 and twice[0] == 2 and once[0] == 1, (family, q)
+            (twice, once), got = exp_sums._pieces(u, v, q)
+            assert got == parts and twice[0] == 2 and once[0] == 1, (family, q)
             # a = 0 and, for even q, a = q/2 in the all-residues domain;
             # no unit is its own negative for q >= 3
             self_paired = 1 + (q % 2 == 0) if len(u) == q else 0
@@ -283,9 +310,15 @@ def test_real_families_gather_half_the_domain_over_five_rows():
             assert 2 * len(twice[1]) + len(once[1]) == len(u), (family, q)
         for family in FULL_FAMILIES:
             u, v = exp_sums._family_vectors(family, q)
-            pieces, rows = exp_sums._pieces(u, v, q)
-            assert rows == 10 and len(pieces) == 1, (family, q)
+            pieces, parts = exp_sums._pieces(u, v, q)
+            assert parts == 2 and len(pieces) == 1, (family, q)
             assert pieces[0][0] == 1 and len(pieces[0][1]) == len(u), (family, q)
+
+
+def test_even_families_match_big_integer_loop():
+    for family in EVEN_FAMILIES[1:]:
+        for q in [3, 4, 5, 8, 9, 16, 30, 31, 49, 101]:
+            assert exp_sums._abs_sq_table(family, q) == reference_abs_sq_table(family, q), q
 
 
 def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):
@@ -344,6 +377,18 @@ def test_scalar_sums_are_the_exact_kernel_divided_once():
                 for k in (-1, 1, 2, 3, 4, q):
                     ref = reference_sum(q, [m * pow(a, k, q) + pow(a, -1, q) for a in units])
                     assert twisted_sum(m, k, q) == ref, (m, k, q)
+
+
+def test_scalar_sums_across_the_three_to_four_limb_boundary():
+    # q = 2^15 - 1 takes three 48-bit limbs, q = 2^15 four 40-bit ones
+    for q in (2**15 - 1, 2**15):
+        units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        for m, n in [(1, 1), (2, 5), (q - 3, 7)]:
+            ref = reference_sum(q, [m * a + n * pow(a, -1, q) for a in units])
+            assert kloosterman(m, n, q) == ref, (m, n, q)
+            for k in (2, 3):
+                ref = reference_sum(q, [m * a**k + n * a for a in range(q)])
+                assert two_term_sum(m, n, k, q) == ref, (m, n, k, q)
 
 
 def test_real_sums_have_zero_imaginary_part():
