@@ -18,12 +18,12 @@ if __name__ == "__main__":
                     help="seed the corollary's own (twisted) pair into the pool")
     args = ap.parse_args()
 
-    primes = [p for p in primes_in_range(3, args.prime_max)]
     extra = [CUBIC_CCC, NING_WANG_QUARTIC] if args.seed_corollary_pair else []
     try:
-        res = search_constant_pairs(args.max_degree, args.coeff_bound, primes,
+        res = search_constant_pairs(args.max_degree, args.coeff_bound,
+                                    primes_in_range(3, args.prime_max),
                                     twisted=args.twisted, extra_polys=extra)
-    except ValueError as exc:  # too few evidence primes or bad bounds
+    except ValueError as exc:  # an empty range, too few evidence primes or bad bounds
         ap.error(str(exc))
     print(f"{res.n_polynomials} canonical polynomials, {len(res.hits)} hits")
     print("histogram of c:", dict(sorted(res.histogram.items())))

@@ -25,12 +25,8 @@ from .exp_sums import (
 )
 from .poly_search import (
     SearchHit,
-    Signature,
     enumerate_polys,
-    fundamentally_different,
-    normalized_key,
     search_constant_pairs,
-    signature,
 )
 from .registry import IdentityOutcome, evaluate, list_identities, sweep
 
@@ -42,7 +38,6 @@ __all__ = [
     "PolynomialZ",
     "PowerMeanResult",
     "SearchHit",
-    "Signature",
     "catalan",
     "char_sum_poly",
     "conjecture_report",
@@ -50,17 +45,14 @@ __all__ = [
     "corollary1_check",
     "enumerate_polys",
     "evaluate",
-    "fundamentally_different",
     "kloosterman",
     "legendre",
     "list_identities",
     "ning_wang_c",
-    "normalized_key",
     "power_mean",
     "primes_in_range",
     "represent_4p",
     "search_constant_pairs",
-    "signature",
     "sweep",
     "twisted_sum",
     "two_term_sum",

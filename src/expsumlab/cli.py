@@ -190,10 +190,7 @@ def _run_conjecture(args) -> int:
     ]
     summary = registry.summarize(report.rows)
     summary["max_normalized_residual"] = report.max_abs_normalized_residual
-    # a row no closed form covers (every row at k = 5, 6) is a skip
-    summary["crosscheck"] = (
-        "mismatch" if summary[registry.FAIL] else "ok" if summary[registry.PASS] else "unchecked"
-    )
+    summary["crosscheck"] = conj.crosscheck(summary)
     echo = {"k": args.k, "pmin": args.pmin, "pmax": args.pmax}
     return _finish_checked(args, "conjecture", echo, rows, summary)
 

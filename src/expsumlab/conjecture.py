@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, primes_in_range
 from .exp_sums import RESIDUAL_TOL, ResidualError, power_mean
-from .registry import CONJECTURE_FAMILY, _wz_rhs, _zm_rhs, _zz_rhs, verdict
+from .registry import CONJECTURE_FAMILY, FAIL, PASS, _wz_rhs, _zm_rhs, _zz_rhs, verdict
 
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
 
@@ -82,6 +82,13 @@ def closed_form(p: int, k: int) -> int | None:
     if p <= 3 or rhs is None:
         return None
     return rhs(p, {})
+
+
+def crosscheck(summary: dict) -> str:
+    """The cross-check of a report from its registry.summarize counts:
+    "mismatch" if a row fails, else "ok" if a row passes, else "unchecked"
+    (no closed form covers any row, as at k = 5, 6)."""
+    return "mismatch" if summary[FAIL] else "ok" if summary[PASS] else "unchecked"
 
 
 def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:

@@ -1,9 +1,9 @@
-"""Search for constant-difference pairs of character-sum signatures.
+"""Search for pairs of polynomials whose character sums differ by a constant.
 
-Enumerates bounded integer polynomials, computes the vector of Legendre
+Enumerates bounded integer polynomials, computes the row of Legendre
 character sums sum_{x=1}^{p-1} (f(x)/p) across a prime list, and groups
-by a normalized key so that pairs whose sums differ by a fixed constant
-land in the same bucket.
+row indices by the row minus its first entry, so that pairs whose sums
+differ by a fixed constant land in the same bucket.
 
 The enumeration covers degree 1..max_degree, coefficients in
 [-bound, bound], leading coefficient positive, and prunes only by two
@@ -16,11 +16,12 @@ Sign normalization is a scope choice, not a symmetry: -f carries a factor
 (-1/p), which the twisted pass covers.  Shifts x -> x+t are not symmetries
 of the from-one sum (they move it by (f(t)/p) - (f(0)/p)) and prune nothing.
 
-Signatures come from one batched pass per prime (_symbol_rows): every
-polynomial is evaluated over x = 1..p-1 by Horner's rule on int64 blocks,
-and the symbols are gathered from the Legendre table of p.  The same
-symbol rows decide whether a grouped pair is fundamentally different, so
-the search has one signature path and no per-x Python loop.
+Sums and symbols come from one batched pass per prime (_symbol_rows):
+every polynomial is evaluated over x = 1..p-1 by Horner's rule on int64
+blocks, and the symbols are gathered from the Legendre table of p.  Row i
+of both matrices belongs to polynomial i, and the symbol rows decide
+whether a grouped pair is fundamentally different, so the search has one
+signature path and no per-x Python loop.
 
 Every emitted hit is re-verified at every evidence prime by an
 independent oracle computed once for all polynomials of the search:
@@ -47,13 +48,6 @@ from .char_sums import PolynomialZ, _legendre_array
 # _euler_sums: the degree-3 bound-2 search at primes up to 103 is one block
 # per prime
 _EULER_BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class Signature:
-    poly: PolynomialZ
-    primes: tuple[int, ...]
-    sums: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -120,31 +114,6 @@ def _differ(symbols_f: np.ndarray, symbols_g: np.ndarray) -> bool:
     return bool((symbols_f * symbols_g == -1).any())
 
 
-def signature(f: PolynomialZ, primes) -> Signature:
-    primes = tuple(primes)
-    sums, _ = _symbol_rows([f], primes)
-    return Signature(poly=f, primes=primes, sums=tuple(sums[0].tolist()))
-
-
-def normalized_key(sig: Signature) -> tuple[int, ...]:
-    """Sums with the first entry subtracted; constant-difference pairs
-    share a key."""
-    if not sig.sums:
-        raise ValueError("empty signature")
-    base = sig.sums[0]
-    return tuple(s - base for s in sig.sums)
-
-
-def fundamentally_different(f: PolynomialZ, g: PolynomialZ, primes) -> bool:
-    """True iff some (f(x)/p) != (g(x)/p) with both symbols nonzero.
-
-    Zeros are excluded so that f and h^2*f (which disagree only at roots
-    of h) count as the same polynomial for the search.
-    """
-    _, symbols = _symbol_rows([f, g], tuple(primes))
-    return _differ(symbols[0], symbols[1])
-
-
 def _order_key(f: PolynomialZ) -> tuple:
     # prefer small representatives: low degree, small coefficients
     return (f.degree, sum(abs(c) for c in f.coeffs), f.coeffs)
@@ -153,7 +122,7 @@ def _order_key(f: PolynomialZ) -> tuple:
 def _is_canonical(f: PolynomialZ) -> bool:
     """Keep f unless 4 divides every coefficient or f(-x) is a smaller
     member of the sign-normalized space: both leave every odd-prime
-    signature unchanged."""
+    sum unchanged."""
     if all(c % 4 == 0 for c in f.coeffs):
         return False
     g = f.reflect()
@@ -231,6 +200,15 @@ def _verify_pair(sums_f, sums_g, c: int, twisted: bool, minus_one) -> bool:
     return True
 
 
+def _group(rows) -> dict[tuple, list[int]]:
+    """Row indices by the row minus its first entry, in row order: rows
+    that differ by the same constant at every prime share a key."""
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    for i, row in enumerate(rows):
+        groups[tuple(s - row[0] for s in row)].append(i)
+    return groups
+
+
 def search_constant_pairs(
     max_degree: int,
     coeff_bound: int,
@@ -241,8 +219,8 @@ def search_constant_pairs(
     """Find pairs (f, g) of fundamentally different polynomials whose
     character sums differ by the same constant at every evidence prime.
 
-    With twisted=True an additional pass pairs (-1/p)-twisted signatures
-    of f against plain signatures of g.  extra_polys lets callers seed
+    With twisted=True an additional pass pairs the (-1/p)-twisted sums of
+    f against the plain sums of g.  extra_polys lets callers seed
     specific polynomials (e.g. the corollary's quartic, whose
     coefficients may exceed the enumeration bound).
     """
@@ -258,42 +236,34 @@ def search_constant_pairs(
     # the oracle's blocks come and go before the symbol matrix is allocated
     oracle = _euler_sums(polys, primes).tolist()
     sums, symbols = _symbol_rows(polys, primes)
-    sigs = [Signature(f, primes, tuple(row)) for f, row in zip(polys, sums.tolist())]
-
-    groups: dict[tuple, list[Signature]] = defaultdict(list)
-    for sig in sigs:
-        groups[normalized_key(sig)].append(sig)
+    # Python ints, so that every c below is one too
+    rows = sums.tolist()
+    minus_one = [legendre(-1, p) for p in primes]
 
     hits: list[SearchHit] = []
-    minus_one = [legendre(-1, p) for p in primes]
-    index = {f: i for i, f in enumerate(polys)}
 
-    def emit(sf: Signature, sg: Signature, is_twisted: bool):
-        f, g = sf.poly, sg.poly
-        i, j = index[f], index[g]
+    def emit(i: int, j: int, is_twisted: bool):
         if not _differ(symbols[i], symbols[j]):
             return
-        # grouped signatures differ by the same constant at every prime
-        c = (minus_one[0] if is_twisted else 1) * sf.sums[0] - sg.sums[0]
+        # grouped rows differ by the same constant at every prime
+        c = (minus_one[0] if is_twisted else 1) * rows[i][0] - rows[j][0]
         if not _verify_pair(oracle[i], oracle[j], c, is_twisted, minus_one):
-            raise AssertionError(f"grouping produced an unsound hit: {f} vs {g}")
-        hits.append(SearchHit(f, g, c, primes, is_twisted))
+            raise AssertionError(f"grouping produced an unsound hit: {polys[i]} vs {polys[j]}")
+        hits.append(SearchHit(polys[i], polys[j], c, primes, is_twisted))
 
+    groups = _group(rows)
     for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                emit(members[i], members[j], False)
+        for a, i in enumerate(members):
+            for j in members[a + 1:]:
+                emit(i, j, False)
 
     if twisted:
-        twisted_groups: dict[tuple, list[Signature]] = defaultdict(list)
-        for sig in sigs:
-            tsums = tuple(l * s for l, s in zip(minus_one, sig.sums))
-            twisted_groups[normalized_key(Signature(sig.poly, primes, tsums))].append(sig)
-        for key, tmembers in twisted_groups.items():
-            for sf in tmembers:
-                for sg in groups.get(key, []):
-                    if sf.poly != sg.poly:
-                        emit(sf, sg, True)
+        twisted_rows = ([sign * s for sign, s in zip(minus_one, row)] for row in rows)
+        for key, tmembers in _group(twisted_rows).items():
+            for i in tmembers:
+                for j in groups.get(key, []):
+                    if i != j:
+                        emit(i, j, True)
     # every pair is decided: free the symbols (19 MB at degree 4, bound 4,
     # primes to 103) before the hits are sorted
     del symbols

@@ -289,17 +289,22 @@ def test_arithmetic_errors_map_to_exit_codes(capsys, monkeypatch, patch, argv, c
 
 
 def test_search_invariant_breach_exits_1(capsys, monkeypatch):
-    # a grouping that puts every signature in one bucket hands the
+    # zeroed sums put every polynomial in one bucket, which hands the
     # re-verify pairs whose sums do not differ by a constant
-    monkeypatch.setattr(poly_search, "normalized_key", lambda sig: ())
+    real = poly_search._symbol_rows
+
+    def zeroed(polys, primes):
+        sums, symbols = real(polys, primes)
+        return sums * 0, symbols
+
+    monkeypatch.setattr(poly_search, "_symbol_rows", zeroed)
     code = cli.main(["search", "--max-degree", "2", "--coeff-bound", "2",
                      "--prime-max", "60", "--format", "json"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_FAIL
     assert captured.out == ""
     err = captured.err.strip()
-    assert err.startswith("internal invariant breach")
-    assert "\n" not in err and "Traceback" not in err
+    assert err == "internal invariant breach: grouping produced an unsound hit: x vs x-1"
 
 
 def test_search_command(capsys):

@@ -418,7 +418,8 @@ def test_star_import_resolves_every_public_name():
     for name in expsumlab.__all__:
         assert names[name] is getattr(expsumlab, name), name
     deleted = ("root_table", "salie_twisted_char_sum", "kloosterman_bound_ratio", "weil_ratio",
-               "gcd3", "factor_functions", "mod_inverse")
+               "gcd3", "factor_functions", "mod_inverse", "Signature", "signature",
+               "normalized_key", "fundamentally_different")
     for name in deleted:
         assert name not in names and not hasattr(expsumlab, name), name
 
@@ -435,7 +436,8 @@ def test_names_nothing_calls_stay_deleted():
         char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio"),
-        poly_search: ("_structural_notes", "char_sum_poly", "legendre_table"),
+        poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
+                      "signature", "normalized_key", "fundamentally_different"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry"),
         conjecture: ("CrossCheck",),
     }

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from conftest import legendre_by_squares
 
@@ -7,14 +8,14 @@ from expsumlab import char_sums, poly_search
 from expsumlab.arith import legendre, primes_in_range
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X, char_sum_poly
 from expsumlab.poly_search import (
+    _differ,
     _euler_sums,
+    _group,
+    _order_key,
     _symbol_rows,
     _verify_pair,
     enumerate_polys,
-    fundamentally_different,
-    normalized_key,
     search_constant_pairs,
-    signature,
 )
 
 PRIMES = tuple(primes_in_range(3, 100))
@@ -22,30 +23,34 @@ PRIMES = tuple(primes_in_range(3, 100))
 HUGE = PolynomialZ.of(-(2**70) - 1, 2**64 + 3, 5, 2**63 + 7)
 
 
-def test_signature_examples():
+def _sum_rows(polys, primes) -> list[tuple[int, ...]]:
+    sums, _ = _symbol_rows(polys, primes)
+    return [tuple(row) for row in sums.tolist()]
+
+
+def test_symbol_rows_examples():
     sq = PolynomialZ.of(0, 0, 1)
-    sig = signature(sq, (5, 7, 11))
-    assert sig.sums == (4, 6, 10)  # x^2 over x = 1..p-1 gives p - 1
-    assert signature(X, (5, 7, 11)).sums == (0, 0, 0)
-    assert signature(CUBIC_CCC, (5, 7, 11)).sums[0] == sum(
-        legendre(x**3 + x**2 + x, 5) for x in range(1, 5)
-    )
+    rows = _sum_rows([sq, X, CUBIC_CCC], (5, 7, 11))
+    assert rows[0] == (4, 6, 10)  # x^2 over x = 1..p-1 gives p - 1
+    assert rows[1] == (0, 0, 0)
+    assert rows[2][0] == sum(legendre(x**3 + x**2 + x, 5) for x in range(1, 5))
 
 
-def test_normalized_key_is_shift_invariant():
+def test_group_keys_are_shift_invariant():
     sq = PolynomialZ.of(0, 0, 1)
-    sig = signature(sq, (5, 7, 11))
-    assert normalized_key(sig) == (0, 2, 6)
-    # x^2 + something with the same shape of sums lands in the same bucket
-    shifted = signature(PolynomialZ.of(1, 2, 1), (5, 7, 11))  # (x+1)^2
-    assert normalized_key(shifted) == normalized_key(sig)
+    shifted = PolynomialZ.of(1, 2, 1)  # (x+1)^2: sums (3, 5, 9), one less than x^2
+    groups = _group(_sum_rows([sq, X, shifted], (5, 7, 11)))
+    # x^2 and (x+1)^2 differ by a constant, so they land in the same
+    # bucket, in row order
+    assert dict(groups) == {(0, 2, 6): [0, 2], (0, 0, 0): [1]}
 
 
-def test_fundamentally_different_cases():
+def test_differ_cases():
     f = PolynomialZ.of(1, 0, 1)  # x^2 + 1
-    assert not fundamentally_different(f, f, PRIMES)
-    assert not fundamentally_different(f, PolynomialZ.of(4, 0, 4), PRIMES)
-    assert fundamentally_different(f, PolynomialZ.of(4, 0, 1), PRIMES)
+    _, symbols = _symbol_rows([f, PolynomialZ.of(4, 0, 4), PolynomialZ.of(4, 0, 1)], PRIMES)
+    assert not _differ(symbols[0], symbols[0])
+    assert not _differ(symbols[0], symbols[1])
+    assert _differ(symbols[0], symbols[2])
 
 
 def test_enumerate_canonical_representatives():
@@ -62,7 +67,7 @@ def test_enumerate_prunes_only_exact_symmetries():
     # every polynomial enumerate_polys(2, 4) drops has a kept representative
     # with the identical from-one signature
     kept = list(enumerate_polys(2, 4))
-    kept_sums = {signature(f, PRIMES).sums for f in kept}
+    kept_sums = set(_sum_rows(kept, PRIMES))
     candidates = [
         PolynomialZ((a, b, c)[: degree + 1])
         for degree in (1, 2)
@@ -71,10 +76,10 @@ def test_enumerate_prunes_only_exact_symmetries():
         for c in range(-4, 5)
         if (a, b, c)[degree] > 0 and (degree == 2 or c == 0)
     ]
-    dropped = set(candidates) - set(kept)
+    dropped = sorted(set(candidates) - set(kept), key=_order_key)
     assert dropped  # the pruning does prune
-    for f in dropped:
-        assert signature(f, PRIMES).sums in kept_sums, str(f)
+    for f, row in zip(dropped, _sum_rows(dropped, PRIMES), strict=True):
+        assert row in kept_sums, str(f)
 
 
 def test_enumerate_excludes_square_multiples():
@@ -127,15 +132,18 @@ def test_search_histogram_matches_hits():
 
 
 def test_search_hits_are_sound():
-    # re-verify every reported pair from scratch with the slow symbol sum
-    res = search_constant_pairs(2, 3, PRIMES)
-    for h in res.hits:
-        for p in PRIMES:
-            sf = sum(legendre(h.f(x), p) for x in range(1, p))
-            sg = sum(legendre(h.g(x), p) for x in range(1, p))
-            if h.twisted:
-                sf *= legendre(-1, p)
-            assert sf - sg == h.c, (str(h.f), str(h.g), p)
+    # re-verify every reported pair from scratch with the slow symbol sum,
+    # in both modes
+    for twisted in (False, True):
+        res = search_constant_pairs(2, 3, PRIMES, twisted=twisted)
+        assert any(h.twisted for h in res.hits) == twisted
+        for h in res.hits:
+            for p in PRIMES:
+                sf = sum(legendre(h.f(x), p) for x in range(1, p))
+                sg = sum(legendre(h.g(x), p) for x in range(1, p))
+                if h.twisted:
+                    sf *= legendre(-1, p)
+                assert sf - sg == h.c, (str(h.f), str(h.g), p)
 
 
 def test_quadratic_closed_form_predicts_buckets():
@@ -228,7 +236,6 @@ def test_symbol_rows_decide_difference_like_brute_force():
         # per x: both symbols nonzero and different
         assert decided[a, b] == any(u * v == -1 for u, v in zip(brute[i], brute[j])), (
             str(a), str(b))
-        assert fundamentally_different(a, b, primes) == decided[a, b], (str(a), str(b))
     assert not decided[f, four_f]
     assert not decided[f, x2_f]
     assert not decided[f, shifted_square_f]
@@ -274,8 +281,42 @@ def test_verify_pair_rejects_wrong_constant_and_flipped_twist():
 
 
 def test_unsound_grouping_raises(monkeypatch):
-    # one bucket for every signature: emit derives c from the first prime
-    # alone, so pairs without a constant difference reach the re-verify
-    monkeypatch.setattr(poly_search, "normalized_key", lambda sig: ())
-    with pytest.raises(AssertionError, match="unsound hit"):
+    # zeroed sums put every polynomial in one bucket with c = 0, and the real
+    # symbols let pairs through to the re-verify, which must refuse them
+    real = poly_search._symbol_rows
+
+    def zeroed(polys, primes):
+        sums, symbols = real(polys, primes)
+        return np.zeros_like(sums), symbols
+
+    monkeypatch.setattr(poly_search, "_symbol_rows", zeroed)
+    with pytest.raises(AssertionError, match="unsound hit: x vs x-1"):
         search_constant_pairs(2, 2, PRIMES)
+
+
+def test_grouping_finds_every_constant_difference_pair():
+    # brute force over every ordered pair of enumerated polynomials: the
+    # hits are exactly the fundamentally different pairs whose sums differ
+    # by one constant, plain (each unordered pair once, in _order_key
+    # order) and twisted ((-1/p) on the first side)
+    primes = tuple(primes_in_range(3, 31))
+    assert len(primes) == 10
+    polys = list(enumerate_polys(2, 2))
+    sums = {f: _brute_sums(f, primes) for f in polys}
+    symbols = {f: _brute_symbols(f, primes) for f in polys}
+    minus_one = [legendre(-1, p) for p in primes]
+    expected = set()
+    for f, g in itertools.permutations(polys, 2):
+        if not any(u * v == -1 for u, v in zip(symbols[f], symbols[g])):
+            continue
+        plain = {a - b for a, b in zip(sums[f], sums[g])}
+        if len(plain) == 1 and _order_key(f) < _order_key(g):
+            expected.add((f, g, plain.pop(), False))
+        twisted = {s * a - b for s, a, b in zip(minus_one, sums[f], sums[g])}
+        if len(twisted) == 1:
+            expected.add((f, g, twisted.pop(), True))
+    res = search_constant_pairs(2, 2, primes, twisted=True)
+    found = [(h.f, h.g, h.c, h.twisted) for h in res.hits]
+    assert len(found) == len(set(found))
+    assert set(found) == expected
+    assert any(t for *_, t in expected) and not all(t for *_, t in expected)
