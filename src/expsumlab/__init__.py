@@ -17,7 +17,6 @@ from .char_sums import (
 from .conjecture import catalan, conjecture_report, conjecture_value
 from .exp_sums import (
     PhaseFamily,
-    PowerMeanResult,
     kloosterman,
     power_mean,
     twisted_sum,
@@ -36,7 +35,6 @@ __all__ = [
     "IdentityOutcome",
     "PhaseFamily",
     "PolynomialZ",
-    "PowerMeanResult",
     "SearchHit",
     "catalan",
     "char_sum_poly",

@@ -124,14 +124,12 @@ class Corollary1Result:
     p: int
     term1: int  # (-1/p) * sum((c^3+c^2+c)/p)
     term2: int  # C(p)
-    difference: int
-    passed: bool
+    difference: int  # the corollary claims 2; registry.verdict decides
 
 
 def corollary1_check(p: int) -> Corollary1Result:
-    """Check that the two character sums differ by exactly 2."""
+    """The corollary's two character sums and their difference."""
     table = legendre_table(p)
     term1 = table[p - 1] * char_sum_poly(CUBIC_CCC, p)
     term2 = ning_wang_c(p)
-    diff = term1 - term2
-    return Corollary1Result(p=p, term1=term1, term2=term2, difference=diff, passed=(diff == 2))
+    return Corollary1Result(p=p, term1=term1, term2=term2, difference=term1 - term2)

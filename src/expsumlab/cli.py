@@ -282,14 +282,15 @@ def main(argv=None) -> int:
     try:
         return runner(args)
     except (NotRepresentableError, AssertionError) as exc:  # before ValueError, its base class
-        # a prime p = 1 mod 3 with no 4p = d^2 + 27b^2, or a search hit
-        # that fails its independent re-verification
+        # a prime p = 1 mod 3 with no 4p = d^2 + 27b^2, a search hit that
+        # fails its independent re-verification, or a power-mean trace
+        # that phi(q) does not divide
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:  # an empty or reversed range, a modulus below 1
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except ArithmeticError as exc:  # a residual too large, a non-integral closed form
+    except ArithmeticError as exc:  # a non-integral closed form
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

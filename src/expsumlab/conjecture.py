@@ -5,8 +5,9 @@ The conjectured asymptotic is
     sum_{m=0}^{p-1} |sum_{a=0}^{p-1} e((m a^3 + a)/p)|^{2k}
         = C_k * p^{k+1} + O(p^{k+1/2}),   C_k = binom(2k,k)/(k+1).
 
-Exact values come from the fixed-point power-mean kernel; the error term
-is tracked in the conjecture's own scale p^{k+1/2}.  Each row gets its
+Exact values come from exp_sums.power_mean, a solution count with no
+rounding; the error term is tracked in the conjecture's own scale
+p^{k+1/2}.  Each row gets its
 status from registry.verdict against closed_form(p, k), the closed forms
 the registry carries for k <= 4; a row no closed form covers (p = 3 at
 k = 2..4, every row at k = 5, 6) is a skip, for which only observed
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import is_prime, primes_in_range
-from .exp_sums import RESIDUAL_TOL, ResidualError, power_mean
+from .exp_sums import power_mean
 from .registry import CONJECTURE_FAMILY, FAIL, PASS, _wz_rhs, _zm_rhs, _zz_rhs, verdict
 
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
@@ -33,7 +34,7 @@ class ConjectureRow:
     catalan: int
     main_term: int
     normalized_residual: float  # (value - main_term) / p^(k + 1/2)
-    residual: float  # the power mean's pre-rounding residual
+    residual: float  # 0.0, as the value is exact; registry.summarize reads it
     status: str  # registry.verdict against closed_form(p, k)
 
 
@@ -61,10 +62,7 @@ def conjecture_value(p: int, k: int) -> int:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-    r = power_mean(CONJECTURE_FAMILY, p, 2 * k)
-    if r.residual >= RESIDUAL_TOL:
-        raise ResidualError(f"power mean residual {r.residual} at p={p}, k={k}")
-    return r.rounded
+    return power_mean(CONJECTURE_FAMILY, p, 2 * k)
 
 
 def closed_form(p: int, k: int) -> int | None:
@@ -97,11 +95,10 @@ def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:
     ck = catalan(k)
 
     def row(p: int) -> ConjectureRow:
-        r = power_mean(CONJECTURE_FAMILY, p, 2 * k)
+        value = power_mean(CONJECTURE_FAMILY, p, 2 * k)
         main = ck * p ** (k + 1)
-        norm = (r.rounded - main) / p ** (k + 0.5)
-        status = verdict(r.rounded, closed_form(p, k), r.residual)
-        return ConjectureRow(p, k, r.rounded, ck, main, norm, r.residual, status)
+        norm = (value - main) / p ** (k + 0.5)
+        return ConjectureRow(p, k, value, ck, main, norm, 0.0, verdict(value, closed_form(p, k), 0.0))
 
     rows = [row(p) for p in primes]
     return ConjectureReport(

@@ -1,70 +1,71 @@
-"""Complex exponential sums and exact-by-rounding power means, all on
-one fixed-point integer kernel, _sums: roots of unity are scaled by
-2^128 and rounded to integers, and each inner sum is an exact integer
-addition.  A scalar sum is one inner sum of a PhaseFamily, divided once
-by 2^128 at the end; a real one (Kloosterman sums and odd-degree
-phases, Iwaniec & Kowalski, Analytic Number Theory, ch. 11) gets an
-imaginary part of exactly 0.0, as the table is mirrored.  A 12th power
-mean reaches 1e19, beyond doubles, so power_mean sums the exact |S_t|^2
-and rounds the rational mean once.  The roots come from integers alone,
-with 320 fractional bits: pi by Machin's formula, then e(1/q) by one
-Taylor series for cos and sin (Brent & Zimmermann, Modern Computer
-Arithmetic, ch. 4); _fixed_root_table bounds the error.
+"""Complex exponential sums and exact power means.
 
-The inner sums run in int64 numpy arithmetic without losing a bit.  Each
-scaled root x lies in [-2^128, 2^128], so x + 2^128 fits in 130 bits and
-is stored as limbs of w bits (the multiprecision splitting of Knuth,
-TAOCP vol. 2, 4.3.1).  The width depends on q alone (_limb_shape): with
-b = bitlen(q), a limb has 8 * floor((63 - b) / 8) bits, so three 48-bit
-limbs for q < 2^15, four 40-bit ones below 2^23 and five 32-bit ones
-below 2^31.  An inner sum adds at most q < 2^b terms, each below 2^w, so
-every limb sum stays below 2^(w + b) <= 2^63 (every public function
-rejects q >= 2^31 before any work).  The table holds two periods, so a
-sweep block gathers at (t0*u + v) mod q plus (dt*u) mod q, an exponent
-in [0, 2q - 2], with no reduction per element; t0*u + v stays below
-q^2 + q < 2^63.  The limb sums are recombined into Python integers with
-shifts, minus (number of terms) * 2^128 for the offset.
+A power mean is a solution count; no root of unity enters it.  For a
+PhaseFamily the inner sum at sweep value t is S_t = sum_a zeta^e_a(t),
+zeta = e(1/q), e_a(t) = t*u_a + v_a mod q (_family_vectors), over D
+values of a.  With c_j = #{a : e_a(t) = j} and N_k the k-fold cyclic
+self-convolution of c, S_t^k = sum_j N_k(j) zeta^j, and y_t = |S_t|^2k =
+S_t^k * conj(S_t^k) has the coefficients sum_i N_k(i + j) N_k(i).
 
-Most families are odd, hence real: the cubic, Salie/Kloosterman and ZH
-families have e_{-a}(t) = -e_a(t) mod q on a domain closed under
-a -> -a.  The Gauss family a^2 is even, e_{-a}(t) = e_a(t).  _pieces
-tests both on each table's own u, v vectors: the domain without a = 0 is
-ascending and reverses onto its negatives, so the family is odd iff
-(u_r + u_r[::-1]) and (v_r + v_r[::-1]) vanish mod q, and even iff
-(u_r - u_r[::-1]) and (v_r - v_r[::-1]) do.  Either way _sums gathers
-one a of each pair {a, -a} at weight 2 plus the self-paired terms (a = 0
-in the all-residues domain, a = q/2 for even q) at weight 1.  An even
-family gathers re and im limbs: a and -a give the same exponent, so that
-is exact.  An odd one gathers the re limbs only and returns im = 0, also
-exact: the table is mirrored as integers, re[q-j] = re[j] and
-im[q-j] = -im[j], and im is exactly 0 at j = 0 and j = q/2, where every
-self-paired term lands, so the full gather's imaginary sum is exactly 0
-and its real sum is the paired one bit for bit.  The weighted count is
-still the number of terms, at most q, so the limb bound is unchanged.
-ZWL (a^2 + abar) is neither and gathers the whole domain.
+Trace.  The trace of zeta^j from Q(zeta) is the Ramanujan sum c_q(j) =
+sum_{d | (j, q)} mu(q/d) d (Hardy & Wright, An Introduction to the
+Theory of Numbers, 16.6).  Swapping the sums, Tr(y_t) = sum_{d | q}
+mu(q/d) d sum_{r mod d} F_d(r)^2, F_d being N_k folded mod d; at a prime
+p, p * sum_j N_k(j)^2 - D^2k.
 
-The rounding error of the scaled roots grows with q and the power: the
-residual (distance to the nearest integer) measured for the 12th mean of
-the conjecture family is 9.5e-19 at p = 499 and 8.9e-12 at p = 4999.
-The residual check is a distance-to-nearest-integer test, so it is only
-meaningful while the true error stays below 0.5; a larger error would
-round to a wrong integer with a small residual.
+Orbits.  For a unit c mod q, sigma_c: zeta -> zeta^c commutes with
+complex conjugation, so sigma_c(y_t) = |sigma_c(S_t)|^2k, and
+sigma_c(S_t) = sum_a zeta^(c*e_a(t)).  Substituting a = lambda*b, a
+bijection of the domain for a unit lambda, makes it S_(c^e t), with f
+the fixed coefficient and k the degree:
+  - inverse twist (u = a^k, v = f*abar, a a unit): a = c*b gives the
+    phase c^(k+1)*t*b^k + f*bbar, so e = k + 1;
+  - monomial slot (u = a^k, v = f*a): a = cbar*b gives c^(1-k)*t*b^k +
+    f*b, so e = 1 - k;
+  - linear slot (u = a, v = f*a^k): with kk' = 1 mod phi(q), a = c^-k' b
+    gives c^(1-k')*t*b + c^(1-kk')*f*b^k, and c^(kk') = c, so e = 1 - k'.
+    With gcd(k, phi(q)) != 1 there is no k' and the sweep need not be
+    Galois-closed (ZH at p = 1 mod 3: its 4th mean at p = 7 is not an
+    integer), so power_mean refuses it.
+t -> c^e*t maps the sweep (t = 0..q-1, or 1..q-1) onto itself.  So its
+total T = sum_t y_t is fixed by every sigma_c, hence an integer equal to
+Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
+under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
+does not divide is an invariant breach.
+
+Kronecker slots.  _convolve packs two vectors into integers, slot j at
+bit B*j, multiplies them and folds the product mod z^q - 1 with
+(M & mask) + (M >> q*B).  The product of c^*a and c^*b (or of c and its
+reflection) has nonnegative coefficients summing to D^(a+b), and a fold
+adds two of them, so with B >= bitlen(D^(a+b)) no slot carries into the
+next; B is rounded up to whole bytes, so slots repack as bytes.
+
+Exponents t*u_a + v_a (t, u_a, v_a < q) and _pow_mod's products are below
+q^2 <= 2^62, exact in int64, as every public function rejects q >= 2^31.
+
+Scalar sums (kloosterman, two_term_sum, twisted_sum, abs_two_term_all_m)
+dot the counts with a table of e(j/q) * 2^128 rounded to integers for
+j = 0..q/2, the count of q - j joining that of j with a minus sign in
+the imaginary part, and divide by 2^128 once; so symmetric counts
+(Kloosterman sums and odd-degree phases, Iwaniec & Kowalski, Analytic
+Number Theory, ch. 11) give an imaginary part of exactly 0.0.  The roots
+come from integers alone: pi by Machin's formula, e(1/q) by a Taylor
+series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from operator import mul
 
 import numpy as np
 
 from .arith import Modulus, as_modulus, is_prime
 
-# residual above this flags a power mean as numerically suspect
-RESIDUAL_TOL = 1e-6
-
-# fixed-point scale for the exact kernel
+# fixed-point scale of the scalar sums' root table
 _SCALE_BITS = 128
 _SCALE = 1 << _SCALE_BITS
 
@@ -72,10 +73,6 @@ TWIST_NONE = "none"
 TWIST_INVERSE = "inverse"
 VARY_MONOMIAL = "monomial_coefficient"
 VARY_LINEAR = "linear_coefficient"
-
-
-class ResidualError(ArithmeticError):
-    """A power mean landed further than RESIDUAL_TOL from an integer."""
 
 
 @dataclass(frozen=True)
@@ -109,25 +106,12 @@ class PhaseFamily:
             raise ValueError("inverse twist varies the monomial coefficient")
 
 
-@dataclass(frozen=True)
-class PowerMeanResult:
-    family: PhaseFamily
-    modulus: Modulus
-    two_k: int
-    raw_value: float
-    rounded: int
-    residual: float
-
-
 # the root table steps omega^j with this many fractional bits, and
 # evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
 _WORK_BITS = 320
-# largest modulus (exclusive) whose limb sums fit in int64
+# largest modulus (exclusive) whose exponents t*u + v fit in int64
 _MAX_Q = 1 << 31
-# consecutive sweep values t per numpy gather in _sums, and the rows of
-# the (dt * u) mod q offsets it builds once per table and piece
-_T_BLOCK = 64
 
 
 def _atan_inv(x: int) -> int:
@@ -158,81 +142,104 @@ def _unit_root(q: int) -> tuple[int, int]:
     return (parts[0] - parts[2] + half) >> drop, (parts[1] - parts[3] + half) >> drop
 
 
-def _limb_shape(q: int) -> tuple[int, int]:
-    """(bytes per limb, limbs per root) for modulus q: w = 8 * bytes bits
-    with w + bitlen(q) <= 63, so q limbs below 2^w sum below 2^63, and
-    enough limbs to hold the 130 bits of x + 2^128."""
-    nbytes = (63 - q.bit_length()) // 8
-    return nbytes, -(-(_SCALE_BITS + 2) // (8 * nbytes))
-
-
 @lru_cache(maxsize=64)
-def _fixed_root_table(q: int) -> np.ndarray:
-    """Roots of unity e(j/q) scaled by 2^128 and rounded to integers, as
-    limbs of _limb_shape(q), L limbs of w bits: row l < L holds limb l of
-    re_j + 2^128, row L + l limb l of im_j + 2^128, in [0, 2^w).  It holds
-    two periods: column j + q repeats column j for j < q, so any exponent
-    in [0, 2q - 2] indexes it unreduced (int64, shape (2L, 2q), read-only).
+def _fixed_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(re, im) of the roots of unity e(j/q) for j = 0..q//2, scaled by
+    2^128 and rounded to integers; e((q-j)/q) is their conjugate.
 
     omega = e(1/q) comes from _unit_root, in units u = 2^-320: Machin's pi
     adds 69 and 20 series terms, each truncated by under 1 u, so pi is
     within 16 * 70 + 4 * 21 < 2^11 u and theta = 2*pi/q within 2^12 u.
     The Taylor series stops at its first zero term, within 128 terms as
     theta <= 2*pi, and term n carries each earlier truncation times at
-    most theta^m / m!, so the sum is off by under 128 * e^(2*pi) < 2^17 u.  omega, within 2^-302, is rounded at scale
-    2^256, where the powers omega^j for j <= q/2 are stepped by integer
-    multiply-and-shift; the rest follow by conjugation, e((q-j)/q) =
-    conj(e(j/q)).  Each step adds under 1.5 units of 2^-256, so omega^j
-    at scale 2^128 is within q * 2^-128 < 2^-97 of the exact value.  An
-    entry computed alone at 60 decimal digits is within about 2^-70, and
-    the 100-digit omega the table was first stepped from was within
-    2^-76 at scale 2^256 (this one: 2^-46).  So the tables agree unless
-    an exact value lies that close to a half-integer; the tests compare
-    omega for q = 1..2000 and the tables entry by entry.
+    most theta^m / m!, so the sum is off by under 128 * e^(2*pi) < 2^17 u.
+    omega, within 2^-302, is rounded at scale 2^256, where the powers
+    omega^j are stepped by integer multiply-and-shift.  Each step adds
+    under 1.5 units of 2^-256, so omega^j at scale 2^128 is within
+    q * 2^-128 < 2^-97 of the exact value, and an entry computed alone at
+    60 decimal digits within about 2^-70, so the two agree unless an exact
+    value lies that close to a half-integer; the tests compare omega for
+    q = 1..2000 and the tables entry by entry.
     """
     w_re, w_im = _unit_root(q)
     drop = _GUARD_BITS - _SCALE_BITS
     half_g, half_d = 1 << (_GUARD_BITS - 1), 1 << (drop - 1)
-    re, im = [0] * q, [0] * q
+    re, im = [], []
     a, b = 1 << _GUARD_BITS, 0
-    for j in range(q // 2 + 1):
-        re[j] = (a + half_d) >> drop
-        im[j] = (b + half_d) >> drop
+    for _ in range(q // 2 + 1):
+        re.append((a + half_d) >> drop)
+        im.append((b + half_d) >> drop)
         a, b = (
             (a * w_re - b * w_im + half_g) >> _GUARD_BITS,
             (a * w_im + b * w_re + half_g) >> _GUARD_BITS,
         )
-    for j in range(q // 2 + 1, q):
-        re[j], im[j] = re[q - j], -im[q - j]
-    nbytes, n_limbs = _limb_shape(q)
-    raw = b"".join((x + _SCALE).to_bytes(nbytes * n_limbs, "little") for x in re + im)
-    # each limb's bytes, zero-padded to one little-endian int64
-    padded = np.zeros((2, q, n_limbs, 8), dtype=np.uint8)
-    padded[..., :nbytes] = np.frombuffer(raw, dtype=np.uint8).reshape(2, q, n_limbs, nbytes)
-    limbs = padded.view("<i8")[..., 0].transpose(0, 2, 1).reshape(2 * n_limbs, q)
-    table = np.tile(limbs, 2)
-    table.flags.writeable = False
-    return table
+    return tuple(re), tuple(im)
 
 
-def _limb_q(modulus) -> int:
+def _check_q(modulus) -> int:
     """The modulus as an int, rejected before any work unless q < 2^31."""
     q = modulus.q if isinstance(modulus, Modulus) else int(modulus)
     if q >= _MAX_Q:
-        raise ValueError(f"modulus must be below 2^31 for the int64 kernel, got {q}")
+        raise ValueError(f"modulus must be below 2^31 for int64 exponents, got {q}")
     return q
+
+
+def _pow_mod(a: np.ndarray, e: int, q: int) -> np.ndarray:
+    """a^e mod q elementwise for int64 a in [0, q), e >= 0."""
+    out = np.ones_like(a)
+    while e:
+        if e & 1:
+            out = out * a % q
+        a = a * a % q
+        e >>= 1
+    return out
+
+
+def _units(q: int) -> np.ndarray:
+    a = np.arange(q, dtype=np.int64)
+    return a[np.gcd(a, q) == 1]
+
+
+def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family,
+    a ascending over its domain."""
+    k = family.monomial_degree
+    c = family.fixed_coefficient % q
+    if family.twist == TWIST_INVERSE:
+        dom = _units(q)
+        # abar = a^(phi(q) - 1) for a unit a
+        return _pow_mod(dom, k, q), c * _pow_mod(dom, len(dom) - 1, q) % q
+    dom = np.arange(q, dtype=np.int64)
+    if family.varying_slot == VARY_MONOMIAL:
+        return _pow_mod(dom, k, q), c * dom % q
+    return dom, c * _pow_mod(dom, k, q) % q
+
+
+def _counts(u: np.ndarray, v: np.ndarray, q: int, t: int) -> np.ndarray:
+    """c_j = #{a : t*u_a + v_a = j mod q} for j = 0..q-1."""
+    return np.bincount((t * u + v) % q, minlength=q)
+
+
+def _scaled_sum(c: np.ndarray, q: int) -> tuple[int, int]:
+    """Exact (re, im) of sum_j c_j e(j/q) * 2^128 on the rounded table, each
+    j > q/2 counted at q - j, with a minus sign in the imaginary part."""
+    re, im = _fixed_root_table(q)
+    lo = c[:len(re)]
+    hi = np.zeros_like(lo)
+    hi[1:q - len(re) + 1] = c[:len(re) - 1:-1]
+    return sum(map(mul, (lo + hi).tolist(), re)), sum(map(mul, (lo - hi).tolist(), im))
 
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
     """The family's inner sum at sweep value t, divided once by 2^128."""
-    t %= q
-    ((re, im),) = _sums(family, q, range(t, t + 1))
+    u, v = _family_vectors(family, q)
+    re, im = _scaled_sum(_counts(u, v, q, t % q), q)
     return complex(re / _SCALE, im / _SCALE)
 
 
 def kloosterman(m: int, n: int, q) -> complex:
     """Classical Kloosterman sum S(m, n; q) over the units mod q."""
-    q = _limb_q(q)
+    q = _check_q(q)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     return _scalar_sum(PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, n), q, m)
@@ -241,7 +248,7 @@ def kloosterman(m: int, n: int, q) -> complex:
 def two_term_sum(m: int, n: int, k: int, q) -> complex:
     """Two-term exponential sum: sum over a complete residue system of
     e((m*a^k + n*a)/q)."""
-    q = _limb_q(q)
+    q = _check_q(q)
     if q < 2 or k < 1:
         raise ValueError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
     return _scalar_sum(PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n), q, m)
@@ -249,7 +256,7 @@ def two_term_sum(m: int, n: int, k: int, q) -> complex:
 
 def twisted_sum(m: int, k: int, p: int) -> complex:
     """Hybrid sum over units: sum_a e((m*a^k + abar)/p), p prime."""
-    p = _limb_q(p)
+    p = _check_q(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     # a^k depends on k mod p-1 only, which also admits k <= 0
@@ -257,126 +264,117 @@ def twisted_sum(m: int, k: int, p: int) -> complex:
     return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, VARY_MONOMIAL, 1), p, m)
 
 
-def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family."""
+def abs_two_term_all_m(n: int, k: int, p: int) -> np.ndarray:
+    """|S(m, n, k; p)| for m = 0..p-1, from the exact scaled sums."""
+    p = _check_q(p)
+    u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n), p)
+    sums = (_scaled_sum(_counts(u, v, p, t), p) for t in range(p))
+    return np.sqrt([(re * re + im * im) / (_SCALE * _SCALE) for re, im in sums])
+
+
+def _count_slots(c: np.ndarray) -> np.ndarray:
+    """The counts as byte slots: one little-endian row of 8 bytes each."""
+    return c.astype("<i8").view(np.uint8).reshape(len(c), 8)
+
+
+def _widen(slots: np.ndarray, nbytes: int) -> np.ndarray:
+    """Byte slots zero-extended or cut to nbytes each (values must fit)."""
+    wide = np.zeros((len(slots), nbytes), dtype=np.uint8)
+    wide[:, :min(nbytes, slots.shape[1])] = slots[:, :nbytes]
+    return wide
+
+
+def _convolve(x: np.ndarray, y: np.ndarray, bound: int) -> np.ndarray:
+    """The cyclic convolution of two byte-slot vectors, as byte slots, by
+    one Kronecker product (module docstring); bound caps its slots."""
+    q, nbytes = len(x), -(-bound.bit_length() // 8)
+    shift = 8 * nbytes * q
+    px = int.from_bytes(_widen(x, nbytes).tobytes(), "little")
+    m = px * (px if y is x else int.from_bytes(_widen(y, nbytes).tobytes(), "little"))
+    m = (m & ((1 << shift) - 1)) + (m >> shift)
+    return np.frombuffer(m.to_bytes(q * nbytes, "little"), dtype=np.uint8).reshape(q, nbytes)
+
+
+def _unpack(slots: np.ndarray) -> list[int]:
+    """Byte slots as Python ints."""
+    nbytes = slots.shape[1]
+    if nbytes > 8:
+        raw = slots.tobytes()
+        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    return _widen(slots, 8).view("<u8").ravel().tolist()
+
+
+def _trace(c: np.ndarray, k: int, mod: Modulus) -> int:
+    """Tr |S|^2k for S = sum_j c_j zeta^j: N_k by square-and-multiply, each
+    product's slots capped by D^m for the power m it reaches, then the sum
+    over the divisors d of q with q/d squarefree of
+    mu(q/d) * d * sum_r (N_k folded mod d)(r)^2."""
+    total = int(c.sum())
+    base = n = _count_slots(c)
+    m = 1
+    for bit in bin(k)[3:]:
+        m *= 2
+        n = _convolve(n, n, total**m)
+        if bit == "1":
+            m += 1
+            n = _convolve(n, base, total**m)
+    n = _unpack(n)
+    primes = [p for p, _ in mod.factorization]
+    trace = 0
+    for size in range(len(primes) + 1):
+        for divisor in combinations(primes, size):
+            d = mod.q // math.prod(divisor)
+            folded = n if d == mod.q else [sum(n[r::d]) for r in range(d)]
+            trace += (-1) ** size * d * sum(map(mul, folded, folded))
+    return trace
+
+
+def _galois_exponent(family: PhaseFamily, phi: int) -> int:
+    """e with sigma_c(S_t) = S_(c^e t) (module docstring), mod phi(q)."""
     k = family.monomial_degree
-    c = family.fixed_coefficient % q
     if family.twist == TWIST_INVERSE:
-        dom = [a for a in range(1, q) if math.gcd(a, q) == 1]
-        u = [pow(a, k, q) for a in dom]
-        v = [(c * pow(a, -1, q)) % q for a in dom]
-    elif family.varying_slot == VARY_MONOMIAL:
-        u = [pow(a, k, q) for a in range(q)]
-        v = [(c * a) % q for a in range(q)]
-    else:
-        u = list(range(q))
-        v = [(c * pow(a, k, q)) % q for a in range(q)]
-    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+        return (k + 1) % phi
+    if family.varying_slot == VARY_MONOMIAL:
+        return (1 - k) % phi
+    if math.gcd(k, phi) != 1:
+        raise ValueError(f"linear-slot sweep of degree {k} not Galois-closed: gcd({k}, phi(q) = {phi}) != 1")
+    return (1 - pow(k, -1, phi)) % phi
 
 
-def _pieces(u: np.ndarray, v: np.ndarray, q: int):
-    """(weight, u, v) pieces of the a-domain whose weighted limb sums
-    equal the full ones, and how many parts _sums must gather: 1 for re
-    only, 2 for re and im.
-
-    The domain from _family_vectors is ascending, so without a = 0 its
-    reversal maps each a to -a.  If that negates u and v mod q, the
-    family is odd (real); if it keeps them, even.  Either way: one a of
-    each pair {a, -a} with weight 2, the self-paired a = 0 and a = q/2
-    (where the domain holds them) with weight 1, over re alone for an
-    odd family and re and im for an even one.  Otherwise the whole
-    domain over re and im.
-    """
-    lead = int(len(u) == q)  # the all-residues domain starts at a = 0
-    ur, vr = u[lead:], v[lead:]
-    half = len(ur) // 2
-    self_paired = np.r_[0:lead, lead + half:len(u) - half]
-    paired = [(2, ur[:half], vr[:half]), (1, u[self_paired], v[self_paired])]
-    for sign, parts in ((1, 1), (-1, 2)):
-        if not ((ur + sign * ur[::-1]) % q).any() and not ((vr + sign * vr[::-1]) % q).any():
-            return paired, parts
-    return [(1, u, v)], 2
-
-
-def _sums(family: PhaseFamily, q: int, ts: range) -> list[tuple[int, int]]:
-    """Exact (re, im) of S_t * 2^128 for the consecutive sweep values ts
-    in 0..q-1: per piece of the a-domain (_pieces) and per block of t,
-    the exponents gather each limb row of the root table, and the exact
-    int64 row sums, weighted, are recombined.
-
-    Per table and piece, D[dt, a] = (dt * u_a) mod q is built once for
-    dt < _T_BLOCK; per block starting at t0 only the vector
-    (t0 * u + v) mod q is reduced, and the gather reads the two-period
-    table at base + D, which lies in [0, 2q - 2].  Each limb sum is below
-    2^w * q <= 2^63 (_limb_shape), the weights adding up to the number of
-    terms.  The recombination dots the limb sums, as Python integers,
-    with (1, 2^w, 2^2w, ...), one path for every limb count.  An odd
-    family gathers the re limbs only and returns (re, 0), bit for bit
-    what the full path gives (see the module docstring).
-    """
-    u, v = _family_vectors(family, q)
-    pieces, parts = _pieces(u, v, q)
-    nbytes, n_limbs = _limb_shape(q)
-    limbs = _fixed_root_table(q)[:parts * n_limbs]
-    shifts = np.array([1 << (8 * nbytes * i) for i in range(n_limbs)], dtype=object)
-    offset = len(u) << _SCALE_BITS
-    steps = np.arange(min(_T_BLOCK, len(ts)), dtype=np.int64)[:, None]
-    pieces = [(weight, pu, pv, (steps * pu) % q) for weight, pu, pv in pieces]
-    out = []
-    for t0 in ts[::_T_BLOCK]:
-        n = min(_T_BLOCK, ts.stop - t0)
-        sums = 0
-        for weight, pu, pv, d in pieces:
-            exps = (t0 * pu + pv) % q + d[:n]
-            sums = sums + weight * np.stack([row.take(exps).sum(axis=1) for row in limbs], axis=1)
-        joined = sums.reshape(n, parts, n_limbs).astype(object).dot(shifts) - offset
-        im = joined[:, 1].tolist() if parts == 2 else [0] * n
-        out.extend(zip(joined[:, 0].tolist(), im))
-    return out
-
-
-@lru_cache(maxsize=256)
-def _abs_sq_table(family: PhaseFamily, q: int) -> tuple[int, ...]:
-    """|S_t|^2 for t = 0..q-1, scaled by 2^256, exact integers."""
-    return tuple(re * re + im * im for re, im in _sums(family, q, range(q)))
-
-
-def power_mean(family: PhaseFamily, modulus, two_k: int) -> PowerMeanResult:
+def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
     """2k-th power mean of |inner sum| over the sweep of the varying
-    coefficient (complete residue system, zero term per the family flag).
-
-    Exact fixed-point arithmetic throughout (int64 limb sums, hence
-    q < 2^31; see the module docstring); the raw value, the nearest
-    integer and the rounding residual are all reported.  Results are NOT
-    gated here -- callers decide what residual >= RESIDUAL_TOL means.
-    """
+    coefficient (complete residue system, zero term per the family flag),
+    exact: one trace per Galois orbit of the sweep (module docstring).
+    ValueError if the sweep is not Galois-closed, AssertionError if phi(q)
+    does not divide the total."""
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
-    q = _limb_q(modulus)
+    q = _check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     mod = as_modulus(modulus)
-    # the cache key ignores the sweep-zero flag; slicing handles it
-    table = _abs_sq_table(replace(family, include_zero_in_sweep=True), q)
-    start = 0 if family.include_zero_in_sweep else 1
-    k_half = two_k // 2
-    total = sum(s2**k_half for s2 in table[start:])
-    denom = 1 << (2 * _SCALE_BITS * k_half)
-    rounded = (total + denom // 2) // denom
-    # int true division rounds the exact quotient once, to nearest
-    r = total - rounded * denom
-    return PowerMeanResult(
-        family=family,
-        modulus=mod,
-        two_k=two_k,
-        raw_value=rounded + r / denom,
-        rounded=int(rounded),
-        residual=abs(r) / denom,
-    )
+    u, v = _family_vectors(family, q)
+    # H = {c^e}, each element once
+    h = np.flatnonzero(np.bincount(_pow_mod(_units(q), _galois_exponent(family, mod.phi), q), minlength=q))
+    seen = np.zeros(q, dtype=bool)
+    seen[0] = not family.include_zero_in_sweep
+    total = 0
+    while not seen.all():
+        # the orbit H*t of the first t not yet seen, and its size
+        t, before = int(seen.argmin()), int(np.count_nonzero(seen))
+        seen[h * t % q] = True
+        total += (int(np.count_nonzero(seen)) - before) * _trace(_counts(u, v, q, t), two_k // 2, mod)
+    value, rest = divmod(total, mod.phi)
+    if rest:
+        raise AssertionError(f"power mean trace {total} not divisible by phi({q}) = {mod.phi}")
+    return value
 
 
-def abs_two_term_all_m(n: int, k: int, p: int) -> np.ndarray:
-    """|S(m, n, k; p)| for m = 0..p-1, from the exact |S_m|^2 table."""
-    family = PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n)
-    scale = _SCALE * _SCALE
-    return np.sqrt([s2 / scale for s2 in _abs_sq_table(family, _limb_q(p))])
+def abs_sq_coefficients(family: PhaseFamily, q: int, t: int) -> list[int]:
+    """y with |S_t|^2 = sum_j y_j e(j/q): y_j = sum_i c_(i+j) c_i, the
+    cyclic convolution of the counts with their reflection c_(-j)."""
+    q = _check_q(q)
+    u, v = _family_vectors(family, q)
+    c = _counts(u, v, q, t % q)
+    reflected = _count_slots(np.r_[c[:1], c[:0:-1]])
+    return _unpack(_convolve(_count_slots(c), reflected, int(c.sum()) ** 2))

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import legendre
+from .arith import _check_odd_prime, legendre
 from .char_sums import PolynomialZ, _legendre_array
 
 # elements of one int64 (polynomials x points) array in _symbol_rows and
@@ -161,8 +161,8 @@ def _euler_sums(polys, primes) -> np.ndarray:
     holds at most _EULER_BLOCK elements, with each coefficient reduced
     mod p first so seeded polynomials of any size stay exact.  Euler's
     criterion f(x)^((p-1)/2) mod p, by square-and-multiply, gives 1, p-1
-    or 0.  The primes are the search's evidence primes, already validated
-    as odd primes by the signatures and small enough that p^2 fits in
+    or 0.  The primes are the search's evidence primes, validated as odd
+    primes by search_constant_pairs and small enough that p^2 fits in
     int64.
     """
     width = max(len(f.coeffs) for f in polys)
@@ -227,11 +227,13 @@ def search_constant_pairs(
     primes = tuple(primes)
     if len(primes) < 8:
         raise ValueError("evidence prime list must have at least 8 primes")
+    for p in primes:
+        _check_odd_prime(p)
     polys = list(enumerate_polys(max_degree, coeff_bound))
     for f in extra_polys:
         if f not in polys:
             polys.append(f)
-    # sorted once, so that every bucket below is already in _order_key order
+    # sorted once, with unique keys, so that row order is _order_key order
     polys.sort(key=_order_key)
     # the oracle's blocks come and go before the symbol matrix is allocated
     oracle = _euler_sums(polys, primes).tolist()
@@ -240,7 +242,8 @@ def search_constant_pairs(
     rows = sums.tolist()
     minus_one = [legendre(-1, p) for p in primes]
 
-    hits: list[SearchHit] = []
+    # (c, i, j, twisted) of each hit
+    found: list[tuple[int, int, int, bool]] = []
 
     def emit(i: int, j: int, is_twisted: bool):
         if not _differ(symbols[i], symbols[j]):
@@ -249,7 +252,7 @@ def search_constant_pairs(
         c = (minus_one[0] if is_twisted else 1) * rows[i][0] - rows[j][0]
         if not _verify_pair(oracle[i], oracle[j], c, is_twisted, minus_one):
             raise AssertionError(f"grouping produced an unsound hit: {polys[i]} vs {polys[j]}")
-        hits.append(SearchHit(polys[i], polys[j], c, primes, is_twisted))
+        found.append((c, i, j, is_twisted))
 
     groups = _group(rows)
     for members in groups.values():
@@ -268,7 +271,8 @@ def search_constant_pairs(
     # primes to 103) before the hits are sorted
     del symbols
 
-    hits.sort(key=lambda h: (h.c, _order_key(h.f), _order_key(h.g), h.twisted))
+    found.sort()
+    hits = [SearchHit(polys[i], polys[j], c, primes, is_twisted) for c, i, j, is_twisted in found]
     return SearchResult(
         hits=hits,
         histogram=Counter(h.c for h in hits),

@@ -10,14 +10,13 @@ one place where statuses are counted.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import char_sums, exp_sums
 from .arith import Modulus, as_modulus, legendre, represent_4p
 from .exp_sums import (
-    RESIDUAL_TOL,
     TWIST_INVERSE,
     TWIST_NONE,
     VARY_LINEAR,
@@ -29,7 +28,10 @@ from .exp_sums import (
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
-NUMERIC = "numeric"  # residual too large to trust the rounding
+# every LHS is an exact integer with a residual of 0.0; a residual at or
+# above RESIDUAL_TOL would mark a value whose rounding cannot be trusted
+NUMERIC = "numeric"
+RESIDUAL_TOL = 1e-6
 
 
 class UnknownIdentityError(KeyError):
@@ -163,8 +165,7 @@ def _wz_rhs(p: int, params) -> int:
 def _mean_lhs(family_of_n, two_k):
     def lhs(mod: Modulus, params) -> tuple[int, float]:
         fam = family_of_n(params.get("n", 1))
-        r = power_mean(fam, mod, two_k)
-        return r.rounded, r.residual
+        return power_mean(fam, mod, two_k), 0.0
 
     return lhs
 
@@ -173,14 +174,15 @@ def _corollary_lhs(mod: Modulus, params) -> tuple[int, float]:
     return char_sums.corollary1_check(mod.q).difference, 0.0
 
 
-def _gauss_lhs(mod: Modulus, params) -> tuple[int, float]:
-    # the 2nd mean, and |S(m,0,2,p)|^2 = p for every m on the same exact
-    # table (scaled by 2^256), its worst deviation folded into the residual
-    r = power_mean(_GAUSS_FAMILY, mod, 2)
-    table = exp_sums._abs_sq_table(replace(_GAUSS_FAMILY, include_zero_in_sweep=True), mod.q)
-    scale = 1 << (2 * exp_sums._SCALE_BITS)
-    max_dev = max(abs(s2 - mod.q * scale) for s2 in table[1:]) / scale
-    return r.rounded, max(r.residual, max_dev)
+def _gauss_lhs(mod: Modulus, params) -> tuple[int | None, float]:
+    # |S_1|^2 = sum_j y_j e(j/p) is an integer, y_0 - y_1, iff y_j is the
+    # same for every j != 0 (1 + zeta + ... + zeta^(p-1) = 0 is the only
+    # relation); sigma_c maps S_1 to S_(c^-1), so every |S_m|^2, m != 0, is
+    y = exp_sums.abs_sq_coefficients(_GAUSS_FAMILY, mod.q, 1)
+    # that integer too and the 2nd mean is p - 1 times it
+    if any(x != y[1] for x in y[2:]):
+        return None, 0.0
+    return (mod.q - 1) * (y[0] - y[1]), 0.0
 
 
 @dataclass(frozen=True)

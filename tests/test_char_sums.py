@@ -173,13 +173,13 @@ def test_ning_wang_c_small():
 
 def test_corollary1_examples():
     r = corollary1_check(7)
-    assert r.passed and r.difference == 2
+    assert r.difference == 2
     assert r.term1 == legendre_by_squares(-1, 7) * char_sum_direct((0, 1, 1, 1), 7)
     assert r.term2 == char_sum_direct((1, 4, 2, 4, 1), 7)
 
 
 def test_corollary1_holds_widely():
-    assert all(corollary1_check(p).passed for p in primes_in_range(3, 500))
+    assert all(corollary1_check(p).difference == 2 for p in primes_in_range(3, 500))
 
 
 def _is_squarefree_mod(f: PolynomialZ, p: int) -> bool:

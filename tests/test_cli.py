@@ -11,7 +11,6 @@ import pytest
 from expsumlab import cli, poly_search, registry
 from expsumlab import conjecture as conj
 from expsumlab.arith import NotRepresentableError, primes_in_range
-from expsumlab.exp_sums import ResidualError
 from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json, prepare_reals
 
 
@@ -198,14 +197,18 @@ def test_conjecture_row_without_closed_form_is_a_skip(capsys, k):
 
 def test_conjecture_numeric_row_is_not_a_fail(capsys, monkeypatch):
     # a value whose rounding cannot be trusted is numeric, not a fail,
-    # even where it misses its closed form
-    real = conj.power_mean
+    # even where it misses its closed form (the power means are exact, so
+    # the report's rows are given that residual here)
+    real = conj.conjecture_report
 
     def untrusted(*args):
-        r = real(*args)
-        return dataclasses.replace(r, rounded=r.rounded + 1, residual=0.5)
+        rep = real(*args)
+        rows = [dataclasses.replace(r, value=r.value + 1, residual=0.5,
+                                    status=registry.verdict(r.value + 1, conj.closed_form(r.p, r.k), 0.5))
+                for r in rep.rows]
+        return dataclasses.replace(rep, rows=rows)
 
-    monkeypatch.setattr(conj, "power_mean", untrusted)
+    monkeypatch.setattr(conj, "conjecture_report", untrusted)
     code, out = run(capsys, "conjecture", "--k", "2", "--pmin", "5", "--pmax", "13",
                     "--format", "json")
     assert code == cli.EXIT_NUMERIC
@@ -265,7 +268,7 @@ def _with_rhs(identity, rhs):
         "zhang_composite_4th", _raise(ArithmeticError("zhang rhs not an integer")))),
      ("verify", "--identity", "zhang_composite_4th", "--q", "15"),
      cli.EXIT_NUMERIC, "numeric error"),
-    (lambda mp: mp.setattr(conj, "power_mean", _raise(ResidualError("residual 0.4"))),
+    (lambda mp: mp.setattr(conj, "power_mean", _raise(ArithmeticError("residual 0.4"))),
      ("conjecture", "--k", "2", "--pmin", "5", "--pmax", "13"),
      cli.EXIT_NUMERIC, "numeric error"),
     # a NotRepresentableError is a ValueError, yet not a usage error
@@ -333,6 +336,37 @@ def test_sum_text_format(capsys):
     ]:
         code, out = run(capsys, "sum", "--family", *argv)
         assert (code, out) == (cli.EXIT_OK, text + "\n"), argv
+
+
+# `sum --format json` parts as the int64 limb gather printed them on both
+# sides of q = 2^15, where its limb width changed: the count vector dotted
+# with the same root table prints the same bytes
+SUM_PINS = [
+    ("kloosterman", 3, 5, 1, 32749, "333.411076412", "0.0"),
+    ("kloosterman", 3, 5, 1, 32771, "89.639160143", "0.0"),
+    ("two-term", 3, 5, 2, 32749, "156.758041672", "90.4207740027"),
+    ("two-term", 3, 5, 2, 32771, "90.5764255153", "156.738352489"),
+    ("two-term", 3, 5, 3, 32749, "103.529849034", "0.0"),
+    ("two-term", 3, 5, 3, 32771, "160.061244014", "0.0"),
+    ("twisted", 3, 0, 0, 32749, "-0.999999834356", "-0.000575576502512"),
+    ("twisted", 3, 0, 0, 32771, "-0.999999834578", "-0.000575190103511"),
+    ("twisted", 3, 0, -5, 32749, "75.7608202356", "0.0"),
+    ("twisted", 3, 0, -5, 32771, "43.0729172869", "0.0"),
+]
+
+
+@pytest.mark.parametrize("family, m, n, k, q, real, imag", SUM_PINS)
+def test_sum_json_bytes_are_pinned(capsys, family, m, n, k, q, real, imag):
+    argv = ["sum", "--family", family, "--m", str(m), "--q", str(q), "--format", "json"]
+    argv += {"kloosterman": ["--n", str(n)], "two-term": ["--n", str(n), "--k", str(k)],
+             "twisted": ["--k", str(k)]}[family]
+    code, out = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    assert out == (
+        '{"schema_version":"1","command":"sum","config_echo":{"family":"%s"},'
+        '"rows":[{"family":"%s","m":%d,"n":%d,"k":%d,"q":%d,"real":%s,"imag":%s}],'
+        '"summary":{"pass":1,"fail":0,"skip":0,"max_residual":0.0}}\n'
+        % (family, family, m, n, k, q, real, imag))
 
 
 def test_sum_json_format(capsys):

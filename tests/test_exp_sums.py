@@ -6,6 +6,8 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsumlab import exp_sums, registry
 from expsumlab.arith import Modulus, is_prime, primes_in_range
@@ -86,14 +88,11 @@ def test_power_mean_salie_p5_brute_force():
         return (e_p(a + m * pow(a, -1, 5), 5) for a in range(1, 5))
 
     brute = power_mean_direct(inner, range(5), 4)
-    r = power_mean(SALIE, 5, 4)
-    assert r.rounded == 160 == round(brute)
-    assert r.residual < 1e-6
+    assert power_mean(SALIE, 5, 4) == 160 == round(brute)
 
 
 def test_power_mean_cubic_p7():
-    r = power_mean(CUBIC_N1, 7, 4)
-    assert r.rounded == 343  # 2p^3 - 7p^2 branch, 3 | p-1
+    assert power_mean(CUBIC_N1, 7, 4) == 343  # 2p^3 - 7p^2 branch, 3 | p-1
     def inner(m):
         return (e_p(m * a**3 + a, 7) for a in range(7))
     assert round(power_mean_direct(inner, range(1, 7), 4)) == 343
@@ -103,7 +102,7 @@ def test_power_mean_degenerate_linear_family():
     # n = 0, k = 1, full residues: |S(m)| = p at m = 0 and 0 otherwise
     fam = PhaseFamily(1, TWIST_NONE, VARY_MONOMIAL, 0, True)
     for p in (5, 11):
-        assert power_mean(fam, p, 4).rounded == p**4
+        assert power_mean(fam, p, 4) == p**4
 
 
 def test_power_mean_matches_direct_double(small_odd_primes):
@@ -111,14 +110,22 @@ def test_power_mean_matches_direct_double(small_odd_primes):
         def inner(m):
             return (e_p(m * a**3 + a, p) for a in range(p))
         brute = power_mean_direct(inner, range(p), 6)
-        r = power_mean(CONJECTURE_FAMILY, p, 6)
-        assert r.raw_value == pytest.approx(brute, rel=1e-9)
+        assert power_mean(CONJECTURE_FAMILY, p, 6) == pytest.approx(brute, rel=1e-9)
 
 
 def test_power_mean_near_integral_sampled():
+    # the exact counts give the published integers at every prime to 100
     for q in primes_in_range(3, 100):
-        assert power_mean(SALIE, q, 4).residual < 1e-6
-        assert power_mean(CUBIC_N1, q, 8).residual < 1e-6
+        assert power_mean(SALIE, q, 4) == 2 * q**3 - 3 * q**2 - 3 * q, q
+        if q > 3:
+            assert power_mean(CUBIC_N1, q, 8) == registry._wz_rhs(q, {}), q
+
+
+def test_wide_slots_pin_the_twelfth_mean():
+    # 1999^6 needs 9-byte Kronecker slots; the values are 2^128
+    # fixed-point means rounded (residuals 8e-15 and 9e-16)
+    assert power_mean(CONJECTURE_FAMILY, 1999, 12) == 16752866660353798632014860
+    assert power_mean(SALIE, 1999, 12) == 16293634516098608833512659
 
 
 def test_power_mean_validates_args():
@@ -144,9 +151,9 @@ def test_conjecture_family_counting_oracle(small_odd_primes):
         roots = np.exp(2j * np.pi * np.arange(p) / p)
         U = T @ roots
         oracle = p * float((U * U.conj()).real.sum())
-        r = power_mean(CONJECTURE_FAMILY, p, 4)
-        assert r.rounded == round(oracle)
-        assert abs(oracle - r.rounded) < 1e-5
+        value = power_mean(CONJECTURE_FAMILY, p, 4)
+        assert value == round(oracle)
+        assert abs(oracle - value) < 1e-5
 
 
 def test_weil_ratio_gauss_case():
@@ -177,9 +184,9 @@ def test_gauss_magnitude_all_m():
         assert float(abs(mags - math.sqrt(p)).max()) < 1e-9 * math.sqrt(p)
 
 
-# The int64 limb kernel against the big-integer kernel it replaced: the
-# per-entry 60-digit mpmath root table and the sum(map(...)) loop over
-# Python integers.  Both must give the same integers bit for bit.
+# The exact paths against a big-integer loop over a per-entry 60-digit
+# mpmath root table: the scalar sums must give the same integers bit for
+# bit, and the power means the nearest integers to its rounded means.
 
 @lru_cache(maxsize=None)
 def reference_root_table(q):
@@ -192,21 +199,46 @@ def reference_root_table(q):
     return tuple(re), tuple(im)
 
 
+def reference_phases(family, q, t):
+    """e_a(t) mod q for every a of the family's domain, from its definition."""
+    k, f = family.monomial_degree, family.fixed_coefficient
+    if family.twist == TWIST_INVERSE:
+        phases = [t * a**k + f * pow(a, -1, q) for a in range(1, q) if math.gcd(a, q) == 1]
+    elif family.varying_slot == VARY_MONOMIAL:
+        phases = [t * a**k + f * a for a in range(q)]
+    else:
+        phases = [f * a**k + t * a for a in range(q)]
+    return [x % q for x in phases]
+
+
 def reference_abs_sq_table(family, q):
-    u, v = exp_sums._family_vectors(family, q)
     re_t, im_t = reference_root_table(q)
-    re_get, im_get = re_t.__getitem__, im_t.__getitem__
     out = []
     for t in range(q):
-        exps = ((t * u + v) % q).tolist()
-        sre = sum(map(re_get, exps))
-        sim = sum(map(im_get, exps))
+        exps = reference_phases(family, q, t)
+        sre = sum(map(re_t.__getitem__, exps))
+        sim = sum(map(im_t.__getitem__, exps))
         out.append(sre * sre + sim * sim)
     return tuple(out)
 
 
-def decode_limbs(rows, width):
-    return tuple(sum(x << (width * i) for i, x in enumerate(col)) - 2**128 for col in rows.T.tolist())
+def reference_mean(table, two_k, start):
+    """The rounded-root mean over the sweep from start, as a Fraction."""
+    k = two_k // 2
+    return Fraction(sum(s**k for s in table[start:]), 2 ** (256 * k))
+
+
+def refused(family, q):
+    """power_mean refuses exactly the linear-slot sweeps whose degree is
+    not prime to phi(q)."""
+    return (family.varying_slot == VARY_LINEAR
+            and math.gcd(family.monomial_degree, Modulus.from_int(q).phi) != 1)
+
+
+def scalar_abs_sq_table(family, q):
+    u, v = exp_sums._family_vectors(family, q)
+    sums = (exp_sums._scaled_sum(exp_sums._counts(u, v, q, t), q) for t in range(q))
+    return tuple(re * re + im * im for re, im in sums)
 
 
 def test_integer_omega_matches_100_digit_mpmath():
@@ -221,32 +253,25 @@ def test_integer_omega_matches_100_digit_mpmath():
 
 def test_root_table_matches_per_entry_mpmath():
     for q in list(range(1, 401)) + [1009, 1021, 4999]:
-        nbytes, n_limbs = exp_sums._limb_shape(q)
-        width = 8 * nbytes
-        limbs = exp_sums._fixed_root_table(q)
-        assert limbs.dtype == np.int64 and limbs.shape == (2 * n_limbs, 2 * q)
-        assert not limbs.flags.writeable
-        assert limbs.min() >= 0 and limbs.max() < 2**width, q
-        # the second period repeats the first, column for column
-        assert np.array_equal(limbs[:, q:], limbs[:, :q]), q
-        first = limbs[:, :q]
-        decoded = (decode_limbs(first[:n_limbs], width), decode_limbs(first[n_limbs:], width))
-        assert decoded == reference_root_table(q), q
+        re, im = exp_sums._fixed_root_table(q)
+        half = q // 2 + 1
+        assert len(re) == len(im) == half, q
+        ref_re, ref_im = reference_root_table(q)
+        assert (re, im) == (ref_re[:half], ref_im[:half]), q
+        # the rest of the circle is the conjugate of the stored half
+        for j in range(half, q):
+            assert (ref_re[j], ref_im[j]) == (re[q - j], -im[q - j]), (q, j)
 
 
-def test_limb_shape_keeps_every_limb_sum_in_int64():
-    shapes = set()
-    for b in range(2, 32):
-        for q in (1 << (b - 1), (1 << b) - 1):
-            nbytes, n_limbs = exp_sums._limb_shape(q)
-            width = 8 * nbytes
-            # q terms below 2^w each, with q < 2^b
-            assert (2**width - 1) * (2**b - 1) < 2**63, (b, width)
-            assert n_limbs * width >= 130, (b, n_limbs, width)
-            shapes.add((q.bit_length(), width, n_limbs))
-    widths = {b: (w, n) for b, w, n in shapes}
-    assert widths[15] == (48, 3) and widths[16] == (40, 4)
-    assert widths[23] == (40, 4) and widths[24] == (32, 5) and widths[31] == (32, 5)
+def test_exponents_stay_in_int64():
+    # the largest accepted q: every exponent t*u + v and every _pow_mod
+    # product stays below 2^63
+    q = 2**31 - 1
+    assert (q - 1) * (q - 1) + (q - 1) < 2**63
+    a = np.array([0, 1, 2, 3, 65537, q - 2, q - 1], dtype=np.int64)
+    for e in (0, 1, 2, 3, q - 2, 2**40 + 3):
+        assert exp_sums._pow_mod(a, e, q).tolist() == [pow(int(x), e, q) for x in a], e
+    assert (((q - 1) * a + a) % q).tolist() == [((q - 1) * int(x) + int(x)) % q for x in a]
 
 
 KERNEL_FAMILIES = [
@@ -261,21 +286,20 @@ KERNEL_FAMILIES = [
     PhaseFamily(5, TWIST_NONE, VARY_MONOMIAL, 1, True),
     registry._GAUSS_FAMILY,
 ]
-FULL_FAMILIES = [
-    registry._ZWL_FAMILY,
-    PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 1, True),
-    PhaseFamily(2, TWIST_NONE, VARY_LINEAR, 1, True),
-]
-# a -> -a keeps every phase of these, so _sums gathers half the domain
-# over re and im
+# a -> -a keeps every phase of these
 EVEN_FAMILIES = [
     registry._GAUSS_FAMILY,
     PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 0, True),
     PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 0, True),
 ]
-# S_t is real for the rest (a -> -a negates every phase), so _sums
-# gathers half the domain over the re limbs only
-ODD_FAMILIES = [f for f in KERNEL_FAMILIES if f not in FULL_FAMILIES + EVEN_FAMILIES]
+# every slot and twist: linear slots of even and odd degree, and a fixed
+# coefficient that is not a unit of every q
+ORBIT_FAMILIES = KERNEL_FAMILIES + EVEN_FAMILIES[1:] + [
+    PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 1, True),
+    PhaseFamily(2, TWIST_NONE, VARY_LINEAR, 1, True),
+    PhaseFamily(5, TWIST_NONE, VARY_LINEAR, 6, False),
+    PhaseFamily(3, TWIST_INVERSE, VARY_MONOMIAL, 10, False),
+]
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -287,46 +311,93 @@ def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
     # the units count
     for q in [3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 30, 31, 45, 49, 53, 101, 211]:
         ref = reference_abs_sq_table(family, q)
-        assert exp_sums._abs_sq_table(family, q) == ref, q
+        assert scalar_abs_sq_table(family, q) == ref, q
         for two_k in (2, 6):
-            k = two_k // 2
-            exact = Fraction(sum(s**k for s in ref[start:]), 2 ** (256 * k))
-            r = power_mean(family, q, two_k)
-            assert r.rounded == round(exact), (q, two_k)
-            assert r.residual == float(abs(exact - r.rounded)), (q, two_k)
-            assert r.raw_value.hex() == (r.rounded + float(exact - r.rounded)).hex(), (q, two_k)
-
-
-def test_odd_and_even_families_gather_half_the_domain():
-    for q in range(3, 64):
-        for family, parts in [(f, 1) for f in ODD_FAMILIES] + [(f, 2) for f in EVEN_FAMILIES]:
-            u, v = exp_sums._family_vectors(family, q)
-            (twice, once), got = exp_sums._pieces(u, v, q)
-            assert got == parts and twice[0] == 2 and once[0] == 1, (family, q)
-            # a = 0 and, for even q, a = q/2 in the all-residues domain;
-            # no unit is its own negative for q >= 3
-            self_paired = 1 + (q % 2 == 0) if len(u) == q else 0
-            assert len(once[1]) == self_paired, (family, q)
-            assert 2 * len(twice[1]) + len(once[1]) == len(u), (family, q)
-        for family in FULL_FAMILIES:
-            u, v = exp_sums._family_vectors(family, q)
-            pieces, parts = exp_sums._pieces(u, v, q)
-            assert parts == 2 and len(pieces) == 1, (family, q)
-            assert pieces[0][0] == 1 and len(pieces[0][1]) == len(u), (family, q)
+            if refused(family, q):
+                with pytest.raises(ValueError, match="Galois"):
+                    power_mean(family, q, two_k)
+            else:
+                assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, start)), (q, two_k)
 
 
 def test_even_families_match_big_integer_loop():
     for family in EVEN_FAMILIES[1:]:
         for q in [3, 4, 5, 8, 9, 16, 30, 31, 49, 101]:
-            assert exp_sums._abs_sq_table(family, q) == reference_abs_sq_table(family, q), q
+            ref = reference_abs_sq_table(family, q)
+            assert scalar_abs_sq_table(family, q) == ref, q
+            for two_k in (4, 8):
+                assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, 0)), q
+
+
+def all_t_mean(family, q, two_k):
+    """The trace formula summed over every t of the sweep, no orbits."""
+    mod = Modulus.from_int(q)
+    u, v = exp_sums._family_vectors(family, q)
+    start = 0 if family.include_zero_in_sweep else 1
+    total = sum(exp_sums._trace(exp_sums._counts(u, v, q, t), two_k // 2, mod) for t in range(start, q))
+    assert total % mod.phi == 0, (family, q, two_k)
+    return total // mod.phi
+
+
+@pytest.mark.parametrize("family", ORBIT_FAMILIES)
+def test_orbit_rule_matches_all_t_trace(family):
+    for q in [3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 18, 25, 27, 31]:
+        if refused(family, q):
+            continue
+        mod = Modulus.from_int(q)
+        # sigma_c maps S_t to S_(c^e t): the counts of c^e t are those of
+        # t with every phase j moved to c*j
+        e = exp_sums._galois_exponent(family, mod.phi)
+        u, v = exp_sums._family_vectors(family, q)
+        for c in exp_sums._units(q).tolist():
+            moved = (c * np.arange(q)) % q
+            for t in range(q):
+                image = exp_sums._counts(u, v, q, pow(c, e, q) * t % q)
+                assert np.array_equal(image[moved], exp_sums._counts(u, v, q, t)), (q, c, t)
+        for two_k in (2, 4, 6):
+            assert power_mean(family, q, two_k) == all_t_mean(family, q, two_k), (q, two_k)
+
+
+def test_power_mean_refuses_a_sweep_that_is_not_galois_closed():
+    # ZH's linear slot at p = 1 mod 3: cubing is 3-to-1 on the units, so
+    # the substitution behind the orbit rule does not exist, and the mean
+    # is not an integer (the registry applies zh_cubic_6th_over_a only at
+    # p = 2 mod 3)
+    for p in (7, 13, 19):
+        with pytest.raises(ValueError, match="Galois"):
+            power_mean(registry._ZH_FAMILY, p, 4)
+        mean = reference_mean(reference_abs_sq_table(registry._ZH_FAMILY, p), 4, 1)
+        assert abs(mean - round(mean)) > 0.01, p
+    assert power_mean(registry._ZH_FAMILY, 11, 4) == round(
+        reference_mean(reference_abs_sq_table(registry._ZH_FAMILY, 11), 4, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    degree=st.integers(1, 6),
+    shape=st.sampled_from([(TWIST_NONE, VARY_MONOMIAL), (TWIST_NONE, VARY_LINEAR),
+                           (TWIST_INVERSE, VARY_MONOMIAL)]),
+    fixed=st.integers(-50, 50),
+    include_zero=st.booleans(),
+    q=st.integers(3, 40),
+    two_k=st.sampled_from([2, 4, 6]),
+)
+def test_power_mean_is_exact_or_refused(degree, shape, fixed, include_zero, q, two_k):
+    family = PhaseFamily(degree, *shape, fixed, include_zero)
+    if refused(family, q):
+        with pytest.raises(ValueError, match="Galois"):
+            power_mean(family, q, two_k)
+        return
+    ref = reference_abs_sq_table(family, q)
+    assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, 0 if include_zero else 1))
 
 
 def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):
     def no_work(*args):
         raise AssertionError("power_mean did work before rejecting q")
 
-    monkeypatch.setattr(exp_sums, "as_modulus", no_work)
-    monkeypatch.setattr(exp_sums, "_abs_sq_table", no_work)
+    for name in ("as_modulus", "_family_vectors", "_units"):
+        monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, Modulus.from_int(2**31), 2**40):
         with pytest.raises(ValueError, match="2\\^31"):
             power_mean(SALIE, q, 4)
@@ -419,7 +490,7 @@ def test_star_import_resolves_every_public_name():
         assert names[name] is getattr(expsumlab, name), name
     deleted = ("root_table", "salie_twisted_char_sum", "kloosterman_bound_ratio", "weil_ratio",
                "gcd3", "factor_functions", "mod_inverse", "Signature", "signature",
-               "normalized_key", "fundamentally_different")
+               "normalized_key", "fundamentally_different", "PowerMeanResult")
     for name in deleted:
         assert name not in names and not hasattr(expsumlab, name), name
 
@@ -435,7 +506,8 @@ def test_names_nothing_calls_stay_deleted():
         arith.Modulus: ("divisor_count",),
         char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod"),
-        exp_sums: ("kloosterman_bound_ratio", "weil_ratio"),
+        exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
+                   "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry"),
@@ -448,4 +520,5 @@ def test_names_nothing_calls_stay_deleted():
     assert "structural_notes" not in fields
     fields = [f.name for f in dataclasses.fields(conjecture.ConjectureReport)]
     assert "crosscheck" not in fields and "max_power_mean_residual" not in fields
+    assert "passed" not in [f.name for f in dataclasses.fields(char_sums.Corollary1Result)]
     assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]

@@ -108,6 +108,30 @@ def test_search_requires_enough_primes():
         search_constant_pairs(2, 2, (5, 7, 11))
 
 
+@pytest.mark.parametrize("bad", [1, 2, 9, 91])
+def test_search_validates_evidence_primes_before_any_work(monkeypatch, bad):
+    def no_work(*args):
+        raise AssertionError("the search did work before checking its primes")
+
+    for name in ("enumerate_polys", "_euler_sums", "_symbol_rows"):
+        monkeypatch.setattr(poly_search, name, no_work)
+    with pytest.raises(ValueError, match="odd prime"):
+        search_constant_pairs(2, 2, [bad, 3, 5, 7, 11, 13, 17, 19])
+    with pytest.raises(ValueError, match="odd prime"):
+        search_constant_pairs(2, 2, [3, 5, 7, 11, 13, 17, 19, bad])
+
+
+def test_hits_in_row_order_are_in_key_order():
+    # hits are sorted by (c, row of f, row of g, twisted); the rows are in
+    # _order_key order with unique keys, so that is the order of the keys
+    polys = list(enumerate_polys(3, 2))
+    assert len({_order_key(f) for f in polys}) == len(polys)
+    res = search_constant_pairs(3, 2, primes_in_range(3, 103), twisted=True)
+    keys = [(h.c, _order_key(h.f), _order_key(h.g), h.twisted) for h in res.hits]
+    assert res.hits and keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+
+
 def test_search_finds_quadratic_pair():
     res = search_constant_pairs(2, 4, PRIMES)
     pairs = {(h.f.coeffs, h.g.coeffs, h.c) for h in res.hits}

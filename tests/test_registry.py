@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from expsumlab import exp_sums
+from expsumlab import exp_sums, registry
 from expsumlab.arith import primes_in_range
 from expsumlab.registry import (
     FAIL,
@@ -131,28 +131,30 @@ def test_gauss_magnitude_outcome():
 
 @pytest.mark.parametrize("p", [499, 1999])
 def test_gauss_magnitude_is_checked_on_exact_table(p):
-    # the mean and every |S_t|^2 come from the 2^256-scaled integer
-    # table, so the residual sits far below double precision
+    # every |S_m|^2 is the integer y_0 - y_1 of one exact autocorrelation,
+    # so the residual is exactly 0
     out = evaluate("gauss_magnitude", p)
-    assert out.passed and out.residual < 1e-30
+    assert out.passed and out.residual == 0.0
+    y = exp_sums.abs_sq_coefficients(registry._GAUSS_FAMILY, p, 1)
+    assert y[0] - y[1] == p and len(set(y[1:])) == 1
 
 
-@pytest.mark.parametrize("offsets", [{1: 1 << 255, 2: -(1 << 255)}, {1: 1 << 255, 12: -(1 << 254)}])
+@pytest.mark.parametrize("offsets", [{1: 1, 2: -1}, {1: 1, 12: -1}])
 def test_gauss_magnitude_flags_one_bad_table_entry(monkeypatch, offsets):
-    # |S_1|^2 off by 2^255 (half a unit) while the 2nd mean moves by at
-    # most a quarter: only the per-m magnitude check reaches 0.5
-    real = exp_sums._abs_sq_table
+    # two coefficients of |S_1|^2 moved apart, with their total kept: no
+    # longer an integer, so no magnitude is sqrt(p) and the row fails
+    real = exp_sums.abs_sq_coefficients
 
-    def skewed(family, q):
-        table = list(real(family, q))
-        for t, off in offsets.items():
-            table[t] += off
-        return tuple(table)
+    def skewed(family, q, t):
+        y = real(family, q, t)
+        for j, off in offsets.items():
+            y[j] += off
+        return y
 
-    monkeypatch.setattr(exp_sums, "_abs_sq_table", skewed)
+    monkeypatch.setattr(exp_sums, "abs_sq_coefficients", skewed)
     out = evaluate("gauss_magnitude", 13)
-    assert out.status == NUMERIC and out.lhs == out.rhs == 156
-    assert out.residual == pytest.approx(0.5, abs=1e-30)
+    assert out.status == FAIL and out.lhs is None and out.rhs == 156
+    assert out.residual == 0.0
 
 
 def test_skip_versus_fail_distinction():
@@ -178,7 +180,7 @@ def test_sweep_params_grid_in_evaluate_order():
 
 
 def test_verdict_order():
-    tol = exp_sums.RESIDUAL_TOL
+    tol = registry.RESIDUAL_TOL
     # a residual too large flags the row, with or without an RHS, matching or not
     assert verdict(5, 5, tol) == NUMERIC
     assert verdict(5, None, tol) == NUMERIC
