@@ -12,6 +12,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import conjecture as conj
@@ -200,11 +201,13 @@ def _run_search(args) -> int:
     result = poly_search.search_constant_pairs(
         args.max_degree, args.coeff_bound, primes, twisted=args.twisted
     )
+    # each polynomial sits in many hits: format it once
+    name = functools.cache(str)
     rows = [
         {
             "c": h.c,
-            "f": str(h.f),
-            "g": str(h.g),
+            "f": name(h.f),
+            "g": name(h.g),
             "primes_checked": len(h.primes),
             "twisted": h.twisted,
         }

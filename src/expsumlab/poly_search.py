@@ -25,10 +25,12 @@ signature path and no per-x Python loop.
 
 Every emitted hit is re-verified at every evidence prime by an
 independent oracle computed once for all polynomials of the search:
-f(x) is evaluated mod p and classified by Euler's criterion, never
-through a Legendre table, char_sum_poly or _symbol_rows; the oracle
-shares no code with the signature path it checks.  Hits are conjectural
-evidence, never theorems.
+f(x) is evaluated mod p and classified by a p-entry table of Euler's
+criterion y^((p-1)/2) mod p, built by pow, never through the squares
+table of _legendre_array, arith.legendre, char_sum_poly or _symbol_rows;
+the oracle shares no classification code with the signature path it
+checks.  After grouping, one array expression (_sound) checks every hit
+at every prime.  Hits are conjectural evidence, never theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
@@ -44,9 +46,9 @@ import numpy as np
 from .arith import _check_odd_prime, legendre
 from .char_sums import PolynomialZ, _legendre_array
 
-# elements of one int64 (polynomials x points) array in _symbol_rows and
-# _euler_sums: the degree-3 bound-2 search at primes up to 103 is one block
-# per prime
+# elements of one int64 (polynomials x points) Horner block in _symbol_rows
+# and _euler_sums, each then one gather from a p-entry table: the degree-3
+# bound-2 search at primes up to 103 is one block per prime
 _EULER_BLOCK = 1 << 15
 
 
@@ -154,16 +156,21 @@ def enumerate_polys(max_degree: int, coeff_bound: int):
 
 def _euler_sums(polys, primes) -> np.ndarray:
     """sum_{x=1}^{p-1} (f(x)/p) for f in polys (rows) and p in primes
-    (columns): the re-verify oracle.
+    (columns): the re-verify oracle, an int64 matrix.
 
-    Per prime, one Horner pass evaluates the polynomials over x = 1..p-1
-    in int64, a block of rows at a time so that each (rows x (p-1)) array
-    holds at most _EULER_BLOCK elements, with each coefficient reduced
-    mod p first so seeded polynomials of any size stay exact.  Euler's
-    criterion f(x)^((p-1)/2) mod p, by square-and-multiply, gives 1, p-1
-    or 0.  The primes are the search's evidence primes, validated as odd
-    primes by search_constant_pairs and small enough that p^2 fits in
-    int64.
+    Per prime, Euler's criterion classifies every residue once: euler[y]
+    is y^((p-1)/2) mod p by Python pow, read as 1, -1 (for p-1) or 0.  The
+    table is built from that power alone, not from _legendre_array's
+    squares nor from arith.legendre, so the oracle shares no code with
+    the signature path it checks.  The polynomials are then evaluated
+    over x = 1..p-1 by the same in-place Horner loop as _symbol_rows, a
+    block of rows at a time so that each int64 (rows x (p-1)) array holds
+    at most _EULER_BLOCK elements, with each coefficient reduced mod p
+    first so seeded polynomials of any size stay exact.  Each Horner value
+    stays below p^2 + p, so int64 is exact for the search's primes; each
+    block is one gather from the table and one row sum.  The primes are
+    the search's evidence primes, validated as odd primes by
+    search_constant_pairs.
     """
     width = max(len(f.coeffs) for f in polys)
     # descending coefficients, zero-padded to a common degree, as Python
@@ -172,32 +179,29 @@ def _euler_sums(polys, primes) -> np.ndarray:
     coeffs = np.array(padded, dtype=object)
     out = np.empty((len(polys), len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
+        powers = (pow(y, (p - 1) // 2, p) for y in range(p))
+        euler = np.array([e - p if e > 1 else e for e in powers], dtype=np.int8)
         reduced = (coeffs % p).astype(np.int64)
         xs = np.arange(1, p, dtype=np.int64)
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
-            block = reduced[r0:r0 + step]
-            vals = np.zeros((len(block), p - 1), dtype=np.int64)
-            for col in block.T:
-                vals = (vals * xs + col[:, None]) % p
-            power = np.ones_like(vals)
-            e = (p - 1) // 2
-            while e:
-                if e & 1:
-                    power = power * vals % p
-                vals = vals * vals % p
-                e >>= 1
-            out[r0:r0 + step, j] = (power == 1).sum(axis=1) - (power == p - 1).sum(axis=1)
+            rows = reduced[r0:r0 + step]
+            vals = np.zeros((len(rows), p - 1), dtype=np.int64)
+            for col in rows.T:
+                vals *= xs
+                vals += col[:, None]
+                vals %= p
+            out[r0:r0 + step, j] = euler[vals].sum(axis=1)
     return out
 
 
-def _verify_pair(sums_f, sums_g, c: int, twisted: bool, minus_one) -> bool:
-    """True iff (-1/p)^twisted * sums_f - sums_g == c at every prime, for
-    oracle vectors from _euler_sums and minus_one[i] = (-1/p_i)."""
-    for a, b, sign in zip(sums_f, sums_g, minus_one, strict=True):
-        if (sign * a if twisted else a) - b != c:
-            return False
-    return True
+def _sound(oracle: np.ndarray, minus_one, hits) -> np.ndarray:
+    """Per hit (c, i, j, twisted), True iff (-1/p)^twisted * oracle[i] -
+    oracle[j] == c at every prime, for the _euler_sums matrix oracle and
+    minus_one[k] = (-1/p_k): every hit in one array expression."""
+    c, i, j, twisted = np.array(hits, dtype=np.int64).reshape(-1, 4).T
+    sign = np.where(twisted[:, None] == 1, minus_one, 1)
+    return (sign * oracle[i] - oracle[j] == c[:, None]).all(axis=1)
 
 
 def _group(rows) -> dict[tuple, list[int]]:
@@ -236,7 +240,7 @@ def search_constant_pairs(
     # sorted once, with unique keys, so that row order is _order_key order
     polys.sort(key=_order_key)
     # the oracle's blocks come and go before the symbol matrix is allocated
-    oracle = _euler_sums(polys, primes).tolist()
+    oracle = _euler_sums(polys, primes)
     sums, symbols = _symbol_rows(polys, primes)
     # Python ints, so that every c below is one too
     rows = sums.tolist()
@@ -250,8 +254,6 @@ def search_constant_pairs(
             return
         # grouped rows differ by the same constant at every prime
         c = (minus_one[0] if is_twisted else 1) * rows[i][0] - rows[j][0]
-        if not _verify_pair(oracle[i], oracle[j], c, is_twisted, minus_one):
-            raise AssertionError(f"grouping produced an unsound hit: {polys[i]} vs {polys[j]}")
         found.append((c, i, j, is_twisted))
 
     groups = _group(rows)
@@ -268,8 +270,12 @@ def search_constant_pairs(
                     if i != j:
                         emit(i, j, True)
     # every pair is decided: free the symbols (19 MB at degree 4, bound 4,
-    # primes to 103) before the hits are sorted
+    # primes to 103) before the hits x primes arrays of the re-verify
     del symbols
+    unsound = np.flatnonzero(~_sound(oracle, minus_one, found))
+    if unsound.size:
+        _, i, j, _ = found[unsound[0]]
+        raise AssertionError(f"grouping produced an unsound hit: {polys[i]} vs {polys[j]}")
 
     found.sort()
     hits = [SearchHit(polys[i], polys[j], c, primes, is_twisted) for c, i, j, is_twisted in found]

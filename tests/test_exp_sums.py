@@ -509,7 +509,7 @@ def test_names_nothing_calls_stay_deleted():
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
-                      "signature", "normalized_key", "fundamentally_different"),
+                      "signature", "normalized_key", "fundamentally_different", "_verify_pair"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry"),
         conjecture: ("CrossCheck",),
     }

@@ -12,8 +12,8 @@ from expsumlab.poly_search import (
     _euler_sums,
     _group,
     _order_key,
+    _sound,
     _symbol_rows,
-    _verify_pair,
     enumerate_polys,
     search_constant_pairs,
 )
@@ -201,13 +201,14 @@ def _brute_sums(f, primes):
 
 
 def test_euler_oracle_matches_brute_force(monkeypatch):
-    # the oracle must not share the signature path it checks
+    # the oracle must not share the signature path it checks, nor the
+    # library's scalar Legendre symbol
     def refuse(*args):
         raise AssertionError("the oracle used the signature path")
 
     for name in ("legendre_table", "_legendre_array", "char_sum_poly"):
         monkeypatch.setattr(char_sums, name, refuse)
-    for name in ("_symbol_rows", "_legendre_array"):
+    for name in ("_symbol_rows", "_legendre_array", "legendre"):
         monkeypatch.setattr(poly_search, name, refuse)
     primes = tuple(primes_in_range(3, 60))
     # seeded polynomials may have coefficients beyond int64
@@ -216,7 +217,9 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
     rows = _euler_sums(polys, primes)
     assert rows.shape == (len(polys), len(primes))
     for f, row in zip(polys, rows.tolist()):
-        assert tuple(row) == _brute_sums(f, primes), str(f)
+        # the reference enumerates squares: no Euler's criterion on this side
+        expected = [sum(legendre_by_squares(f(x), p) for x in range(1, p)) for p in primes]
+        assert row == expected, str(f)
 
 
 def test_symbol_rows_sums_match_char_sum_poly():
@@ -289,19 +292,19 @@ def test_euler_oracle_blocks_match_one_block(monkeypatch):
         assert (_euler_sums(polys, primes) == one_block).all(), budget
 
 
-def test_verify_pair_rejects_wrong_constant_and_flipped_twist():
+def test_sound_rejects_wrong_constant_and_flipped_twist():
     minus_one = [legendre(-1, p) for p in PRIMES]
-    quad_1, quad_4, cubic, quartic = _euler_sums(
+    oracle = _euler_sums(
         [PolynomialZ.of(1, 0, 1), PolynomialZ.of(4, 0, 1), CUBIC_CCC, NING_WANG_QUARTIC],
         PRIMES,
-    ).tolist()
-    # known hits: x^2+1 vs x^2+4 at c = 0, and the corollary's twisted pair at c = 2
-    assert _verify_pair(quad_1, quad_4, 0, False, minus_one)
-    assert _verify_pair(cubic, quartic, 2, True, minus_one)
-    assert not _verify_pair(quad_1, quad_4, 1, False, minus_one)
-    assert not _verify_pair(cubic, quartic, 3, True, minus_one)
-    assert not _verify_pair(quad_1, quad_4, 0, True, minus_one)
-    assert not _verify_pair(cubic, quartic, 2, False, minus_one)
+    )
+    # known hits: x^2+1 vs x^2+4 at c = 0, and the corollary's twisted pair
+    # at c = 2; then a wrong c on each, and a flipped twist on each
+    hits = [(0, 0, 1, False), (2, 2, 3, True),
+            (1, 0, 1, False), (3, 2, 3, True),
+            (0, 0, 1, True), (2, 2, 3, False)]
+    assert _sound(oracle, minus_one, hits).tolist() == [True, True] + [False] * 4
+    assert _sound(oracle, minus_one, []).shape == (0,)
 
 
 def test_unsound_grouping_raises(monkeypatch):
@@ -344,3 +347,15 @@ def test_grouping_finds_every_constant_difference_pair():
     assert len(found) == len(set(found))
     assert set(found) == expected
     assert any(t for *_, t in expected) and not all(t for *_, t in expected)
+
+
+@pytest.mark.slow
+def test_degree_four_search_finds_corollary_pair():
+    # the degree-4 gate: every degree-4, bound-4 polynomial, twisted, at
+    # the primes 3..103
+    res = search_constant_pairs(4, 4, primes_in_range(3, 103), twisted=True)
+    assert len(res.hits) == 29_810
+    assert any(
+        h.f == CUBIC_CCC and str(h.g) == "x^4-4x^3+2x^2-4x+1" and h.c == 2 and h.twisted
+        for h in res.hits
+    )
