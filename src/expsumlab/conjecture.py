@@ -34,7 +34,6 @@ class ConjectureRow:
     catalan: int
     main_term: int
     normalized_residual: float  # (value - main_term) / p^(k + 1/2)
-    residual: float  # 0.0, as the value is exact; registry.summarize reads it
     status: str  # registry.verdict against closed_form(p, k)
 
 
@@ -98,7 +97,7 @@ def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:
         value = power_mean(CONJECTURE_FAMILY, p, 2 * k)
         main = ck * p ** (k + 1)
         norm = (value - main) / p ** (k + 0.5)
-        return ConjectureRow(p, k, value, ck, main, norm, 0.0, verdict(value, closed_form(p, k), 0.0))
+        return ConjectureRow(p, k, value, ck, main, norm, verdict(value, closed_form(p, k)))
 
     rows = [row(p) for p in primes]
     return ConjectureReport(

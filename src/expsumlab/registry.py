@@ -1,10 +1,12 @@
 """Data-driven registry of the closed-form identities under test.
 
 Each entry binds an LHS recipe (a power mean or character-sum
-combination) to an integer RHS closed form plus an applicability
-predicate.  verdict() is the one rule that gives a checked value its
-status, for registry rows and conjecture rows alike, and summarize() the
-one place where statuses are counted.
+combination, computed as an exact integer with no rounding) to an
+integer RHS closed form plus an applicability predicate.  Every modulus
+must be below 2^31, checked before any work.  verdict() is the one rule
+that gives a checked value its status, pass, fail or skip, for registry
+rows and conjecture rows alike, and summarize() the one place where
+statuses are counted.
 """
 
 from __future__ import annotations
@@ -28,10 +30,6 @@ from .exp_sums import (
 PASS = "pass"
 FAIL = "fail"
 SKIP = "skip"
-# every LHS is an exact integer with a residual of 0.0; a residual at or
-# above RESIDUAL_TOL would mark a value whose rounding cannot be trusted
-NUMERIC = "numeric"
-RESIDUAL_TOL = 1e-6
 
 
 class UnknownIdentityError(KeyError):
@@ -45,7 +43,6 @@ class IdentityOutcome:
     params: dict
     lhs: int | None
     rhs: int | None
-    residual: float
     status: str
 
     @property
@@ -163,26 +160,26 @@ def _wz_rhs(p: int, params) -> int:
 
 
 def _mean_lhs(family_of_n, two_k):
-    def lhs(mod: Modulus, params) -> tuple[int, float]:
+    def lhs(mod: Modulus, params) -> int:
         fam = family_of_n(params.get("n", 1))
-        return power_mean(fam, mod, two_k), 0.0
+        return power_mean(fam, mod, two_k)
 
     return lhs
 
 
-def _corollary_lhs(mod: Modulus, params) -> tuple[int, float]:
-    return char_sums.corollary1_check(mod.q).difference, 0.0
+def _corollary_lhs(mod: Modulus, params) -> int:
+    return char_sums.corollary1_check(mod.q).difference
 
 
-def _gauss_lhs(mod: Modulus, params) -> tuple[int | None, float]:
+def _gauss_lhs(mod: Modulus, params) -> int | None:
     # |S_1|^2 = sum_j y_j e(j/p) is an integer, y_0 - y_1, iff y_j is the
     # same for every j != 0 (1 + zeta + ... + zeta^(p-1) = 0 is the only
     # relation); sigma_c maps S_1 to S_(c^-1), so every |S_m|^2, m != 0, is
     y = exp_sums.abs_sq_coefficients(_GAUSS_FAMILY, mod.q, 1)
     # that integer too and the 2nd mean is p - 1 times it
     if any(x != y[1] for x in y[2:]):
-        return None, 0.0
-    return (mod.q - 1) * (y[0] - y[1]), 0.0
+        return None
+    return (mod.q - 1) * (y[0] - y[1])
 
 
 @dataclass(frozen=True)
@@ -296,12 +293,9 @@ def list_identities() -> list[Identity]:
     return list(_ENTRIES.values())
 
 
-def verdict(lhs: int | None, rhs: int | None, residual: float) -> str:
-    """The status of a checked value: NUMERIC when the residual is too
-    large to trust the rounding, whatever the RHS; else SKIP when no RHS
-    applies; else PASS or FAIL by exact comparison."""
-    if residual >= RESIDUAL_TOL:
-        return NUMERIC
+def verdict(lhs: int | None, rhs: int | None) -> str:
+    """The status of a checked value: SKIP when no RHS applies, else PASS
+    or FAIL by exact comparison (every LHS is an exact integer)."""
     if rhs is None:
         return SKIP
     return PASS if lhs == rhs else FAIL
@@ -314,13 +308,13 @@ def evaluate(identity_id: str, modulus, params: dict | None = None) -> IdentityO
         raise UnknownIdentityError(identity_id)
     entry = _ENTRIES[identity_id]
     params = dict(params or {})
+    exp_sums._check_q(modulus)  # before as_modulus trial-divides q
     mod = as_modulus(modulus)
-    lhs, rhs, residual = None, None, 0.0
+    lhs, rhs = None, None
     if entry.applies(mod, params):
-        lhs, residual = entry.lhs(mod, params)
+        lhs = entry.lhs(mod, params)
         rhs = entry.rhs(mod.q, params)
-    status = verdict(lhs, rhs, residual)
-    return IdentityOutcome(identity_id, mod.q, params, lhs, rhs, residual, status)
+    return IdentityOutcome(identity_id, mod.q, params, lhs, rhs, verdict(lhs, rhs))
 
 
 def sweep(
@@ -343,10 +337,11 @@ def sweep(
 
 
 def summarize(rows) -> dict:
-    """Count rows (anything with a status and a residual) by status, with
-    the largest residual (0.0 if none): the one place where statuses are
-    tallied, in the key order of the CLI summaries."""
+    """Count rows (anything with a status) by status: the one place where
+    statuses are tallied, in the key order of the CLI summaries.  The
+    constant numeric and max_residual keys stay for the readers of that
+    output format."""
     counts = Counter(r.status for r in rows)
-    summary = {status: counts[status] for status in (PASS, FAIL, SKIP, NUMERIC)}
-    summary["max_residual"] = max((r.residual for r in rows), default=0.0)
+    summary = {status: counts[status] for status in (PASS, FAIL, SKIP)}
+    summary.update(numeric=0, max_residual=0.0)
     return summary

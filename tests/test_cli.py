@@ -75,21 +75,6 @@ def test_corrupted_rhs_flips_exit_code(capsys, monkeypatch):
     assert code == cli.EXIT_FAIL
 
 
-def test_large_residual_maps_to_numeric_exit(capsys, monkeypatch):
-    entry = registry._ENTRIES["salie_4th"]
-    monkeypatch.setitem(
-        registry._ENTRIES,
-        "salie_4th",
-        dataclasses.replace(entry, lhs=lambda mod, params: (160, 0.5)),
-    )
-    code, out = run(capsys, "verify", "--identity", "salie_4th", "--q", "5",
-                    "--format", "json")
-    assert code == cli.EXIT_NUMERIC
-    summary = json.loads(out)["summary"]
-    assert summary["fail"] == 0
-    assert summary["numeric"] >= 1
-
-
 def test_csv_output_header_and_rows(capsys):
     code, out = run(capsys, "verify", "--identity", "corollary1",
                     "--pmin", "3", "--pmax", "20", "--format", "csv")
@@ -195,31 +180,6 @@ def test_conjecture_row_without_closed_form_is_a_skip(capsys, k):
     assert (summary["pass"], summary["skip"], summary["crosscheck"]) == (0, 1, "unchecked")
 
 
-def test_conjecture_numeric_row_is_not_a_fail(capsys, monkeypatch):
-    # a value whose rounding cannot be trusted is numeric, not a fail,
-    # even where it misses its closed form (the power means are exact, so
-    # the report's rows are given that residual here)
-    real = conj.conjecture_report
-
-    def untrusted(*args):
-        rep = real(*args)
-        rows = [dataclasses.replace(r, value=r.value + 1, residual=0.5,
-                                    status=registry.verdict(r.value + 1, conj.closed_form(r.p, r.k), 0.5))
-                for r in rep.rows]
-        return dataclasses.replace(rep, rows=rows)
-
-    monkeypatch.setattr(conj, "conjecture_report", untrusted)
-    code, out = run(capsys, "conjecture", "--k", "2", "--pmin", "5", "--pmax", "13",
-                    "--format", "json")
-    assert code == cli.EXIT_NUMERIC
-    doc = json.loads(out)
-    summary = doc["summary"]
-    assert (summary["pass"], summary["fail"], summary["skip"], summary["numeric"]) == (
-        0, 0, 0, len(doc["rows"]))
-    assert len(doc["rows"]) == 4
-    assert summary["max_residual"] == 0.5
-
-
 def test_conjecture_bad_k(capsys):
     code, _ = run(capsys, "conjecture", "--k", "9", "--pmin", "5", "--pmax", "40")
     assert code == cli.EXIT_USAGE
@@ -268,7 +228,7 @@ def _with_rhs(identity, rhs):
         "zhang_composite_4th", _raise(ArithmeticError("zhang rhs not an integer")))),
      ("verify", "--identity", "zhang_composite_4th", "--q", "15"),
      cli.EXIT_NUMERIC, "numeric error"),
-    (lambda mp: mp.setattr(conj, "power_mean", _raise(ArithmeticError("residual 0.4"))),
+    (lambda mp: mp.setattr(conj, "power_mean", _raise(ArithmeticError("not an integer"))),
      ("conjecture", "--k", "2", "--pmin", "5", "--pmax", "13"),
      cli.EXIT_NUMERIC, "numeric error"),
     # a NotRepresentableError is a ValueError, yet not a usage error
@@ -279,7 +239,7 @@ def _with_rhs(identity, rhs):
     (lambda mp: mp.setattr(registry, "represent_4p", _raise(NotRepresentableError("p = 7"))),
      ("conjecture", "--k", "3", "--pmin", "5", "--pmax", "13"),
      cli.EXIT_FAIL, "internal invariant breach"),
-], ids=["verify_rhs_not_integer", "conjecture_residual",
+], ids=["verify_rhs_not_integer", "conjecture_arithmetic",
         "verify_not_representable", "conjecture_not_representable"])
 def test_arithmetic_errors_map_to_exit_codes(capsys, monkeypatch, patch, argv, code, prefix):
     patch(monkeypatch)
@@ -338,9 +298,8 @@ def test_sum_text_format(capsys):
         assert (code, out) == (cli.EXIT_OK, text + "\n"), argv
 
 
-# `sum --format json` parts as the int64 limb gather printed them on both
-# sides of q = 2^15, where its limb width changed: the count vector dotted
-# with the same root table prints the same bytes
+# `sum --format json` bytes on both sides of q = 2^15: the count vector
+# dotted with the integer root table must keep printing the same digits
 SUM_PINS = [
     ("kloosterman", 3, 5, 1, 32749, "333.411076412", "0.0"),
     ("kloosterman", 3, 5, 1, 32771, "89.639160143", "0.0"),
@@ -367,6 +326,45 @@ def test_sum_json_bytes_are_pinned(capsys, family, m, n, k, q, real, imag):
         '"rows":[{"family":"%s","m":%d,"n":%d,"k":%d,"q":%d,"real":%s,"imag":%s}],'
         '"summary":{"pass":1,"fail":0,"skip":0,"max_residual":0.0}}\n'
         % (family, family, m, n, k, q, real, imag))
+
+
+# the constant "residual", "numeric" and "max_residual" keys stay in the
+# bytes that readers of the output format parse
+CHECKED_PINS = [
+    (("verify", "--identity", "salie_4th", "--q", "5"),
+     '{"schema_version":"1","command":"verify","config_echo":{"identity":"salie_4th","q":5,"n":null},'
+     '"rows":[{"identity":"salie_4th","modulus":5,"n":null,"lhs":160,"rhs":160,"residual":0.0,'
+     '"pass":true}],"summary":{"pass":1,"fail":0,"skip":0,"numeric":0,"max_residual":0.0}}\n'),
+    (("conjecture", "--k", "2", "--pmin", "5", "--pmax", "7"),
+     '{"schema_version":"1","command":"conjecture","config_echo":{"k":2,"pmin":5,"pmax":7},'
+     '"rows":[{"p":5,"k":2,"value":225,"catalan":2,"main_term":250,"normalized_residual":-0.4472135955},'
+     '{"p":7,"k":2,"value":343,"catalan":2,"main_term":686,"normalized_residual":-2.64575131106}],'
+     '"summary":{"pass":2,"fail":0,"skip":0,"numeric":0,"max_residual":0.0,'
+     '"max_normalized_residual":2.64575131106,"crosscheck":"ok"}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CHECKED_PINS, ids=["verify", "conjecture"])
+def test_checked_command_json_bytes_are_pinned(capsys, argv, expected):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (cli.EXIT_OK, expected)
+
+
+@pytest.mark.parametrize("q", [2**31, 2**61 - 1])
+@pytest.mark.parametrize("identity", ["salie_4th", "corollary1"])
+def test_verify_rejects_moduli_beyond_int64_before_any_work(capsys, monkeypatch, identity, q):
+    # as_modulus trial-divides up to sqrt(q), and corollary1 would build a
+    # q-entry Legendre table: q is refused first
+    def no_work(*args):
+        raise AssertionError("verify did work before rejecting q")
+
+    monkeypatch.setattr(registry, "as_modulus", no_work)
+    code = cli.main(["verify", "--identity", identity, "--q", str(q)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert "2^31" in err and "\n" not in err and "Traceback" not in err
 
 
 def test_sum_json_format(capsys):

@@ -122,8 +122,7 @@ def test_power_mean_near_integral_sampled():
 
 
 def test_wide_slots_pin_the_twelfth_mean():
-    # 1999^6 needs 9-byte Kronecker slots; the values are 2^128
-    # fixed-point means rounded (residuals 8e-15 and 9e-16)
+    # 1999^6 needs 9-byte Kronecker slots; the values are exact counts
     assert power_mean(CONJECTURE_FAMILY, 1999, 12) == 16752866660353798632014860
     assert power_mean(SALIE, 1999, 12) == 16293634516098608833512659
 
@@ -451,7 +450,8 @@ def test_scalar_sums_are_the_exact_kernel_divided_once():
 
 
 def test_scalar_sums_across_the_three_to_four_limb_boundary():
-    # q = 2^15 - 1 takes three 48-bit limbs, q = 2^15 four 40-bit ones
+    # q = 2^15 - 1 and 2^15, an odd composite and a power of 2, against
+    # the reference sums
     for q in (2**15 - 1, 2**15):
         units = [a for a in range(1, q) if math.gcd(a, q) == 1]
         for m, n in [(1, 1), (2, 5), (q - 3, 7)]:
@@ -464,7 +464,8 @@ def test_scalar_sums_across_the_three_to_four_limb_boundary():
 
 def test_real_sums_have_zero_imaginary_part():
     # a -> -a negates the phase of a Kloosterman sum and of an odd-degree
-    # two-term sum; the mirrored table cancels the imaginary limbs exactly
+    # two-term sum, so the counts of j and q - j agree and the imaginary
+    # part is exactly 0
     for q in SCALAR_MODULI:
         for m in (0, 1, 2, -3, q + 1):
             for n in (0, 1, 5):
@@ -499,7 +500,7 @@ def test_names_nothing_calls_stay_deleted():
     import dataclasses
     import inspect
 
-    from expsumlab import arith, char_sums, conjecture, poly_search, registry
+    from expsumlab import arith, char_sums, cli, conjecture, poly_search, registry
 
     gone = {
         arith: ("gcd3", "factor_functions", "mod_inverse"),
@@ -510,8 +511,10 @@ def test_names_nothing_calls_stay_deleted():
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair"),
-        registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry"),
+        registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
+                   "RESIDUAL_TOL"),
         conjecture: ("CrossCheck",),
+        cli: ("_finish_checked",),
     }
     for owner, names in gone.items():
         for name in names:
@@ -520,5 +523,8 @@ def test_names_nothing_calls_stay_deleted():
     assert "structural_notes" not in fields
     fields = [f.name for f in dataclasses.fields(conjecture.ConjectureReport)]
     assert "crosscheck" not in fields and "max_power_mean_residual" not in fields
+    for record in (registry.IdentityOutcome, conjecture.ConjectureRow):
+        assert "residual" not in [f.name for f in dataclasses.fields(record)], record
+    assert list(inspect.signature(registry.verdict).parameters) == ["lhs", "rhs"]
     assert "passed" not in [f.name for f in dataclasses.fields(char_sums.Corollary1Result)]
     assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]
