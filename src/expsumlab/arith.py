@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 
 class NotRepresentableError(ValueError):
@@ -108,16 +109,24 @@ def check_range(lo: int, hi: int) -> None:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p <= hi, ascending."""
+    """All primes p with lo <= p <= hi, ascending: the primes up to
+    isqrt(hi) cross out their multiples in a window of hi - lo + 1 bytes,
+    so the cost follows the width of the range, not hi."""
     check_range(lo, hi)
-    if hi < 2:
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for d in range(2, math.isqrt(hi) + 1):
-        if sieve[d]:
-            sieve[d * d :: d] = b"\x00" * len(range(d * d, hi + 1, d))
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    root = math.isqrt(hi)
+    base = bytearray([1]) * (root + 1)
+    window = bytearray([1]) * (hi - lo + 1)
+    for d in range(2, root + 1):
+        if base[d]:
+            base[d * d :: d] = bytes(len(range(d * d, root + 1, d)))
+            # the first multiple of d in the window from d*d on; smaller
+            # ones have a smaller prime factor
+            start = max(d * d, -(-lo // d) * d) - lo
+            window[start::d] = bytes(len(range(start, len(window), d)))
+    return list(compress(range(lo, hi + 1), window))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,20 @@ Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
 under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
 does not divide is an invariant breach.
 
+Unit coefficients.  Write S_t(f) for the inner sum with fixed coefficient
+f.  If the monomial slot varies and f is a unit mod q, the total does
+not depend on f:
+  - inverse twist: a = f*b is a bijection of the units, and f*abar =
+    bbar, so S_t(f) = S_(t*f^k)(1);
+  - no twist: a = fbar*b is a bijection of the residues, and f*a = b, so
+    S_t(f) = S_(t*fbar^k)(1).
+t -> t*f^(+-k) is multiplication by a unit: it permutes the residues
+mod q and fixes 0, so it maps the sweep onto itself, with or without
+t = 0, and the total is that of f = 1.  power_mean therefore computes
+such a family at f = 1, and keeps its results per (family, q, 2k).  The
+linear slot is never normalised: there f multiplies a^k,
+and no substitution moves it onto the swept coefficient.
+
 Kronecker slots.  _convolve packs two vectors into integers, slot j at
 bit B*j, multiplies them and folds the product mod z^q - 1 with
 (M & mask) + (M >> q*B).  The product of c^*a and c^*b (or of c and its
@@ -56,7 +70,7 @@ series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -345,6 +359,9 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
     """2k-th power mean of |inner sum| over the sweep of the varying
     coefficient (complete residue system, zero term per the family flag),
     exact: one trace per Galois orbit of the sweep (module docstring).
+    A unit fixed coefficient of the monomial slot is replaced by 1, and
+    the last 1024 results are kept, so a process computes each
+    (family, q, 2k) it repeats once.
     ValueError if the sweep is not Galois-closed, AssertionError if phi(q)
     does not divide the total."""
     if two_k < 2 or two_k % 2 != 0:
@@ -352,7 +369,16 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
     q = _check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    mod = as_modulus(modulus)
+    if family.varying_slot == VARY_MONOMIAL and math.gcd(family.fixed_coefficient, q) == 1:
+        family = replace(family, fixed_coefficient=1)
+    return _power_mean(family, as_modulus(modulus), two_k)
+
+
+@lru_cache(maxsize=1024)
+def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
+    """power_mean after its checks; exceptions are not cached, so a
+    refused sweep raises on every call."""
+    q = mod.q
     u, v = _family_vectors(family, q)
     # H = {c^e}, each element once
     h = np.flatnonzero(np.bincount(_pow_mod(_units(q), _galois_exponent(family, mod.phi), q), minlength=q))

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -77,6 +79,32 @@ def test_primes_in_range():
 def test_primes_in_range_matches_trial_division(a, b):
     lo, hi = min(a, b), max(a, b)
     assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_primes_in_range_windows_match_trial_division():
+    rng = random.Random(19)
+    windows = [(lo, hi) for lo in range(4) for hi in range(lo, 12)]
+    for _ in range(100):
+        lo = rng.randrange(10**6)
+        windows.append((lo, lo + rng.randrange(1000)))
+    for lo, hi in windows:
+        assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
+
+
+def test_primes_in_range_memory_follows_the_window():
+    # the sieve used to hold hi + 1 bytes: 50 MB for this empty band
+    tracemalloc.start()
+    try:
+        assert primes_in_range(50_000_000, 50_000_000) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_primes_in_range_rejects_a_reversed_range():
+    with pytest.raises(ValueError, match="empty range: lo=5 > hi=3"):
+        primes_in_range(5, 3)
 
 
 def test_represent_4p_examples():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from expsumlab import cli, poly_search, registry
+from expsumlab import cli, exp_sums, poly_search, registry
 from expsumlab import conjecture as conj
 from expsumlab.arith import NotRepresentableError, primes_in_range
 from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json, prepare_reals
@@ -341,13 +341,41 @@ CHECKED_PINS = [
      '{"p":7,"k":2,"value":343,"catalan":2,"main_term":686,"normalized_residual":-2.64575131106}],'
      '"summary":{"pass":2,"fail":0,"skip":0,"numeric":0,"max_residual":0.0,'
      '"max_normalized_residual":2.64575131106,"crosscheck":"ok"}}\n'),
+    # unit n at prime and composite q; the non-unit n = 3 rows at q = 3,
+    # 9 and 15 are not applicable and print nothing
+    (("verify", "--identity", "zhang_composite_4th", "--qmin", "3", "--qmax", "15", "--n", "1", "--n", "3"),
+     '{"schema_version":"1","command":"verify","config_echo":{"identity":"zhang_composite_4th","qmin":3,"qmax":15,"n":[1,3]},'
+     '"rows":[{"identity":"zhang_composite_4th","modulus":3,"n":1,"lhs":18,"rhs":18,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":5,"n":1,"lhs":160,"rhs":160,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":5,"n":3,"lhs":160,"rhs":160,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":7,"n":1,"lhs":518,"rhs":518,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":7,"n":3,"lhs":518,"rhs":518,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":9,"n":1,"lhs":1458,"rhs":1458,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":11,"n":1,"lhs":2266,"rhs":2266,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":11,"n":3,"lhs":2266,"rhs":2266,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":13,"n":1,"lhs":3848,"rhs":3848,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":13,"n":3,"lhs":3848,"rhs":3848,"residual":0.0,"pass":true},'
+     '{"identity":"zhang_composite_4th","modulus":15,"n":1,"lhs":2880,"rhs":2880,"residual":0.0,"pass":true}],'
+     '"summary":{"pass":11,"fail":0,"skip":0,"numeric":0,"max_residual":0.0}}\n'),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", CHECKED_PINS, ids=["verify", "conjecture"])
+@pytest.mark.parametrize("argv, expected", CHECKED_PINS, ids=["verify", "conjecture", "verify-two-n"])
 def test_checked_command_json_bytes_are_pinned(capsys, argv, expected):
     code, out = run(capsys, *argv, "--format", "json")
     assert (code, out) == (cli.EXIT_OK, expected)
+
+
+def test_each_power_mean_is_computed_once_per_process(capsys):
+    # n = 7 is a unit at every prime but 7, so its rows reuse the n = 1
+    # means, and p = 7 has no n = 7 row
+    exp_sums._power_mean.cache_clear()
+    code, _ = run(capsys, "verify", "--identity", "zz_cubic_4th", "--pmin", "5", "--pmax", "61",
+                  "--n", "1", "--n", "7")
+    assert code == cli.EXIT_OK
+    primes = primes_in_range(5, 61)
+    info = exp_sums._power_mean.cache_info()
+    assert (info.misses, info.hits) == (len(primes), len([p for p in primes if p != 7]))
 
 
 @pytest.mark.parametrize("q", [2**31, 2**61 - 1])

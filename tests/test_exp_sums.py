@@ -402,6 +402,54 @@ def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):
             power_mean(SALIE, q, 4)
 
 
+MONOMIAL_SHAPES = [(TWIST_NONE, VARY_MONOMIAL), (TWIST_INVERSE, VARY_MONOMIAL)]
+
+
+@pytest.mark.parametrize("shape", MONOMIAL_SHAPES)
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
+    # power_mean computes a unit coefficient at 1 (module docstring);
+    # __wrapped__ computes it as given, past the cache
+    for q in range(3, 41):
+        mod = Modulus.from_int(q)
+        for c in range(1, q):
+            if math.gcd(c, q) != 1:
+                continue
+            family = PhaseFamily(1 + q % 4, *shape, c, include_zero)
+            for two_k in (2, 4, 6):
+                direct = exp_sums._power_mean.__wrapped__(family, mod, two_k)
+                assert power_mean(family, q, two_k) == direct, (family, q, two_k)
+
+
+@pytest.mark.parametrize("family, q", [
+    (PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, 3, True), 9),
+    (PhaseFamily(2, TWIST_NONE, VARY_MONOMIAL, 5, False), 15),
+    (PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 2, True), 12),
+    (PhaseFamily(3, TWIST_NONE, VARY_LINEAR, 2, False), 11),
+    (PhaseFamily(3, TWIST_NONE, VARY_LINEAR, 4, True), 25),
+])
+def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
+    # a non-unit coefficient, or any coefficient of the linear slot, is
+    # its own cache entry: computing it does not hit the entry of 1
+    one = replace(family, fixed_coefficient=1)
+    exp_sums._power_mean.cache_clear()
+    for two_k in (2, 4, 6):
+        power_mean(one, q, two_k)
+        value = power_mean(family, q, two_k)
+        assert value == exp_sums._power_mean.__wrapped__(family, Modulus.from_int(q), two_k)
+    info = exp_sums._power_mean.cache_info()
+    assert (info.hits, info.misses) == (0, 6)
+
+
+def test_refused_sweep_raises_on_every_call():
+    # lru_cache stores no exception: the second call is refused too
+    exp_sums._power_mean.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Galois"):
+            power_mean(registry._ZH_FAMILY, 7, 4)
+    assert exp_sums._power_mean.cache_info().currsize == 0
+
+
 def test_scalar_sums_reject_moduli_beyond_int64_limbs(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
