@@ -38,18 +38,7 @@ def factorize(q: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and factorize(n) == ((n, 1),)
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class Modulus:
     @classmethod
     def from_int(cls, q: int) -> "Modulus":
         fac = factorize(q)
-        return cls(q=q, factorization=fac, is_prime=(len(fac) == 1 and fac[0][1] == 1 and q > 1))
+        return cls(q=q, factorization=fac, is_prime=(fac == ((q, 1),)))
 
     @property
     def phi(self) -> int:

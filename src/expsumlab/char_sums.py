@@ -50,10 +50,6 @@ class PolynomialZ:
             v = v * x + c
         return v
 
-    def reflect(self) -> "PolynomialZ":
-        """f(-x)."""
-        return PolynomialZ.of(*((-1) ** i * c for i, c in enumerate(self.coeffs)))
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"

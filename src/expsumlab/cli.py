@@ -2,8 +2,8 @@
 search, and ad-hoc sum evaluation.
 
 Exit codes: 0 all checks passed (skips allowed), 1 identity/invariant
-failure, 2 usage error, 3 arithmetic error (a closed form that is not an
-integer).  The runners return 0 or 1 from the fail count of their
+failure, 2 usage error (also an --output path that cannot be written),
+3 arithmetic error (a closed form that is not an integer).  The runners return 0 or 1 from the fail count of their
 summary and 2 for a usage error they spot themselves; main() alone maps
 exceptions to exit codes.  Machine output (JSON/CSV) goes to --output or
 stdout; diagnostics go to stderr.
@@ -104,8 +104,13 @@ def _outcome_row(o: registry.IdentityOutcome) -> dict:
 
 def _write(args, payload: bytes) -> None:
     if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(payload)
+        # opened only now, so that a usage error found during the work
+        # leaves no empty file behind
+        try:
+            with open(args.output, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

@@ -11,7 +11,12 @@ exact symmetries of that sum at every odd prime p:
   - 4f has the same symbol as f, so f is dropped when 4 divides every
     coefficient (f/4 is enumerated instead);
   - x -> -x permutes 1..p-1, so f is dropped when f(-x) is also in the
-    space and is smaller.
+    space and is smaller.  f(-x) has the degree and the sum of absolute
+    coefficients of f, and the leading coefficient (-1)^deg * lead.  At
+    odd degree it is therefore outside the space; at even degree its
+    _order_key is smaller exactly when its coefficient tuple is.
+    enumerate_polys decides both rules on the ascending coefficient tuple
+    and builds a PolynomialZ only for the tuples it keeps.
 Sign normalization is a scope choice, not a symmetry: -f carries a factor
 (-1/p), which the twisted pass covers.  Shifts x -> x+t are not symmetries
 of the from-one sum (they move it by (f(t)/p) - (f(0)/p)) and prune nothing.
@@ -38,6 +43,7 @@ the form the corollary's own pair takes.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -121,37 +127,21 @@ def _order_key(f: PolynomialZ) -> tuple:
     return (f.degree, sum(abs(c) for c in f.coeffs), f.coeffs)
 
 
-def _is_canonical(f: PolynomialZ) -> bool:
-    """Keep f unless 4 divides every coefficient or f(-x) is a smaller
-    member of the sign-normalized space: both leave every odd-prime
-    sum unchanged."""
-    if all(c % 4 == 0 for c in f.coeffs):
-        return False
-    g = f.reflect()
-    return not (g.coeffs[-1] > 0 and _order_key(g) < _order_key(f))
-
-
 def enumerate_polys(max_degree: int, coeff_bound: int):
     """Deterministic stream of canonical polynomials: degree 1..max_degree,
     coefficients in [-bound, bound], leading coefficient positive."""
     if max_degree < 1 or coeff_bound < 1:
         raise ValueError("need max_degree >= 1 and coeff_bound >= 1")
-
-    def rec(prefix: list[int], remaining: int):
-        if remaining == 0:
-            yield list(prefix)
-            return
-        for c in range(-coeff_bound, coeff_bound + 1):
-            prefix.append(c)
-            yield from rec(prefix, remaining - 1)
-            prefix.pop()
-
+    span = range(-coeff_bound, coeff_bound + 1)
     for degree in range(1, max_degree + 1):
         for lead in range(1, coeff_bound + 1):
-            for lower in rec([], degree):
-                f = PolynomialZ(tuple(lower) + (lead,))
-                if _is_canonical(f):
-                    yield f
+            for lower in itertools.product(span, repeat=degree):
+                c = (*lower, lead)
+                if all(a % 4 == 0 for a in c):
+                    continue
+                if degree % 2 == 0 and c > tuple(-a if i % 2 else a for i, a in enumerate(c)):
+                    continue
+                yield PolynomialZ(c)
 
 
 def _euler_sums(polys, primes) -> np.ndarray:
@@ -233,12 +223,8 @@ def search_constant_pairs(
         raise ValueError("evidence prime list must have at least 8 primes")
     for p in primes:
         _check_odd_prime(p)
-    polys = list(enumerate_polys(max_degree, coeff_bound))
-    for f in extra_polys:
-        if f not in polys:
-            polys.append(f)
-    # sorted once, with unique keys, so that row order is _order_key order
-    polys.sort(key=_order_key)
+    # unique keys, so that row order is _order_key order
+    polys = sorted({*enumerate_polys(max_degree, coeff_bound), *extra_polys}, key=_order_key)
     # the oracle's blocks come and go before the symbol matrix is allocated
     oracle = _euler_sums(polys, primes)
     sums, symbols = _symbol_rows(polys, primes)

@@ -59,6 +59,16 @@ def test_factorization_reassembles(q):
     assert prod == q
 
 
+@pytest.mark.parametrize("n, expected", [
+    (-7, False), (0, False), (1, False), (2, True), (4, False),
+    (2**31 - 1, True), (2**31 - 3, False),
+])
+def test_is_prime_edges(n, expected):
+    assert is_prime(n) == expected
+    if n >= 1:
+        assert Modulus.from_int(n).is_prime == expected
+
+
 def test_modulus_fields():
     m = Modulus.from_int(45)
     assert m.factorization == ((3, 2), (5, 1))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -277,6 +278,33 @@ def test_search_command(capsys):
     doc = json.loads(out)
     assert {"f": "x^2+1", "g": "x^2+4", "c": 0, "primes_checked": 24,
             "twisted": False} in doc["rows"]
+
+
+def test_benchmark_size_search_bytes_are_pinned(capsys):
+    # the twisted degree-3, bound-2 search at primes 3..103: enumeration,
+    # grouping and re-verify must keep printing the same bytes
+    code, out = run(capsys, "search", "--max-degree", "3", "--coeff-bound", "2",
+                    "--prime-min", "3", "--prime-max", "103", "--twisted", "--format", "json")
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "8e10dd9205088feec75d4cbcfa0f6d4abec790bac521ae43fab0590159c4e75e")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--identity", "salie_4th", "--q", "5"),
+    ("sum", "--family", "kloosterman", "--m", "1", "--q", "5"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_output_is_usage_error_without_traceback(capsys, tmp_path, argv, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+    code = cli.main([*argv, "--format", "json", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(f"cannot write {path}: ")
+    assert "\n" not in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sum_text_format(capsys):

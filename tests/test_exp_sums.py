@@ -554,11 +554,12 @@ def test_names_nothing_calls_stay_deleted():
         arith: ("gcd3", "factor_functions", "mod_inverse"),
         arith.Modulus: ("divisor_count",),
         char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
-        char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod"),
+        char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod", "reflect"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
-                      "signature", "normalized_key", "fundamentally_different", "_verify_pair"),
+                      "signature", "normalized_key", "fundamentally_different", "_verify_pair",
+                      "_is_canonical"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
                    "RESIDUAL_TOL"),
         conjecture: ("CrossCheck",),

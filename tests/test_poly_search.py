@@ -82,6 +82,52 @@ def test_enumerate_prunes_only_exact_symmetries():
         assert row in kept_sums, str(f)
 
 
+def _reference_enumeration(max_degree, bound):
+    """The former rule, rebuilt test-side: lower coefficients from a
+    recursive generator, f dropped when 4 divides every coefficient or
+    when f(-x) has a positive lead and a smaller _order_key."""
+    def rec(prefix, remaining):
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for c in range(-bound, bound + 1):
+            yield from rec([*prefix, c], remaining - 1)
+
+    def reflect(coeffs):
+        return tuple((-1) ** i * c for i, c in enumerate(coeffs))
+
+    out = []
+    for degree in range(1, max_degree + 1):
+        for lead in range(1, bound + 1):
+            for lower in rec([], degree):
+                f = PolynomialZ((*lower, lead))
+                if all(c % 4 == 0 for c in f.coeffs):
+                    continue
+                g = PolynomialZ(reflect(f.coeffs))
+                if g.coeffs[-1] > 0 and _order_key(g) < _order_key(f):
+                    continue
+                out.append(f.coeffs)
+    return out
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_enumerate_matches_reference_rule(degree, bound):
+    assert [f.coeffs for f in enumerate_polys(degree, bound)] == (
+        _reference_enumeration(degree, bound))
+
+
+def test_seeding_twice_or_inside_the_space_changes_nothing():
+    primes = tuple(primes_in_range(3, 103))
+    inside = PolynomialZ.of(1, 0, 1)  # x^2+1, already enumerated
+    once = search_constant_pairs(2, 2, primes, twisted=True, extra_polys=(CUBIC_CCC,))
+    again = search_constant_pairs(
+        2, 2, primes, twisted=True, extra_polys=(CUBIC_CCC, inside, CUBIC_CCC))
+    assert inside in enumerate_polys(2, 2)
+    assert again.n_polynomials == once.n_polynomials == len(list(enumerate_polys(2, 2))) + 1
+    assert again.hits == once.hits
+
+
 def test_enumerate_excludes_square_multiples():
     polys = list(enumerate_polys(2, 4))
     assert PolynomialZ.of(0, 4) not in polys  # 4x = 2^2 * x
