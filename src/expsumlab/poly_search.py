@@ -21,21 +21,31 @@ Sign normalization is a scope choice, not a symmetry: -f carries a factor
 (-1/p), which the twisted pass covers.  Shifts x -> x+t are not symmetries
 of the from-one sum (they move it by (f(t)/p) - (f(0)/p)) and prune nothing.
 
-Sums and symbols come from one batched pass per prime (_symbol_rows):
-every polynomial is evaluated over x = 1..p-1 by Horner's rule on int64
-blocks, and the symbols are gathered from the Legendre table of p.  Row i
-of both matrices belongs to polynomial i, and the symbol rows decide
-whether a grouped pair is fundamentally different, so the search has one
-signature path and no per-x Python loop.
+Sums and symbols come from one batched pass per prime (_symbol_rows),
+in the power basis: one int64 matrix product of the coefficients reduced
+mod p with a table of the powers x^i mod p evaluates every polynomial at
+x = 1..p-1, one % p reduces each value once, and the symbols are gathered
+from the Legendre table of p.  A product entry is at most width*(p-1)^2
+for width coefficients per row, so search_constant_pairs rejects, before
+any work, a prime where that reaches 2^63.  Row i of both matrices
+belongs to polynomial i.  Grouping collects every candidate pair, and one
+array test over blocks of pairs (_differing) keeps the fundamentally
+different ones: some x where both symbols are nonzero and differ.  The
+search has one signature path and no per-x Python loop.
 
 Every emitted hit is re-verified at every evidence prime by an
-independent oracle computed once for all polynomials of the search:
-f(x) is evaluated mod p and classified by a p-entry table of Euler's
-criterion y^((p-1)/2) mod p, built by pow, never through the squares
-table of _legendre_array, arith.legendre, char_sum_poly or _symbol_rows;
-the oracle shares no classification code with the signature path it
-checks.  After grouping, one array expression (_sound) checks every hit
-at every prime.  Hits are conjectural evidence, never theorems.
+independent oracle computed once for all polynomials of the search
+(_euler_sums): f(x) is evaluated by Horner's rule, not in the power
+basis, and classified by a p-entry table of Euler's criterion y^((p-1)/2)
+mod p, built by pow, never through the squares table of _legendre_array,
+arith.legendre, char_sum_poly or _symbol_rows.  Its Horner loop tracks a
+bound on the int64 entries and reduces mod p only before a step that
+could reach 2^63, then once at the end; that is exact for any p < 2^31,
+which the power-basis bound implies (width >= 2), and at the search's
+primes it reduces only at the end.  The oracle thus shares neither
+evaluation nor classification code with the signature path it checks.
+After grouping, one array expression (_sound) checks every hit at every
+prime.  Hits are conjectural evidence, never theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
@@ -52,10 +62,16 @@ import numpy as np
 from .arith import _check_odd_prime, legendre
 from .char_sums import PolynomialZ, _legendre_array
 
-# elements of one int64 (polynomials x points) Horner block in _symbol_rows
-# and _euler_sums, each then one gather from a p-entry table: the degree-3
+# elements of one int64 (polynomials x points) block in _symbol_rows and
+# _euler_sums, each then one gather from a p-entry table: the degree-3
 # bound-2 search at primes up to 103 is one block per prime
 _EULER_BLOCK = 1 << 15
+# elements of one int8 (pairs x symbol columns) block in _differing: 212
+# pairs at the 1236 columns of primes 3..103, so that the blocks' few
+# temporaries stay well below the symbol matrix
+_PAIR_BLOCK = 1 << 18
+# no int64 entry of either evaluation may reach this
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -82,11 +98,17 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     columns: x = 1..p-1 of the first prime, then of the next.
 
     Per prime, the coefficients are reduced mod p first, as Python
-    integers, so seeded polynomials of any size stay exact.  Horner's rule
-    then runs over blocks of rows, each int64 (rows x (p-1)) array holding
-    at most _EULER_BLOCK elements, and each block gathers its symbols from
-    _legendre_array(p), which also validates p, straight into the one
-    preallocated symbol matrix.
+    integers, so seeded polynomials of any size stay exact.  Every
+    polynomial is then evaluated in the power basis: with width the common
+    number of coefficients and powers[i, x-1] = x^(width-1-i) mod p, one
+    int64 matrix product (reduced coefficients) @ powers gives f(x) before
+    reduction, and one % p reduces it.  Each entry of the product is a sum
+    of width terms below p each times below p, so at most width*(p-1)^2,
+    exact in int64 while that is below 2^63 (search_constant_pairs rejects
+    any prime beyond it).  The product runs over blocks of rows, each
+    (rows x (p-1)) block holding at most _EULER_BLOCK elements, and each
+    block gathers its symbols from _legendre_array(p), which also validates
+    p, straight into the one preallocated symbol matrix.
     """
     if any(f.is_zero for f in polys):
         raise ValueError("character sum of the zero polynomial")
@@ -101,14 +123,14 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
         table = _legendre_array(p).astype(np.int8)
         reduced = (coeffs % p).astype(np.int64)
         xs = np.arange(1, p, dtype=np.int64)
+        powers = np.empty((width, p - 1), dtype=np.int64)
+        powers[-1] = 1
+        for i in range(width - 2, -1, -1):
+            powers[i] = powers[i + 1] * xs % p
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
-            rows = reduced[r0:r0 + step]
-            vals = np.zeros((len(rows), p - 1), dtype=np.int64)
-            for col in rows.T:
-                vals *= xs  # in place: no temporaries beside the block
-                vals += col[:, None]
-                vals %= p
+            vals = reduced[r0:r0 + step] @ powers
+            vals %= p
             block = table[vals]
             symbols[r0:r0 + step, lo:lo + p - 1] = block
             sums[r0:r0 + step, j] = block.sum(axis=1)
@@ -116,10 +138,18 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     return sums, symbols
 
 
-def _differ(symbols_f: np.ndarray, symbols_g: np.ndarray) -> bool:
-    """True iff some column of the two symbol rows multiplies to -1: both
-    symbols nonzero and different."""
-    return bool((symbols_f * symbols_g == -1).any())
+def _differing(symbols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per pair k, True iff rows i[k] and j[k] of the symbol matrix are
+    fundamentally different: some column multiplies to -1, both symbols
+    nonzero and different.  One array expression over blocks of pairs, each
+    (pairs x columns) block holding at most _PAIR_BLOCK elements."""
+    out = np.empty(len(i), dtype=bool)
+    step = max(1, _PAIR_BLOCK // symbols.shape[1])
+    for k in range(0, len(i), step):
+        block = symbols[i[k:k + step]]
+        block *= symbols[j[k:k + step]]
+        out[k:k + step] = (block == -1).any(axis=1)
+    return out
 
 
 def _order_key(f: PolynomialZ) -> tuple:
@@ -151,15 +181,20 @@ def _euler_sums(polys, primes) -> np.ndarray:
     Per prime, Euler's criterion classifies every residue once: euler[y]
     is y^((p-1)/2) mod p by Python pow, read as 1, -1 (for p-1) or 0.  The
     table is built from that power alone, not from _legendre_array's
-    squares nor from arith.legendre, so the oracle shares no code with
-    the signature path it checks.  The polynomials are then evaluated
-    over x = 1..p-1 by the same in-place Horner loop as _symbol_rows, a
-    block of rows at a time so that each int64 (rows x (p-1)) array holds
-    at most _EULER_BLOCK elements, with each coefficient reduced mod p
-    first so seeded polynomials of any size stay exact.  Each Horner value
-    stays below p^2 + p, so int64 is exact for the search's primes; each
-    block is one gather from the table and one row sum.  The primes are
-    the search's evidence primes, validated as odd primes by
+    squares nor from arith.legendre, and the polynomials are evaluated by
+    Horner's rule, not by _symbol_rows' power basis, so the oracle shares
+    no code with the signature path it checks.  Each coefficient is
+    reduced mod p first so seeded polynomials of any size stay exact; the
+    Horner loop then runs in place over blocks of rows, each int64 (rows x
+    (p-1)) array holding at most _EULER_BLOCK elements, and reduces mod p
+    only when int64 requires it.  top bounds every entry: a step with x and
+    a coefficient at most p-1 takes it to (top+1)*(p-1), so the loop
+    reduces (top becomes p-1) only before a step that could reach 2^63,
+    and once at the end.  That is exact for any p < 2^31, where a step
+    from p-1 stays below p^2 < 2^62, and any number of coefficients; at
+    the search's primes no step before the last reduction needs one.  Each
+    block is then one gather from the table and one row sum.  The primes
+    are the search's evidence primes, validated as odd primes by
     search_constant_pairs.
     """
     width = max(len(f.coeffs) for f in polys)
@@ -176,11 +211,17 @@ def _euler_sums(polys, primes) -> np.ndarray:
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
             rows = reduced[r0:r0 + step]
-            vals = np.zeros((len(rows), p - 1), dtype=np.int64)
-            for col in rows.T:
-                vals *= xs
+            vals = np.empty((len(rows), p - 1), dtype=np.int64)
+            vals[:] = rows[:, :1]
+            top = p - 1
+            for col in rows.T[1:]:
+                if (top + 1) * (p - 1) >= _INT64_LIMIT:
+                    vals %= p
+                    top = p - 1
+                vals *= xs  # in place: no temporaries beside the block
                 vals += col[:, None]
-                vals %= p
+                top = (top + 1) * (p - 1)
+            vals %= p
             out[r0:r0 + step, j] = euler[vals].sum(axis=1)
     return out
 
@@ -219,10 +260,15 @@ def search_constant_pairs(
     coefficients may exceed the enumeration bound).
     """
     primes = tuple(primes)
+    extra_polys = tuple(extra_polys)
     if len(primes) < 8:
         raise ValueError("evidence prime list must have at least 8 primes")
+    # coefficients per row of _symbol_rows' power-basis product
+    width = max([max_degree + 1, *(len(f.coeffs) for f in extra_polys)])
     for p in primes:
         _check_odd_prime(p)
+        if width * (p - 1) ** 2 >= _INT64_LIMIT:
+            raise ValueError(f"prime {p} too large for int64 sums: {width} * ({p} - 1)^2 >= 2^63")
     # unique keys, so that row order is _order_key order
     polys = sorted({*enumerate_polys(max_degree, coeff_bound), *extra_polys}, key=_order_key)
     # the oracle's blocks come and go before the symbol matrix is allocated
@@ -232,13 +278,11 @@ def search_constant_pairs(
     rows = sums.tolist()
     minus_one = [legendre(-1, p) for p in primes]
 
-    # (c, i, j, twisted) of each hit
+    # (c, i, j, twisted) of each candidate: grouped rows differ by the same
+    # constant at every prime
     found: list[tuple[int, int, int, bool]] = []
 
     def emit(i: int, j: int, is_twisted: bool):
-        if not _differ(symbols[i], symbols[j]):
-            return
-        # grouped rows differ by the same constant at every prime
         c = (minus_one[0] if is_twisted else 1) * rows[i][0] - rows[j][0]
         found.append((c, i, j, is_twisted))
 
@@ -255,6 +299,12 @@ def search_constant_pairs(
                 for j in groups.get(key, []):
                     if i != j:
                         emit(i, j, True)
+    # every candidate is collected: free the rows and their groups (several
+    # MB at degree 4, bound 4, primes to 103) before the pair test, whose
+    # hits are the fundamentally different candidates
+    del groups, rows
+    _, i, j, _ = np.array(found, dtype=np.int64).reshape(-1, 4).T
+    found = list(itertools.compress(found, _differing(symbols, i, j)))
     # every pair is decided: free the symbols (19 MB at degree 4, bound 4,
     # primes to 103) before the hits x primes arrays of the re-verify
     del symbols

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, independent of the library's fast paths."""
 
 import cmath
+import functools
 import math
 
 import pytest
@@ -11,13 +12,17 @@ def e_p(x: int, p: int) -> complex:
     return cmath.exp(2j * math.pi * (x % p) / p)
 
 
+@functools.cache
+def _nonzero_squares(p: int) -> frozenset[int]:
+    return frozenset(x * x % p for x in range(1, p))
+
+
 def legendre_by_squares(a: int, p: int) -> int:
     """Legendre symbol by enumerating the nonzero squares mod p."""
     a %= p
     if a == 0:
         return 0
-    squares = {x * x % p for x in range(1, p)}
-    return 1 if a in squares else -1
+    return 1 if a in _nonzero_squares(p) else -1
 
 
 def char_sum_direct(coeffs, p: int, include_zero: bool = False) -> int:

@@ -107,6 +107,12 @@ def test_acceptance_06_cubic_sixth_mean_over_linear_slot():
     # Known defect in the published closed form: the stated value
     # 5p^4-8p^3-p^2 contradicts the sum itself (p=5: sum 2500 vs 2100) and
     # its own sibling identities.  Kept faithful, reported honestly.
+    # Why it must fail: for a != 0 the substitution n = b/a turns
+    # sum_n e((n^3 + a n)/p) into sum_b e((a^-3 b^3 + b)/p).  For 3 not
+    # dividing p-1, a -> a^-3 permutes 1..p-1, so this mean is the mean of
+    # the cubic family sum_b e((m b^3 + b)/p) over m = 1..p-1, which
+    # zm_cubic_6th (acceptance 7) gives as 5p^3(p-1).  The displayed form
+    # would need 5p^4-8p^3-p^2 = 5p^4-5p^3, i.e. 3p^3 = -p^2, at every p.
     bad = ""
     for p in primes_in_range(5, 199):
         if (p - 1) % 3 == 0:

@@ -271,6 +271,22 @@ def test_search_invariant_breach_exits_1(capsys, monkeypatch):
     assert err == "internal invariant breach: grouping produced an unsound hit: x vs x-1"
 
 
+def test_search_rejects_a_prime_beyond_int64_sums(capsys, monkeypatch):
+    # 5 * (p - 1)^2 >= 2^63 for every prime of the window: exit 2 before
+    # any polynomial is enumerated
+    def no_work(*args):
+        raise AssertionError("the search did work before checking its primes")
+
+    monkeypatch.setattr(poly_search, "enumerate_polys", no_work)
+    code = cli.main(["search", "--max-degree", "4", "--coeff-bound", "1",
+                     "--prime-min", "1358187914", "--prime-max", "1358188200"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.strip() == ("prime 1358187923 too large for int64 sums: "
+                                    "5 * (1358187923 - 1)^2 >= 2^63")
+
+
 def test_search_command(capsys):
     code, out = run(capsys, "search", "--max-degree", "2", "--coeff-bound", "4",
                     "--prime-max", "100", "--format", "json")

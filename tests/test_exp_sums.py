@@ -391,7 +391,7 @@ def test_power_mean_is_exact_or_refused(degree, shape, fixed, include_zero, q, t
     assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, 0 if include_zero else 1))
 
 
-def test_power_mean_rejects_moduli_beyond_int64_limbs(monkeypatch):
+def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("power_mean did work before rejecting q")
 
@@ -450,7 +450,7 @@ def test_refused_sweep_raises_on_every_call():
     assert exp_sums._power_mean.cache_info().currsize == 0
 
 
-def test_scalar_sums_reject_moduli_beyond_int64_limbs(monkeypatch):
+def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
 
@@ -497,7 +497,7 @@ def test_scalar_sums_are_the_exact_kernel_divided_once():
                     assert twisted_sum(m, k, q) == ref, (m, k, q)
 
 
-def test_scalar_sums_across_the_three_to_four_limb_boundary():
+def test_scalar_sums_at_q_32767_and_32768():
     # q = 2^15 - 1 and 2^15, an odd composite and a power of 2, against
     # the reference sums
     for q in (2**15 - 1, 2**15):
@@ -559,7 +559,7 @@ def test_names_nothing_calls_stay_deleted():
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
-                      "_is_canonical"),
+                      "_is_canonical", "_differ"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
                    "RESIDUAL_TOL"),
         conjecture: ("CrossCheck",),

@@ -8,7 +8,7 @@ from expsumlab import char_sums, poly_search
 from expsumlab.arith import legendre, primes_in_range
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X, char_sum_poly
 from expsumlab.poly_search import (
-    _differ,
+    _differing,
     _euler_sums,
     _group,
     _order_key,
@@ -45,12 +45,19 @@ def test_group_keys_are_shift_invariant():
     assert dict(groups) == {(0, 2, 6): [0, 2], (0, 0, 0): [1]}
 
 
+def _pairs(*pairs) -> np.ndarray:
+    # the rows i and j of _differing's arguments, as one (2, n) array
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+
+
 def test_differ_cases():
     f = PolynomialZ.of(1, 0, 1)  # x^2 + 1
     _, symbols = _symbol_rows([f, PolynomialZ.of(4, 0, 4), PolynomialZ.of(4, 0, 1)], PRIMES)
-    assert not _differ(symbols[0], symbols[0])
-    assert not _differ(symbols[0], symbols[1])
-    assert _differ(symbols[0], symbols[2])
+    # f against itself, against 4f (the same symbols), against x^2+4 and,
+    # in the other order, x^2+4 against f
+    decided = _differing(symbols, *_pairs((0, 0), (0, 1), (0, 2), (2, 0)))
+    assert decided.tolist() == [False, False, True, True]
+    assert _differing(symbols, *_pairs()).shape == (0,)
 
 
 def test_enumerate_canonical_representatives():
@@ -303,12 +310,13 @@ def test_symbol_rows_decide_difference_like_brute_force():
     brute = [_brute_symbols(g, primes) for g in small]
     _, symbols = _symbol_rows(small, primes)
     assert symbols.tolist() == brute
+    pairs = list(itertools.combinations(range(len(small)), 2))
     decided = {}
-    for (i, a), (j, b) in itertools.combinations(enumerate(small), 2):
-        decided[a, b] = poly_search._differ(symbols[i], symbols[j])
+    for (i, j), differ in zip(pairs, _differing(symbols, *_pairs(*pairs)).tolist()):
+        a, b = small[i], small[j]
+        decided[a, b] = differ
         # per x: both symbols nonzero and different
-        assert decided[a, b] == any(u * v == -1 for u, v in zip(brute[i], brute[j])), (
-            str(a), str(b))
+        assert differ == any(u * v == -1 for u, v in zip(brute[i], brute[j])), (str(a), str(b))
     assert not decided[f, four_f]
     assert not decided[f, x2_f]
     assert not decided[f, shifted_square_f]
@@ -325,6 +333,64 @@ def test_symbol_rows_blocks_match_one_block(monkeypatch):
         sums, symbols = _symbol_rows(polys, primes)
         assert (sums == one_sums).all(), budget
         assert (symbols == one_symbols).all(), budget
+
+
+def test_pair_block_budget_keeps_the_hits(monkeypatch):
+    # the pair test runs in blocks of at most _PAIR_BLOCK symbol elements;
+    # any budget, from one pair per block to one block for all, keeps the
+    # same hits
+    primes = tuple(primes_in_range(3, 103))
+    default = search_constant_pairs(3, 2, primes, twisted=True)
+    for budget in (1, 7, 5000, 1 << 30):
+        monkeypatch.setattr(poly_search, "_PAIR_BLOCK", budget)
+        assert search_constant_pairs(3, 2, primes, twisted=True).hits == default.hits, budget
+
+
+# degree 6 and 8, one with coefficients beyond int64: at the primes
+# 601..700, p^7 >= 2^63, so the oracle's Horner loop must reduce before its
+# last step at either width; a lead of -1 (p - 1 once reduced) takes the
+# unreduced values past 2^63
+DEGREE_6 = [PolynomialZ.of(3, -1, 0, 2, 5, -7, -1), PolynomialZ.of(-5, 0, 0, 0, 0, 0, 2)]
+DEGREE_8 = [PolynomialZ.of(1, 2, 3, 4, 5, 6, 7, 8, 9),
+            PolynomialZ.of(2**64 + 1, -(2**70), 0, 3, 0, 0, 0, 2**63 + 5, -1)]
+
+
+@pytest.mark.parametrize("polys", [DEGREE_6, DEGREE_6 + DEGREE_8], ids=["width7", "width9"])
+def test_wide_polynomials_at_large_primes_match_brute_force(polys):
+    primes = tuple(primes_in_range(601, 700))
+    assert len(primes) >= 8 and all(p**7 >= 2**63 for p in primes)
+    brute = [_brute_symbols(f, primes) for f in polys]
+    expected = []
+    for row in brute:
+        rest = iter(row)
+        expected.append([sum(itertools.islice(rest, p - 1)) for p in primes])
+    assert _euler_sums(polys, primes).tolist() == expected
+    sums, symbols = _symbol_rows(polys, primes)
+    assert sums.tolist() == expected
+    assert symbols.tolist() == brute
+
+
+@pytest.mark.parametrize("max_degree, extra, width, inside, beyond", [
+    (4, (), 5, 1_358_187_913, 1_358_187_923),
+    # the width is set by a seeded degree-8 polynomial
+    (2, (DEGREE_8[0],), 9, 1_012_333_499, 1_012_333_519),
+])
+def test_search_rejects_primes_beyond_the_power_basis_bound(monkeypatch, max_degree, extra, width,
+                                                             inside, beyond):
+    # the power-basis product is exact in int64 while width * (p - 1)^2 <
+    # 2^63; a prime beyond that is refused before any matrix is allocated
+    assert width * (inside - 1) ** 2 < 2**63 <= width * (beyond - 1) ** 2
+
+    def no_work(*args):
+        raise AssertionError("the search did work before checking its primes")
+
+    for name in ("enumerate_polys", "_euler_sums", "_symbol_rows"):
+        monkeypatch.setattr(poly_search, name, no_work)
+    small = [3, 5, 7, 11, 13, 17, 19]
+    with pytest.raises(ValueError, match=f"prime {beyond} too large"):
+        search_constant_pairs(max_degree, 2, [*small, beyond], extra_polys=extra)
+    with pytest.raises(AssertionError, match="did work"):
+        search_constant_pairs(max_degree, 2, [*small, inside], extra_polys=extra)
 
 
 def test_euler_oracle_blocks_match_one_block(monkeypatch):

@@ -101,6 +101,19 @@ def test_zh_cubic_factual_failure():
     assert out.lhs == 2500 and out.rhs == 2100
 
 
+def test_zh_mean_is_the_cubic_family_mean():
+    # for a != 0, n = b/a turns sum_n e((n^3 + a n)/p) into
+    # sum_b e((a^-3 b^3 + b)/p); at p = 2 mod 3, gcd(3, p - 1) = 1, so
+    # a -> a^-3 permutes 1..p-1 and ZH's sweep over the linear coefficient
+    # has the multiset of |S| of the cubic family (n = 1) over m = 1..p-1
+    for p in primes_in_range(5, 200):
+        if p % 3 != 2:
+            continue
+        for two_k in (2, 4, 6, 8):
+            zh = exp_sums.power_mean(registry._ZH_FAMILY, p, two_k)
+            assert zh == exp_sums.power_mean(registry._cubic_family(1), p, two_k), (p, two_k)
+
+
 def test_zh_cubic_lhs_matches_sibling_identity():
     # for 3 not dividing p-1, cubing is a bijection, so the mean over the
     # linear slot equals (p-1) copies of the n = 1 monomial-slot mean plus
