@@ -20,13 +20,8 @@ bijection of the domain for a unit lambda, makes it S_(c^e t), with f
 the fixed coefficient and k the degree:
   - inverse twist (u = a^k, v = f*abar, a a unit): a = c*b gives the
     phase c^(k+1)*t*b^k + f*bbar, so e = k + 1;
-  - monomial slot (u = a^k, v = f*a): a = cbar*b gives c^(1-k)*t*b^k +
-    f*b, so e = 1 - k;
-  - linear slot (u = a, v = f*a^k): with kk' = 1 mod phi(q), a = c^-k' b
-    gives c^(1-k')*t*b + c^(1-kk')*f*b^k, and c^(kk') = c, so e = 1 - k'.
-    With gcd(k, phi(q)) != 1 there is no k' and the sweep need not be
-    Galois-closed (ZH at p = 1 mod 3: its 4th mean at p = 7 is not an
-    integer), so power_mean refuses it.
+  - no twist (u = a^k, v = f*a): a = cbar*b gives c^(1-k)*t*b^k + f*b,
+    so e = 1 - k.
 t -> c^e*t maps the sweep (t = 0..q-1, or 1..q-1) onto itself.  So its
 total T = sum_t y_t is fixed by every sigma_c, hence an integer equal to
 Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
@@ -34,8 +29,7 @@ under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
 does not divide is an invariant breach.
 
 Unit coefficients.  Write S_t(f) for the inner sum with fixed coefficient
-f.  If the monomial slot varies and f is a unit mod q, the total does
-not depend on f:
+f.  If f is a unit mod q, the total does not depend on f:
   - inverse twist: a = f*b is a bijection of the units, and f*abar =
     bbar, so S_t(f) = S_(t*f^k)(1);
   - no twist: a = fbar*b is a bijection of the residues, and f*a = b, so
@@ -43,9 +37,7 @@ not depend on f:
 t -> t*f^(+-k) is multiplication by a unit: it permutes the residues
 mod q and fixes 0, so it maps the sweep onto itself, with or without
 t = 0, and the total is that of f = 1.  power_mean therefore computes
-such a family at f = 1, and keeps its results per (family, q, 2k).  The
-linear slot is never normalised: there f multiplies a^k,
-and no substitution moves it onto the swept coefficient.
+such a family at f = 1, and keeps its results per (family, q, 2k).
 
 Kronecker slots.  _convolve packs two vectors into integers, slot j at
 bit B*j, multiplies them and folds the product mod z^q - 1 with
@@ -85,19 +77,16 @@ _SCALE = 1 << _SCALE_BITS
 
 TWIST_NONE = "none"
 TWIST_INVERSE = "inverse"
-VARY_MONOMIAL = "monomial_coefficient"
-VARY_LINEAR = "linear_coefficient"
 
 
 @dataclass(frozen=True)
 class PhaseFamily:
     """Which exponential-sum family a power mean ranges over.
 
-    The inner sum is, per sweep value t:
+    The inner sum is, per sweep value t of the monomial coefficient:
 
-      twist none,    vary monomial:  sum_a e((t*a^k + c*a) / q)
-      twist none,    vary linear:    sum_a e((c*a^k + t*a) / q)
-      twist inverse, vary monomial:  sum_a e((t*a^k + c*abar) / q)  (a a unit)
+      twist none:     sum_a e((t*a^k + c*a) / q)
+      twist inverse:  sum_a e((t*a^k + c*abar) / q)  (a a unit)
 
     where c is fixed_coefficient.  The a-domain is the units mod q under
     the inverse twist and all residues mod q otherwise.
@@ -105,7 +94,6 @@ class PhaseFamily:
 
     monomial_degree: int
     twist: str = TWIST_NONE
-    varying_slot: str = VARY_MONOMIAL
     fixed_coefficient: int = 1
     include_zero_in_sweep: bool = True
 
@@ -114,10 +102,6 @@ class PhaseFamily:
             raise ValueError("monomial_degree must be >= 1")
         if self.twist not in (TWIST_NONE, TWIST_INVERSE):
             raise ValueError(f"bad twist {self.twist!r}")
-        if self.varying_slot not in (VARY_MONOMIAL, VARY_LINEAR):
-            raise ValueError(f"bad varying_slot {self.varying_slot!r}")
-        if self.twist == TWIST_INVERSE and self.varying_slot != VARY_MONOMIAL:
-            raise ValueError("inverse twist varies the monomial coefficient")
 
 
 # the root table steps omega^j with this many fractional bits, and
@@ -224,9 +208,7 @@ def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray
         # abar = a^(phi(q) - 1) for a unit a
         return _pow_mod(dom, k, q), c * _pow_mod(dom, len(dom) - 1, q) % q
     dom = np.arange(q, dtype=np.int64)
-    if family.varying_slot == VARY_MONOMIAL:
-        return _pow_mod(dom, k, q), c * dom % q
-    return dom, c * _pow_mod(dom, k, q) % q
+    return _pow_mod(dom, k, q), c * dom % q
 
 
 def _counts(u: np.ndarray, v: np.ndarray, q: int, t: int) -> np.ndarray:
@@ -256,7 +238,7 @@ def kloosterman(m: int, n: int, q) -> complex:
     q = _check_q(q)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    return _scalar_sum(PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, n), q, m)
+    return _scalar_sum(PhaseFamily(1, TWIST_INVERSE, n), q, m)
 
 
 def two_term_sum(m: int, n: int, k: int, q) -> complex:
@@ -265,7 +247,7 @@ def two_term_sum(m: int, n: int, k: int, q) -> complex:
     q = _check_q(q)
     if q < 2 or k < 1:
         raise ValueError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
-    return _scalar_sum(PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n), q, m)
+    return _scalar_sum(PhaseFamily(k, TWIST_NONE, n), q, m)
 
 
 def twisted_sum(m: int, k: int, p: int) -> complex:
@@ -275,13 +257,13 @@ def twisted_sum(m: int, k: int, p: int) -> complex:
         raise ValueError(f"p must be prime, got {p}")
     # a^k depends on k mod p-1 only, which also admits k <= 0
     k = k % (p - 1) or p - 1
-    return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, VARY_MONOMIAL, 1), p, m)
+    return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, 1), p, m)
 
 
 def abs_two_term_all_m(n: int, k: int, p: int) -> np.ndarray:
     """|S(m, n, k; p)| for m = 0..p-1, from the exact scaled sums."""
     p = _check_q(p)
-    u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n), p)
+    u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, n), p)
     sums = (_scaled_sum(_counts(u, v, p, t), p) for t in range(p))
     return np.sqrt([(re * re + im * im) / (_SCALE * _SCALE) for re, im in sums])
 
@@ -346,38 +328,30 @@ def _trace(c: np.ndarray, k: int, mod: Modulus) -> int:
 def _galois_exponent(family: PhaseFamily, phi: int) -> int:
     """e with sigma_c(S_t) = S_(c^e t) (module docstring), mod phi(q)."""
     k = family.monomial_degree
-    if family.twist == TWIST_INVERSE:
-        return (k + 1) % phi
-    if family.varying_slot == VARY_MONOMIAL:
-        return (1 - k) % phi
-    if math.gcd(k, phi) != 1:
-        raise ValueError(f"linear-slot sweep of degree {k} not Galois-closed: gcd({k}, phi(q) = {phi}) != 1")
-    return (1 - pow(k, -1, phi)) % phi
+    return (k + 1 if family.twist == TWIST_INVERSE else 1 - k) % phi
 
 
 def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
-    """2k-th power mean of |inner sum| over the sweep of the varying
+    """2k-th power mean of |inner sum| over the sweep of the monomial
     coefficient (complete residue system, zero term per the family flag),
     exact: one trace per Galois orbit of the sweep (module docstring).
-    A unit fixed coefficient of the monomial slot is replaced by 1, and
-    the last 1024 results are kept, so a process computes each
-    (family, q, 2k) it repeats once.
-    ValueError if the sweep is not Galois-closed, AssertionError if phi(q)
-    does not divide the total."""
+    A unit fixed coefficient is replaced by 1, and the last 1024 results
+    are kept, so a process computes each (family, q, 2k) it repeats once.
+    AssertionError if phi(q) does not divide the total."""
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
     q = _check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    if family.varying_slot == VARY_MONOMIAL and math.gcd(family.fixed_coefficient, q) == 1:
+    if math.gcd(family.fixed_coefficient, q) == 1:
         family = replace(family, fixed_coefficient=1)
     return _power_mean(family, as_modulus(modulus), two_k)
 
 
 @lru_cache(maxsize=1024)
 def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
-    """power_mean after its checks; exceptions are not cached, so a
-    refused sweep raises on every call."""
+    """power_mean after its checks.  AssertionError if phi(q) does not
+    divide the total, a result no cache entry could hold."""
     q = mod.q
     u, v = _family_vectors(family, q)
     # H = {c^e}, each element once

@@ -235,12 +235,17 @@ def _sound(oracle: np.ndarray, minus_one, hits) -> np.ndarray:
     return (sign * oracle[i] - oracle[j] == c[:, None]).all(axis=1)
 
 
+def _key(row) -> tuple:
+    """The row minus its first entry: rows that differ by the same
+    constant at every prime share a key."""
+    return tuple(s - row[0] for s in row)
+
+
 def _group(rows) -> dict[tuple, list[int]]:
-    """Row indices by the row minus its first entry, in row order: rows
-    that differ by the same constant at every prime share a key."""
+    """Row indices by _key, in row order."""
     groups: dict[tuple, list[int]] = defaultdict(list)
     for i, row in enumerate(rows):
-        groups[tuple(s - row[0] for s in row)].append(i)
+        groups[_key(row)].append(i)
     return groups
 
 
@@ -293,12 +298,12 @@ def search_constant_pairs(
                 emit(i, j, False)
 
     if twisted:
-        twisted_rows = ([sign * s for sign, s in zip(minus_one, row)] for row in rows)
-        for key, tmembers in _group(twisted_rows).items():
-            for i in tmembers:
-                for j in groups.get(key, []):
-                    if i != j:
-                        emit(i, j, True)
+        # each twisted row looks up its key among the plain rows; found is
+        # sorted below, so the order of this pass does not show
+        for i, row in enumerate(rows):
+            for j in groups.get(_key([sign * s for sign, s in zip(minus_one, row)]), ()):
+                if i != j:
+                    emit(i, j, True)
     # every candidate is collected: free the rows and their groups (several
     # MB at degree 4, bound 4, primes to 103) before the pair test, whose
     # hits are the fundamentally different candidates

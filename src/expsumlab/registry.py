@@ -21,8 +21,6 @@ from .arith import Modulus, as_modulus, legendre, represent_4p
 from .exp_sums import (
     TWIST_INVERSE,
     TWIST_NONE,
-    VARY_LINEAR,
-    VARY_MONOMIAL,
     PhaseFamily,
     power_mean,
 )
@@ -60,23 +58,21 @@ class IdentityOutcome:
 def _salie_family(n: int = 1) -> PhaseFamily:
     # sum over units of e((m*a + n*abar)/q), m swept over a complete
     # residue system (the displayed m=1..q / m=0..p-1 ranges coincide)
-    return PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, n, True)
+    return PhaseFamily(1, TWIST_INVERSE, n, True)
 
 
-_ZWL_FAMILY = PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
+_ZWL_FAMILY = PhaseFamily(2, TWIST_INVERSE, 1, True)
 
 
 def _cubic_family(n: int = 1) -> PhaseFamily:
     # sum_{a=0}^{p-1} e((m*a^3 + n*a)/p), m = 1..p-1
-    return PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, n, False)
+    return PhaseFamily(3, TWIST_NONE, n, False)
 
 
-_ZH_FAMILY = PhaseFamily(3, TWIST_NONE, VARY_LINEAR, 1, False)
-
-CONJECTURE_FAMILY = PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, 1, True)
+CONJECTURE_FAMILY = PhaseFamily(3, TWIST_NONE, 1, True)
 
 # sum_a e(m a^2 / p), m = 1..p-1
-_GAUSS_FAMILY = PhaseFamily(2, TWIST_NONE, VARY_MONOMIAL, 0, False)
+_GAUSS_FAMILY = PhaseFamily(2, TWIST_NONE, 0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +248,17 @@ _register(
     _zz_rhs,
     takes_n=True,
 )
+# The sweep over a = 1..p-1 is the cubic family's over m = 1..p-1: for
+# a != 0, n = b/a turns sum_n e((n^3 + a n)/p) into sum_b e((a^-3 b^3 +
+# b)/p), and a -> a^-3 permutes 1..p-1 exactly when gcd(3, p - 1) = 1.
+# _zh_applies asks for just that and for a prime p, so that every a is a
+# unit, with p > 3 the range of the published formula.
 _register(
     "zh_cubic_6th_over_a",
     "6th power mean over the linear coefficient a of sum_n e((n^3 + a n)/p)",
     "primes p > 3 with 3 not dividing p-1",
     _zh_applies,
-    _mean_lhs(lambda n: _ZH_FAMILY, 6),
+    _mean_lhs(lambda n: _cubic_family(1), 6),
     _zh_rhs,
 )
 _register(

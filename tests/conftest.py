@@ -3,7 +3,9 @@
 import cmath
 import functools
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 
@@ -39,6 +41,26 @@ def char_sum_direct(coeffs, p: int, include_zero: bool = False) -> int:
 def power_mean_direct(inner_terms, sweep, power: int) -> float:
     """sum over the sweep of |inner sum|^power, all in plain cmath."""
     return math.fsum(abs(sum(inner_terms(t))) ** power for t in sweep)
+
+
+@functools.cache
+def reference_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(re, im) of e(j/q) * 2^128 for j = 0..q-1, each entry computed alone
+    at 60 digits by mpmath and rounded to an integer."""
+    with mpmath.workdps(60):
+        re, im = [], []
+        for j in range(q):
+            z = mpmath.expjpi(mpmath.mpf(2 * j) / q)
+            re.append(int(mpmath.nint(z.real * 2**128)))
+            im.append(int(mpmath.nint(z.imag * 2**128)))
+    return tuple(re), tuple(im)
+
+
+def reference_mean(table, two_k: int, start: int) -> Fraction:
+    """The rounded-root mean over the sweep from start, as a Fraction, for
+    a table of |S_t|^2 * 2^256."""
+    k = two_k // 2
+    return Fraction(sum(s**k for s in table[start:]), 2 ** (256 * k))
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,5 @@
 import math
 from dataclasses import replace
-from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -14,8 +12,6 @@ from expsumlab.arith import Modulus, is_prime, primes_in_range
 from expsumlab.exp_sums import (
     TWIST_INVERSE,
     TWIST_NONE,
-    VARY_LINEAR,
-    VARY_MONOMIAL,
     PhaseFamily,
     abs_two_term_all_m,
     kloosterman,
@@ -25,7 +21,7 @@ from expsumlab.exp_sums import (
 )
 from expsumlab.registry import CONJECTURE_FAMILY
 
-from conftest import e_p, power_mean_direct
+from conftest import e_p, power_mean_direct, reference_mean, reference_root_table
 
 
 def test_kloosterman_zero_args_gives_phi():
@@ -79,8 +75,8 @@ def test_twisted_sum_examples():
     assert twisted_sum(1, 2, 5) == pytest.approx(-0.3090170 + 2.1266270j, abs=1e-7)
 
 
-SALIE = PhaseFamily(1, TWIST_INVERSE, VARY_MONOMIAL, 1, True)
-CUBIC_N1 = PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, 1, False)
+SALIE = PhaseFamily(1, TWIST_INVERSE, 1, True)
+CUBIC_N1 = PhaseFamily(3, TWIST_NONE, 1, False)
 
 
 def test_power_mean_salie_p5_brute_force():
@@ -100,7 +96,7 @@ def test_power_mean_cubic_p7():
 
 def test_power_mean_degenerate_linear_family():
     # n = 0, k = 1, full residues: |S(m)| = p at m = 0 and 0 otherwise
-    fam = PhaseFamily(1, TWIST_NONE, VARY_MONOMIAL, 0, True)
+    fam = PhaseFamily(1, TWIST_NONE, 0, True)
     for p in (5, 11):
         assert power_mean(fam, p, 4) == p**4
 
@@ -132,8 +128,6 @@ def test_power_mean_validates_args():
         power_mean(SALIE, 5, 3)
     with pytest.raises(ValueError):
         power_mean(SALIE, 2, 4)
-    with pytest.raises(ValueError):
-        PhaseFamily(3, TWIST_INVERSE, VARY_LINEAR, 1, True)
     with pytest.raises(ValueError):
         PhaseFamily(3, "units_only")  # the domain follows the twist
 
@@ -184,29 +178,17 @@ def test_gauss_magnitude_all_m():
 
 
 # The exact paths against a big-integer loop over a per-entry 60-digit
-# mpmath root table: the scalar sums must give the same integers bit for
-# bit, and the power means the nearest integers to its rounded means.
-
-@lru_cache(maxsize=None)
-def reference_root_table(q):
-    with mpmath.workdps(60):
-        re, im = [], []
-        for j in range(q):
-            z = mpmath.expjpi(mpmath.mpf(2 * j) / q)
-            re.append(int(mpmath.nint(z.real * 2**128)))
-            im.append(int(mpmath.nint(z.imag * 2**128)))
-    return tuple(re), tuple(im)
-
+# mpmath root table (conftest): the scalar sums must give the same
+# integers bit for bit, and the power means the nearest integers to its
+# rounded means.
 
 def reference_phases(family, q, t):
     """e_a(t) mod q for every a of the family's domain, from its definition."""
     k, f = family.monomial_degree, family.fixed_coefficient
     if family.twist == TWIST_INVERSE:
         phases = [t * a**k + f * pow(a, -1, q) for a in range(1, q) if math.gcd(a, q) == 1]
-    elif family.varying_slot == VARY_MONOMIAL:
-        phases = [t * a**k + f * a for a in range(q)]
     else:
-        phases = [f * a**k + t * a for a in range(q)]
+        phases = [t * a**k + f * a for a in range(q)]
     return [x % q for x in phases]
 
 
@@ -219,19 +201,6 @@ def reference_abs_sq_table(family, q):
         sim = sum(map(im_t.__getitem__, exps))
         out.append(sre * sre + sim * sim)
     return tuple(out)
-
-
-def reference_mean(table, two_k, start):
-    """The rounded-root mean over the sweep from start, as a Fraction."""
-    k = two_k // 2
-    return Fraction(sum(s**k for s in table[start:]), 2 ** (256 * k))
-
-
-def refused(family, q):
-    """power_mean refuses exactly the linear-slot sweeps whose degree is
-    not prime to phi(q)."""
-    return (family.varying_slot == VARY_LINEAR
-            and math.gcd(family.monomial_degree, Modulus.from_int(q).phi) != 1)
 
 
 def scalar_abs_sq_table(family, q):
@@ -279,25 +248,26 @@ KERNEL_FAMILIES = [
     registry._ZWL_FAMILY,
     registry._cubic_family(1),
     registry._cubic_family(2),
-    registry._ZH_FAMILY,
+    # 3 is no unit of q = 3, 9, 12, ...: the kernel computes it as given
+    registry._cubic_family(3),
     CONJECTURE_FAMILY,
     registry._salie_family(5),
-    PhaseFamily(5, TWIST_NONE, VARY_MONOMIAL, 1, True),
+    PhaseFamily(5, TWIST_NONE, 1, True),
     registry._GAUSS_FAMILY,
 ]
 # a -> -a keeps every phase of these
 EVEN_FAMILIES = [
     registry._GAUSS_FAMILY,
-    PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 0, True),
-    PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 0, True),
+    PhaseFamily(4, TWIST_NONE, 0, True),
+    PhaseFamily(2, TWIST_INVERSE, 0, True),
 ]
-# every slot and twist: linear slots of even and odd degree, and a fixed
-# coefficient that is not a unit of every q
+# both twists, degrees up to 6, and fixed coefficients that are not a
+# unit of every q
 ORBIT_FAMILIES = KERNEL_FAMILIES + EVEN_FAMILIES[1:] + [
-    PhaseFamily(4, TWIST_NONE, VARY_MONOMIAL, 1, True),
-    PhaseFamily(2, TWIST_NONE, VARY_LINEAR, 1, True),
-    PhaseFamily(5, TWIST_NONE, VARY_LINEAR, 6, False),
-    PhaseFamily(3, TWIST_INVERSE, VARY_MONOMIAL, 10, False),
+    PhaseFamily(4, TWIST_NONE, 1, True),
+    PhaseFamily(6, TWIST_NONE, 1, True),
+    PhaseFamily(5, TWIST_NONE, 6, False),
+    PhaseFamily(3, TWIST_INVERSE, 10, False),
 ]
 
 
@@ -312,11 +282,7 @@ def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
         ref = reference_abs_sq_table(family, q)
         assert scalar_abs_sq_table(family, q) == ref, q
         for two_k in (2, 6):
-            if refused(family, q):
-                with pytest.raises(ValueError, match="Galois"):
-                    power_mean(family, q, two_k)
-            else:
-                assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, start)), (q, two_k)
+            assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, start)), (q, two_k)
 
 
 def test_even_families_match_big_integer_loop():
@@ -341,8 +307,6 @@ def all_t_mean(family, q, two_k):
 @pytest.mark.parametrize("family", ORBIT_FAMILIES)
 def test_orbit_rule_matches_all_t_trace(family):
     for q in [3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 18, 25, 27, 31]:
-        if refused(family, q):
-            continue
         mod = Modulus.from_int(q)
         # sigma_c maps S_t to S_(c^e t): the counts of c^e t are those of
         # t with every phase j moved to c*j
@@ -357,36 +321,17 @@ def test_orbit_rule_matches_all_t_trace(family):
             assert power_mean(family, q, two_k) == all_t_mean(family, q, two_k), (q, two_k)
 
 
-def test_power_mean_refuses_a_sweep_that_is_not_galois_closed():
-    # ZH's linear slot at p = 1 mod 3: cubing is 3-to-1 on the units, so
-    # the substitution behind the orbit rule does not exist, and the mean
-    # is not an integer (the registry applies zh_cubic_6th_over_a only at
-    # p = 2 mod 3)
-    for p in (7, 13, 19):
-        with pytest.raises(ValueError, match="Galois"):
-            power_mean(registry._ZH_FAMILY, p, 4)
-        mean = reference_mean(reference_abs_sq_table(registry._ZH_FAMILY, p), 4, 1)
-        assert abs(mean - round(mean)) > 0.01, p
-    assert power_mean(registry._ZH_FAMILY, 11, 4) == round(
-        reference_mean(reference_abs_sq_table(registry._ZH_FAMILY, 11), 4, 1))
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     degree=st.integers(1, 6),
-    shape=st.sampled_from([(TWIST_NONE, VARY_MONOMIAL), (TWIST_NONE, VARY_LINEAR),
-                           (TWIST_INVERSE, VARY_MONOMIAL)]),
+    twist=st.sampled_from([TWIST_NONE, TWIST_INVERSE]),
     fixed=st.integers(-50, 50),
     include_zero=st.booleans(),
     q=st.integers(3, 40),
     two_k=st.sampled_from([2, 4, 6]),
 )
-def test_power_mean_is_exact_or_refused(degree, shape, fixed, include_zero, q, two_k):
-    family = PhaseFamily(degree, *shape, fixed, include_zero)
-    if refused(family, q):
-        with pytest.raises(ValueError, match="Galois"):
-            power_mean(family, q, two_k)
-        return
+def test_power_mean_is_exact(degree, twist, fixed, include_zero, q, two_k):
+    family = PhaseFamily(degree, twist, fixed, include_zero)
     ref = reference_abs_sq_table(family, q)
     assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, 0 if include_zero else 1))
 
@@ -402,10 +347,7 @@ def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
             power_mean(SALIE, q, 4)
 
 
-MONOMIAL_SHAPES = [(TWIST_NONE, VARY_MONOMIAL), (TWIST_INVERSE, VARY_MONOMIAL)]
-
-
-@pytest.mark.parametrize("shape", MONOMIAL_SHAPES)
+@pytest.mark.parametrize("shape", [PhaseFamily(1, TWIST_NONE), PhaseFamily(1, TWIST_INVERSE)])
 @pytest.mark.parametrize("include_zero", [True, False])
 def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
     # power_mean computes a unit coefficient at 1 (module docstring);
@@ -415,22 +357,24 @@ def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
         for c in range(1, q):
             if math.gcd(c, q) != 1:
                 continue
-            family = PhaseFamily(1 + q % 4, *shape, c, include_zero)
+            family = replace(shape, monomial_degree=1 + q % 4, fixed_coefficient=c,
+                             include_zero_in_sweep=include_zero)
             for two_k in (2, 4, 6):
                 direct = exp_sums._power_mean.__wrapped__(family, mod, two_k)
                 assert power_mean(family, q, two_k) == direct, (family, q, two_k)
 
 
 @pytest.mark.parametrize("family, q", [
-    (PhaseFamily(3, TWIST_NONE, VARY_MONOMIAL, 3, True), 9),
-    (PhaseFamily(2, TWIST_NONE, VARY_MONOMIAL, 5, False), 15),
-    (PhaseFamily(2, TWIST_INVERSE, VARY_MONOMIAL, 2, True), 12),
-    (PhaseFamily(3, TWIST_NONE, VARY_LINEAR, 2, False), 11),
-    (PhaseFamily(3, TWIST_NONE, VARY_LINEAR, 4, True), 25),
+    (PhaseFamily(3, TWIST_NONE, 3, True), 9),
+    (PhaseFamily(2, TWIST_NONE, 5, False), 15),
+    (PhaseFamily(2, TWIST_INVERSE, 2, True), 12),
+    (PhaseFamily(3, TWIST_NONE, 11, False), 11),
+    (PhaseFamily(4, TWIST_INVERSE, 10, True), 25),
 ])
 def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
-    # a non-unit coefficient, or any coefficient of the linear slot, is
-    # its own cache entry: computing it does not hit the entry of 1
+    # a fixed coefficient that is not a unit mod q, of the linear term c*a
+    # (no twist) or of abar, is its own cache entry: computing it does not
+    # hit the entry of 1
     one = replace(family, fixed_coefficient=1)
     exp_sums._power_mean.cache_clear()
     for two_k in (2, 4, 6):
@@ -439,15 +383,6 @@ def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
         assert value == exp_sums._power_mean.__wrapped__(family, Modulus.from_int(q), two_k)
     info = exp_sums._power_mean.cache_info()
     assert (info.hits, info.misses) == (0, 6)
-
-
-def test_refused_sweep_raises_on_every_call():
-    # lru_cache stores no exception: the second call is refused too
-    exp_sums._power_mean.cache_clear()
-    for _ in range(2):
-        with pytest.raises(ValueError, match="Galois"):
-            power_mean(registry._ZH_FAMILY, 7, 4)
-    assert exp_sums._power_mean.cache_info().currsize == 0
 
 
 def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
@@ -525,7 +460,7 @@ def test_real_sums_have_zero_imaginary_part():
 def test_abs_two_term_all_m_is_the_exact_table():
     for p in (3, 5, 7, 31, 101):
         for n, k in [(0, 2), (1, 3), (5, 4)]:
-            fam = PhaseFamily(k, TWIST_NONE, VARY_MONOMIAL, n)
+            fam = PhaseFamily(k, TWIST_NONE, n)
             ref = np.sqrt([s / 2**256 for s in reference_abs_sq_table(fam, p)])
             assert np.array_equal(abs_two_term_all_m(n, k, p), ref), (p, n, k)
 
@@ -556,12 +491,13 @@ def test_names_nothing_calls_stay_deleted():
         char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod", "reflect"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
-                   "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult"),
+                   "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
+                   "VARY_LINEAR", "VARY_MONOMIAL"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
                       "_is_canonical", "_differ"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
-                   "RESIDUAL_TOL"),
+                   "RESIDUAL_TOL", "_ZH_FAMILY"),
         conjecture: ("CrossCheck",),
         cli: ("_finish_checked",),
     }
@@ -570,6 +506,7 @@ def test_names_nothing_calls_stay_deleted():
             assert not hasattr(owner, name), (owner, name)
     fields = [f.name for f in dataclasses.fields(poly_search.SearchHit)]
     assert "structural_notes" not in fields
+    assert "varying_slot" not in [f.name for f in dataclasses.fields(PhaseFamily)]
     fields = [f.name for f in dataclasses.fields(conjecture.ConjectureReport)]
     assert "crosscheck" not in fields and "max_power_mean_residual" not in fields
     for record in (registry.IdentityOutcome, conjecture.ConjectureRow):

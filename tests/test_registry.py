@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,6 +18,8 @@ from expsumlab.registry import (
     sweep,
     verdict,
 )
+
+from conftest import reference_mean, reference_root_table
 
 ALL_IDS = [
     "salie_4th",
@@ -60,6 +65,38 @@ def test_zhang_composite_skips_even_and_non_unit_n():
     assert evaluate("zhang_composite_4th", 15, {"n": 3}).status == SKIP
 
 
+def zhang_mean(q):
+    """sum_{m mod q} |S(m, 1; q)|^4, the LHS of zhang_composite_4th."""
+    return exp_sums.power_mean(registry._salie_family(1), q, 4)
+
+
+def test_zhang_mean_is_multiplicative():
+    """M(rs) = M(r) M(s) for coprime r, s, even q included.
+
+    Kloosterman sums are twistedly multiplicative (Iwaniec & Kowalski,
+    Analytic Number Theory, ch. 1): with s s' = 1 mod r and r r' = 1 mod s,
+    S(m, 1; rs) = S(m s', s'; r) S(m r', r'; s).  By CRT, m mod rs runs
+    over all pairs (m mod r, m mod s), and m s' mod r, m r' mod s over all
+    residues, so M(rs) = M_r(s') M_s(r'), M_q(n) being the mean with fixed
+    coefficient n.  s' and r' are units, and the unit-coefficient argument
+    of the exp_sums docstring gives M_q(n) = M_q(1) for a unit n.
+    """
+    moduli = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 97, 125)
+    pairs = [(r, s) for r, s in itertools.combinations(moduli, 2) if gcd(r, s) == 1 and r * s < 1500]
+    assert len(pairs) == 87
+    for r, s in pairs:
+        assert zhang_mean(r * s) == zhang_mean(r) * zhang_mean(s), (r, s)
+
+
+def test_zhang_mean_at_powers_of_two_observed():
+    # observed, not proved: the 2-adic factor of the multiplicative mean,
+    # where the published RHS does not hold (q = 4: 32 against 96); from
+    # 2^5 on it is 3 * 8^e, twice the 3q^2 phi(q) of an odd prime power
+    assert [zhang_mean(2**e) for e in (2, 3, 4)] == [32, 512, 4096]
+    for e in range(5, 13):
+        assert zhang_mean(2**e) == 3 * 8**e, e
+
+
 def test_zwl_nw_spot_value():
     # brute force at p = 5: sum over m of |sum_a e((m a^2 + abar)/5)|^4 = 55
     for iid in ("zwl_4th", "nw_4th"):
@@ -101,23 +138,35 @@ def test_zh_cubic_factual_failure():
     assert out.lhs == 2500 and out.rhs == 2100
 
 
+def zh_abs_sq_table(p):
+    """|sum_n e((n^3 + a n)/p)|^2 * 2^256 for a = 0..p-1 on the 60-digit
+    root table: ZH's sweep of the linear coefficient, from its definition."""
+    re_t, im_t = reference_root_table(p)
+    out = []
+    for a in range(p):
+        phases = [(n**3 + a * n) % p for n in range(p)]
+        sre = sum(map(re_t.__getitem__, phases))
+        sim = sum(map(im_t.__getitem__, phases))
+        out.append(sre * sre + sim * sim)
+    return out
+
+
 def test_zh_mean_is_the_cubic_family_mean():
-    # for a != 0, n = b/a turns sum_n e((n^3 + a n)/p) into
-    # sum_b e((a^-3 b^3 + b)/p); at p = 2 mod 3, gcd(3, p - 1) = 1, so
-    # a -> a^-3 permutes 1..p-1 and ZH's sweep over the linear coefficient
-    # has the multiset of |S| of the cubic family (n = 1) over m = 1..p-1
+    # the registry computes ZH's LHS as the cubic family's mean (the
+    # substitution at its entry); a brute force over the linear
+    # coefficient a = 1..p-1 gives the same integer
     for p in primes_in_range(5, 200):
         if p % 3 != 2:
             continue
-        for two_k in (2, 4, 6, 8):
-            zh = exp_sums.power_mean(registry._ZH_FAMILY, p, two_k)
-            assert zh == exp_sums.power_mean(registry._cubic_family(1), p, two_k), (p, two_k)
+        mean = reference_mean(zh_abs_sq_table(p), 6, 1)
+        lhs = evaluate("zh_cubic_6th_over_a", p).lhs
+        assert abs(mean - lhs) < Fraction(1, 2**40), p
 
 
 def test_zh_cubic_lhs_matches_sibling_identity():
-    # for 3 not dividing p-1, cubing is a bijection, so the mean over the
-    # linear slot equals (p-1) copies of the n = 1 monomial-slot mean plus
-    # the a = 0 term p^6... here just freeze the observed closed form
+    # the substitution n = b/a makes ZH's mean the mean of the cubic
+    # family (n = 1) over m = 1..p-1, which zm_cubic_6th gives as
+    # 5p^3(p-1) at p = 5 mod 6
     for p in primes_in_range(5, 60):
         if (p - 1) % 3 == 0:
             continue
