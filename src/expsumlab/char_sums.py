@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _check_odd_prime
+from .arith import _check_odd_prime, legendre
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,6 @@ class Corollary1Result:
 
 def corollary1_check(p: int) -> Corollary1Result:
     """The corollary's two character sums and their difference."""
-    table = legendre_table(p)
-    term1 = table[p - 1] * char_sum_poly(CUBIC_CCC, p)
+    term1 = legendre(-1, p) * char_sum_poly(CUBIC_CCC, p)
     term2 = ning_wang_c(p)
     return Corollary1Result(p=p, term1=term1, term2=term2, difference=term1 - term2)

@@ -39,7 +39,10 @@ VERIFY_ALL_RANGES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged,
+    and every call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="expsumlab",
         description="Verification lab for exponential-sum and character-sum identities",

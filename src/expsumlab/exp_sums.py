@@ -28,6 +28,14 @@ Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
 under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
 does not divide is an invariant breach.
 
+The orbit of t = 0 is {0}, and S_0 = sum_a zeta^(v_a) is a rational
+integer.  Without twist, v_a = f*a over all residues a: a geometric sum,
+q if q | f and 0 otherwise.  Under the inverse twist, v_a = f*abar over
+the units, and abar runs over the units as a does, so S_0 is the
+Ramanujan sum c_q(f) = sum_{d | (f, q)} mu(q/d) d, whose d = q term is
+the first case.  So y_0 = S_0^2k, Tr(y_0) = phi(q) S_0^2k, and only the
+orbits of t != 0 need counts.
+
 Unit coefficients.  Write S_t(f) for the inner sum with fixed coefficient
 f.  If f is a unit mod q, the total does not depend on f:
   - inverse twist: a = f*b is a bijection of the units, and f*abar =
@@ -45,6 +53,21 @@ bit B*j, multiplies them and folds the product mod z^q - 1 with
 reflection) has nonnegative coefficients summing to D^(a+b), and a fold
 adds two of them, so with B >= bitlen(D^(a+b)) no slot carries into the
 next; B is rounded up to whole bytes, so slots repack as bytes.
+
+The ladder: each orbit of t != 0 keeps N_1 = c and every N_m built from
+it, N_m = N_(m//2) * N_(m - m//2), whose slots D^m bounds: N_2 serves the
+4th, 6th and 8th means, N_3 the 6th, 10th and 12th, and the 4th, 6th and
+8th means of one family at one q cost three products per orbit (N_2,
+N_3 = N_1 * N_2, N_4 = N_2 * N_2).  _orbit_table keeps the orbits' sizes
+and ladders for the last 64 (family, q).  N_m takes q * ceil(bitlen(D^m)
+/ 8) bytes, so an entry holds r * q * sum_m ceil(bitlen(D^m) / 8) bytes
+of slots over the m of its ladders, r being its number of orbits of
+t != 0: gcd(e, p - 1) at a prime p, 2 for the Salie and cubic families.
+With every m = 1..6 (2k up to 12) that is at most r * q * (21 b / 8 + 6)
+bytes for b = bitlen(D): 1.7 MB an entry at p near 20,000 with r = 2,
+and 108 MB for 64 such entries.  A family whose H is trivial, such as
+degree 1 without twist (e = 0), has r = q - 1 orbits, one per t, and its
+entry grows as q^2.
 
 Exponents t*u_a + v_a (t, u_a, v_a < q) and _pow_mod's products are below
 q^2 <= 2^62, exact in int64, as every public function rejects q >= 2^31.
@@ -110,6 +133,9 @@ _GUARD_BITS = 256
 _WORK_BITS = 320
 # largest modulus (exclusive) whose exponents t*u + v fit in int64
 _MAX_Q = 1 << 31
+# (family, q) pairs whose orbit tables and ladders are kept (module
+# docstring, "Kronecker slots")
+_ORBIT_TABLES = 64
 
 
 def _atan_inv(x: int) -> int:
@@ -300,35 +326,68 @@ def _unpack(slots: np.ndarray) -> list[int]:
     return _widen(slots, 8).view("<u8").ravel().tolist()
 
 
-def _trace(c: np.ndarray, k: int, mod: Modulus) -> int:
-    """Tr |S|^2k for S = sum_j c_j zeta^j: N_k by square-and-multiply, each
-    product's slots capped by D^m for the power m it reaches, then the sum
-    over the divisors d of q with q/d squarefree of
-    mu(q/d) * d * sum_r (N_k folded mod d)(r)^2."""
-    total = int(c.sum())
-    base = n = _count_slots(c)
-    m = 1
-    for bit in bin(k)[3:]:
-        m *= 2
-        n = _convolve(n, n, total**m)
-        if bit == "1":
-            m += 1
-            n = _convolve(n, base, total**m)
-    n = _unpack(n)
+def _signed_divisors(mod: Modulus) -> list[tuple[int, int]]:
+    """(mu(q/d), d) for each divisor d of q with q/d squarefree, d = q first."""
     primes = [p for p, _ in mod.factorization]
+    return [((-1) ** size, mod.q // math.prod(drop))
+            for size in range(len(primes) + 1) for drop in combinations(primes, size)]
+
+
+def _trace(slots: np.ndarray, divisors: list[tuple[int, int]]) -> int:
+    """Tr |S|^2k for S^k = sum_j N_k(j) zeta^j, N_k given as byte slots: the
+    sum over the (mu(q/d), d) of mu(q/d) * d * sum_r (N_k folded mod d)(r)^2."""
+    n = _unpack(slots)
     trace = 0
-    for size in range(len(primes) + 1):
-        for divisor in combinations(primes, size):
-            d = mod.q // math.prod(divisor)
-            folded = n if d == mod.q else [sum(n[r::d]) for r in range(d)]
-            trace += (-1) ** size * d * sum(map(mul, folded, folded))
+    for sign, d in divisors:
+        folded = n if d == len(n) else [sum(n[r::d]) for r in range(d)]
+        trace += sign * d * sum(map(mul, folded, folded))
     return trace
+
+
+def _zero_sum(family: PhaseFamily, divisors: list[tuple[int, int]]) -> int:
+    """S_0 = sum_a zeta^(v_a), a rational integer (module docstring): the
+    Ramanujan sum c_q(f) under the inverse twist, and its d = q term,
+    q if q | f else 0, without."""
+    f = family.fixed_coefficient
+    terms = divisors if family.twist == TWIST_INVERSE else divisors[:1]
+    return sum(sign * d for sign, d in terms if f % d == 0)
 
 
 def _galois_exponent(family: PhaseFamily, phi: int) -> int:
     """e with sigma_c(S_t) = S_(c^e t) (module docstring), mod phi(q)."""
     k = family.monomial_degree
     return (k + 1 if family.twist == TWIST_INVERSE else 1 - k) % phi
+
+
+@lru_cache(maxsize=_ORBIT_TABLES)
+def _orbit_table(family: PhaseFamily, mod: Modulus) -> tuple[int, list[tuple[int, dict[int, np.ndarray]]]]:
+    """(D, [(|O|, {1: N_1}) for each orbit O of t != 0 under H]): the
+    domain size, and per orbit its size and the ladder of its counts'
+    self-convolutions that _self_power extends (module docstring)."""
+    q = mod.q
+    u, v = _family_vectors(family, q)
+    nbytes = -(-len(u).bit_length() // 8)
+    # H = {c^e}, each element once
+    h = np.flatnonzero(np.bincount(_pow_mod(_units(q), _galois_exponent(family, mod.phi), q), minlength=q))
+    seen = np.zeros(q, dtype=bool)
+    seen[0] = True
+    orbits = []
+    while not seen.all():
+        # the orbit H*t of the first t not yet seen, and its size
+        t, before = int(seen.argmin()), int(np.count_nonzero(seen))
+        seen[h * t % q] = True
+        slots = _widen(_count_slots(_counts(u, v, q, t)), nbytes)
+        orbits.append((int(np.count_nonzero(seen)) - before, {1: slots}))
+    return len(u), orbits
+
+
+def _self_power(ladder: dict[int, np.ndarray], m: int, domain: int) -> np.ndarray:
+    """N_m = N_(m//2) * N_(m - m//2) from the ladder, which holds N_1;
+    each N_m it builds stays there, slots capped by domain^m."""
+    if m not in ladder:
+        half = _self_power(ladder, m // 2, domain)
+        ladder[m] = _convolve(half, _self_power(ladder, m - m // 2, domain), domain**m)
+    return ladder[m]
 
 
 def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
@@ -352,21 +411,15 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
 def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
     """power_mean after its checks.  AssertionError if phi(q) does not
     divide the total, a result no cache entry could hold."""
-    q = mod.q
-    u, v = _family_vectors(family, q)
-    # H = {c^e}, each element once
-    h = np.flatnonzero(np.bincount(_pow_mod(_units(q), _galois_exponent(family, mod.phi), q), minlength=q))
-    seen = np.zeros(q, dtype=bool)
-    seen[0] = not family.include_zero_in_sweep
-    total = 0
-    while not seen.all():
-        # the orbit H*t of the first t not yet seen, and its size
-        t, before = int(seen.argmin()), int(np.count_nonzero(seen))
-        seen[h * t % q] = True
-        total += (int(np.count_nonzero(seen)) - before) * _trace(_counts(u, v, q, t), two_k // 2, mod)
+    divisors = _signed_divisors(mod)
+    domain, orbits = _orbit_table(family, mod)
+    total = sum(size * _trace(_self_power(ladder, two_k // 2, domain), divisors) for size, ladder in orbits)
+    if family.include_zero_in_sweep:
+        # the orbit {0}: Tr(S_0^2k) = phi(q) * S_0^2k
+        total += mod.phi * _zero_sum(family, divisors) ** two_k
     value, rest = divmod(total, mod.phi)
     if rest:
-        raise AssertionError(f"power mean trace {total} not divisible by phi({q}) = {mod.phi}")
+        raise AssertionError(f"power mean trace {total} not divisible by phi({mod.q}) = {mod.phi}")
     return value
 
 

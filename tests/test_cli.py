@@ -422,6 +422,23 @@ def test_each_power_mean_is_computed_once_per_process(capsys):
     assert (info.misses, info.hits) == (len(primes), len([p for p in primes if p != 7]))
 
 
+def test_parser_is_built_once_and_keeps_no_arguments_between_calls(capsys):
+    # the cached parser returns a fresh namespace per call: the --n list
+    # of one command does not leak into the next
+    cli.build_parser.cache_clear()
+    argv = ["verify", "--identity", "zz_cubic_4th", "--q", "11", "--format", "json"]
+    code, before = run(capsys, *argv)
+    assert code == cli.EXIT_OK
+    code, with_n = run(capsys, *argv, "--n", "1", "--n", "7")
+    assert code == cli.EXIT_OK and json.loads(with_n)["config_echo"]["n"] == [1, 7]
+    code, after = run(capsys, *argv)
+    assert code == cli.EXIT_OK and after == before
+    doc = json.loads(after)
+    assert doc["config_echo"]["n"] is None and [r["n"] for r in doc["rows"]] == [None]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 @pytest.mark.parametrize("q", [2**31, 2**61 - 1])
 @pytest.mark.parametrize("identity", ["salie_4th", "corollary1"])
 def test_verify_rejects_moduli_beyond_int64_before_any_work(capsys, monkeypatch, identity, q):

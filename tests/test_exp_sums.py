@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import exp_sums, registry
+from expsumlab import cli, exp_sums, registry
 from expsumlab.arith import Modulus, is_prime, primes_in_range
 from expsumlab.exp_sums import (
     TWIST_INVERSE,
@@ -294,14 +294,46 @@ def test_even_families_match_big_integer_loop():
                 assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, 0)), q
 
 
-def all_t_mean(family, q, two_k):
-    """The trace formula summed over every t of the sweep, no orbits."""
-    mod = Modulus.from_int(q)
-    u, v = exp_sums._family_vectors(family, q)
-    start = 0 if family.include_zero_in_sweep else 1
-    total = sum(exp_sums._trace(exp_sums._counts(u, v, q, t), two_k // 2, mod) for t in range(start, q))
-    assert total % mod.phi == 0, (family, q, two_k)
-    return total // mod.phi
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def cyclic_convolution(x, y, q):
+    out = [0] * q
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                out[(i + j) % q] += xi * yj
+    return out
+
+
+def all_t_means(family, q):
+    """{2k: mean} for 2k = 2, 4, 6 over every t of the sweep, no orbits,
+    in plain ints: the counts of reference_phases, their self-convolutions
+    N_1, N_2, N_3 by a plain loop, and Tr |S|^2k = sum_(i, j) N_k(i) N_k(j)
+    c_q(i - j), the Ramanujan sums from a test-side Mobius function."""
+    phi = Modulus.from_int(q).phi
+    ramanujan = [sum(mobius(q // d) * d for d in range(1, q + 1) if q % d == 0 and j % d == 0)
+                 for j in range(q)]
+    totals = {2: 0, 4: 0, 6: 0}
+    for t in range(0 if family.include_zero_in_sweep else 1, q):
+        n1 = [0] * q
+        for j in reference_phases(family, q, t):
+            n1[j] += 1
+        n2 = cyclic_convolution(n1, n1, q)
+        for two_k, n in ((2, n1), (4, n2), (6, cyclic_convolution(n2, n1, q))):
+            totals[two_k] += sum(n[i] * n[j] * ramanujan[(i - j) % q] for i in range(q) if n[i] for j in range(q))
+    for two_k, total in totals.items():
+        assert total % phi == 0, (family, q, two_k)
+    return {two_k: total // phi for two_k, total in totals.items()}
 
 
 @pytest.mark.parametrize("family", ORBIT_FAMILIES)
@@ -317,8 +349,64 @@ def test_orbit_rule_matches_all_t_trace(family):
             for t in range(q):
                 image = exp_sums._counts(u, v, q, pow(c, e, q) * t % q)
                 assert np.array_equal(image[moved], exp_sums._counts(u, v, q, t)), (q, c, t)
-        for two_k in (2, 4, 6):
-            assert power_mean(family, q, two_k) == all_t_mean(family, q, two_k), (q, two_k)
+        for two_k, mean in all_t_means(family, q).items():
+            assert power_mean(family, q, two_k) == mean, (q, two_k)
+
+
+@pytest.mark.parametrize("twist", [TWIST_NONE, TWIST_INVERSE])
+def test_zero_sum_is_the_brute_force_sum(twist):
+    # S_0 = sum_a zeta^(v_a): q or 0 without twist, the Ramanujan sum
+    # c_q(f) under the inverse twist
+    for q in range(3, 61):
+        divisors = exp_sums._signed_divisors(Modulus.from_int(q))
+        for f in {0, 1, q, q - 1, 2 * q + 1} | {d for d in range(2, q) if q % d == 0}:
+            family = PhaseFamily(2, twist, f)
+            brute = sum(e_p(j, q) for j in reference_phases(family, q, 0))
+            assert exp_sums._zero_sum(family, divisors) == pytest.approx(brute, abs=1e-9), (q, f)
+
+
+def counted_convolve(monkeypatch):
+    calls = []
+    convolve = exp_sums._convolve
+
+    def counting(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(exp_sums, "_convolve", counting)
+    exp_sums._power_mean.cache_clear()
+    exp_sums._orbit_table.cache_clear()
+    return calls
+
+
+def test_lower_mean_after_higher_makes_no_convolution(monkeypatch):
+    # conjecture --k 4 builds N_2 and N_4 per orbit; --k 2 then only
+    # reads N_2 from the ladder
+    calls = counted_convolve(monkeypatch)
+    assert cli.main(["conjecture", "--k", "4", "--pmin", "1009", "--pmax", "1021"]) == 0
+    orbits = sum(len(exp_sums._orbit_table(CONJECTURE_FAMILY, Modulus.from_int(p))[1])
+                 for p in primes_in_range(1009, 1021))
+    assert len(calls) == 2 * orbits
+    del calls[:]
+    assert cli.main(["conjecture", "--k", "2", "--pmin", "1009", "--pmax", "1021"]) == 0
+    assert calls == []
+
+
+def test_cubic_means_share_one_ladder(monkeypatch):
+    # the 4th, 6th and 8th means of one family at one p: N_2 = N_1 * N_1,
+    # N_3 = N_1 * N_2 and N_4 = N_2 * N_2, three products per orbit
+    calls = counted_convolve(monkeypatch)
+    p = 101
+    for identity in ("zz_cubic_4th", "zm_cubic_6th", "wz_cubic_8th"):
+        assert registry.evaluate(identity, p).status == registry.PASS, identity
+    orbits = exp_sums._orbit_table(registry._cubic_family(1), Modulus.from_int(p))[1]
+    assert len(orbits) == 2 and len(calls) == 3 * len(orbits)
+    assert all(sorted(ladder) == [1, 2, 3, 4] for _, ladder in orbits)
+
+
+def test_orbit_table_cache_has_the_documented_bound():
+    assert exp_sums._orbit_table.cache_info().maxsize == exp_sums._ORBIT_TABLES == 64
+    assert f"for the last {exp_sums._ORBIT_TABLES} (family, q)" in exp_sums.__doc__
 
 
 @settings(max_examples=100, deadline=None)
