@@ -410,6 +410,43 @@ def test_checked_command_json_bytes_are_pinned(capsys, argv, expected):
     assert (code, out) == (cli.EXIT_OK, expected)
 
 
+def _verify_n(identity, lo_flag, lo, hi_flag, hi):
+    return ("verify", "--identity", identity, lo_flag, lo, hi_flag, hi, "--n", "1", "--n", "7")
+
+
+# the sha256 of longer JSON outputs: every identity, both n of each
+# identity that takes one, and the conjecture at every k
+CHECKED_DIGESTS = {
+    "verify-all": (("verify-all",), cli.EXIT_FAIL,
+                   "a8500c207a69482097b871b48f4648d13a54e20a5dc6ec135badd0a687e257aa"),
+    "gauss": (("verify", "--identity", "gauss_magnitude", "--pmin", "3", "--pmax", "400"), cli.EXIT_OK,
+              "4056bbde2e2321579ef58bf62cdc496315d93c0e282ea31eefc4f0f1ec857ee1"),
+    "zhang-n": (_verify_n("zhang_composite_4th", "--qmin", "3", "--qmax", "60"), cli.EXIT_OK,
+                "0d41c1e0f6777cfc54f9f927ec6c385cccaa3d439440b77babe18e0487f4d454"),
+    "zz-n": (_verify_n("zz_cubic_4th", "--pmin", "3", "--pmax", "100"), cli.EXIT_OK,
+             "ffd343594f3e97a8f97866599a81feb25b0ac7e42475bf5bb12625fa7672cc37"),
+    "zm-n": (_verify_n("zm_cubic_6th", "--pmin", "3", "--pmax", "100"), cli.EXIT_OK,
+             "61fe8b9adaa7eaee41cdc067f44fe9bf642dd0a30c2883ba12b90f22cdfd2e80"),
+    "wz-n": (_verify_n("wz_cubic_8th", "--pmin", "3", "--pmax", "100"), cli.EXIT_OK,
+             "68e35a5bd767f5b24a91569ad8b91cb9aa790051043bbfb1d2caa7bc61e2f4ed"),
+    **{f"conjecture-k{k}": (("conjecture", "--k", str(k), "--pmin", "3", "--pmax", "150"), cli.EXIT_OK, digest)
+       for k, digest in enumerate([
+           "6f0c9194e3f814fc6493c8a03d2197df86c2a1871b5625832a037555c40c0cf5",
+           "e98c196a644ffc8d12fc743fa30d409e3a8397fae075e0ea35919d2ac5d57c1d",
+           "a23c51d28595c33713f629ba366a1c591a5f295da295f4d34ab4528a1cca9f04",
+           "0ed6de043756eec326184c81e2b06e6be8bc0791b4e38df5e04831c18360a213",
+           "d4cbb2448e70189d1f1c9034191d9781ed658211f036e6352c737c5f685d16a7",
+           "c789bce510cbfd53e6fd0654a49baeecab999c3abca31a762bbce5e9f10a5929",
+       ], start=1)},
+}
+
+
+@pytest.mark.parametrize("argv, code, digest", CHECKED_DIGESTS.values(), ids=CHECKED_DIGESTS.keys())
+def test_checked_command_json_sha256_is_pinned(capsys, argv, code, digest):
+    got, out = run(capsys, *argv, "--format", "json")
+    assert (got, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, digest)
+
+
 def test_each_power_mean_is_computed_once_per_process(capsys):
     # n = 7 is a unit at every prime but 7, so its rows reuse the n = 1
     # means, and p = 7 has no n = 7 row
