@@ -134,12 +134,8 @@ def _finish(args, command, config_echo, rows, summary) -> int:
 
 def _run_verify(args) -> int:
     ident = args.identity
-    identity = {i.identity_id: i for i in registry.list_identities()}.get(ident)
-    if identity is None:
+    if ident not in {i.identity_id for i in registry.list_identities()}:
         print(f"unknown identity: {ident}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n and not identity.takes_n:
-        print(f"{ident} takes no --n", file=sys.stderr)
         return EXIT_USAGE
     grid = [{"n": n} for n in args.n] if args.n else None
     if args.q is not None:
@@ -289,7 +285,9 @@ def main(argv=None) -> int:
         # that phi(q) does not divide
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:  # an empty or reversed range, a modulus below 1
+    except ValueError as exc:
+        # an empty or reversed range, a modulus below 1, or an n for an
+        # identity that takes none
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a non-integral closed form

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime, primes_in_range
 from .exp_sums import power_mean
-from .registry import CONJECTURE_FAMILY, FAIL, PASS, _wz_rhs, _zm_rhs, _zz_rhs, verdict
+from .registry import CUBIC_FAMILY, FAIL, PASS, _wz_rhs, _zm_rhs, _zz_rhs, verdict
 
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
 
@@ -54,14 +54,14 @@ def catalan(k: int) -> int:
 def conjecture_value(p: int, k: int) -> int:
     """Exact integer value of the conjecture's 2k-th power mean at p.
 
-    The m = 0 term contributes 0 (sum_a e(a/p) = 0), so this also equals
-    the m = 1..p-1 mean of the cubic family with n = 1.
+    The m = 0 term contributes 0 (sum_a e(a/p) = 0), so this is also the
+    m = 1..p-1 mean of the registry's cubic identities.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
-    return power_mean(CONJECTURE_FAMILY, p, 2 * k)
+    return power_mean(CUBIC_FAMILY, p, 2 * k)
 
 
 def closed_form(p: int, k: int) -> int | None:
@@ -69,8 +69,9 @@ def closed_form(p: int, k: int) -> int | None:
 
     k = 1 comes from a counting argument (cube-roots of unity), k = 2..4
     from the published 4th/6th/8th power-mean identities, as the registry
-    carries them (zz_cubic_4th, zm_cubic_6th, wz_cubic_8th at n = 1); the
-    m = 0 term vanishes so those means coincide with the conjecture sum.
+    carries them (zz_cubic_4th, zm_cubic_6th, wz_cubic_8th); the m = 0
+    term vanishes, so those means and the conjecture sum are one mean of
+    one family, registry.CUBIC_FAMILY.
     Returns None when no closed form applies.
     """
     if k == 1:
@@ -78,7 +79,7 @@ def closed_form(p: int, k: int) -> int | None:
     rhs = {2: _zz_rhs, 3: _zm_rhs, 4: _wz_rhs}.get(k)
     if p <= 3 or rhs is None:
         return None
-    return rhs(p, {})
+    return rhs(p)
 
 
 def crosscheck(summary: dict) -> str:
@@ -94,7 +95,7 @@ def conjecture_report(k: int, prime_lo: int, prime_hi: int) -> ConjectureReport:
     ck = catalan(k)
 
     def row(p: int) -> ConjectureRow:
-        value = power_mean(CONJECTURE_FAMILY, p, 2 * k)
+        value = power_mean(CUBIC_FAMILY, p, 2 * k)
         main = ck * p ** (k + 1)
         norm = (value - main) / p ** (k + 0.5)
         return ConjectureRow(p, k, value, ck, main, norm, verdict(value, closed_form(p, k)))

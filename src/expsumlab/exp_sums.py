@@ -44,15 +44,15 @@ f.  If f is a unit mod q, the total does not depend on f:
     S_t(f) = S_(t*fbar^k)(1).
 t -> t*f^(+-k) is multiplication by a unit: it permutes the residues
 mod q and fixes 0, so it maps the sweep onto itself, with or without
-t = 0, and the total is that of f = 1.  power_mean therefore computes
-such a family at f = 1, and keeps its results per (family, q, 2k).
+t = 0, and the total is that of f = 1.  So a mean at a unit n is the
+mean at 1, and the registry states each identity at f = 1.
 
 Kronecker slots.  _convolve packs two vectors into integers, slot j at
 bit B*j, multiplies them and folds the product mod z^q - 1 with
-(M & mask) + (M >> q*B).  The product of c^*a and c^*b (or of c and its
-reflection) has nonnegative coefficients summing to D^(a+b), and a fold
-adds two of them, so with B >= bitlen(D^(a+b)) no slot carries into the
-next; B is rounded up to whole bytes, so slots repack as bytes.
+(M & mask) + (M >> q*B).  The product of c^*a and c^*b has nonnegative
+coefficients summing to D^(a+b), and a fold adds two of them, so with
+B >= bitlen(D^(a+b)) no slot carries into the next; B is rounded up to
+whole bytes, so slots repack as bytes.
 
 The ladder: each orbit of t != 0 keeps N_1 = c and every N_m built from
 it, N_m = N_(m//2) * N_(m - m//2), whose slots D^m bounds: N_2 serves the
@@ -85,7 +85,7 @@ series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
@@ -394,16 +394,14 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
     """2k-th power mean of |inner sum| over the sweep of the monomial
     coefficient (complete residue system, zero term per the family flag),
     exact: one trace per Galois orbit of the sweep (module docstring).
-    A unit fixed coefficient is replaced by 1, and the last 1024 results
-    are kept, so a process computes each (family, q, 2k) it repeats once.
-    AssertionError if phi(q) does not divide the total."""
+    The last 1024 results are kept, so a process computes each
+    (family, q, 2k) it repeats once.  AssertionError if phi(q) does not
+    divide the total."""
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
     q = _check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    if math.gcd(family.fixed_coefficient, q) == 1:
-        family = replace(family, fixed_coefficient=1)
     return _power_mean(family, as_modulus(modulus), two_k)
 
 
@@ -422,12 +420,3 @@ def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
         raise AssertionError(f"power mean trace {total} not divisible by phi({mod.q}) = {mod.phi}")
     return value
 
-
-def abs_sq_coefficients(family: PhaseFamily, q: int, t: int) -> list[int]:
-    """y with |S_t|^2 = sum_j y_j e(j/q): y_j = sum_i c_(i+j) c_i, the
-    cyclic convolution of the counts with their reflection c_(-j)."""
-    q = _check_q(q)
-    u, v = _family_vectors(family, q)
-    c = _counts(u, v, q, t % q)
-    reflected = _count_slots(np.r_[c[:1], c[:0:-1]])
-    return _unpack(_convolve(_count_slots(c), reflected, int(c.sum()) ** 2))

@@ -2,11 +2,15 @@
 
 Each entry binds an LHS recipe (a power mean or character-sum
 combination, computed as an exact integer with no rounding) to an
-integer RHS closed form plus an applicability predicate.  Every modulus
-must be below 2^31, checked before any work.  verdict() is the one rule
-that gives a checked value its status, pass, fail or skip, for registry
-rows and conjecture rows alike, and summarize() the one place where
-statuses are counted.
+integer RHS closed form plus an applicability predicate.  Both sides are
+functions of the modulus alone: a unit n leaves every mean unchanged
+(exp_sums docstring, "Unit coefficients"), so the n of an identity that
+takes one only decides applicability, through gcd(n, q) = 1, and is
+echoed in its row; an identity that takes none refuses an n.  Every
+modulus must be below 2^31, checked before any work.  verdict() is the
+one rule that gives a checked value its status, pass, fail or skip, for
+registry rows and conjecture rows alike, and summarize() the one place
+where statuses are counted.
 """
 
 from __future__ import annotations
@@ -53,23 +57,19 @@ class IdentityOutcome:
 
 
 # ---------------------------------------------------------------------------
-# families
+# families: one per distinct mean; a unit n does not change a mean
+# (exp_sums docstring, "Unit coefficients"), so none depends on n
 
-def _salie_family(n: int = 1) -> PhaseFamily:
-    # sum over units of e((m*a + n*abar)/q), m swept over a complete
-    # residue system (the displayed m=1..q / m=0..p-1 ranges coincide)
-    return PhaseFamily(1, TWIST_INVERSE, n, True)
-
+# sum over units of e((m*a + abar)/q), m swept over a complete residue
+# system (the displayed m=1..q / m=0..p-1 ranges coincide)
+_SALIE_FAMILY = PhaseFamily(1, TWIST_INVERSE, 1, True)
 
 _ZWL_FAMILY = PhaseFamily(2, TWIST_INVERSE, 1, True)
 
-
-def _cubic_family(n: int = 1) -> PhaseFamily:
-    # sum_{a=0}^{p-1} e((m*a^3 + n*a)/p), m = 1..p-1
-    return PhaseFamily(3, TWIST_NONE, n, False)
-
-
-CONJECTURE_FAMILY = PhaseFamily(3, TWIST_NONE, 1, True)
+# sum_{a=0}^{p-1} e((m*a^3 + a)/p), m = 0..p-1: the cubic identities'
+# m = 1..p-1 mean and the conjecture's sum alike, as the m = 0 term adds
+# phi(p) * S_0^2k = 0 (S_0 = sum_a e(a/p) = 0)
+CUBIC_FAMILY = PhaseFamily(3, TWIST_NONE, 1, True)
 
 # sum_a e(m a^2 / p), m = 1..p-1
 _GAUSS_FAMILY = PhaseFamily(2, TWIST_NONE, 0, False)
@@ -102,11 +102,11 @@ def _zh_applies(mod: Modulus, params) -> bool:
     return mod.is_prime and mod.q > 3 and (mod.q - 1) % 3 != 0
 
 
-def _salie_rhs(p: int, params) -> int:
+def _salie_rhs(p: int) -> int:
     return 2 * p**3 - 3 * p**2 - 3 * p
 
 
-def _zhang_rhs(q: int, params) -> int:
+def _zhang_rhs(q: int) -> int:
     mod = as_modulus(q)
     rhs = Fraction(3**mod.omega * q * q * mod.phi)
     for p in mod.unitary_primes:
@@ -116,7 +116,7 @@ def _zhang_rhs(q: int, params) -> int:
     return int(rhs)
 
 
-def _zwl_rhs(p: int, params) -> int:
+def _zwl_rhs(p: int) -> int:
     leg3 = legendre(3, p)
     # sum((c+1+cbar)/p) = sum((c^3+c^2+c)/p), see char_sums
     t = char_sums.char_sum_poly(char_sums.CUBIC_CCC, p)
@@ -125,7 +125,7 @@ def _zwl_rhs(p: int, params) -> int:
     return 2 * p**3 - 10 * p**2 - 9 * p - 2 * leg3 * p**2 + p**2 * t
 
 
-def _nw_rhs(p: int, params) -> int:
+def _nw_rhs(p: int) -> int:
     leg3 = legendre(3, p)
     c = char_sums.ning_wang_c(p)
     if p % 4 == 3:
@@ -133,49 +133,42 @@ def _nw_rhs(p: int, params) -> int:
     return 2 * p**3 - 8 * p**2 - 2 * p**2 * leg3 - 9 * p + p**2 * c
 
 
-def _zz_rhs(p: int, params) -> int:
+def _zz_rhs(p: int) -> int:
     return 2 * p**3 - p**2 if (p - 1) % 3 != 0 else 2 * p**3 - 7 * p**2
 
 
-def _zh_rhs(p: int, params) -> int:
+def _zh_rhs(p: int) -> int:
     return 5 * p**4 - 8 * p**3 - p**2
 
 
-def _zm_rhs(p: int, params) -> int:
+def _zm_rhs(p: int) -> int:
     if p % 6 == 5:
         return 5 * p**3 * (p - 1)
     d = represent_4p(p).d
     return 5 * p**4 - 23 * p**3 - d * d * p**2
 
 
-def _wz_rhs(p: int, params) -> int:
+def _wz_rhs(p: int) -> int:
     if p % 6 == 5:
         return 7 * (2 * p**5 - 3 * p**4)
     d = represent_4p(p).d
     return 14 * p**5 - 75 * p**4 - 8 * p**3 * d * d
 
 
-def _mean_lhs(family_of_n, two_k):
-    def lhs(mod: Modulus, params) -> int:
-        fam = family_of_n(params.get("n", 1))
-        return power_mean(fam, mod, two_k)
-
-    return lhs
+def _mean_lhs(family, two_k):
+    return lambda mod: power_mean(family, mod, two_k)
 
 
-def _corollary_lhs(mod: Modulus, params) -> int:
+def _corollary_lhs(mod: Modulus) -> int:
     return char_sums.corollary1_check(mod.q).difference
 
 
-def _gauss_lhs(mod: Modulus, params) -> int | None:
-    # |S_1|^2 = sum_j y_j e(j/p) is an integer, y_0 - y_1, iff y_j is the
-    # same for every j != 0 (1 + zeta + ... + zeta^(p-1) = 0 is the only
-    # relation); sigma_c maps S_1 to S_(c^-1), so every |S_m|^2, m != 0, is
-    y = exp_sums.abs_sq_coefficients(_GAUSS_FAMILY, mod.q, 1)
-    # that integer too and the 2nd mean is p - 1 times it
-    if any(x != y[1] for x in y[2:]):
-        return None
-    return (mod.q - 1) * (y[0] - y[1])
+def _gauss_lhs(mod: Modulus) -> int | None:
+    # by Cauchy-Schwarz (p - 1) * M4 >= M2^2 over m = 1..p-1, with equality
+    # exactly when every |S_m|^2 is the same; then each is M2 / (p - 1)
+    m2 = power_mean(_GAUSS_FAMILY, mod, 2)
+    m4 = power_mean(_GAUSS_FAMILY, mod, 4)
+    return m2 if (mod.q - 1) * m4 == m2 * m2 else None
 
 
 @dataclass(frozen=True)
@@ -203,7 +196,7 @@ _register(
     "4th power mean of S(m,1;p) over m = 0..p-1 equals 2p^3-3p^2-3p",
     "odd primes p >= 3",
     _odd_prime,
-    _mean_lhs(_salie_family, 4),
+    _mean_lhs(_SALIE_FAMILY, 4),
     _salie_rhs,
 )
 _register(
@@ -211,7 +204,7 @@ _register(
     "4th power mean of S(m,n;q) over a complete residue system of m",
     "odd q >= 3 with gcd(n, q) = 1 (even q fail the displayed formula)",
     _zhang_applies,
-    _mean_lhs(_salie_family, 4),
+    _mean_lhs(_SALIE_FAMILY, 4),
     _zhang_rhs,
     takes_n=True,
 )
@@ -220,7 +213,7 @@ _register(
     "4th power mean of sum_a e((m a^2 + abar)/p), ZWL closed form",
     "primes p > 3",
     _prime_gt3,
-    _mean_lhs(lambda n: _ZWL_FAMILY, 4),
+    _mean_lhs(_ZWL_FAMILY, 4),
     _zwl_rhs,
 )
 _register(
@@ -228,7 +221,7 @@ _register(
     "4th power mean of sum_a e((m a^2 + abar)/p), Ning-Wang closed form",
     "primes p > 3",
     _prime_gt3,
-    _mean_lhs(lambda n: _ZWL_FAMILY, 4),
+    _mean_lhs(_ZWL_FAMILY, 4),
     _nw_rhs,
 )
 _register(
@@ -237,14 +230,14 @@ _register(
     "odd primes p >= 3",
     _odd_prime,
     _corollary_lhs,
-    lambda p, params: 2,
+    lambda p: 2,
 )
 _register(
     "zz_cubic_4th",
     "4th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
     "primes p > 3 with gcd(n, p) = 1",
     _prime_gt3_unit_n,
-    _mean_lhs(_cubic_family, 4),
+    _mean_lhs(CUBIC_FAMILY, 4),
     _zz_rhs,
     takes_n=True,
 )
@@ -258,7 +251,7 @@ _register(
     "6th power mean over the linear coefficient a of sum_n e((n^3 + a n)/p)",
     "primes p > 3 with 3 not dividing p-1",
     _zh_applies,
-    _mean_lhs(lambda n: _cubic_family(1), 6),
+    _mean_lhs(CUBIC_FAMILY, 6),
     _zh_rhs,
 )
 _register(
@@ -266,7 +259,7 @@ _register(
     "6th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
     "primes p > 3, split by p mod 6",
     _prime_gt3_unit_n,
-    _mean_lhs(_cubic_family, 6),
+    _mean_lhs(CUBIC_FAMILY, 6),
     _zm_rhs,
     takes_n=True,
 )
@@ -275,7 +268,7 @@ _register(
     "8th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
     "primes p > 3, split by p mod 6",
     _prime_gt3_unit_n,
-    _mean_lhs(_cubic_family, 8),
+    _mean_lhs(CUBIC_FAMILY, 8),
     _wz_rhs,
     takes_n=True,
 )
@@ -286,7 +279,7 @@ _register(
     "odd primes p >= 3",
     _odd_prime,
     _gauss_lhs,
-    lambda p, params: p * (p - 1),
+    lambda p: p * (p - 1),
 )
 
 
@@ -302,19 +295,28 @@ def verdict(lhs: int | None, rhs: int | None) -> str:
     return PASS if lhs == rhs else FAIL
 
 
-def evaluate(identity_id: str, modulus, params: dict | None = None) -> IdentityOutcome:
-    """Evaluate one identity at one modulus; inapplicable moduli yield a
-    skip outcome rather than an error."""
+def _entry(identity_id: str, grid: list[dict]) -> Identity:
+    """The identity's entry.  ValueError if a row of the grid gives an n
+    to an identity that takes none: its sums are those of one n only."""
     if identity_id not in _ENTRIES:
         raise UnknownIdentityError(identity_id)
     entry = _ENTRIES[identity_id]
+    if not entry.takes_n and any("n" in params for params in grid):
+        raise ValueError(f"{identity_id} takes no --n")
+    return entry
+
+
+def evaluate(identity_id: str, modulus, params: dict | None = None) -> IdentityOutcome:
+    """Evaluate one identity at one modulus; inapplicable moduli yield a
+    skip outcome rather than an error."""
     params = dict(params or {})
+    entry = _entry(identity_id, [params])
     exp_sums._check_q(modulus)  # before as_modulus trial-divides q
     mod = as_modulus(modulus)
     lhs, rhs = None, None
     if entry.applies(mod, params):
-        lhs = entry.lhs(mod, params)
-        rhs = entry.rhs(mod.q, params)
+        lhs = entry.lhs(mod)
+        rhs = entry.rhs(mod.q)
     return IdentityOutcome(identity_id, mod.q, params, lhs, rhs, verdict(lhs, rhs))
 
 
@@ -325,14 +327,14 @@ def sweep(
     emit_skips: bool = False,
 ) -> list[IdentityOutcome]:
     """Evaluate an identity over every modulus in `moduli` x every params
-    combination, in deterministic (modulus, params) order.
+    combination, in deterministic (modulus, params) order.  The grid is
+    checked before the first modulus, so an empty range refuses it too.
 
     Inapplicable moduli are dropped unless emit_skips is set (explicit
     single-modulus queries want the skip row; range sweeps do not).
     """
-    if identity_id not in _ENTRIES:
-        raise UnknownIdentityError(identity_id)
     grid = params_grid if params_grid is not None else [{}]
+    _entry(identity_id, grid)
     results = [evaluate(identity_id, int(q), params) for q in moduli for params in grid]
     return [o for o in results if emit_skips or o.status != SKIP]
 

@@ -70,7 +70,7 @@ def test_corrupted_rhs_flips_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(
         registry._ENTRIES,
         "salie_4th",
-        dataclasses.replace(entry, rhs=lambda p, params: entry.rhs(p, params) + 1),
+        dataclasses.replace(entry, rhs=lambda p: entry.rhs(p) + 1),
     )
     code, _ = run(capsys, "verify", "--identity", "salie_4th", "--q", "5")
     assert code == cli.EXIT_FAIL
@@ -211,6 +211,14 @@ def test_bad_range_is_usage_error_without_traceback(capsys, argv):
     assert captured.out == ""
     err = captured.err.strip()
     assert err and "\n" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", [("--q", "5"), ("--pmin", "24", "--pmax", "28"), ("--qmin", "8", "--qmax", "9")])
+def test_n_for_an_identity_without_one_is_the_registry_usage_error(capsys, where):
+    # the registry refuses the n, for a single modulus and for an empty range
+    code = cli.main(["verify", "--identity", "salie_4th", *where, "--n", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (cli.EXIT_USAGE, "", "salie_4th takes no --n\n")
 
 
 def _raise(exc):
@@ -448,8 +456,8 @@ def test_checked_command_json_sha256_is_pinned(capsys, argv, code, digest):
 
 
 def test_each_power_mean_is_computed_once_per_process(capsys):
-    # n = 7 is a unit at every prime but 7, so its rows reuse the n = 1
-    # means, and p = 7 has no n = 7 row
+    # every row of either n computes the one cubic family's mean at its
+    # p, and p = 7 has no n = 7 row, as 7 is no unit there
     exp_sums._power_mean.cache_clear()
     code, _ = run(capsys, "verify", "--identity", "zz_cubic_4th", "--pmin", "5", "--pmax", "61",
                   "--n", "1", "--n", "7")

@@ -19,7 +19,7 @@ from expsumlab.exp_sums import (
     twisted_sum,
     two_term_sum,
 )
-from expsumlab.registry import CONJECTURE_FAMILY
+from expsumlab.registry import CUBIC_FAMILY
 
 from conftest import e_p, power_mean_direct, reference_mean, reference_root_table
 
@@ -106,7 +106,7 @@ def test_power_mean_matches_direct_double(small_odd_primes):
         def inner(m):
             return (e_p(m * a**3 + a, p) for a in range(p))
         brute = power_mean_direct(inner, range(p), 6)
-        assert power_mean(CONJECTURE_FAMILY, p, 6) == pytest.approx(brute, rel=1e-9)
+        assert power_mean(CUBIC_FAMILY, p, 6) == pytest.approx(brute, rel=1e-9)
 
 
 def test_power_mean_near_integral_sampled():
@@ -114,12 +114,12 @@ def test_power_mean_near_integral_sampled():
     for q in primes_in_range(3, 100):
         assert power_mean(SALIE, q, 4) == 2 * q**3 - 3 * q**2 - 3 * q, q
         if q > 3:
-            assert power_mean(CUBIC_N1, q, 8) == registry._wz_rhs(q, {}), q
+            assert power_mean(CUBIC_N1, q, 8) == registry._wz_rhs(q), q
 
 
 def test_wide_slots_pin_the_twelfth_mean():
     # 1999^6 needs 9-byte Kronecker slots; the values are exact counts
-    assert power_mean(CONJECTURE_FAMILY, 1999, 12) == 16752866660353798632014860
+    assert power_mean(CUBIC_FAMILY, 1999, 12) == 16752866660353798632014860
     assert power_mean(SALIE, 1999, 12) == 16293634516098608833512659
 
 
@@ -144,7 +144,7 @@ def test_conjecture_family_counting_oracle(small_odd_primes):
         roots = np.exp(2j * np.pi * np.arange(p) / p)
         U = T @ roots
         oracle = p * float((U * U.conj()).real.sum())
-        value = power_mean(CONJECTURE_FAMILY, p, 4)
+        value = power_mean(CUBIC_FAMILY, p, 4)
         assert value == round(oracle)
         assert abs(oracle - value) < 1e-5
 
@@ -243,15 +243,17 @@ def test_exponents_stay_in_int64():
 
 
 KERNEL_FAMILIES = [
-    registry._salie_family(1),
-    registry._salie_family(2),
+    # Salie at n = 1, 2 and 5, and the cubic family at n = 1, 2 and 3,
+    # without its t = 0 term
+    registry._SALIE_FAMILY,
+    PhaseFamily(1, TWIST_INVERSE, 2, True),
     registry._ZWL_FAMILY,
-    registry._cubic_family(1),
-    registry._cubic_family(2),
+    PhaseFamily(3, TWIST_NONE, 1, False),
+    PhaseFamily(3, TWIST_NONE, 2, False),
     # 3 is no unit of q = 3, 9, 12, ...: the kernel computes it as given
-    registry._cubic_family(3),
-    CONJECTURE_FAMILY,
-    registry._salie_family(5),
+    PhaseFamily(3, TWIST_NONE, 3, False),
+    CUBIC_FAMILY,
+    PhaseFamily(1, TWIST_INVERSE, 5, True),
     PhaseFamily(5, TWIST_NONE, 1, True),
     registry._GAUSS_FAMILY,
 ]
@@ -384,7 +386,7 @@ def test_lower_mean_after_higher_makes_no_convolution(monkeypatch):
     # reads N_2 from the ladder
     calls = counted_convolve(monkeypatch)
     assert cli.main(["conjecture", "--k", "4", "--pmin", "1009", "--pmax", "1021"]) == 0
-    orbits = sum(len(exp_sums._orbit_table(CONJECTURE_FAMILY, Modulus.from_int(p))[1])
+    orbits = sum(len(exp_sums._orbit_table(CUBIC_FAMILY, Modulus.from_int(p))[1])
                  for p in primes_in_range(1009, 1021))
     assert len(calls) == 2 * orbits
     del calls[:]
@@ -399,7 +401,7 @@ def test_cubic_means_share_one_ladder(monkeypatch):
     p = 101
     for identity in ("zz_cubic_4th", "zm_cubic_6th", "wz_cubic_8th"):
         assert registry.evaluate(identity, p).status == registry.PASS, identity
-    orbits = exp_sums._orbit_table(registry._cubic_family(1), Modulus.from_int(p))[1]
+    orbits = exp_sums._orbit_table(CUBIC_FAMILY, Modulus.from_int(p))[1]
     assert len(orbits) == 2 and len(calls) == 3 * len(orbits)
     assert all(sorted(ladder) == [1, 2, 3, 4] for _, ladder in orbits)
 
@@ -438,18 +440,17 @@ def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
 @pytest.mark.parametrize("shape", [PhaseFamily(1, TWIST_NONE), PhaseFamily(1, TWIST_INVERSE)])
 @pytest.mark.parametrize("include_zero", [True, False])
 def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
-    # power_mean computes a unit coefficient at 1 (module docstring);
-    # __wrapped__ computes it as given, past the cache
+    # a unit coefficient c gives the mean of c = 1 (module docstring, "Unit
+    # coefficients"), the theorem the registry's means at a unit n rest on;
+    # power_mean computes each c as given
     for q in range(3, 41):
-        mod = Modulus.from_int(q)
-        for c in range(1, q):
+        one = replace(shape, monomial_degree=1 + q % 4, include_zero_in_sweep=include_zero)
+        for c in range(2, q):
             if math.gcd(c, q) != 1:
                 continue
-            family = replace(shape, monomial_degree=1 + q % 4, fixed_coefficient=c,
-                             include_zero_in_sweep=include_zero)
+            family = replace(one, fixed_coefficient=c)
             for two_k in (2, 4, 6):
-                direct = exp_sums._power_mean.__wrapped__(family, mod, two_k)
-                assert power_mean(family, q, two_k) == direct, (family, q, two_k)
+                assert power_mean(family, q, two_k) == power_mean(one, q, two_k), (family, q, two_k)
 
 
 @pytest.mark.parametrize("family, q", [
@@ -580,12 +581,13 @@ def test_names_nothing_calls_stay_deleted():
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod", "reflect"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
-                   "VARY_LINEAR", "VARY_MONOMIAL"),
+                   "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
                       "_is_canonical", "_differ"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
-                   "RESIDUAL_TOL", "_ZH_FAMILY"),
+                   "RESIDUAL_TOL", "_ZH_FAMILY", "_salie_family", "_cubic_family",
+                   "CONJECTURE_FAMILY"),
         conjecture: ("CrossCheck",),
         cli: ("_finish_checked",),
     }

@@ -65,9 +65,25 @@ def test_zhang_composite_skips_even_and_non_unit_n():
     assert evaluate("zhang_composite_4th", 15, {"n": 3}).status == SKIP
 
 
+def test_identity_without_n_refuses_one_before_any_work(monkeypatch):
+    # salie_4th at n = 5 would be S(m, 5; 5), whose mean is not the RHS;
+    # zwl_4th has no n at all: both refuse it rather than echo it
+    def no_work(*args):
+        raise AssertionError("did work before refusing n")
+
+    monkeypatch.setattr(registry, "as_modulus", no_work)
+    for identity, q, n in (("salie_4th", 5, 5), ("zwl_4th", 7, 3)):
+        with pytest.raises(ValueError, match=f"^{identity} takes no --n$"):
+            evaluate(identity, q, {"n": n})
+        # before the first modulus, so an empty range refuses it too
+        for moduli in ([q], []):
+            with pytest.raises(ValueError, match=f"^{identity} takes no --n$"):
+                sweep(identity, moduli, [{}, {"n": n}])
+
+
 def zhang_mean(q):
     """sum_{m mod q} |S(m, 1; q)|^4, the LHS of zhang_composite_4th."""
-    return exp_sums.power_mean(registry._salie_family(1), q, 4)
+    return exp_sums.power_mean(registry._SALIE_FAMILY, q, 4)
 
 
 def test_zhang_mean_is_multiplicative():
@@ -190,27 +206,25 @@ def test_gauss_magnitude_outcome():
 
 
 @pytest.mark.parametrize("p", [499, 1999])
-def test_gauss_magnitude_is_checked_on_exact_table(p):
-    # every |S_m|^2 is the integer y_0 - y_1 of one exact autocorrelation
+def test_gauss_magnitude_is_checked_on_its_power_means(p):
+    # M2 = p(p - 1) and (p - 1) M4 = M2^2, the Cauchy-Schwarz equality:
+    # every |S_m|^2, m = 1..p-1, is p
     out = evaluate("gauss_magnitude", p)
     assert out.passed
-    y = exp_sums.abs_sq_coefficients(registry._GAUSS_FAMILY, p, 1)
-    assert y[0] - y[1] == p and len(set(y[1:])) == 1
+    m2, m4 = (exp_sums.power_mean(registry._GAUSS_FAMILY, p, two_k) for two_k in (2, 4))
+    assert m2 == p * (p - 1) and (p - 1) * m4 == m2 * m2
 
 
-@pytest.mark.parametrize("offsets", [{1: 1, 2: -1}, {1: 1, 12: -1}])
-def test_gauss_magnitude_flags_one_bad_table_entry(monkeypatch, offsets):
-    # two coefficients of |S_1|^2 moved apart, with their total kept: no
-    # longer an integer, so no magnitude is sqrt(p) and the row fails
-    real = exp_sums.abs_sq_coefficients
+@pytest.mark.parametrize("offset", [1, -1])
+def test_gauss_magnitude_flags_a_skewed_fourth_mean(monkeypatch, offset):
+    # a 4th mean off by one breaks the Cauchy-Schwarz equality, so the
+    # magnitudes are no longer all equal and the row fails, with no LHS
+    real = registry.power_mean
 
-    def skewed(family, q, t):
-        y = real(family, q, t)
-        for j, off in offsets.items():
-            y[j] += off
-        return y
+    def skewed(family, modulus, two_k):
+        return real(family, modulus, two_k) + (offset if two_k == 4 else 0)
 
-    monkeypatch.setattr(exp_sums, "abs_sq_coefficients", skewed)
+    monkeypatch.setattr(registry, "power_mean", skewed)
     out = evaluate("gauss_magnitude", 13)
     assert out.status == FAIL and out.lhs is None and out.rhs == 156
 
