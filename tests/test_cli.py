@@ -221,6 +221,21 @@ def test_n_for_an_identity_without_one_is_the_registry_usage_error(capsys, where
     assert (code, out, err) == (cli.EXIT_USAGE, "", "salie_4th takes no --n\n")
 
 
+# each input error has one message, checked in a fixed order: the
+# identity, then the range, then the n
+@pytest.mark.parametrize("argv, err", [
+    (("--identity", "nope"), "unknown identity: nope\n"),
+    (("--identity", "nope", "--q", "5"), "unknown identity: nope\n"),
+    (("--identity", "nope", "--n", "2"), "unknown identity: nope\n"),
+    (("--identity", "nope", "--pmin", "9", "--pmax", "3"), "unknown identity: nope\n"),
+    (("--identity", "salie_4th", "--n", "3"), "verify needs --q, --pmin/--pmax, or --qmin/--qmax\n"),
+    (("--identity", "salie_4th", "--n", "3", "--pmin", "7", "--pmax", "3"), "empty range: lo=7 > hi=3\n"),
+])
+def test_verify_usage_errors_are_checked_identity_then_range_then_n(capsys, argv, err):
+    code = cli.main(["verify", *argv])
+    assert (code, *capsys.readouterr()) == (cli.EXIT_USAGE, "", err)
+
+
 def _raise(exc):
     def fn(*args, **kwargs):
         raise exc
@@ -437,6 +452,11 @@ CHECKED_DIGESTS = {
              "61fe8b9adaa7eaee41cdc067f44fe9bf642dd0a30c2883ba12b90f22cdfd2e80"),
     "wz-n": (_verify_n("wz_cubic_8th", "--pmin", "3", "--pmax", "100"), cli.EXIT_OK,
              "68e35a5bd767f5b24a91569ad8b91cb9aa790051043bbfb1d2caa7bc61e2f4ed"),
+    # a single modulus keeps the skip row of a non-unit n, in --n order
+    "zhang-q-skip-n": (("verify", "--identity", "zhang_composite_4th", "--q", "15", "--n", "3", "--n", "1"),
+                       cli.EXIT_OK, "15462b429b044b3699038dc96b7c867b825703087cc07d341cd1c2b217df07da"),
+    "zz-q-skip-n": (("verify", "--identity", "zz_cubic_4th", "--q", "7", "--n", "7", "--n", "1"),
+                    cli.EXIT_OK, "dcf3a26553d3cc49f803651d9057a3c385f357836f4edecfb3afa044ba14fb40"),
     **{f"conjecture-k{k}": (("conjecture", "--k", str(k), "--pmin", "3", "--pmax", "150"), cli.EXIT_OK, digest)
        for k, digest in enumerate([
            "6f0c9194e3f814fc6493c8a03d2197df86c2a1871b5625832a037555c40c0cf5",
