@@ -97,7 +97,7 @@ def _outcome_row(o: registry.IdentityOutcome) -> dict:
     return {
         "identity": o.identity_id,
         "modulus": o.modulus,
-        "n": o.params.get("n"),
+        "n": o.n,
         "lhs": o.lhs,
         "rhs": o.rhs,
         "residual": 0.0,  # every lhs is exact; kept for the output format
@@ -134,24 +134,21 @@ def _finish(args, command, config_echo, rows, summary) -> int:
 
 def _run_verify(args) -> int:
     ident = args.identity
-    if ident not in {i.identity_id for i in registry.list_identities()}:
-        print(f"unknown identity: {ident}", file=sys.stderr)
-        return EXIT_USAGE
-    grid = [{"n": n} for n in args.n] if args.n else None
+    registry.sweep(ident, [])  # refuses an unknown identity before the range is read
     if args.q is not None:
-        outcomes = registry.sweep(ident, [args.q], grid, emit_skips=True)
-        echo = {"identity": ident, "q": args.q, "n": args.n}
+        moduli, where, emit_skips = [args.q], {"q": args.q}, True
     elif args.pmin is not None and args.pmax is not None:
         moduli = primes_in_range(args.pmin, args.pmax)
-        outcomes = registry.sweep(ident, moduli, grid)
-        echo = {"identity": ident, "pmin": args.pmin, "pmax": args.pmax, "n": args.n}
+        where, emit_skips = {"pmin": args.pmin, "pmax": args.pmax}, False
     elif args.qmin is not None and args.qmax is not None:
         check_range(args.qmin, args.qmax)
-        outcomes = registry.sweep(ident, range(args.qmin, args.qmax + 1), grid)
-        echo = {"identity": ident, "qmin": args.qmin, "qmax": args.qmax, "n": args.n}
+        moduli = range(args.qmin, args.qmax + 1)
+        where, emit_skips = {"qmin": args.qmin, "qmax": args.qmax}, False
     else:
         print("verify needs --q, --pmin/--pmax, or --qmin/--qmax", file=sys.stderr)
         return EXIT_USAGE
+    outcomes = registry.sweep(ident, moduli, args.n, emit_skips)
+    echo = {"identity": ident, **where, "n": args.n}
     rows = [_outcome_row(o) for o in outcomes]
     return _finish(args, "verify", echo, rows, registry.summarize(outcomes))
 
@@ -286,8 +283,8 @@ def main(argv=None) -> int:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
-        # an empty or reversed range, a modulus below 1, or an n for an
-        # identity that takes none
+        # an unknown identity, an empty or reversed range, a modulus
+        # below 1, or an n for an identity that takes none
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:  # a non-integral closed form

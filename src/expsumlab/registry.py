@@ -2,15 +2,16 @@
 
 Each entry binds an LHS recipe (a power mean or character-sum
 combination, computed as an exact integer with no rounding) to an
-integer RHS closed form plus an applicability predicate.  Both sides are
-functions of the modulus alone: a unit n leaves every mean unchanged
-(exp_sums docstring, "Unit coefficients"), so the n of an identity that
-takes one only decides applicability, through gcd(n, q) = 1, and is
-echoed in its row; an identity that takes none refuses an n.  Every
-modulus must be below 2^31, checked before any work.  verdict() is the
-one rule that gives a checked value its status, pass, fail or skip, for
-registry rows and conjecture rows alike, and summarize() the one place
-where statuses are counted.
+integer RHS closed form plus an applicability predicate of the modulus.
+Both sides are functions of the modulus alone: a unit n leaves every
+mean unchanged (exp_sums docstring, "Unit coefficients"), so the one
+optional n of an identity that takes one only decides applicability,
+by the one rule in evaluate() that n be a unit mod q, and is echoed in
+its row; an identity that takes none refuses an n.  Every modulus must
+be below 2^31, checked before any work.  verdict() is the one rule that
+gives a checked value its status, pass, fail or skip, for registry rows
+and conjecture rows alike, and summarize() the one place where statuses
+are counted.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-class UnknownIdentityError(KeyError):
+class UnknownIdentityError(ValueError):
     pass
 
 
@@ -42,18 +43,10 @@ class UnknownIdentityError(KeyError):
 class IdentityOutcome:
     identity_id: str
     modulus: int
-    params: dict
+    n: int | None
     lhs: int | None
     rhs: int | None
     status: str
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    @property
-    def skipped(self) -> bool:
-        return self.status == SKIP
 
 
 # ---------------------------------------------------------------------------
@@ -78,27 +71,23 @@ _GAUSS_FAMILY = PhaseFamily(2, TWIST_NONE, 0, False)
 # ---------------------------------------------------------------------------
 # per-entry applicability / lhs / rhs
 
-def _odd_prime(mod: Modulus, params) -> bool:
+def _odd_prime(mod: Modulus) -> bool:
     return mod.is_prime and mod.q % 2 == 1
 
 
-def _prime_gt3(mod: Modulus, params) -> bool:
+def _prime_gt3(mod: Modulus) -> bool:
+    # k = 3 degenerates at p = 3 (a^3 = a), so the cubic identities
+    # start at p = 5
     return mod.is_prime and mod.q > 3
 
 
-def _prime_gt3_unit_n(mod: Modulus, params) -> bool:
-    # k = 3 degenerates at p = 3 (a^3 = a), so the cubic identities
-    # start at p = 5
-    return mod.is_prime and mod.q > 3 and gcd(params.get("n", 1), mod.q) == 1
-
-
-def _zhang_applies(mod: Modulus, params) -> bool:
+def _zhang_applies(mod: Modulus) -> bool:
     # the displayed formula fails at even q (q = 4: lhs 32, rhs 96);
-    # restricted to odd q >= 3 with (n, q) = 1
-    return mod.q >= 3 and mod.q % 2 == 1 and gcd(params.get("n", 1), mod.q) == 1
+    # restricted to odd q >= 3
+    return mod.q >= 3 and mod.q % 2 == 1
 
 
-def _zh_applies(mod: Modulus, params) -> bool:
+def _zh_applies(mod: Modulus) -> bool:
     return mod.is_prime and mod.q > 3 and (mod.q - 1) % 3 != 0
 
 
@@ -202,7 +191,7 @@ _register(
 _register(
     "zhang_composite_4th",
     "4th power mean of S(m,n;q) over a complete residue system of m",
-    "odd q >= 3 with gcd(n, q) = 1 (even q fail the displayed formula)",
+    "odd q >= 3, n a unit mod q (even q fail the displayed formula)",
     _zhang_applies,
     _mean_lhs(_SALIE_FAMILY, 4),
     _zhang_rhs,
@@ -235,8 +224,8 @@ _register(
 _register(
     "zz_cubic_4th",
     "4th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
-    "primes p > 3 with gcd(n, p) = 1",
-    _prime_gt3_unit_n,
+    "primes p > 3, n a unit mod p",
+    _prime_gt3,
     _mean_lhs(CUBIC_FAMILY, 4),
     _zz_rhs,
     takes_n=True,
@@ -258,7 +247,7 @@ _register(
     "zm_cubic_6th",
     "6th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
     "primes p > 3, split by p mod 6",
-    _prime_gt3_unit_n,
+    _prime_gt3,
     _mean_lhs(CUBIC_FAMILY, 6),
     _zm_rhs,
     takes_n=True,
@@ -267,7 +256,7 @@ _register(
     "wz_cubic_8th",
     "8th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
     "primes p > 3, split by p mod 6",
-    _prime_gt3_unit_n,
+    _prime_gt3,
     _mean_lhs(CUBIC_FAMILY, 8),
     _wz_rhs,
     takes_n=True,
@@ -295,47 +284,48 @@ def verdict(lhs: int | None, rhs: int | None) -> str:
     return PASS if lhs == rhs else FAIL
 
 
-def _entry(identity_id: str, grid: list[dict]) -> Identity:
-    """The identity's entry.  ValueError if a row of the grid gives an n
-    to an identity that takes none: its sums are those of one n only."""
+def _entry(identity_id: str, ns) -> Identity:
+    """The identity's entry.  ValueError if ns gives an n to an identity
+    that takes none: its sums are those of one n only."""
     if identity_id not in _ENTRIES:
-        raise UnknownIdentityError(identity_id)
+        raise UnknownIdentityError(f"unknown identity: {identity_id}")
     entry = _ENTRIES[identity_id]
-    if not entry.takes_n and any("n" in params for params in grid):
+    if not entry.takes_n and any(n is not None for n in ns):
         raise ValueError(f"{identity_id} takes no --n")
     return entry
 
 
-def evaluate(identity_id: str, modulus, params: dict | None = None) -> IdentityOutcome:
-    """Evaluate one identity at one modulus; inapplicable moduli yield a
+def evaluate(identity_id: str, modulus, n: int | None = None) -> IdentityOutcome:
+    """Evaluate one identity at one modulus and optional n; a modulus the
+    identity does not apply to, or an n that is no unit mod q, yields a
     skip outcome rather than an error."""
-    params = dict(params or {})
-    entry = _entry(identity_id, [params])
+    entry = _entry(identity_id, [n])
     exp_sums._check_q(modulus)  # before as_modulus trial-divides q
     mod = as_modulus(modulus)
     lhs, rhs = None, None
-    if entry.applies(mod, params):
+    if entry.applies(mod) and (n is None or gcd(n, mod.q) == 1):
         lhs = entry.lhs(mod)
         rhs = entry.rhs(mod.q)
-    return IdentityOutcome(identity_id, mod.q, params, lhs, rhs, verdict(lhs, rhs))
+    return IdentityOutcome(identity_id, mod.q, n, lhs, rhs, verdict(lhs, rhs))
 
 
 def sweep(
     identity_id: str,
     moduli,
-    params_grid: list[dict] | None = None,
+    ns: list[int] | None = None,
     emit_skips: bool = False,
 ) -> list[IdentityOutcome]:
-    """Evaluate an identity over every modulus in `moduli` x every params
-    combination, in deterministic (modulus, params) order.  The grid is
-    checked before the first modulus, so an empty range refuses it too.
+    """Evaluate an identity over every modulus in `moduli` x every n in
+    `ns`, in deterministic (modulus, n) order; ns=None means no n, and
+    ns=[] gives no rows.  The identity and ns are checked before the
+    first modulus, so an empty range refuses them too.
 
     Inapplicable moduli are dropped unless emit_skips is set (explicit
     single-modulus queries want the skip row; range sweeps do not).
     """
-    grid = params_grid if params_grid is not None else [{}]
-    _entry(identity_id, grid)
-    results = [evaluate(identity_id, int(q), params) for q in moduli for params in grid]
+    ns = [None] if ns is None else ns
+    _entry(identity_id, ns)
+    results = [evaluate(identity_id, int(q), n) for q in moduli for n in ns]
     return [o for o in results if emit_skips or o.status != SKIP]
 
 

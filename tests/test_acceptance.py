@@ -16,7 +16,7 @@ from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ
 from expsumlab.conjecture import closed_form, conjecture_report, conjecture_value
 from expsumlab.exp_sums import abs_two_term_all_m
 from expsumlab.poly_search import search_constant_pairs
-from expsumlab.registry import evaluate, summarize, sweep
+from expsumlab.registry import PASS, SKIP, evaluate, summarize, sweep
 
 
 def _report(n: int, ok: bool, detail: str):
@@ -59,18 +59,18 @@ def test_acceptance_03_composite_fourth_mean():
         units = [u for u in range(2, q) if math.gcd(u, q) == 1]
         ns = sorted({1, units[0] if units else 1, q - 1})
         for n in ns:
-            out = evaluate("zhang_composite_4th", q, {"n": n})
-            if out.skipped:
+            out = evaluate("zhang_composite_4th", q, n)
+            if out.status == SKIP:
                 continue
             checked += 1
-            if not out.passed:
+            if out.status != PASS:
                 worst = f"q={q} n={n}: lhs {out.lhs} rhs {out.rhs}"
                 break
         if worst:
             break
     spots = (
-        evaluate("zhang_composite_4th", 5, {"n": 1}).lhs == 160
-        and evaluate("zhang_composite_4th", 15, {"n": 1}).lhs == 2880
+        evaluate("zhang_composite_4th", 5, 1).lhs == 160
+        and evaluate("zhang_composite_4th", 15, 1).lhs == 2880
     )
     # the rhs builder raises if the rational product is not an integer,
     # so reaching this point certifies integrality at every q
@@ -83,7 +83,7 @@ def test_acceptance_04_quadratic_twisted_fourth_mean():
     for p in primes_in_range(5, 199):
         a = evaluate("zwl_4th", p)
         b = evaluate("nw_4th", p)
-        if not (a.passed and b.passed and a.lhs == b.lhs):
+        if not (a.status == b.status == PASS and a.lhs == b.lhs):
             bad = f"p={p}: {a.lhs} vs rhs {a.rhs}/{b.rhs}"
             break
     ok = not bad and evaluate("zwl_4th", 5).lhs == 55
@@ -94,8 +94,8 @@ def test_acceptance_05_cubic_fourth_mean():
     bad = ""
     for p in primes_in_range(5, 199):
         for n in (1, 2):
-            out = evaluate("zz_cubic_4th", p, {"n": n})
-            if not out.passed:
+            out = evaluate("zz_cubic_4th", p, n)
+            if out.status != PASS:
                 bad = f"p={p} n={n}: lhs {out.lhs} rhs {out.rhs}"
                 break
         if bad:
@@ -118,7 +118,7 @@ def test_acceptance_06_cubic_sixth_mean_over_linear_slot():
         if (p - 1) % 3 == 0:
             continue
         out = evaluate("zh_cubic_6th_over_a", p)
-        if not out.passed:
+        if out.status != PASS:
             bad = f"p={p}: lhs {out.lhs} != rhs {out.rhs} (known discrepancy)"
             break
     _report(6, not bad, bad or "5p^4-8p^3-p^2 exact for p < 200 with 3 not dividing p-1")
@@ -129,7 +129,7 @@ def test_acceptance_07_cubic_sixth_and_eighth_means():
     for p in primes_in_range(5, 149):
         for iid in ("zm_cubic_6th", "wz_cubic_8th"):
             out = evaluate(iid, p)
-            if not out.passed:
+            if out.status != PASS:
                 bad = f"{iid} p={p}: lhs {out.lhs} rhs {out.rhs}"
                 break
         if bad:

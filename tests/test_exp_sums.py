@@ -587,7 +587,7 @@ def test_names_nothing_calls_stay_deleted():
                       "_is_canonical", "_differ"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
                    "RESIDUAL_TOL", "_ZH_FAMILY", "_salie_family", "_cubic_family",
-                   "CONJECTURE_FAMILY"),
+                   "CONJECTURE_FAMILY", "_prime_gt3_unit_n"),
         conjecture: ("CrossCheck",),
         cli: ("_finish_checked",),
     }
@@ -601,6 +601,12 @@ def test_names_nothing_calls_stay_deleted():
     assert "crosscheck" not in fields and "max_power_mean_residual" not in fields
     for record in (registry.IdentityOutcome, conjecture.ConjectureRow):
         assert "residual" not in [f.name for f in dataclasses.fields(record)], record
+    # the status alone says pass or skip, and n is one optional int
+    for name in ("params", "passed", "skipped"):
+        assert not hasattr(registry.IdentityOutcome, name), name
+    assert "params" not in [f.name for f in dataclasses.fields(registry.IdentityOutcome)]
     assert list(inspect.signature(registry.verdict).parameters) == ["lhs", "rhs"]
+    assert list(inspect.signature(registry.evaluate).parameters) == ["identity_id", "modulus", "n"]
+    assert list(inspect.signature(registry.sweep).parameters) == ["identity_id", "moduli", "ns", "emit_skips"]
     assert "passed" not in [f.name for f in dataclasses.fields(char_sums.Corollary1Result)]
     assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]

@@ -40,8 +40,12 @@ def test_registry_lists_all_identities():
 
 
 def test_unknown_identity_raises():
-    with pytest.raises(UnknownIdentityError):
-        evaluate("no_such_identity", 7)
+    # a usage error, mapped to exit 2 by cli.main() with this text
+    for call in (lambda: evaluate("no_such_identity", 7), lambda: sweep("no_such_identity", [])):
+        with pytest.raises(UnknownIdentityError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "unknown identity: no_such_identity"
 
 
 def test_salie_spot_values():
@@ -50,19 +54,19 @@ def test_salie_spot_values():
     assert evaluate("salie_4th", 7).lhs == 518
     for p in (5, 7):
         out = evaluate("salie_4th", p)
-        assert out.passed and out.lhs == out.rhs
+        assert out.status == PASS and out.lhs == out.rhs
 
 
 def test_zhang_composite_spot_values():
-    out = evaluate("zhang_composite_4th", 5, {"n": 1})
-    assert out.passed and out.lhs == 160
-    out = evaluate("zhang_composite_4th", 15, {"n": 1})
-    assert out.passed and out.lhs == 2880
+    out = evaluate("zhang_composite_4th", 5, 1)
+    assert out.status == PASS and out.lhs == 160
+    out = evaluate("zhang_composite_4th", 15, 1)
+    assert out.status == PASS and out.lhs == 2880
 
 
 def test_zhang_composite_skips_even_and_non_unit_n():
     assert evaluate("zhang_composite_4th", 4).status == SKIP
-    assert evaluate("zhang_composite_4th", 15, {"n": 3}).status == SKIP
+    assert evaluate("zhang_composite_4th", 15, 3).status == SKIP
 
 
 def test_identity_without_n_refuses_one_before_any_work(monkeypatch):
@@ -74,11 +78,11 @@ def test_identity_without_n_refuses_one_before_any_work(monkeypatch):
     monkeypatch.setattr(registry, "as_modulus", no_work)
     for identity, q, n in (("salie_4th", 5, 5), ("zwl_4th", 7, 3)):
         with pytest.raises(ValueError, match=f"^{identity} takes no --n$"):
-            evaluate(identity, q, {"n": n})
+            evaluate(identity, q, n)
         # before the first modulus, so an empty range refuses it too
         for moduli in ([q], []):
             with pytest.raises(ValueError, match=f"^{identity} takes no --n$"):
-                sweep(identity, moduli, [{}, {"n": n}])
+                sweep(identity, moduli, [None, n])
 
 
 def zhang_mean(q):
@@ -117,7 +121,7 @@ def test_zwl_nw_spot_value():
     # brute force at p = 5: sum over m of |sum_a e((m a^2 + abar)/5)|^4 = 55
     for iid in ("zwl_4th", "nw_4th"):
         out = evaluate(iid, 5)
-        assert out.passed and out.lhs == 55
+        assert out.status == PASS and out.lhs == 55
 
 
 def test_zwl_and_nw_closed_forms_agree():
@@ -130,20 +134,32 @@ def test_zwl_and_nw_closed_forms_agree():
 
 def test_corollary1_outcome():
     out = evaluate("corollary1", 13)
-    assert out.passed and out.lhs == 2 and out.rhs == 2
+    assert out.status == PASS and out.lhs == 2 and out.rhs == 2
     assert evaluate("corollary1", 15).status == SKIP
 
 
 def test_zz_cubic_spot_values():
     assert evaluate("zz_cubic_4th", 7).lhs == 343  # 3 | p-1 branch
     out = evaluate("zz_cubic_4th", 5)
-    assert out.passed and out.lhs == 2 * 125 - 25
+    assert out.status == PASS and out.lhs == 2 * 125 - 25
 
 
-def test_zz_cubic_independent_of_unit_n():
-    for p in (5, 7, 13):
-        vals = {evaluate("zz_cubic_4th", p, {"n": n}).lhs for n in (1, 2, p - 1)}
-        assert len(vals) == 1
+def test_a_unit_n_is_echoed_and_any_other_n_is_a_skip():
+    # one rule for every identity that takes n: a unit n gives the row
+    # without n, n echoed; any other n, 0 and q included, is a skip
+    # (the theorem that a unit n leaves the mean unchanged is
+    # test_unit_coefficient_mean_is_the_direct_computation)
+    takes_n = [i.identity_id for i in list_identities() if i.takes_n]
+    assert takes_n == ["zhang_composite_4th", "zz_cubic_4th", "zm_cubic_6th", "wz_cubic_8th"]
+    for identity in takes_n:
+        for q in (5, 7, 13, 15, 21):
+            plain = evaluate(identity, q)
+            for n in (0, 1, 2, 3, 5, 7, q - 1, q, q + 1, -1, 2 * q):
+                out = evaluate(identity, q, n)
+                if gcd(n, q) == 1:
+                    assert out == dataclasses.replace(plain, n=n), (identity, q, n)
+                else:
+                    assert (out.n, out.lhs, out.rhs, out.status) == (n, None, None, SKIP), (identity, q, n)
 
 
 def test_zh_cubic_factual_failure():
@@ -197,12 +213,12 @@ def test_zm_wz_spot_values():
     assert evaluate("wz_cubic_8th", 5).lhs == 30625
     for iid in ("zm_cubic_6th", "wz_cubic_8th"):
         for p in (5, 7, 13):
-            assert evaluate(iid, p).passed, (iid, p)
+            assert evaluate(iid, p).status == PASS, (iid, p)
 
 
 def test_gauss_magnitude_outcome():
     out = evaluate("gauss_magnitude", 11)
-    assert out.passed and out.lhs == 110 and out.rhs == 110
+    assert out.status == PASS and out.lhs == 110 and out.rhs == 110
 
 
 @pytest.mark.parametrize("p", [499, 1999])
@@ -210,7 +226,7 @@ def test_gauss_magnitude_is_checked_on_its_power_means(p):
     # M2 = p(p - 1) and (p - 1) M4 = M2^2, the Cauchy-Schwarz equality:
     # every |S_m|^2, m = 1..p-1, is p
     out = evaluate("gauss_magnitude", p)
-    assert out.passed
+    assert out.status == PASS
     m2, m4 = (exp_sums.power_mean(registry._GAUSS_FAMILY, p, two_k) for two_k in (2, 4))
     assert m2 == p * (p - 1) and (p - 1) * m4 == m2 * m2
 
@@ -231,8 +247,7 @@ def test_gauss_magnitude_flags_a_skewed_fourth_mean(monkeypatch, offset):
 
 def test_skip_versus_fail_distinction():
     out = evaluate("salie_4th", 4)
-    assert out.skipped and out.lhs is None and out.rhs is None
-    assert not out.passed
+    assert out.status == SKIP and out.lhs is None and out.rhs is None
 
 
 def test_sweep_counts_and_skip_handling():
@@ -243,12 +258,21 @@ def test_sweep_counts_and_skip_handling():
     assert summarize(outcomes)["skip"] == 1 and len(outcomes) == 1
 
 
-def test_sweep_params_grid_in_evaluate_order():
-    grid = [{"n": 1}, {"n": 2}]
+def test_sweep_ns_in_evaluate_order():
+    ns = [1, 2]
     primes = primes_in_range(5, 40)
-    outcomes = sweep("zz_cubic_4th", primes, grid)
-    assert outcomes == [evaluate("zz_cubic_4th", p, g) for p in primes for g in grid]
+    outcomes = sweep("zz_cubic_4th", primes, ns)
+    assert outcomes == [evaluate("zz_cubic_4th", p, n) for p in primes for n in ns]
     assert summarize(outcomes)["pass"] == 2 * len(primes)
+    # no ns is no n; an empty ns, like an empty range, gives no rows
+    assert sweep("zz_cubic_4th", primes) == [evaluate("zz_cubic_4th", p) for p in primes]
+    assert sweep("zz_cubic_4th", primes, []) == []
+    assert sweep("zz_cubic_4th", [], ns) == []
+
+
+def test_outcomes_are_hashable():
+    outcomes = sweep("zhang_composite_4th", range(3, 16), [1, 3], emit_skips=True)
+    assert len(set(outcomes)) == len(outcomes) == 26
 
 
 def test_verdict_order():
