@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import _check_odd_prime, legendre
 
 
@@ -90,24 +88,20 @@ def legendre_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=512)
-def _legendre_array(p: int) -> np.ndarray:
-    """legendre_table(p) as a read-only int64 array, built once per p."""
-    table = np.array(legendre_table(p), dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 def char_sum_poly(f: PolynomialZ, p: int) -> int:
-    """sum_{x=1}^{p-1} ((f(x))/p)."""
+    """sum_{x=1}^{p-1} ((f(x))/p), by Horner's rule on the coefficients
+    reduced mod p, in Python ints: one % p per point."""
     if f.is_zero:
         raise ValueError("character sum of the zero polynomial")
-    table = _legendre_array(p)
-    xs = np.arange(1, p, dtype=np.int64)
-    vals = np.zeros_like(xs)
-    for c in reversed(f.coeffs):
-        vals = (vals * xs + c % p) % p  # c reduced first: it may exceed int64
-    return int(table[vals].sum())
+    table = legendre_table(p)
+    lead, *rest = [c % p for c in reversed(f.coeffs)]
+    total = 0
+    for x in range(1, p):
+        v = lead
+        for c in rest:
+            v = v * x + c
+        total += table[v % p]
+    return total
 
 
 def ning_wang_c(p: int) -> int:

@@ -26,7 +26,11 @@ t -> c^e*t maps the sweep (t = 0..q-1, or 1..q-1) onto itself.  So its
 total T = sum_t y_t is fixed by every sigma_c, hence an integer equal to
 Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
 under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
-does not divide is an invariant breach.
+does not divide is an invariant breach.  H is built as {c^d}, d = gcd(e,
+phi(q)): with d = a*e + b*phi(q), c^d = (c^a)^e, and c^e = (c^(e/d))^d, so
+the two sets are one.  For the cubic family e = -2 and d = 2, so H is the
+squares: one cheap pow per unit, not one with an exponent near phi(q).
+The units come from crossing out the multiples of each prime factor of q.
 
 The orbit of t = 0 is {0}, and S_0 = sum_a zeta^(v_a) is a rational
 integer.  Without twist, v_a = f*a over all residues a: a geometric sum,
@@ -47,30 +51,50 @@ mod q and fixes 0, so it maps the sweep onto itself, with or without
 t = 0, and the total is that of f = 1.  So a mean at a unit n is the
 mean at 1, and the registry states each identity at f = 1.
 
-Kronecker slots.  _convolve packs two vectors into integers, slot j at
-bit B*j, multiplies them and folds the product mod z^q - 1 with
-(M & mask) + (M >> q*B).  The product of c^*a and c^*b has nonnegative
-coefficients summing to D^(a+b), and a fold adds two of them, so with
-B >= bitlen(D^(a+b)) no slot carries into the next; B is rounded up to
-whole bytes, so slots repack as bytes.
+Kronecker slots.  _convolve packs two count vectors into integers, slot
+j at bit B*j, multiplies them and folds the product mod z^q - 1 with
+(M & mask) + (M >> q*B).  Slots are little-endian bytes: struct packs a
+count list as 8-byte slots, a bytearray stride copy (out[i::w2] =
+raw[i::w1]) re-widths them, and struct unpacks them after widening to 8
+bytes (int.from_bytes reads a wider slot), so the host's byte order does
+not matter.
+
+The slots are sized by Cauchy-Schwarz.  Each ladder entry N_m keeps
+s_m = sum_j N_m(j)^2.  The folded product F = N_a * N_b has F(j) =
+sum_i N_a(i) N_b(j - i) <= sqrt(s_a * s_b), the Cauchy-Schwarz inequality
+over i with j - i taken mod q, so B >= bitlen(isqrt(s_a * s_b)) bits hold
+every F(j) (s_a when squaring).  No slot carries: each coefficient of
+the product before the fold is a part of one F(j), so at most F(j), and
+the fold adds the two parts of F(j) into F(j) itself.  Each operand's
+entry is at most sqrt of its own s, below the bound as every s >= 1, so
+the operands re-width to B without loss.  B is rounded up to whole
+bytes.  The bound is tight: with all D values of a in one residue j,
+N_1 = D at j and 0 elsewhere, and N_2(2j) = D^2 = s_1.  s_m <= (sum_j
+N_m(j))^2 = D^(2m), so a slot of N_m is never wider than bitlen(D^m).
 
 The ladder: each orbit of t != 0 keeps N_1 = c and every N_m built from
-it, N_m = N_(m//2) * N_(m - m//2), whose slots D^m bounds: N_2 serves the
-4th, 6th and 8th means, N_3 the 6th, 10th and 12th, and the 4th, 6th and
-8th means of one family at one q cost three products per orbit (N_2,
-N_3 = N_1 * N_2, N_4 = N_2 * N_2).  _orbit_table keeps the orbits' sizes
-and ladders for the last 64 (family, q).  N_m takes q * ceil(bitlen(D^m)
-/ 8) bytes, so an entry holds r * q * sum_m ceil(bitlen(D^m) / 8) bytes
-of slots over the m of its ladders, r being its number of orbits of
-t != 0: gcd(e, p - 1) at a prime p, 2 for the Salie and cubic families.
-With every m = 1..6 (2k up to 12) that is at most r * q * (21 b / 8 + 6)
-bytes for b = bitlen(D): 1.7 MB an entry at p near 20,000 with r = 2,
-and 108 MB for 64 such entries.  A family whose H is trivial, such as
-degree 1 without twist (e = 0), has r = q - 1 orbits, one per t, and its
-entry grows as q^2.
+it, N_m = N_(m//2) * N_(m - m//2), with its s_m: N_2 serves the 4th, 6th
+and 8th means, N_3 the 6th, 10th and 12th, and the 4th, 6th and 8th
+means of one family at one q cost three products per orbit (N_2, N_3 =
+N_1 * N_2, N_4 = N_2 * N_2).  _orbit_table keeps the orbits' sizes,
+ladders and sums of squares for the last 64 (family, q).  N_m takes at
+most q * ceil(bitlen(D^m) / 8) bytes, so an entry holds at most r * q *
+sum_m ceil(bitlen(D^m) / 8) bytes of slots over the m of its ladders, r
+being its number of orbits of t != 0: gcd(e, p - 1) at a prime p, 2 for
+the Salie and cubic families.  With every m = 1..6 (2k up to 12) that is
+at most r * q * (21 b / 8 + 6) bytes for b = bitlen(D): 1.7 MB an entry
+at p near 20,000 with r = 2, and 108 MB for 64 such entries.  A family
+whose H is trivial, such as degree 1 without twist (e = 0), has r = q - 1
+orbits, one per t, and its entry grows as q^2.
 
-Exponents t*u_a + v_a (t, u_a, v_a < q) and _pow_mod's products are below
-q^2 <= 2^62, exact in int64, as every public function rejects q >= 2^31.
+The trace of N_k reads s_k for its d = q term and (D^k)^2 for its d = 1
+term, so at a prime q it unpacks no slots; a composite q unpacks N_k for
+its other divisors.
+
+Every public function rejects q >= 2^31 before any work: a count list of
+q entries would take 16 GB from there on.  The refusal still names the
+int64 exponents of the array kernel it was written for, so that its
+message stays the same.
 
 Scalar sums (kloosterman, two_term_sum, twisted_sum, abs_two_term_all_m)
 dot the counts with a table of e(j/q) * 2^128 rounded to integers for
@@ -85,14 +109,14 @@ series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
 from __future__ import annotations
 
 import math
+import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from operator import mul
+from itertools import combinations, compress
+from operator import add, mul, sub
 
-import numpy as np
-
-from .arith import Modulus, as_modulus, is_prime
+from .arith import Modulus, as_modulus, factorize, is_prime
 
 # fixed-point scale of the scalar sums' root table
 _SCALE_BITS = 128
@@ -131,7 +155,7 @@ class PhaseFamily:
 # evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
 _WORK_BITS = 320
-# largest modulus (exclusive) whose exponents t*u + v fit in int64
+# largest modulus (exclusive) accepted (module docstring, "Kronecker slots")
 _MAX_Q = 1 << 31
 # (family, q) pairs whose orbit tables and ladders are kept (module
 # docstring, "Kronecker slots")
@@ -208,54 +232,59 @@ def _check_q(modulus) -> int:
     return q
 
 
-def _pow_mod(a: np.ndarray, e: int, q: int) -> np.ndarray:
-    """a^e mod q elementwise for int64 a in [0, q), e >= 0."""
-    out = np.ones_like(a)
-    while e:
-        if e & 1:
-            out = out * a % q
-        a = a * a % q
-        e >>= 1
-    return out
+def _units(q: int) -> Iterator[int]:
+    """The units mod q, ascending, as an iterator: the residues left after
+    crossing out the multiples of each prime factor of q."""
+    mark = bytearray([1]) * q
+    for p, _ in factorize(q):
+        mark[::p] = bytes(len(range(0, q, p)))
+    return compress(range(q), mark)
 
 
-def _units(q: int) -> np.ndarray:
-    a = np.arange(q, dtype=np.int64)
-    return a[np.gcd(a, q) == 1]
-
-
-def _family_vectors(family: PhaseFamily, q: int) -> tuple[np.ndarray, np.ndarray]:
+def _family_vectors(family: PhaseFamily, q: int) -> tuple[list[int], list[int]]:
     """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family,
     a ascending over its domain."""
     k = family.monomial_degree
     c = family.fixed_coefficient % q
+    dom = list(_units(q)) if family.twist == TWIST_INVERSE else range(q)
+    u = [pow(a, k, q) for a in dom]
     if family.twist == TWIST_INVERSE:
-        dom = _units(q)
-        # abar = a^(phi(q) - 1) for a unit a
-        return _pow_mod(dom, k, q), c * _pow_mod(dom, len(dom) - 1, q) % q
-    dom = np.arange(q, dtype=np.int64)
-    return _pow_mod(dom, k, q), c * dom % q
+        return u, [c * pow(a, -1, q) % q for a in dom]
+    return u, [c * a % q for a in dom]
 
 
-def _counts(u: np.ndarray, v: np.ndarray, q: int, t: int) -> np.ndarray:
+def _counts(u: list[int], v: list[int], q: int, t: int) -> list[int]:
     """c_j = #{a : t*u_a + v_a = j mod q} for j = 0..q-1."""
-    return np.bincount((t * u + v) % q, minlength=q)
+    c = [0] * q
+    for x, y in zip(u, v):
+        c[(t * x + y) % q] += 1
+    return c
 
 
-def _scaled_sum(c: np.ndarray, q: int) -> tuple[int, int]:
+def _scaled_sum(c: list[int], q: int) -> tuple[int, int]:
     """Exact (re, im) of sum_j c_j e(j/q) * 2^128 on the rounded table, each
     j > q/2 counted at q - j, with a minus sign in the imaginary part."""
     re, im = _fixed_root_table(q)
-    lo = c[:len(re)]
-    hi = np.zeros_like(lo)
-    hi[1:q - len(re) + 1] = c[:len(re) - 1:-1]
-    return sum(map(mul, (lo + hi).tolist(), re)), sum(map(mul, (lo - hi).tolist(), im))
+    half = len(re)
+    lo = c[:half]
+    # the count of q - j for j = 1..q - half; q/2 pairs with itself
+    hi = [0, *c[:half - 1:-1]]
+    hi += [0] * (half - len(hi))
+    return sum(map(mul, map(add, lo, hi), re)), sum(map(mul, map(sub, lo, hi), im))
 
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
-    """The family's inner sum at sweep value t, divided once by 2^128."""
-    u, v = _family_vectors(family, q)
-    re, im = _scaled_sum(_counts(u, v, q, t % q), q)
+    """The family's inner sum at sweep value t, divided once by 2^128: the
+    counts c_j in one pass over the domain, without the u and v lists."""
+    k, f, t = family.monomial_degree, family.fixed_coefficient % q, t % q
+    c = [0] * q
+    if family.twist == TWIST_INVERSE:
+        for a in _units(q):
+            c[(t * pow(a, k, q) + f * pow(a, -1, q)) % q] += 1
+    else:
+        for a in range(q):
+            c[(t * pow(a, k, q) + f * a) % q] += 1
+    re, im = _scaled_sum(c, q)
     return complex(re / _SCALE, im / _SCALE)
 
 
@@ -286,44 +315,42 @@ def twisted_sum(m: int, k: int, p: int) -> complex:
     return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, 1), p, m)
 
 
-def abs_two_term_all_m(n: int, k: int, p: int) -> np.ndarray:
+def abs_two_term_all_m(n: int, k: int, p: int) -> list[float]:
     """|S(m, n, k; p)| for m = 0..p-1, from the exact scaled sums."""
     p = _check_q(p)
     u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, n), p)
     sums = (_scaled_sum(_counts(u, v, p, t), p) for t in range(p))
-    return np.sqrt([(re * re + im * im) / (_SCALE * _SCALE) for re, im in sums])
+    return [math.sqrt((re * re + im * im) / (_SCALE * _SCALE)) for re, im in sums]
 
 
-def _count_slots(c: np.ndarray) -> np.ndarray:
-    """The counts as byte slots: one little-endian row of 8 bytes each."""
-    return c.astype("<i8").view(np.uint8).reshape(len(c), 8)
+def _widen(slots: bytes, q: int, nbytes: int) -> bytes:
+    """q byte slots zero-extended or cut to nbytes each (values must fit)."""
+    have = len(slots) // q
+    if have == nbytes:
+        return slots
+    out = bytearray(q * nbytes)
+    for i in range(min(have, nbytes)):
+        out[i::nbytes] = slots[i::have]
+    return out
 
 
-def _widen(slots: np.ndarray, nbytes: int) -> np.ndarray:
-    """Byte slots zero-extended or cut to nbytes each (values must fit)."""
-    wide = np.zeros((len(slots), nbytes), dtype=np.uint8)
-    wide[:, :min(nbytes, slots.shape[1])] = slots[:, :nbytes]
-    return wide
-
-
-def _convolve(x: np.ndarray, y: np.ndarray, bound: int) -> np.ndarray:
-    """The cyclic convolution of two byte-slot vectors, as byte slots, by
-    one Kronecker product (module docstring); bound caps its slots."""
-    q, nbytes = len(x), -(-bound.bit_length() // 8)
+def _convolve(x: bytes, y: bytes, q: int, bound: int) -> bytes:
+    """The cyclic convolution of two q-slot vectors, as byte slots, by one
+    Kronecker product (module docstring); bound caps its entries."""
+    nbytes = -(-bound.bit_length() // 8)
     shift = 8 * nbytes * q
-    px = int.from_bytes(_widen(x, nbytes).tobytes(), "little")
-    m = px * (px if y is x else int.from_bytes(_widen(y, nbytes).tobytes(), "little"))
+    px = int.from_bytes(_widen(x, q, nbytes), "little")
+    m = px * (px if y is x else int.from_bytes(_widen(y, q, nbytes), "little"))
     m = (m & ((1 << shift) - 1)) + (m >> shift)
-    return np.frombuffer(m.to_bytes(q * nbytes, "little"), dtype=np.uint8).reshape(q, nbytes)
+    return m.to_bytes(q * nbytes, "little")
 
 
-def _unpack(slots: np.ndarray) -> list[int]:
-    """Byte slots as Python ints."""
-    nbytes = slots.shape[1]
+def _unpack(slots: bytes, q: int) -> list[int] | tuple[int, ...]:
+    """q byte slots as Python ints."""
+    nbytes = len(slots) // q
     if nbytes > 8:
-        raw = slots.tobytes()
-        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-    return _widen(slots, 8).view("<u8").ravel().tolist()
+        return [int.from_bytes(slots[i:i + nbytes], "little") for i in range(0, len(slots), nbytes)]
+    return struct.unpack(f"<{q}Q", _widen(slots, q, 8))
 
 
 def _signed_divisors(mod: Modulus) -> list[tuple[int, int]]:
@@ -333,14 +360,23 @@ def _signed_divisors(mod: Modulus) -> list[tuple[int, int]]:
             for size in range(len(primes) + 1) for drop in combinations(primes, size)]
 
 
-def _trace(slots: np.ndarray, divisors: list[tuple[int, int]]) -> int:
-    """Tr |S|^2k for S^k = sum_j N_k(j) zeta^j, N_k given as byte slots: the
-    sum over the (mu(q/d), d) of mu(q/d) * d * sum_r (N_k folded mod d)(r)^2."""
-    n = _unpack(slots)
-    trace = 0
+def _trace(slots: bytes, square: int, total: int, q: int, divisors: list[tuple[int, int]]) -> int:
+    """Tr |S|^2k for S^k = sum_j N_k(j) zeta^j, N_k given as q byte slots
+    with square = sum_j N_k(j)^2 and total = sum_j N_k(j) = D^k: the sum
+    over the (mu(q/d), d) of mu(q/d) * d * sum_r (N_k folded mod d)(r)^2.
+    Only a divisor d other than q and 1 unpacks the slots."""
+    n, trace = None, 0
     for sign, d in divisors:
-        folded = n if d == len(n) else [sum(n[r::d]) for r in range(d)]
-        trace += sign * d * sum(map(mul, folded, folded))
+        if d == q:
+            folded_sq = square
+        elif d == 1:
+            folded_sq = total * total
+        else:
+            if n is None:
+                n = _unpack(slots, q)
+            folded = [sum(n[r::d]) for r in range(d)]
+            folded_sq = sum(map(mul, folded, folded))
+        trace += sign * d * folded_sq
     return trace
 
 
@@ -360,33 +396,47 @@ def _galois_exponent(family: PhaseFamily, phi: int) -> int:
 
 
 @lru_cache(maxsize=_ORBIT_TABLES)
-def _orbit_table(family: PhaseFamily, mod: Modulus) -> tuple[int, list[tuple[int, dict[int, np.ndarray]]]]:
-    """(D, [(|O|, {1: N_1}) for each orbit O of t != 0 under H]): the
-    domain size, and per orbit its size and the ladder of its counts'
-    self-convolutions that _self_power extends (module docstring)."""
+def _orbit_table(family: PhaseFamily, mod: Modulus) -> tuple[int, list[tuple[int, dict[int, bytes], dict[int, int]]]]:
+    """(D, [(|O|, {1: N_1}, {1: s_1}) for each orbit O of t != 0 under H]):
+    the domain size, and per orbit its size, the ladder of its counts'
+    self-convolutions as byte slots, and their sums of squares, both of
+    which _self_power extends (module docstring)."""
     q = mod.q
     u, v = _family_vectors(family, q)
     nbytes = -(-len(u).bit_length() // 8)
-    # H = {c^e}, each element once
-    h = np.flatnonzero(np.bincount(_pow_mod(_units(q), _galois_exponent(family, mod.phi), q), minlength=q))
-    seen = np.zeros(q, dtype=bool)
-    seen[0] = True
+    # H = {c^e} = {c^d}, d = gcd(e, phi(q)), each element once
+    d = math.gcd(_galois_exponent(family, mod.phi), mod.phi)
+    in_h = bytearray(q)
+    for c in _units(q):
+        in_h[pow(c, d, q)] = 1
+    h = list(compress(range(q), in_h))
+    seen = bytearray(q)
+    seen[0] = marked = 1
     orbits = []
-    while not seen.all():
+    t = seen.find(0)
+    while t > 0:
         # the orbit H*t of the first t not yet seen, and its size
-        t, before = int(seen.argmin()), int(np.count_nonzero(seen))
-        seen[h * t % q] = True
-        slots = _widen(_count_slots(_counts(u, v, q, t)), nbytes)
-        orbits.append((int(np.count_nonzero(seen)) - before, {1: slots}))
+        for x in h:
+            seen[x * t % q] = 1
+        before, marked = marked, seen.count(1)
+        c = _counts(u, v, q, t)
+        slots = _widen(struct.pack(f"<{q}Q", *c), q, nbytes)
+        orbits.append((marked - before, {1: slots}, {1: sum(map(mul, c, c))}))
+        t = seen.find(0, t)
     return len(u), orbits
 
 
-def _self_power(ladder: dict[int, np.ndarray], m: int, domain: int) -> np.ndarray:
-    """N_m = N_(m//2) * N_(m - m//2) from the ladder, which holds N_1;
-    each N_m it builds stays there, slots capped by domain^m."""
+def _self_power(ladder: dict[int, bytes], squares: dict[int, int], m: int, q: int) -> bytes:
+    """N_m = N_(m//2) * N_(m - m//2) from the ladder, which holds N_1 as q
+    byte slots, and squares, which holds s_1; each N_m it builds stays in
+    the ladder and its s_m in squares, slots sized by isqrt(s_a * s_b)."""
     if m not in ladder:
-        half = _self_power(ladder, m // 2, domain)
-        ladder[m] = _convolve(half, _self_power(ladder, m - m // 2, domain), domain**m)
+        a, b = m // 2, m - m // 2
+        x = _self_power(ladder, squares, a, q)
+        y = _self_power(ladder, squares, b, q)
+        ladder[m] = _convolve(x, y, q, math.isqrt(squares[a] * squares[b]))
+        n = _unpack(ladder[m], q)
+        squares[m] = sum(map(mul, n, n))
     return ladder[m]
 
 
@@ -411,7 +461,9 @@ def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
     divide the total, a result no cache entry could hold."""
     divisors = _signed_divisors(mod)
     domain, orbits = _orbit_table(family, mod)
-    total = sum(size * _trace(_self_power(ladder, two_k // 2, domain), divisors) for size, ladder in orbits)
+    k, q = two_k // 2, mod.q
+    total = sum(size * _trace(_self_power(ladder, squares, k, q), squares[k], domain**k, q, divisors)
+                for size, ladder, squares in orbits)
     if family.include_zero_in_sweep:
         # the orbit {0}: Tr(S_0^2k) = phi(q) * S_0^2k
         total += mod.phi * _zero_sum(family, divisors) ** two_k

@@ -49,6 +49,10 @@ prime.  Hits are conjectural evidence, never theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
+
+numpy is imported inside the functions that use it: the search is the
+one command that needs arrays, and every other command imports this
+module without loading numpy.
 """
 
 from __future__ import annotations
@@ -56,11 +60,15 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from . import char_sums
 from .arith import _check_odd_prime, legendre
-from .char_sums import PolynomialZ, _legendre_array
+from .char_sums import PolynomialZ
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # elements of one int64 (polynomials x points) block in _symbol_rows and
 # _euler_sums, each then one gather from a p-entry table: the degree-3
@@ -90,6 +98,17 @@ class SearchResult:
     n_polynomials: int
 
 
+@lru_cache(maxsize=512)
+def _legendre_array(p: int) -> np.ndarray:
+    """char_sums.legendre_table(p) as a read-only int64 array, built once
+    per p."""
+    import numpy as np
+
+    table = np.array(char_sums.legendre_table(p), dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     """The signature path: sums and symbols of every f in polys (rows).
 
@@ -110,6 +129,8 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     block gathers its symbols from _legendre_array(p), which also validates
     p, straight into the one preallocated symbol matrix.
     """
+    import numpy as np
+
     if any(f.is_zero for f in polys):
         raise ValueError("character sum of the zero polynomial")
     width = max(len(f.coeffs) for f in polys)
@@ -143,6 +164,8 @@ def _differing(symbols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     fundamentally different: some column multiplies to -1, both symbols
     nonzero and different.  One array expression over blocks of pairs, each
     (pairs x columns) block holding at most _PAIR_BLOCK elements."""
+    import numpy as np
+
     out = np.empty(len(i), dtype=bool)
     step = max(1, _PAIR_BLOCK // symbols.shape[1])
     for k in range(0, len(i), step):
@@ -197,6 +220,8 @@ def _euler_sums(polys, primes) -> np.ndarray:
     are the search's evidence primes, validated as odd primes by
     search_constant_pairs.
     """
+    import numpy as np
+
     width = max(len(f.coeffs) for f in polys)
     # descending coefficients, zero-padded to a common degree, as Python
     # ints (object dtype) so that % p is exact at any size
@@ -230,6 +255,8 @@ def _sound(oracle: np.ndarray, minus_one, hits) -> np.ndarray:
     """Per hit (c, i, j, twisted), True iff (-1/p)^twisted * oracle[i] -
     oracle[j] == c at every prime, for the _euler_sums matrix oracle and
     minus_one[k] = (-1/p_k): every hit in one array expression."""
+    import numpy as np
+
     c, i, j, twisted = np.array(hits, dtype=np.int64).reshape(-1, 4).T
     sign = np.where(twisted[:, None] == 1, minus_one, 1)
     return (sign * oracle[i] - oracle[j] == c[:, None]).all(axis=1)
@@ -264,6 +291,8 @@ def search_constant_pairs(
     specific polynomials (e.g. the corollary's quartic, whose
     coefficients may exceed the enumeration bound).
     """
+    import numpy as np
+
     primes = tuple(primes)
     extra_polys = tuple(extra_polys)
     if len(primes) < 8:

@@ -10,6 +10,8 @@ import json
 import math
 import time
 
+import numpy as np
+
 from expsumlab import cli
 from expsumlab.arith import primes_in_range, represent_4p
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ
@@ -174,7 +176,7 @@ def test_acceptance_08_conjecture_crosscheck_and_high_k():
 def test_acceptance_09_gauss_magnitude():
     bad = ""
     for p in primes_in_range(3, 299):
-        mags = abs_two_term_all_m(0, 2, p)[1:]
+        mags = np.asarray(abs_two_term_all_m(0, 2, p)[1:])
         if float(abs(mags - math.sqrt(p)).max()) >= 1e-9 * math.sqrt(p):
             bad = f"p={p}"
             break
@@ -186,7 +188,7 @@ def test_acceptance_10_weil_bound_cubic():
     for p in primes_in_range(5, 299):
         bound = 2 * math.sqrt(p) + 1e-6
         for n in (0, 1, 2):
-            mags = abs_two_term_all_m(n, 3, p)[1:]
+            mags = np.asarray(abs_two_term_all_m(n, 3, p)[1:])
             if float(mags.max()) > bound:
                 bad = f"p={p} n={n}: {float(mags.max()):.6f} > {bound:.6f}"
                 break

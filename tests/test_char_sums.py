@@ -9,12 +9,12 @@ from expsumlab.char_sums import (
     NING_WANG_QUARTIC,
     PolynomialZ,
     X,
-    _legendre_array,
     char_sum_poly,
     corollary1_check,
     legendre_table,
     ning_wang_c,
 )
+from expsumlab.poly_search import _legendre_array
 
 from conftest import char_sum_direct, legendre_by_squares
 

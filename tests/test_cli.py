@@ -585,3 +585,23 @@ def test_cli_runs_without_mpmath():
         "sys.exit(cli.main(['verify', '--identity', 'gauss_magnitude', '--q', '13']))"
     )
     assert proc.returncode == cli.EXIT_OK, proc.stderr
+
+
+def test_only_search_imports_numpy():
+    # every command but search runs on Python ints and bytes; search
+    # imports numpy when it runs
+    proc = run_python(
+        "import contextlib, os, sys\n"
+        "import expsumlab\n"
+        "from expsumlab import cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "for argv in (['verify-all'], ['conjecture', '--k', '6', '--pmin', '5', '--pmax', '60'],\n"
+        "             ['sum', '--family', 'kloosterman', '--m', '1', '--n', '1', '--q', '7'],\n"
+        "             ['search', '--max-degree', '2', '--coeff-bound', '1', '--prime-max', '40']):\n"
+        "    with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "        cli.main(argv)\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False, False, True]"

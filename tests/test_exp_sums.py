@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import mpmath
@@ -167,13 +168,13 @@ def test_weil_bound_exhaustive_small():
         for k in (2, 3):
             bound = (k - 1) * math.sqrt(p) + 1e-6
             for n in range(p):
-                mags = abs_two_term_all_m(n, k, p)[1:]
+                mags = np.asarray(abs_two_term_all_m(n, k, p)[1:])
                 assert float(mags.max()) <= bound, (p, k, n)
 
 
 def test_gauss_magnitude_all_m():
     for p in primes_in_range(3, 499):
-        mags = abs_two_term_all_m(0, 2, p)[1:]
+        mags = np.asarray(abs_two_term_all_m(0, 2, p)[1:])
         assert float(abs(mags - math.sqrt(p)).max()) < 1e-9 * math.sqrt(p)
 
 
@@ -231,15 +232,16 @@ def test_root_table_matches_per_entry_mpmath():
             assert (ref_re[j], ref_im[j]) == (re[q - j], -im[q - j]), (q, j)
 
 
-def test_exponents_stay_in_int64():
-    # the largest accepted q: every exponent t*u + v and every _pow_mod
-    # product stays below 2^63
-    q = 2**31 - 1
-    assert (q - 1) * (q - 1) + (q - 1) < 2**63
-    a = np.array([0, 1, 2, 3, 65537, q - 2, q - 1], dtype=np.int64)
-    for e in (0, 1, 2, 3, q - 2, 2**40 + 3):
-        assert exp_sums._pow_mod(a, e, q).tolist() == [pow(int(x), e, q) for x in a], e
-    assert (((q - 1) * a + a) % q).tolist() == [((q - 1) * int(x) + int(x)) % q for x in a]
+def test_check_q_refuses_from_2_pow_31():
+    # the largest accepted q passes through as an int; from 2^31 on the
+    # refusal keeps its message word for word
+    for q in (3, 2**31 - 1):
+        assert exp_sums._check_q(q) == q
+        assert exp_sums._check_q(Modulus(q, (), False)) == q
+    for q in (2**31, 2**31 + 1, 2**61 - 1):
+        with pytest.raises(ValueError) as err:
+            exp_sums._check_q(q)
+        assert str(err.value) == f"modulus must be below 2^31 for int64 exponents, got {q}"
 
 
 KERNEL_FAMILIES = [
@@ -346,11 +348,10 @@ def test_orbit_rule_matches_all_t_trace(family):
         # t with every phase j moved to c*j
         e = exp_sums._galois_exponent(family, mod.phi)
         u, v = exp_sums._family_vectors(family, q)
-        for c in exp_sums._units(q).tolist():
-            moved = (c * np.arange(q)) % q
+        for c in exp_sums._units(q):
             for t in range(q):
                 image = exp_sums._counts(u, v, q, pow(c, e, q) * t % q)
-                assert np.array_equal(image[moved], exp_sums._counts(u, v, q, t)), (q, c, t)
+                assert [image[c * j % q] for j in range(q)] == exp_sums._counts(u, v, q, t), (q, c, t)
         for two_k, mean in all_t_means(family, q).items():
             assert power_mean(family, q, two_k) == mean, (q, two_k)
 
@@ -403,7 +404,75 @@ def test_cubic_means_share_one_ladder(monkeypatch):
         assert registry.evaluate(identity, p).status == registry.PASS, identity
     orbits = exp_sums._orbit_table(CUBIC_FAMILY, Modulus.from_int(p))[1]
     assert len(orbits) == 2 and len(calls) == 3 * len(orbits)
-    assert all(sorted(ladder) == [1, 2, 3, 4] for _, ladder in orbits)
+    assert all(sorted(ladder) == sorted(squares) == [1, 2, 3, 4] for _, ladder, squares in orbits)
+
+
+def test_units_and_subgroup_of_powers():
+    # the units by crossing out prime factors, and H = {c^e} = {c^d} with
+    # d = gcd(e, phi(q)) (module docstring, "Orbits")
+    for q in range(2, 90):
+        units = [a for a in range(q) if math.gcd(a, q) == 1]
+        assert list(exp_sums._units(q)) == units, q
+        phi = len(units)
+        for e in range(2 * phi + 1):
+            d = math.gcd(e, phi)
+            assert {pow(c, e, q) for c in units} == {pow(c, d, q) for c in units}, (q, e)
+
+
+def one_orbit_ladder(counts):
+    """A ladder holding N_1 = counts as 8-byte slots, and its s_1."""
+    return {1: struct.pack(f"<{len(counts)}Q", *counts)}, {1: sum(c * c for c in counts)}
+
+
+def check_ladder(counts, powers):
+    """_self_power's N_m and s_m for each m in powers, in that order,
+    against N_m = N_(m-1) * N_1 by the plain O(q^2) cyclic convolution."""
+    q = len(counts)
+    ladder, squares = one_orbit_ladder(counts)
+    direct = {1: counts}
+    for m in range(2, max(powers) + 1):
+        direct[m] = cyclic_convolution(direct[m - 1], counts, q)
+    for m in powers:
+        slots = exp_sums._self_power(ladder, squares, m, q)
+        assert list(exp_sums._unpack(slots, q)) == direct[m], (q, m)
+        assert squares[m] == sum(x * x for x in direct[m]), (q, m)
+        # Cauchy-Schwarz slots are never wider than those of D^m
+        width = len(slots) // q
+        assert width == -(-math.isqrt(squares[m // 2] * squares[m - m // 2]).bit_length() // 8)
+        assert width <= -(-(sum(counts) ** m).bit_length() // 8), (q, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([4, 6, 9, 10, 12, 15, 30, 36]),
+    data=st.data(),
+    top=st.sampled_from([1, 3, 300, 70000]),
+    powers=st.permutations([2, 3, 4, 5, 6]),
+)
+def test_self_power_ladder_is_the_cyclic_convolution(q, data, top, powers):
+    counts = data.draw(st.lists(st.integers(0, top), min_size=q, max_size=q).filter(any))
+    check_ladder(counts, powers)
+
+
+@pytest.mark.parametrize("domain", [1, 16, 255, 256, 4096, 2**16, 2**40])
+def test_self_power_tight_case(domain):
+    # all D values of a in one residue j: N_2(2j) = D^2 = s_1, the bound
+    # itself; D = 16, 4096 and 2^16 put D^2 one bit past a whole byte, so
+    # one bit fewer per slot would lose it
+    for q in (3, 5, 12):
+        for j in (0, 1, q - 1):
+            counts = [0] * q
+            counts[j] = domain
+            check_ladder(counts, [2, 3, 4, 6])
+
+
+def test_unpack_wide_slots():
+    # slots of 1 to 17 bytes, through struct up to 8 and int.from_bytes beyond
+    for nbytes in (1, 2, 7, 8, 9, 16, 17):
+        top = 2 ** (8 * nbytes)
+        values = [0, 1, top - 1, top // 2 + 1, 0x9E3779B97F4A7C15F39CC0605CEDC835 % top]
+        slots = b"".join(v.to_bytes(nbytes, "little") for v in values)
+        assert list(exp_sums._unpack(slots, len(values))) == values, nbytes
 
 
 def test_orbit_table_cache_has_the_documented_bound():

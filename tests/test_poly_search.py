@@ -259,7 +259,7 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle used the signature path")
 
-    for name in ("legendre_table", "_legendre_array", "char_sum_poly"):
+    for name in ("legendre_table", "char_sum_poly"):
         monkeypatch.setattr(char_sums, name, refuse)
     for name in ("_symbol_rows", "_legendre_array", "legendre"):
         monkeypatch.setattr(poly_search, name, refuse)
