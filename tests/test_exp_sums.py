@@ -119,9 +119,12 @@ def test_power_mean_near_integral_sampled():
 
 
 def test_wide_slots_pin_the_twelfth_mean():
-    # 1999^6 needs 9-byte Kronecker slots; the values are exact counts
+    # Cauchy-Schwarz slots at p = 1999: 7 bytes for N_6 (1999^6 would need
+    # 9) and 10 bytes for N_8, past struct's 8; the values are exact counts
     assert power_mean(CUBIC_FAMILY, 1999, 12) == 16752866660353798632014860
     assert power_mean(SALIE, 1999, 12) == 16293634516098608833512659
+    assert power_mean(CUBIC_FAMILY, 1999, 16) == 722703631864213661231564391876039
+    assert power_mean(SALIE, 1999, 16) == 690830899527773477226705502288462
 
 
 def test_power_mean_validates_args():
