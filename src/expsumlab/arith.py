@@ -8,9 +8,9 @@ hundred).  No probabilistic primality, no big-number shortcuts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from typing import NamedTuple
 
 
 class NotRepresentableError(ValueError):
@@ -41,8 +41,7 @@ def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == ((n, 1),)
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(NamedTuple):
     """A positive modulus with its factorization cached."""
 
     q: int
@@ -118,8 +117,7 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return list(compress(range(lo, hi + 1), window))
 
 
-@dataclass(frozen=True)
-class DRep:
+class DRep(NamedTuple):
     """The representation 4p = d^2 + 27 b^2 with d = 1 mod 3, b >= 0."""
 
     d: int

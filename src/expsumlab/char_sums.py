@@ -8,21 +8,28 @@ term by term: c+1+cbar = cbar*(c^2+c+1) and (cbar/p) = (c/p).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import _check_odd_prime, legendre
 
 
-@dataclass(frozen=True)
-class PolynomialZ:
+class PolynomialZ(namedtuple("PolynomialZ", ["coeffs"])):
     """Integer polynomial, coefficients ascending; () is the zero poly."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.coeffs and self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PolynomialZ":
+        # _replace builds through _make: check there too
+        return cls(*iterable)
 
     @classmethod
     def of(cls, *coeffs: int) -> "PolynomialZ":
@@ -109,8 +116,7 @@ def ning_wang_c(p: int) -> int:
     return char_sum_poly(NING_WANG_QUARTIC, p)
 
 
-@dataclass(frozen=True)
-class Corollary1Result:
+class Corollary1Result(NamedTuple):
     p: int
     term1: int  # (-1/p) * sum((c^3+c^2+c)/p)
     term2: int  # C(p)

@@ -17,7 +17,7 @@ maxima are reported, no threshold asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import is_prime, primes_in_range
 from .exp_sums import power_mean
@@ -26,8 +26,7 @@ from .registry import CUBIC_FAMILY, FAIL, PASS, _wz_rhs, _zm_rhs, _zz_rhs, verdi
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
 
 
-@dataclass(frozen=True)
-class ConjectureRow:
+class ConjectureRow(NamedTuple):
     p: int
     k: int
     value: int
@@ -37,8 +36,7 @@ class ConjectureRow:
     status: str  # registry.verdict against closed_form(p, k)
 
 
-@dataclass
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     k: int
     rows: list[ConjectureRow]
     max_abs_normalized_residual: float

@@ -110,8 +110,8 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from operator import add, mul, sub
@@ -126,8 +126,11 @@ TWIST_NONE = "none"
 TWIST_INVERSE = "inverse"
 
 
-@dataclass(frozen=True)
-class PhaseFamily:
+class PhaseFamily(namedtuple(
+    "PhaseFamily",
+    ["monomial_degree", "twist", "fixed_coefficient", "include_zero_in_sweep"],
+    defaults=[TWIST_NONE, 1, True],
+)):
     """Which exponential-sum family a power mean ranges over.
 
     The inner sum is, per sweep value t of the monomial coefficient:
@@ -139,16 +142,20 @@ class PhaseFamily:
     the inverse twist and all residues mod q otherwise.
     """
 
-    monomial_degree: int
-    twist: str = TWIST_NONE
-    fixed_coefficient: int = 1
-    include_zero_in_sweep: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.monomial_degree < 1:
             raise ValueError("monomial_degree must be >= 1")
         if self.twist not in (TWIST_NONE, TWIST_INVERSE):
             raise ValueError(f"bad twist {self.twist!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PhaseFamily":
+        # _replace builds through _make: check there too
+        return cls(*iterable)
 
 
 # the root table steps omega^j with this many fractional bits, and

@@ -59,9 +59,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import char_sums
 from .arith import _check_odd_prime, legendre
@@ -82,8 +81,7 @@ _PAIR_BLOCK = 1 << 18
 _INT64_LIMIT = 2**63
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     f: PolynomialZ
     g: PolynomialZ
     c: int
@@ -91,8 +89,7 @@ class SearchHit:
     twisted: bool
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     hits: list[SearchHit]
     histogram: Counter  # c value -> hit count
     n_polynomials: int

@@ -17,9 +17,8 @@ are counted.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import char_sums, exp_sums
 from .arith import Modulus, as_modulus, legendre, represent_4p
@@ -39,8 +38,7 @@ class UnknownIdentityError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IdentityOutcome:
+class IdentityOutcome(NamedTuple):
     identity_id: str
     modulus: int
     n: int | None
@@ -96,13 +94,18 @@ def _salie_rhs(p: int) -> int:
 
 
 def _zhang_rhs(q: int) -> int:
+    # 3^omega q^2 phi(q) times, per unitary prime p, 2/3 - 1/(3p) -
+    # 4/(3p(p-1)) = (2p(p-1) - (p-1) - 4) / (3p(p-1)), in exact integers
     mod = as_modulus(q)
-    rhs = Fraction(3**mod.omega * q * q * mod.phi)
+    num, den = 3**mod.omega * q * q * mod.phi, 1
     for p in mod.unitary_primes:
-        rhs *= Fraction(2, 3) - Fraction(1, 3 * p) - Fraction(4, 3 * p * (p - 1))
-    if rhs.denominator != 1:
-        raise ArithmeticError(f"zhang rhs not an integer at q={q}: {rhs}")
-    return int(rhs)
+        num *= 2 * p * (p - 1) - (p - 1) - 4
+        den *= 3 * p * (p - 1)
+    rhs, rest = divmod(num, den)
+    if rest:
+        g = gcd(num, den)
+        raise ArithmeticError(f"zhang rhs not an integer at q={q}: {num // g}/{den // g}")
+    return rhs
 
 
 def _zwl_rhs(p: int) -> int:
@@ -160,8 +163,7 @@ def _gauss_lhs(mod: Modulus) -> int | None:
     return m2 if (mod.q - 1) * m4 == m2 * m2 else None
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     identity_id: str
     description: str
     applicability: str

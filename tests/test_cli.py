@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -70,7 +69,7 @@ def test_corrupted_rhs_flips_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(
         registry._ENTRIES,
         "salie_4th",
-        dataclasses.replace(entry, rhs=lambda p: entry.rhs(p) + 1),
+        entry._replace(rhs=lambda p: entry.rhs(p) + 1),
     )
     code, _ = run(capsys, "verify", "--identity", "salie_4th", "--q", "5")
     assert code == cli.EXIT_FAIL
@@ -243,7 +242,7 @@ def _raise(exc):
 
 
 def _with_rhs(identity, rhs):
-    return dataclasses.replace(registry._ENTRIES[identity], rhs=rhs)
+    return registry._ENTRIES[identity]._replace(rhs=rhs)
 
 
 @pytest.mark.parametrize("patch, argv, code, prefix", [
@@ -605,3 +604,21 @@ def test_only_search_imports_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False, False, True]"
+
+
+def test_start_up_loads_no_dataclasses_or_fractions():
+    # the records are named tuples and Zhang's RHS is an integer quotient,
+    # so neither the import nor a run loads these modules or what they pull in
+    proc = run_python(
+        "import contextlib, os, sys\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "import expsumlab.cli\n"
+        "seen = [sorted(m for m in heavy if m in sys.modules)]\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = expsumlab.cli.main(['verify-all'])\n"
+        "seen.append(sorted(m for m in heavy if m in sys.modules))\n"
+        "print(code, seen)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    # verify-all exits 1 on zh_cubic_6th_over_a, the false published formula
+    assert proc.stdout.strip() == "1 [[], []]"

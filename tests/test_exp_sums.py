@@ -1,6 +1,5 @@
 import math
 import struct
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -281,7 +280,7 @@ ORBIT_FAMILIES = KERNEL_FAMILIES + EVEN_FAMILIES[1:] + [
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 @pytest.mark.parametrize("include_zero", [True, False])
 def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
-    family = replace(family, include_zero_in_sweep=include_zero)
+    family = family._replace(include_zero_in_sweep=include_zero)
     start = 0 if include_zero else 1
     # even q hold the self-paired a = q/2; under the inverse twist only
     # the units count
@@ -516,11 +515,11 @@ def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
     # coefficients"), the theorem the registry's means at a unit n rest on;
     # power_mean computes each c as given
     for q in range(3, 41):
-        one = replace(shape, monomial_degree=1 + q % 4, include_zero_in_sweep=include_zero)
+        one = shape._replace(monomial_degree=1 + q % 4, include_zero_in_sweep=include_zero)
         for c in range(2, q):
             if math.gcd(c, q) != 1:
                 continue
-            family = replace(one, fixed_coefficient=c)
+            family = one._replace(fixed_coefficient=c)
             for two_k in (2, 4, 6):
                 assert power_mean(family, q, two_k) == power_mean(one, q, two_k), (family, q, two_k)
 
@@ -536,7 +535,7 @@ def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
     # a fixed coefficient that is not a unit mod q, of the linear term c*a
     # (no twist) or of abar, is its own cache entry: computing it does not
     # hit the entry of 1
-    one = replace(family, fixed_coefficient=1)
+    one = family._replace(fixed_coefficient=1)
     exp_sums._power_mean.cache_clear()
     for two_k in (2, 4, 6):
         power_mean(one, q, two_k)
@@ -641,7 +640,6 @@ def test_star_import_resolves_every_public_name():
 
 
 def test_names_nothing_calls_stay_deleted():
-    import dataclasses
     import inspect
 
     from expsumlab import arith, char_sums, cli, conjecture, poly_search, registry
@@ -666,19 +664,19 @@ def test_names_nothing_calls_stay_deleted():
     for owner, names in gone.items():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
-    fields = [f.name for f in dataclasses.fields(poly_search.SearchHit)]
+    fields = poly_search.SearchHit._fields
     assert "structural_notes" not in fields
-    assert "varying_slot" not in [f.name for f in dataclasses.fields(PhaseFamily)]
-    fields = [f.name for f in dataclasses.fields(conjecture.ConjectureReport)]
+    assert "varying_slot" not in PhaseFamily._fields
+    fields = conjecture.ConjectureReport._fields
     assert "crosscheck" not in fields and "max_power_mean_residual" not in fields
     for record in (registry.IdentityOutcome, conjecture.ConjectureRow):
-        assert "residual" not in [f.name for f in dataclasses.fields(record)], record
+        assert "residual" not in record._fields, record
     # the status alone says pass or skip, and n is one optional int
     for name in ("params", "passed", "skipped"):
         assert not hasattr(registry.IdentityOutcome, name), name
-    assert "params" not in [f.name for f in dataclasses.fields(registry.IdentityOutcome)]
+    assert "params" not in registry.IdentityOutcome._fields
     assert list(inspect.signature(registry.verdict).parameters) == ["lhs", "rhs"]
     assert list(inspect.signature(registry.evaluate).parameters) == ["identity_id", "modulus", "n"]
     assert list(inspect.signature(registry.sweep).parameters) == ["identity_id", "moduli", "ns", "emit_skips"]
-    assert "passed" not in [f.name for f in dataclasses.fields(char_sums.Corollary1Result)]
+    assert "passed" not in char_sums.Corollary1Result._fields
     assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]

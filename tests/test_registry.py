@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -6,7 +5,7 @@ from math import gcd
 import pytest
 
 from expsumlab import exp_sums, registry
-from expsumlab.arith import primes_in_range
+from expsumlab.arith import Modulus, primes_in_range
 from expsumlab.registry import (
     FAIL,
     PASS,
@@ -67,6 +66,30 @@ def test_zhang_composite_spot_values():
 def test_zhang_composite_skips_even_and_non_unit_n():
     assert evaluate("zhang_composite_4th", 4).status == SKIP
     assert evaluate("zhang_composite_4th", 15, 3).status == SKIP
+
+
+def _zhang_rhs_fraction(mod):
+    """The closed form as the Fraction product it is displayed as."""
+    rhs = Fraction(3**mod.omega * mod.q**2 * mod.phi)
+    for p in mod.unitary_primes:
+        rhs *= Fraction(2, 3) - Fraction(1, 3 * p) - Fraction(4, 3 * p * (p - 1))
+    return rhs
+
+
+def test_zhang_rhs_in_integers_is_the_fraction_product():
+    for q in range(3, 2002, 2):
+        rhs = _zhang_rhs_fraction(Modulus.from_int(q))
+        assert rhs.denominator == 1 and registry._zhang_rhs(q) == rhs, q
+
+
+def test_zhang_rhs_refuses_a_product_that_is_no_integer(monkeypatch):
+    # no odd q gives one; a modulus whose fields disagree with its q does
+    fake = Modulus(1, ((5, 1),), False)
+    monkeypatch.setattr(registry, "as_modulus", lambda q: fake)
+    rhs = _zhang_rhs_fraction(fake)
+    assert rhs == Fraction(32, 5)
+    with pytest.raises(ArithmeticError, match=f"^zhang rhs not an integer at q=1: {rhs}$"):
+        registry._zhang_rhs(1)
 
 
 def test_identity_without_n_refuses_one_before_any_work(monkeypatch):
@@ -157,7 +180,7 @@ def test_a_unit_n_is_echoed_and_any_other_n_is_a_skip():
             for n in (0, 1, 2, 3, 5, 7, q - 1, q, q + 1, -1, 2 * q):
                 out = evaluate(identity, q, n)
                 if gcd(n, q) == 1:
-                    assert out == dataclasses.replace(plain, n=n), (identity, q, n)
+                    assert out == plain._replace(n=n), (identity, q, n)
                 else:
                     assert (out.n, out.lhs, out.rhs, out.status) == (n, None, None, SKIP), (identity, q, n)
 
@@ -290,7 +313,7 @@ def test_summarize_counts_every_status_in_order():
         skip,
         five,
         seven,
-        dataclasses.replace(five, status=FAIL),
+        five._replace(status=FAIL),
     ]
     s = summarize(outcomes)
     # numeric and max_residual are constants kept for the output format
