@@ -503,6 +503,53 @@ def test_parser_is_built_once_and_keeps_no_arguments_between_calls(capsys):
     assert (info.misses, info.hits) == (1, 2)
 
 
+# the sha256 of json.dumps([argv, exit code, stdout, stderr]) for what
+# argparse itself prints: help, usage errors, abbreviations, "--opt=value",
+# a bad int or choice, and tokens left over after a command
+PARSER_PINS = [
+    ([], "68f47bcdc435e81c07f0521aecc8b98d9f265e303293f7f4577cc6068742657f"),
+    (["-h"], "a60fba13550d541b29de067748b0f12c80e0699b853e144a98763093ba182a73"),
+    (["--help"], "a08e4fa2dcf85d7bcac21aa69c2084a15691bf9e4cd57544287f87e1b702d022"),
+    (["frobnicate"], "25ddf467b2ea3b72006185b14dae232bb5df25728f47d4894ad9efae411c2c84"),
+    (["-x"], "c18f2c43b4a2e716cffb45fce177a07e21e6e655f9ece6e60f8706dfadafc947"),
+    (["verify", "-h"], "7e79d37840f7bb1841a4c543708dfecb1911ee315e3253fc6d9a7df2fdb3a47b"),
+    (["verify-all", "-h"], "5baed33635305c447a500090b410c983cc2198553d0175294186eec2e9c7c940"),
+    (["conjecture", "-h"], "bcbb9cadf124b195e0b40cc26d3cd787198a5db007361135f57ab63f0c4fa67c"),
+    (["search", "-h"], "aa9103a45192732b6ec5be571829c501280524da53a0cbba62f98546cf03f459"),
+    (["sum", "-h"], "a0299dbd62e641b75b4b16f99962dcdc97b90a790500279708afac369f892544"),
+    (["verify"], "7d1f23f20eae889d0f3e45daf8e8a96a60d92efc6b054c764ebba20d18ddc5f9"),
+    (["verify", "--q", "x"], "f6666c1f335bcd84a51c0584b7f74a9a336e1f926c9ba5c07aeabd7307dfc8ab"),
+    (["verify", "--identity", "salie_4th", "--q", "5", "--bogus"],
+     "324d57a36204b4877bc62ae844d70310c5f0da60cd35ae89849c089d75d0f0bd"),
+    (["verify", "--ident", "salie_4th"], "a33794f67317589568939093f2bb1326a66d3a0f639ea85ac3b258f09ae4764b"),
+    (["verify", "--identity=salie_4th", "--q=7"],
+     "3681a8242a1d340132b03561b5ad357893f9781f8e37083221676ac717f29eb4"),
+    (["sum", "--family", "nope"], "961acfdf4980250fd5f13799288a3f031f911f2c998e89a69e794296ac87ec7f"),
+    (["verify-all", "--", "x"], "d8aea5c466366aabeaf8af355fc5d62732bfd0aef89314f0b5e4371f59f4e4b7"),
+    (["conjecture", "--k", "4"], "422f39ffafedf524efa6b2117329e3bd746ed4993d2235e8f2e09ed0dfb6f8af"),
+    (["conjecture", "--k", "4", "--pmin", "5", "--pmax", "30", "extra"],
+     "2ab76a3abbd93d471e80786a845c2c9b1228ff2edf63a5f99d482b9899459abb"),
+    # a token before the command: the top-level parser still hands the
+    # rest to the command's full parser
+    (["-x", "verify", "-h"], "670d2f1bd608f9b68ca78ddb6ffeda77fb6d34df7e692eaf8c3ee64f530a5ff9"),
+    (["--bogus", "conjecture", "--k", "4"], "ecfc528781a09b805a42d3c370e0c28ec760352db59dad78aa1c6f767a3aa3cb"),
+    (["-x", "verify", "--identity", "salie_4th", "--q", "5"],
+     "0ae8b44483833ca3a84cdb22d763b6fe4c4580b95a095d51e719f718e43f8af7"),
+    (["--", "verify", "--identity", "salie_4th", "--q", "5"],
+     "1488599bf0decb73712d345982379517c3ab46265515795056aac7a8ba999899"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PARSER_PINS, ids=[" ".join(a) or "none" for a, _ in PARSER_PINS])
+def test_parser_output_is_pinned(capsys, monkeypatch, argv, digest):
+    # argparse wraps help and usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    blob = json.dumps([argv, code, out, err])
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest, (code, out, err)
+
+
 @pytest.mark.parametrize("q", [2**31, 2**61 - 1])
 @pytest.mark.parametrize("identity", ["salie_4th", "corollary1"])
 def test_verify_rejects_moduli_beyond_int64_before_any_work(capsys, monkeypatch, identity, q):
