@@ -3,10 +3,11 @@ search, and ad-hoc sum evaluation.
 
 Exit codes: 0 all checks passed (skips allowed), 1 identity/invariant
 failure, 2 usage error (also an --output path that cannot be written),
-3 arithmetic error (a closed form that is not an integer).  The runners return 0 or 1 from the fail count of their
-summary and 2 for a usage error they spot themselves; main() alone maps
-exceptions to exit codes.  Machine output (JSON/CSV) goes to --output or
-stdout; diagnostics go to stderr.
+3 arithmetic error (a closed form that is not an integer).  The runners
+return 0 or 1 from the fail count of their summary and 2 for a usage
+error they spot themselves; main() alone maps exceptions to exit codes.
+Machine output (JSON/CSV) goes to --output or stdout; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -39,57 +40,74 @@ VERIFY_ALL_RANGES = {
 }
 
 
+# --format, --output and --workers, which every command takes last
+COMMON = (
+    ("--format", {"choices": ["json", "csv", "text"], "default": "text"}),
+    ("--output", {"default": None, "help": "output path (default: stdout)"}),
+    ("--workers", {"type": int, "default": 1,
+                   "help": "checked (>= 1) but unused: work runs serially"}),
+)
+
+# command -> (help line, its own arguments), in the order of the help
+COMMANDS = {
+    "verify": ("verify one identity over a modulus range", (
+        ("--identity", {"required": True}),
+        ("--pmin", {"type": int, "default": None, "help": "sweep primes from pmin"}),
+        ("--pmax", {"type": int, "default": None, "help": "sweep primes up to pmax (inclusive)"}),
+        ("--qmin", {"type": int, "default": None, "help": "sweep all moduli from qmin"}),
+        ("--qmax", {"type": int, "default": None}),
+        ("--q", {"type": int, "default": None, "help": "single modulus"}),
+        ("--n", {"type": int, "action": "append", "default": None,
+                 "help": "free unit parameter (repeatable)"}),
+    )),
+    "verify-all": ("verify every registry identity at desk scale", ()),
+    "conjecture": ("power-mean conjecture report", (
+        ("--k", {"type": int, "required": True}),
+        ("--pmin", {"type": int, "required": True}),
+        ("--pmax", {"type": int, "required": True}),
+    )),
+    "search": ("search constant-difference polynomial pairs", (
+        ("--max-degree", {"type": int, "default": 2}),
+        ("--coeff-bound", {"type": int, "default": 4}),
+        ("--prime-min", {"type": int, "default": 3}),
+        ("--prime-max", {"type": int, "default": 199}),
+        ("--twisted", {"action": "store_true", "help": "also pair (-1/p)-twisted signatures"}),
+    )),
+    "sum": ("evaluate one exponential sum", (
+        ("--family", {"choices": ["kloosterman", "two-term", "twisted"], "required": True}),
+        ("--m", {"type": int, "required": True}),
+        ("--n", {"type": int, "default": None, "help": "default 0; not for twisted"}),
+        ("--k", {"type": int, "default": None, "help": "default 1; not for kloosterman"}),
+        ("--q", {"type": int, "required": True}),
+    )),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    for flag, spec in COMMANDS[command][1] + COMMON:
+        parser.add_argument(flag, **spec)
+    return parser
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args leaves it unchanged,
-    and every call returns a fresh namespace."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """One command's parser, or with None the top-level parser, which
+    holds every command as a sub-parser and is built only to print help
+    or a usage error that names no single command.
+
+    A command's parser prints what the same sub-parser of the top-level
+    parser prints.  Each parser is built once per process: parse_args
+    leaves it unchanged, and every call returns a fresh namespace.
+    """
+    if command is not None:
+        return _add_arguments(argparse.ArgumentParser(prog=f"expsumlab {command}"), command)
     parser = argparse.ArgumentParser(
         prog="expsumlab",
         description="Verification lab for exponential-sum and character-sum identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-        p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="checked (>= 1) but unused: work runs serially")
-
-    p = sub.add_parser("verify", help="verify one identity over a modulus range")
-    p.add_argument("--identity", required=True)
-    p.add_argument("--pmin", type=int, default=None, help="sweep primes from pmin")
-    p.add_argument("--pmax", type=int, default=None, help="sweep primes up to pmax (inclusive)")
-    p.add_argument("--qmin", type=int, default=None, help="sweep all moduli from qmin")
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--q", type=int, default=None, help="single modulus")
-    p.add_argument("--n", type=int, action="append", default=None, help="free unit parameter (repeatable)")
-    add_common(p)
-
-    p = sub.add_parser("verify-all", help="verify every registry identity at desk scale")
-    add_common(p)
-
-    p = sub.add_parser("conjecture", help="power-mean conjecture report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pmin", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-    add_common(p)
-
-    p = sub.add_parser("search", help="search constant-difference polynomial pairs")
-    p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--coeff-bound", type=int, default=4)
-    p.add_argument("--prime-min", type=int, default=3)
-    p.add_argument("--prime-max", type=int, default=199)
-    p.add_argument("--twisted", action="store_true", help="also pair (-1/p)-twisted signatures")
-    add_common(p)
-
-    p = sub.add_parser("sum", help="evaluate one exponential sum")
-    p.add_argument("--family", choices=["kloosterman", "two-term", "twisted"], required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=None, help="default 0; not for twisted")
-    p.add_argument("--k", type=int, default=None, help="default 1; not for kloosterman")
-    p.add_argument("--q", type=int, required=True)
-    add_common(p)
-
+    for name, (help_line, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
@@ -257,9 +275,17 @@ def _run_sum(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in COMMANDS:
+            # the command's parser alone; leftover tokens get the error
+            # that the top-level parser gives them
+            args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     # checked so that existing command lines keep their exit codes; work

@@ -46,11 +46,14 @@ def prepare_reals(obj):
 
 
 def emit_json(command: str, config_echo: dict, rows: list[dict], summary: dict) -> bytes:
+    """Rows are flat dicts of scalars, so their reals are rounded in one
+    pass; the config echo and the summary may nest lists and dicts."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config_echo": prepare_reals(config_echo),
-        "rows": prepare_reals(rows),
+        "rows": [{k: _round_real(v) if isinstance(v, float) else v for k, v in row.items()}
+                 for row in rows],
         "summary": prepare_reals(summary),
     }
     return (json.dumps(doc, separators=(",", ":"), sort_keys=False) + "\n").encode("utf-8")

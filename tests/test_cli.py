@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -501,6 +502,25 @@ def test_parser_is_built_once_and_keeps_no_arguments_between_calls(capsys):
     assert doc["config_echo"]["n"] is None and [r["n"] for r in doc["rows"]] == [None]
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["conjecture", "--k", "2", "--pmin", "5", "--pmax", "7"], 1),
+    # the top-level parser and its five sub-parsers
+    (["-h"], 6),
+])
+def test_a_run_builds_only_the_parsers_it_reports_from(capsys, monkeypatch, argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(built) == parsers, built
 
 
 # the sha256 of json.dumps([argv, exit code, stdout, stderr]) for what
