@@ -96,14 +96,14 @@ q entries would take 16 GB from there on.  The refusal still names the
 int64 exponents of the array kernel it was written for, so that its
 message stays the same.
 
-Scalar sums (kloosterman, two_term_sum, twisted_sum, abs_two_term_all_m)
-dot the counts with a table of e(j/q) * 2^128 rounded to integers for
-j = 0..q/2, the count of q - j joining that of j with a minus sign in
-the imaginary part, and divide by 2^128 once; so symmetric counts
-(Kloosterman sums and odd-degree phases, Iwaniec & Kowalski, Analytic
-Number Theory, ch. 11) give an imaginary part of exactly 0.0.  The roots
-come from integers alone: pi by Machin's formula, e(1/q) by a Taylor
-series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
+Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts with
+a table of e(j/q) * 2^128 rounded to integers for j = 0..q/2, the count
+of q - j joining that of j with a minus sign in the imaginary part, and
+divide by 2^128 once; so symmetric counts (Kloosterman sums and
+odd-degree phases, Iwaniec & Kowalski, Analytic Number Theory, ch. 11)
+give an imaginary part of exactly 0.0.  The roots come from integers
+alone: pi by Machin's formula, e(1/q) by a Taylor series (Brent &
+Zimmermann, Modern Computer Arithmetic, ch. 4).
 """
 
 from __future__ import annotations
@@ -320,14 +320,6 @@ def twisted_sum(m: int, k: int, p: int) -> complex:
     # a^k depends on k mod p-1 only, which also admits k <= 0
     k = k % (p - 1) or p - 1
     return _scalar_sum(PhaseFamily(k, TWIST_INVERSE, 1), p, m)
-
-
-def abs_two_term_all_m(n: int, k: int, p: int) -> list[float]:
-    """|S(m, n, k; p)| for m = 0..p-1, from the exact scaled sums."""
-    p = _check_q(p)
-    u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, n), p)
-    sums = (_scaled_sum(_counts(u, v, p, t), p) for t in range(p))
-    return [math.sqrt((re * re + im * im) / (_SCALE * _SCALE)) for re, im in sums]
 
 
 def _widen(slots: bytes, q: int, nbytes: int) -> bytes:

@@ -37,7 +37,7 @@ Every emitted hit is re-verified at every evidence prime by an
 independent oracle computed once for all polynomials of the search
 (_euler_sums): f(x) is evaluated by Horner's rule, not in the power
 basis, and classified by a p-entry table of Euler's criterion y^((p-1)/2)
-mod p, built by pow, never through the squares table of _legendre_array,
+mod p, built by pow, never through char_sums.legendre_table's squares,
 arith.legendre, char_sum_poly or _symbol_rows.  Its Horner loop tracks a
 bound on the int64 entries and reduces mod p only before a step that
 could reach 2^63, then once at the end; that is exact for any p < 2^31,
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import char_sums
@@ -95,17 +94,6 @@ class SearchResult(NamedTuple):
     n_polynomials: int
 
 
-@lru_cache(maxsize=512)
-def _legendre_array(p: int) -> np.ndarray:
-    """char_sums.legendre_table(p) as a read-only int64 array, built once
-    per p."""
-    import numpy as np
-
-    table = np.array(char_sums.legendre_table(p), dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     """The signature path: sums and symbols of every f in polys (rows).
 
@@ -123,8 +111,9 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     exact in int64 while that is below 2^63 (search_constant_pairs rejects
     any prime beyond it).  The product runs over blocks of rows, each
     (rows x (p-1)) block holding at most _EULER_BLOCK elements, and each
-    block gathers its symbols from _legendre_array(p), which also validates
-    p, straight into the one preallocated symbol matrix.
+    block gathers its symbols from char_sums.legendre_table(p) as an int8
+    array, which also validates p, straight into the one preallocated
+    symbol matrix.
     """
     import numpy as np
 
@@ -138,7 +127,7 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     symbols = np.empty((len(polys), sum(p - 1 for p in primes)), dtype=np.int8)
     lo = 0
     for j, p in enumerate(primes):
-        table = _legendre_array(p).astype(np.int8)
+        table = np.array(char_sums.legendre_table(p), dtype=np.int8)
         reduced = (coeffs % p).astype(np.int64)
         xs = np.arange(1, p, dtype=np.int64)
         powers = np.empty((width, p - 1), dtype=np.int64)
@@ -200,7 +189,7 @@ def _euler_sums(polys, primes) -> np.ndarray:
 
     Per prime, Euler's criterion classifies every residue once: euler[y]
     is y^((p-1)/2) mod p by Python pow, read as 1, -1 (for p-1) or 0.  The
-    table is built from that power alone, not from _legendre_array's
+    table is built from that power alone, not from legendre_table's
     squares nor from arith.legendre, and the polynomials are evaluated by
     Horner's rule, not by _symbol_rows' power basis, so the oracle shares
     no code with the signature path it checks.  Each coefficient is

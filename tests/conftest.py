@@ -1,4 +1,5 @@
-"""Shared brute-force oracles, independent of the library's fast paths."""
+"""Shared brute-force oracles, independent of the library's fast paths,
+and the certified Weil comparison built on the exact scaled sums."""
 
 import cmath
 import functools
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+
+from expsumlab.exp_sums import TWIST_NONE, PhaseFamily, _counts, _family_vectors, _scaled_sum
 
 
 def e_p(x: int, p: int) -> complex:
@@ -61,6 +64,43 @@ def reference_mean(table, two_k: int, start: int) -> Fraction:
     a table of |S_t|^2 * 2^256."""
     k = two_k // 2
     return Fraction(sum(s**k for s in table[start:]), 2 ** (256 * k))
+
+
+# verdicts of certify_weil
+CERTIFIED, FLAGGED, EXCEEDS = "certified", "flagged", "exceeds"
+
+
+def certify_weil(n: int, k: int, p: int) -> list[str]:
+    """Weil's bound |S(m,n,k;p)|^2 <= (k-1)^2 p for m = 1..p-1, decided in
+    integers on a certified interval around the exact scaled sums, one
+    verdict per m.
+
+    _scaled_sum gives the integers (re, im), the sum over the D = p values
+    of a of one rounded table entry e(j/p) * 2^128 or its conjugate each.
+    The _fixed_root_table docstring puts every entry, before its final
+    rounding, within p * 2^-128 of the exact root, and that rounding adds
+    at most 2^-129; so each part of each term is within p + 1/2 units of
+    2^-128 of the exact part times 2^128, and re and im are within
+    E = D * (p + 1) of 2^128 Re S and 2^128 Im S.  Then
+    max(|re| - E, 0)^2 + max(|im| - E, 0)^2 <= |S|^2 * 2^256
+    <= (|re| + E)^2 + (|im| + E)^2.  CERTIFIED: the upper end is within
+    the bound; EXCEEDS: the lower end is above it; FLAGGED: the interval
+    straddles the bound, as it does wherever |S|^2 equals it.
+    """
+    u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, n), p)
+    err = len(u) * (p + 1)
+    bound = (k - 1) ** 2 * p << 256
+    verdicts = []
+    for m in range(1, p):
+        re, im = _scaled_sum(_counts(u, v, p, m), p)
+        re, im = abs(re), abs(im)
+        if (re + err) ** 2 + (im + err) ** 2 <= bound:
+            verdicts.append(CERTIFIED)
+        elif max(re - err, 0) ** 2 + max(im - err, 0) ** 2 > bound:
+            verdicts.append(EXCEEDS)
+        else:
+            verdicts.append(FLAGGED)
+    return verdicts
 
 
 @pytest.fixture(scope="session")

@@ -10,15 +10,14 @@ import json
 import math
 import time
 
-import numpy as np
-
 from expsumlab import cli
 from expsumlab.arith import primes_in_range, represent_4p
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ
 from expsumlab.conjecture import closed_form, conjecture_report, conjecture_value
-from expsumlab.exp_sums import abs_two_term_all_m
 from expsumlab.poly_search import search_constant_pairs
 from expsumlab.registry import PASS, SKIP, evaluate, summarize, sweep
+
+from conftest import CERTIFIED, certify_weil
 
 
 def _report(n: int, ok: bool, detail: str):
@@ -174,27 +173,30 @@ def test_acceptance_08_conjecture_crosscheck_and_high_k():
 
 
 def test_acceptance_09_gauss_magnitude():
+    # gauss_magnitude passes with LHS p(p-1) only when (p-1) M4 = M2^2, the
+    # Cauchy-Schwarz equality: then every |S(m,0,2,p)|^2, m = 1..p-1, is p
     bad = ""
     for p in primes_in_range(3, 299):
-        mags = np.asarray(abs_two_term_all_m(0, 2, p)[1:])
-        if float(abs(mags - math.sqrt(p)).max()) >= 1e-9 * math.sqrt(p):
-            bad = f"p={p}"
+        out = evaluate("gauss_magnitude", p)
+        if out.status != PASS or out.lhs != p * (p - 1):
+            bad = f"p={p}: {out.status}, lhs {out.lhs}"
             break
-    _report(9, not bad, bad or "|S(m,0,2,p)| = sqrt(p) to 1e-9 relative, all m, odd p < 300")
+    _report(9, not bad, bad or "|S(m,0,2,p)|^2 = p exactly, all m, odd p < 300")
 
 
 def test_acceptance_10_weil_bound_cubic():
     bad = ""
     for p in primes_in_range(5, 299):
-        bound = 2 * math.sqrt(p) + 1e-6
         for n in (0, 1, 2):
-            mags = np.asarray(abs_two_term_all_m(n, 3, p)[1:])
-            if float(mags.max()) > bound:
-                bad = f"p={p} n={n}: {float(mags.max()):.6f} > {bound:.6f}"
+            verdicts = certify_weil(n, 3, p)
+            if verdicts != [CERTIFIED] * (p - 1):
+                m = next(m for m, v in enumerate(verdicts, 1) if v != CERTIFIED)
+                bad = f"p={p} n={n} m={m}: {verdicts[m - 1]}"
                 break
         if bad:
             break
-    _report(10, not bad, bad or "|S(m,n,3,p)| <= 2 sqrt(p) + 1e-6 for 5 <= p < 300, n in {0,1,2}")
+    _report(10, not bad, bad or "|S(m,n,3,p)|^2 <= 4p on a certified interval, all m, "
+                                "5 <= p < 300, n in {0,1,2}")
 
 
 def test_acceptance_11_search_soundness_smoke():

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +13,6 @@ from expsumlab.char_sums import (
     legendre_table,
     ning_wang_c,
 )
-from expsumlab.poly_search import _legendre_array
 
 from conftest import char_sum_direct, legendre_by_squares
 
@@ -87,14 +85,6 @@ def test_shift_agrees_with_evaluation(coeffs, t, x):
 def test_legendre_table_matches_symbol():
     for p in (3, 5, 7, 29):
         assert list(legendre_table(p)) == [legendre(a, p) for a in range(p)]
-
-
-def test_legendre_array_is_cached_read_only_table():
-    for p in (3, 5, 29, 101):
-        arr = _legendre_array(p)
-        assert arr is _legendre_array(p)
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-        assert arr.tolist() == list(legendre_table(p))
         # the tuple of Python ints stays the public form
         assert type(legendre_table(p)) is tuple
         assert all(type(v) is int for v in legendre_table(p))

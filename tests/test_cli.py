@@ -113,6 +113,16 @@ def test_verify_all_deterministic_across_workers(capsys, tmp_path):
     assert doc["summary"]["max_residual"] < 1e-6
 
 
+def test_verify_all_text_fails_only_the_known_false_formula(capsys):
+    # zh_cubic_6th_over_a reproduces a false published formula: 12 rows fail
+    code, out = run(capsys, "verify-all", "--format", "text")
+    assert code == cli.EXIT_FAIL
+    summary = out.splitlines()[-1]
+    assert summary.startswith("summary: ") and "  fail=12  " in summary
+    failing = {line.split()[0] for line in out.splitlines() if line.endswith("pass=false")}
+    assert failing == {"identity=zh_cubic_6th_over_a"}
+
+
 def test_verify_empty_prime_range_reports_zero_counts(capsys):
     code, out = run(capsys, "verify", "--identity", "salie_4th", "--pmin", "24",
                     "--pmax", "28", "--format", "json")

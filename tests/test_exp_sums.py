@@ -13,7 +13,6 @@ from expsumlab.exp_sums import (
     TWIST_INVERSE,
     TWIST_NONE,
     PhaseFamily,
-    abs_two_term_all_m,
     kloosterman,
     power_mean,
     twisted_sum,
@@ -21,7 +20,16 @@ from expsumlab.exp_sums import (
 )
 from expsumlab.registry import CUBIC_FAMILY
 
-from conftest import e_p, power_mean_direct, reference_mean, reference_root_table
+from conftest import (
+    CERTIFIED,
+    EXCEEDS,
+    FLAGGED,
+    certify_weil,
+    e_p,
+    power_mean_direct,
+    reference_mean,
+    reference_root_table,
+)
 
 
 def test_kloosterman_zero_args_gives_phi():
@@ -160,24 +168,47 @@ def test_weil_ratio_gauss_case():
 
 
 def test_weil_ratio_cubic_bound():
-    worst = max(abs(two_term_sum(m, 1, 3, 7)) / math.sqrt(7) for m in range(1, 7))
-    assert worst <= 2.0 + 1e-9
+    # |S(m, 1, 3; 7)| <= 2 sqrt(7) for m = 1..6, on the certified interval
+    assert certify_weil(1, 3, 7) == [CERTIFIED] * 6
 
 
 def test_weil_bound_exhaustive_small():
-    # |S(m,n,k;p)| <= (k-1) sqrt(p): every m, every n, k in {2, 3}
+    # |S(m,n,k;p)| <= (k-1) sqrt(p): every m, every n, k in {2, 3}.  At
+    # k = 2 the bound is attained, so it is decided exactly: M2 = p(p-1)
+    # and (p-1) M4 = M2^2, the Cauchy-Schwarz equality over m = 1..p-1,
+    # make every |S(m,n,2;p)|^2 equal to p.  At k = 3 every m certifies.
     for p in primes_in_range(5, 59):
-        for k in (2, 3):
-            bound = (k - 1) * math.sqrt(p) + 1e-6
-            for n in range(p):
-                mags = np.asarray(abs_two_term_all_m(n, k, p)[1:])
-                assert float(mags.max()) <= bound, (p, k, n)
+        for n in range(p):
+            family = PhaseFamily(2, TWIST_NONE, n, False)
+            m2, m4 = (power_mean(family, p, two_k) for two_k in (2, 4))
+            assert m2 == p * (p - 1) and (p - 1) * m4 == m2 * m2, (p, 2, n)
+            assert certify_weil(n, 3, p) == [CERTIFIED] * (p - 1), (p, 3, n)
+
+
+def test_certify_weil_flags_an_attained_bound():
+    # |S(m,n,2;p)|^2 = p, the k = 2 bound itself: the interval always
+    # straddles it, so no m passes
+    for p in (5, 7, 31, 59):
+        for n in (0, 1, p - 1):
+            assert certify_weil(n, 2, p) == [FLAGGED] * (p - 1), (p, n)
+
+
+def test_certify_weil_finds_a_sum_above_the_bound():
+    # k = 1: the bound is 0, S(m,n,1;p) is p at m = -n and 0 elsewhere; an
+    # exact 0 straddles the bound, the sum p lies wholly above it
+    for p in (5, 7, 31):
+        for n in (1, 3):
+            expected = [FLAGGED] * (p - 1)
+            expected[-n % p - 1] = EXCEEDS
+            assert certify_weil(n, 1, p) == expected, (p, n)
 
 
 def test_gauss_magnitude_all_m():
+    # the row passes with LHS p(p-1) only when (p-1) M4 = M2^2, the
+    # Cauchy-Schwarz equality: then |S(m,0,2,p)|^2 = p for every m = 1..p-1
     for p in primes_in_range(3, 499):
-        mags = np.asarray(abs_two_term_all_m(0, 2, p)[1:])
-        assert float(abs(mags - math.sqrt(p)).max()) < 1e-9 * math.sqrt(p)
+        out = registry.evaluate("gauss_magnitude", p)
+        assert out.status == registry.PASS and out.lhs == p * (p - 1), p
 
 
 # The exact paths against a big-integer loop over a per-entry 60-digit
@@ -555,7 +586,6 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
         for call in (
             lambda: kloosterman(1, 1, q),
             lambda: two_term_sum(1, 1, 3, q),
-            lambda: abs_two_term_all_m(1, 3, q),
         ):
             with pytest.raises(ValueError, match="2\\^31"):
                 call()
@@ -617,14 +647,6 @@ def test_real_sums_have_zero_imaginary_part():
                     assert two_term_sum(m, n, k, q).imag == 0.0, (m, n, k, q)
 
 
-def test_abs_two_term_all_m_is_the_exact_table():
-    for p in (3, 5, 7, 31, 101):
-        for n, k in [(0, 2), (1, 3), (5, 4)]:
-            fam = PhaseFamily(k, TWIST_NONE, n)
-            ref = np.sqrt([s / 2**256 for s in reference_abs_sq_table(fam, p)])
-            assert np.array_equal(abs_two_term_all_m(n, k, p), ref), (p, n, k)
-
-
 def test_star_import_resolves_every_public_name():
     import expsumlab
 
@@ -651,10 +673,10 @@ def test_names_nothing_calls_stay_deleted():
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod", "reflect"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
-                   "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients"),
+                   "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients", "abs_two_term_all_m"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
-                      "_is_canonical", "_differ"),
+                      "_is_canonical", "_differ", "_legendre_array"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
                    "RESIDUAL_TOL", "_ZH_FAMILY", "_salie_family", "_cubic_family",
                    "CONJECTURE_FAMILY", "_prime_gt3_unit_n"),

@@ -261,7 +261,7 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
 
     for name in ("legendre_table", "char_sum_poly"):
         monkeypatch.setattr(char_sums, name, refuse)
-    for name in ("_symbol_rows", "_legendre_array", "legendre"):
+    for name in ("_symbol_rows", "legendre"):
         monkeypatch.setattr(poly_search, name, refuse)
     primes = tuple(primes_in_range(3, 60))
     # seeded polynomials may have coefficients beyond int64
