@@ -456,6 +456,10 @@ CHECKED_DIGESTS = {
               "4056bbde2e2321579ef58bf62cdc496315d93c0e282ea31eefc4f0f1ec857ee1"),
     "zhang-n": (_verify_n("zhang_composite_4th", "--qmin", "3", "--qmax", "60"), cli.EXIT_OK,
                 "0d41c1e0f6777cfc54f9f927ec6c385cccaa3d439440b77babe18e0487f4d454"),
+    # registry_mix's zhang command: its moduli hold the composites 45, 63
+    # and 75 of two primes, and the prime power 81 = 3^4
+    "zhang-n-95": (_verify_n("zhang_composite_4th", "--qmin", "3", "--qmax", "95"), cli.EXIT_OK,
+                   "d508575067456e9435499a0e4740f8519bd003970e6cf7bb6bd4bc231f9b8cd3"),
     "zz-n": (_verify_n("zz_cubic_4th", "--pmin", "3", "--pmax", "100"), cli.EXIT_OK,
              "ffd343594f3e97a8f97866599a81feb25b0ac7e42475bf5bb12625fa7672cc37"),
     "zm-n": (_verify_n("zm_cubic_6th", "--pmin", "3", "--pmax", "100"), cli.EXIT_OK,
