@@ -16,7 +16,7 @@ log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
 status=0
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -rfE --durations=10 --continue-on-collection-errors \
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m pytest -q -rfE --durations=10 --continue-on-collection-errors \
     | tee "$log"
 tier1=${PIPESTATUS[0]}
 # pytest exits 1 when tests failed; any other nonzero code is an

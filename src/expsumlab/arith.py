@@ -17,8 +17,11 @@ class NotRepresentableError(ValueError):
     """Raised when 4p = d^2 + 27 b^2 has no admissible solution."""
 
 
+@lru_cache(maxsize=4096)
 def factorize(q: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of q >= 1 as ((p, e), ...), ascending primes."""
+    """Prime factorization of q >= 1 as ((p, e), ...), ascending primes;
+    the last 4096 are kept, as a registry row asks for that of its q more
+    than once."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     out = []

@@ -95,9 +95,12 @@ def legendre_table(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=1024)
 def char_sum_poly(f: PolynomialZ, p: int) -> int:
     """sum_{x=1}^{p-1} ((f(x))/p), by Horner's rule on the coefficients
-    reduced mod p, in Python ints: one % p per point."""
+    reduced mod p, in Python ints: one % p per point.  The last 1024
+    results are kept: zwl_4th, nw_4th and corollary1 ask for the same two
+    sums at the same primes."""
     if f.is_zero:
         raise ValueError("character sum of the zero polynomial")
     table = legendre_table(p)

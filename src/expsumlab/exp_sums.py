@@ -51,6 +51,28 @@ mod q and fixes 0, so it maps the sweep onto itself, with or without
 t = 0, and the total is that of f = 1.  So a mean at a unit n is the
 mean at 1, and the registry states each identity at f = 1.
 
+Composite moduli.  Write M_q(f) for the total of a complete sweep (t =
+0..q-1) at modulus q with fixed coefficient f.  Let q = rs with gcd(r,
+s) = 1, sbar = s^-1 mod r and rbar = r^-1 mod s.  Then s*sbar + r*rbar =
+1 mod rs, so e(x/rs) = e(x*sbar/r) * e(x*rbar/s) for every integer x,
+and by CRT a mod rs runs over the pairs (a mod r, a mod s), a unit over
+the pairs of units, with abar reducing to the inverse mod r and mod s.
+So for either twist S_t(rs; f) = S_(t*sbar)(r; f*sbar) *
+S_(t*rbar)(s; f*rbar) (Iwaniec & Kowalski, ch. 1, for Kloosterman sums).
+The sweep t mod rs is the set of all pairs (t mod r, t mod s), and t ->
+t*sbar permutes the residues mod r, so M_rs(f) = M_r(f*sbar) *
+M_s(f*rbar).  For a unit u, M_r(f*u) = M_r(f) for every f, a unit or
+not: a = ubar*b (no twist) or a = u*b (inverse twist) gives S_t(f*u) =
+S_(t*ubar^k)(f) or S_(t*u^k)(f), only a permutation of t.  So M_rs(f) =
+M_r(f) * M_s(f), and power_mean multiplies the means at the prime
+powers of q.  For the Salie family an odd prime has 2 orbits of t != 0,
+an odd prime power below 100 has 4 to 8, and an odd q of two primes
+below 100 has 8 or 14; the product reads the factors' tables instead,
+which the other moduli of a sweep share.  A sweep without t = 0 is no
+product set, as t = 1..rs-1 holds pairs with one part 0, so it keeps
+the orbit table at q itself.  The factor 2 of an even q is a mean at
+q = 2, which _power_mean computes and power_mean refuses.
+
 Kronecker slots.  _convolve packs two count vectors into integers, slot
 j at bit B*j, multiplies them and folds the product mod z^q - 1 with
 (M & mask) + (M >> q*B).  Slots are little-endian bytes: struct packs a
@@ -91,10 +113,11 @@ The trace of N_k reads s_k for its d = q term and (D^k)^2 for its d = 1
 term, so at a prime q it unpacks no slots; a composite q unpacks N_k for
 its other divisors.
 
-Every public function rejects q >= 2^31 before any work: a count list of
-q entries would take 16 GB from there on.  The refusal still names the
-int64 exponents of the array kernel it was written for, so that its
-message stays the same.
+Every public function rejects q >= 2^31 before any work.  That bound is
+no memory limit: a list of q counts takes about 8q bytes, so a prime
+just below 2^31 needs about 16 GB for each count list it builds.  The
+refusal still names the int64 exponents of the array kernel it was
+written for, so that its message stays the same.
 
 Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts with
 a table of e(j/q) * 2^128 rounded to integers for j = 0..q/2, the count
@@ -443,15 +466,22 @@ def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
     """2k-th power mean of |inner sum| over the sweep of the monomial
     coefficient (complete residue system, zero term per the family flag),
     exact: one trace per Galois orbit of the sweep (module docstring).
-    The last 1024 results are kept, so a process computes each
-    (family, q, 2k) it repeats once.  AssertionError if phi(q) does not
-    divide the total."""
+    A complete sweep at a q of two or more primes is the product of the
+    means at its prime-power factors ("Composite moduli").  The last 1024
+    results at a prime power, or at any q for a sweep without t = 0, are
+    kept, so a process computes each (family, q, 2k) it repeats once; a
+    composite's product is not kept, but its factors are.
+    AssertionError if phi(q) does not divide the total."""
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
     q = _check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    return _power_mean(family, as_modulus(modulus), two_k)
+    mod = as_modulus(modulus)
+    if family.include_zero_in_sweep and mod.omega > 1:
+        return math.prod(_power_mean(family, Modulus(p**e, ((p, e),), e == 1), two_k)
+                         for p, e in mod.factorization)
+    return _power_mean(family, mod, two_k)
 
 
 @lru_cache(maxsize=1024)

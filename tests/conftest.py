@@ -9,7 +9,40 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from expsumlab.exp_sums import TWIST_NONE, PhaseFamily, _counts, _family_vectors, _scaled_sum
+from expsumlab import registry
+from expsumlab.exp_sums import TWIST_INVERSE, TWIST_NONE, PhaseFamily, _counts, _family_vectors, _scaled_sum
+from expsumlab.registry import CUBIC_FAMILY
+
+
+KERNEL_FAMILIES = [
+    # Salie at n = 1, 2 and 5, and the cubic family at n = 1, 2 and 3,
+    # without its t = 0 term
+    registry._SALIE_FAMILY,
+    PhaseFamily(1, TWIST_INVERSE, 2, True),
+    registry._ZWL_FAMILY,
+    PhaseFamily(3, TWIST_NONE, 1, False),
+    PhaseFamily(3, TWIST_NONE, 2, False),
+    # 3 is no unit of q = 3, 9, 12, ...: the kernel computes it as given
+    PhaseFamily(3, TWIST_NONE, 3, False),
+    CUBIC_FAMILY,
+    PhaseFamily(1, TWIST_INVERSE, 5, True),
+    PhaseFamily(5, TWIST_NONE, 1, True),
+    registry._GAUSS_FAMILY,
+]
+# a -> -a keeps every phase of these
+EVEN_FAMILIES = [
+    registry._GAUSS_FAMILY,
+    PhaseFamily(4, TWIST_NONE, 0, True),
+    PhaseFamily(2, TWIST_INVERSE, 0, True),
+]
+# both twists, degrees up to 6, and fixed coefficients that are not a
+# unit of every q
+ORBIT_FAMILIES = KERNEL_FAMILIES + EVEN_FAMILIES[1:] + [
+    PhaseFamily(4, TWIST_NONE, 1, True),
+    PhaseFamily(6, TWIST_NONE, 1, True),
+    PhaseFamily(5, TWIST_NONE, 6, False),
+    PhaseFamily(3, TWIST_INVERSE, 10, False),
+]
 
 
 def e_p(x: int, p: int) -> complex:

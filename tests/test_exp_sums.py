@@ -22,8 +22,11 @@ from expsumlab.registry import CUBIC_FAMILY
 
 from conftest import (
     CERTIFIED,
+    EVEN_FAMILIES,
     EXCEEDS,
     FLAGGED,
+    KERNEL_FAMILIES,
+    ORBIT_FAMILIES,
     certify_weil,
     e_p,
     power_mean_direct,
@@ -275,37 +278,6 @@ def test_check_q_refuses_from_2_pow_31():
         with pytest.raises(ValueError) as err:
             exp_sums._check_q(q)
         assert str(err.value) == f"modulus must be below 2^31 for int64 exponents, got {q}"
-
-
-KERNEL_FAMILIES = [
-    # Salie at n = 1, 2 and 5, and the cubic family at n = 1, 2 and 3,
-    # without its t = 0 term
-    registry._SALIE_FAMILY,
-    PhaseFamily(1, TWIST_INVERSE, 2, True),
-    registry._ZWL_FAMILY,
-    PhaseFamily(3, TWIST_NONE, 1, False),
-    PhaseFamily(3, TWIST_NONE, 2, False),
-    # 3 is no unit of q = 3, 9, 12, ...: the kernel computes it as given
-    PhaseFamily(3, TWIST_NONE, 3, False),
-    CUBIC_FAMILY,
-    PhaseFamily(1, TWIST_INVERSE, 5, True),
-    PhaseFamily(5, TWIST_NONE, 1, True),
-    registry._GAUSS_FAMILY,
-]
-# a -> -a keeps every phase of these
-EVEN_FAMILIES = [
-    registry._GAUSS_FAMILY,
-    PhaseFamily(4, TWIST_NONE, 0, True),
-    PhaseFamily(2, TWIST_INVERSE, 0, True),
-]
-# both twists, degrees up to 6, and fixed coefficients that are not a
-# unit of every q
-ORBIT_FAMILIES = KERNEL_FAMILIES + EVEN_FAMILIES[1:] + [
-    PhaseFamily(4, TWIST_NONE, 1, True),
-    PhaseFamily(6, TWIST_NONE, 1, True),
-    PhaseFamily(5, TWIST_NONE, 6, False),
-    PhaseFamily(3, TWIST_INVERSE, 10, False),
-]
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -565,15 +537,62 @@ def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
 def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
     # a fixed coefficient that is not a unit mod q, of the linear term c*a
     # (no twist) or of abar, is its own cache entry: computing it does not
-    # hit the entry of 1
+    # hit the entry of 1.  A complete sweep at q = 12 keeps one entry per
+    # prime-power factor, 4 and 3 (module docstring, "Composite moduli")
     one = family._replace(fixed_coefficient=1)
+    mod = Modulus.from_int(q)
     exp_sums._power_mean.cache_clear()
     for two_k in (2, 4, 6):
         power_mean(one, q, two_k)
         value = power_mean(family, q, two_k)
-        assert value == exp_sums._power_mean.__wrapped__(family, Modulus.from_int(q), two_k)
+        assert value == exp_sums._power_mean.__wrapped__(family, mod, two_k)
+    entries = mod.omega if family.include_zero_in_sweep else 1
     info = exp_sums._power_mean.cache_info()
-    assert (info.hits, info.misses) == (0, 6)
+    assert (info.hits, info.misses) == (0, 6 * entries)
+
+
+def recorded_orbit_tables(monkeypatch):
+    """The moduli _orbit_table is called at from now on, caches cleared."""
+    built = []
+    table = exp_sums._orbit_table
+    table.cache_clear()
+    exp_sums._power_mean.cache_clear()
+
+    def recording(family, mod):
+        built.append(mod.q)
+        return table(family, mod)
+
+    monkeypatch.setattr(exp_sums, "_orbit_table", recording)
+    return built
+
+
+def test_a_factor_2_is_a_mean_below_the_public_floor(monkeypatch):
+    # an even q of two or more primes takes its mean at 2 through
+    # _power_mean, though power_mean itself refuses q = 2
+    built = recorded_orbit_tables(monkeypatch)
+    complete = [f for f in ORBIT_FAMILIES if f.include_zero_in_sweep]
+    cases = [(family, q, two_k) for family in complete for q in (6, 10, 30, 42) for two_k in (2, 4, 6)]
+    values = [power_mean(*case) for case in cases]
+    assert set(built) == {2, 3, 5, 7}
+    for (family, q, two_k), value in zip(cases, values):
+        assert value == exp_sums._power_mean.__wrapped__(family, Modulus.from_int(q), two_k), (family, q, two_k)
+    for family in complete:
+        with pytest.raises(ValueError, match="modulus must be >= 3, got 2"):
+            power_mean(family, 2, 4)
+
+
+def test_a_sweep_without_zero_keeps_the_orbit_path(monkeypatch):
+    # t = 1..q-1 is no product of the sweeps at q's factors: the Gauss
+    # family's mean at q = 15 or 21 is an orbit table at q itself, and the
+    # product of the factors' means is a different number
+    built = recorded_orbit_tables(monkeypatch)
+    gauss = registry._GAUSS_FAMILY
+    for q in (15, 21):
+        r, s = (p for p, _ in Modulus.from_int(q).factorization)
+        for two_k in (2, 4):
+            assert power_mean(gauss, q, two_k) != power_mean(gauss, r, two_k) * power_mean(gauss, s, two_k)
+        assert power_mean(gauss, q, 4) == round(reference_mean(reference_abs_sq_table(gauss, q), 4, 1))
+    assert set(built) == {15, 3, 5, 21, 7}
 
 
 def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):

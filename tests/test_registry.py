@@ -4,8 +4,9 @@ from math import gcd
 
 import pytest
 
-from expsumlab import exp_sums, registry
+from expsumlab import char_sums, exp_sums, registry
 from expsumlab.arith import Modulus, primes_in_range
+from expsumlab.exp_sums import TWIST_INVERSE, TWIST_NONE, power_mean
 from expsumlab.registry import (
     FAIL,
     PASS,
@@ -18,7 +19,7 @@ from expsumlab.registry import (
     verdict,
 )
 
-from conftest import reference_mean, reference_root_table
+from conftest import ORBIT_FAMILIES, reference_mean, reference_root_table
 
 ALL_IDS = [
     "salie_4th",
@@ -114,21 +115,69 @@ def zhang_mean(q):
 
 
 def test_zhang_mean_is_multiplicative():
-    """M(rs) = M(r) M(s) for coprime r, s, even q included.
+    """M(rs) = M(r) M(s) for coprime r, s, even q included, for every
+    family of a complete sweep in ORBIT_FAMILIES, which span both twists.
 
     Kloosterman sums are twistedly multiplicative (Iwaniec & Kowalski,
-    Analytic Number Theory, ch. 1): with s s' = 1 mod r and r r' = 1 mod s,
-    S(m, 1; rs) = S(m s', s'; r) S(m r', r'; s).  By CRT, m mod rs runs
-    over all pairs (m mod r, m mod s), and m s' mod r, m r' mod s over all
-    residues, so M(rs) = M_r(s') M_s(r'), M_q(n) being the mean with fixed
-    coefficient n.  s' and r' are units, and the unit-coefficient argument
-    of the exp_sums docstring gives M_q(n) = M_q(1) for a unit n.
+    Analytic Number Theory, ch. 1), and so is every inner sum of a
+    complete sweep; the exp_sums docstring, "Composite moduli", gives the
+    proof.  power_mean takes that product at every q of two or more
+    primes, so the statement is checked on _power_mean, the orbit path,
+    which computes the mean at any modulus as one orbit table, and
+    power_mean is checked against it at rs.
     """
-    moduli = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 81, 97, 125)
-    pairs = [(r, s) for r, s in itertools.combinations(moduli, 2) if gcd(r, s) == 1 and r * s < 1500]
-    assert len(pairs) == 87
-    for r, s in pairs:
-        assert zhang_mean(r * s) == zhang_mean(r) * zhang_mean(s), (r, s)
+    families = [f for f in ORBIT_FAMILIES if f.include_zero_in_sweep]
+    assert {f.twist for f in families} == {TWIST_NONE, TWIST_INVERSE}
+    pairs = [(r, s) for r in range(2, 13) for s in range(r + 1, 150 // r + 1) if gcd(r, s) == 1]
+    for family in families:
+        for r, s in pairs:
+            for two_k in (2, 4, 6):
+                orbit = [exp_sums._power_mean(family, Modulus.from_int(q), two_k) for q in (r * s, r, s)]
+                assert orbit[0] == orbit[1] * orbit[2], (family, r, s, two_k)
+                assert power_mean(family, r * s, two_k) == orbit[0], (family, r, s, two_k)
+
+
+def test_zhang_sweep_builds_orbit_tables_only_at_prime_powers(monkeypatch):
+    # registry_mix's zhang command: each odd q of two or more primes is
+    # the product of the means at its prime-power factors, each built once
+    built = []
+    table = exp_sums._orbit_table
+    table.cache_clear()
+    exp_sums._power_mean.cache_clear()
+
+    def recording(family, mod):
+        built.append(mod.q)
+        return table(family, mod)
+
+    monkeypatch.setattr(exp_sums, "_orbit_table", recording)
+    rows = sweep("zhang_composite_4th", range(3, 96), [1, 7])
+    assert all(o.status == PASS for o in rows) and len(rows) == 87
+    assert built == [q for q in range(3, 96, 2) if Modulus.from_int(q).omega == 1]
+
+
+def test_corollary1_after_zwl_and_nw_reuses_their_character_sums(monkeypatch):
+    # zwl_4th and nw_4th read the two character sums of corollary1 at
+    # every prime p > 3; corollary1 computes only those at p = 3
+    cached = char_sums.char_sum_poly
+    cached.cache_clear()
+    missed = []
+
+    def recording(f, p):
+        before = cached.cache_info().misses
+        value = cached(f, p)
+        if cached.cache_info().misses > before:
+            missed.append((str(f), p))
+        return value
+
+    monkeypatch.setattr(char_sums, "char_sum_poly", recording)
+    primes = primes_in_range(3, 190)
+    for identity in ("zwl_4th", "nw_4th"):
+        sweep(identity, primes)
+    assert sorted(missed) == sorted((str(f), p) for f in (char_sums.CUBIC_CCC, char_sums.NING_WANG_QUARTIC)
+                                    for p in primes[1:])
+    missed.clear()
+    assert all(o.status == PASS for o in sweep("corollary1", primes))
+    assert sorted(missed) == [("x^3+x^2+x", 3), ("x^4+4x^3+2x^2+4x+1", 3)]
 
 
 def test_zhang_mean_at_powers_of_two_observed():
