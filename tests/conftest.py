@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from expsumlab import registry
+from expsumlab import exp_sums, registry
 from expsumlab.exp_sums import TWIST_INVERSE, TWIST_NONE, PhaseFamily, _counts, _family_vectors, _scaled_sum
 from expsumlab.registry import CUBIC_FAMILY
 
@@ -139,3 +139,20 @@ def certify_weil(n: int, k: int, p: int) -> list[str]:
 @pytest.fixture(scope="session")
 def small_odd_primes():
     return [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@pytest.fixture
+def orbit_tables_built(monkeypatch):
+    """The moduli at which power means call exp_sums._orbit_table during
+    the test, in call order, with its cache and _power_mean's cleared."""
+    built = []
+    table = exp_sums._orbit_table
+    table.cache_clear()
+    exp_sums._power_mean.cache_clear()
+
+    def recording(family, mod):
+        built.append(mod.q)
+        return table(family, mod)
+
+    monkeypatch.setattr(exp_sums, "_orbit_table", recording)
+    return built

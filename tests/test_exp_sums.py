@@ -551,25 +551,10 @@ def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
     assert (info.hits, info.misses) == (0, 6 * entries)
 
 
-def recorded_orbit_tables(monkeypatch):
-    """The moduli _orbit_table is called at from now on, caches cleared."""
-    built = []
-    table = exp_sums._orbit_table
-    table.cache_clear()
-    exp_sums._power_mean.cache_clear()
-
-    def recording(family, mod):
-        built.append(mod.q)
-        return table(family, mod)
-
-    monkeypatch.setattr(exp_sums, "_orbit_table", recording)
-    return built
-
-
-def test_a_factor_2_is_a_mean_below_the_public_floor(monkeypatch):
+def test_a_factor_2_is_a_mean_below_the_public_floor(orbit_tables_built):
     # an even q of two or more primes takes its mean at 2 through
     # _power_mean, though power_mean itself refuses q = 2
-    built = recorded_orbit_tables(monkeypatch)
+    built = orbit_tables_built
     complete = [f for f in ORBIT_FAMILIES if f.include_zero_in_sweep]
     cases = [(family, q, two_k) for family in complete for q in (6, 10, 30, 42) for two_k in (2, 4, 6)]
     values = [power_mean(*case) for case in cases]
@@ -581,11 +566,11 @@ def test_a_factor_2_is_a_mean_below_the_public_floor(monkeypatch):
             power_mean(family, 2, 4)
 
 
-def test_a_sweep_without_zero_keeps_the_orbit_path(monkeypatch):
+def test_a_sweep_without_zero_keeps_the_orbit_path(orbit_tables_built):
     # t = 1..q-1 is no product of the sweeps at q's factors: the Gauss
     # family's mean at q = 15 or 21 is an orbit table at q itself, and the
     # product of the factors' means is a different number
-    built = recorded_orbit_tables(monkeypatch)
+    built = orbit_tables_built
     gauss = registry._GAUSS_FAMILY
     for q in (15, 21):
         r, s = (p for p, _ in Modulus.from_int(q).factorization)

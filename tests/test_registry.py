@@ -137,22 +137,12 @@ def test_zhang_mean_is_multiplicative():
                 assert power_mean(family, r * s, two_k) == orbit[0], (family, r, s, two_k)
 
 
-def test_zhang_sweep_builds_orbit_tables_only_at_prime_powers(monkeypatch):
+def test_zhang_sweep_builds_orbit_tables_only_at_prime_powers(orbit_tables_built):
     # registry_mix's zhang command: each odd q of two or more primes is
     # the product of the means at its prime-power factors, each built once
-    built = []
-    table = exp_sums._orbit_table
-    table.cache_clear()
-    exp_sums._power_mean.cache_clear()
-
-    def recording(family, mod):
-        built.append(mod.q)
-        return table(family, mod)
-
-    monkeypatch.setattr(exp_sums, "_orbit_table", recording)
     rows = sweep("zhang_composite_4th", range(3, 96), [1, 7])
     assert all(o.status == PASS for o in rows) and len(rows) == 87
-    assert built == [q for q in range(3, 96, 2) if Modulus.from_int(q).omega == 1]
+    assert orbit_tables_built == [q for q in range(3, 96, 2) if Modulus.from_int(q).omega == 1]
 
 
 def test_corollary1_after_zwl_and_nw_reuses_their_character_sums(monkeypatch):
