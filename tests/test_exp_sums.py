@@ -554,11 +554,10 @@ def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
 def test_a_factor_2_is_a_mean_below_the_public_floor(orbit_tables_built):
     # an even q of two or more primes takes its mean at 2 through
     # _power_mean, though power_mean itself refuses q = 2
-    built = orbit_tables_built
     complete = [f for f in ORBIT_FAMILIES if f.include_zero_in_sweep]
     cases = [(family, q, two_k) for family in complete for q in (6, 10, 30, 42) for two_k in (2, 4, 6)]
     values = [power_mean(*case) for case in cases]
-    assert set(built) == {2, 3, 5, 7}
+    assert set(orbit_tables_built) == {2, 3, 5, 7}
     for (family, q, two_k), value in zip(cases, values):
         assert value == exp_sums._power_mean.__wrapped__(family, Modulus.from_int(q), two_k), (family, q, two_k)
     for family in complete:
@@ -570,14 +569,13 @@ def test_a_sweep_without_zero_keeps_the_orbit_path(orbit_tables_built):
     # t = 1..q-1 is no product of the sweeps at q's factors: the Gauss
     # family's mean at q = 15 or 21 is an orbit table at q itself, and the
     # product of the factors' means is a different number
-    built = orbit_tables_built
     gauss = registry._GAUSS_FAMILY
     for q in (15, 21):
         r, s = (p for p, _ in Modulus.from_int(q).factorization)
         for two_k in (2, 4):
             assert power_mean(gauss, q, two_k) != power_mean(gauss, r, two_k) * power_mean(gauss, s, two_k)
         assert power_mean(gauss, q, 4) == round(reference_mean(reference_abs_sq_table(gauss, q), 4, 1))
-    assert set(built) == {15, 3, 5, 21, 7}
+    assert set(orbit_tables_built) == {15, 3, 5, 21, 7}
 
 
 def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from math import gcd
 
