@@ -10,8 +10,10 @@ S_t^k * conj(S_t^k) has the coefficients sum_i N_k(i + j) N_k(i).
 Trace.  The trace of zeta^j from Q(zeta) is the Ramanujan sum c_q(j) =
 sum_{d | (j, q)} mu(q/d) d (Hardy & Wright, An Introduction to the
 Theory of Numbers, 16.6).  Swapping the sums, Tr(y_t) = sum_{d | q}
-mu(q/d) d sum_{r mod d} F_d(r)^2, F_d being N_k folded mod d; at a prime
-p, p * sum_j N_k(j)^2 - D^2k.
+mu(q/d) d sum_{r mod d} F_d(r)^2, F_d being N_k folded mod d.  At a
+prime power q = p^e only d = p^e and p^(e-1) have mu(q/d) != 0, so
+Tr(y_t) = p^e * sum_j N_k(j)^2 - p^(e-1) * sum_r F_(p^(e-1))(r)^2; at a
+prime p, p * sum_j N_k(j)^2 - D^2k.
 
 Orbits.  For a unit c mod q, sigma_c: zeta -> zeta^c commutes with
 complex conjugation, so sigma_c(y_t) = |sigma_c(S_t)|^2k, and
@@ -22,7 +24,7 @@ the fixed coefficient and k the degree:
     phase c^(k+1)*t*b^k + f*bbar, so e = k + 1;
   - no twist (u = a^k, v = f*a): a = cbar*b gives c^(1-k)*t*b^k + f*b,
     so e = 1 - k.
-t -> c^e*t maps the sweep (t = 0..q-1, or 1..q-1) onto itself.  So its
+t -> c^e*t maps the sweep t = 0..q-1 onto itself.  So its
 total T = sum_t y_t is fixed by every sigma_c, hence an integer equal to
 Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
 under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
@@ -37,8 +39,11 @@ integer.  Without twist, v_a = f*a over all residues a: a geometric sum,
 q if q | f and 0 otherwise.  Under the inverse twist, v_a = f*abar over
 the units, and abar runs over the units as a does, so S_0 is the
 Ramanujan sum c_q(f) = sum_{d | (f, q)} mu(q/d) d, whose d = q term is
-the first case.  So y_0 = S_0^2k, Tr(y_0) = phi(q) S_0^2k, and only the
-orbits of t != 0 need counts.
+the first case; at q = p^e it is p^e [p^e | f] - p^(e-1) [p^(e-1) | f].
+So y_0 = S_0^2k, Tr(y_0) = phi(q) S_0^2k, and only the orbits of t != 0
+need counts.  S_0 is multiplicative in q: q | f exactly when p^e | f at
+each prime power p^e of q, and c_q(f) is multiplicative in q (Hardy &
+Wright, 16.6).
 
 Unit coefficients.  Write S_t(f) for the inner sum with fixed coefficient
 f.  If f is a unit mod q, the total does not depend on f:
@@ -68,9 +73,12 @@ M_r(f) * M_s(f), and power_mean multiplies the means at the prime
 powers of q.  For the Salie family an odd prime has 2 orbits of t != 0,
 an odd prime power below 100 has 4 to 8, and an odd q of two primes
 below 100 has 8 or 14; the product reads the factors' tables instead,
-which the other moduli of a sweep share.  A sweep without t = 0 is no
-product set, as t = 1..rs-1 holds pairs with one part 0, so it keeps
-the orbit table at q itself.  The factor 2 of an even q is a mean at
+which the other moduli of a sweep share.  The total of a sweep without
+t = 0 is that of the complete sweep less its t = 0 term, y_0 =
+S_0(q)^2k, and S_0 is multiplicative (above).  So power_mean takes every
+mean as the product of complete means at the prime powers of q, less
+S_0(q)^2k when t = 0 is left out, and _power_mean, _orbit_table and
+_trace see prime powers only.  The factor 2 of an even q is a mean at
 q = 2, which _power_mean computes and power_mean refuses.
 
 Kronecker slots.  _convolve packs two count vectors into integers, slot
@@ -109,9 +117,9 @@ at p near 20,000 with r = 2, and 108 MB for 64 such entries.  A family
 whose H is trivial, such as degree 1 without twist (e = 0), has r = q - 1
 orbits, one per t, and its entry grows as q^2.
 
-The trace of N_k reads s_k for its d = q term and (D^k)^2 for its d = 1
-term, so at a prime q it unpacks no slots; a composite q unpacks N_k for
-its other divisors.
+The trace of N_k at q = p^e reads s_k for its d = q term.  At a prime
+its d = 1 term is (D^k)^2, so it unpacks no slots; at e > 1 it unpacks
+N_k once, to fold it mod p^(e-1).
 
 Every public function rejects q >= 2^31 before any work.  That bound is
 no memory limit: a list of q counts takes about 8q bytes, so a prime
@@ -136,7 +144,7 @@ import struct
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import compress
 from operator import add, mul, sub
 
 from .arith import Modulus, as_modulus, factorize, is_prime
@@ -375,40 +383,30 @@ def _unpack(slots: bytes, q: int) -> list[int] | tuple[int, ...]:
     return struct.unpack(f"<{q}Q", _widen(slots, q, 8))
 
 
-def _signed_divisors(mod: Modulus) -> list[tuple[int, int]]:
-    """(mu(q/d), d) for each divisor d of q with q/d squarefree, d = q first."""
-    primes = [p for p, _ in mod.factorization]
-    return [((-1) ** size, mod.q // math.prod(drop))
-            for size in range(len(primes) + 1) for drop in combinations(primes, size)]
+def _trace(slots: bytes, square: int, total: int, q: int, p: int) -> int:
+    """Tr |S|^2k at q = p^e for S^k = sum_j N_k(j) zeta^j, N_k given as q
+    byte slots with square = sum_j N_k(j)^2 and total = sum_j N_k(j) = D^k:
+    q * square - (q/p) * sum_r (N_k folded mod q/p)(r)^2, the fold being
+    total^2 at a prime, which unpacks no slots."""
+    d = q // p
+    if d == 1:
+        folded_sq = total * total
+    else:
+        n = _unpack(slots, q)
+        folded = [sum(n[r::d]) for r in range(d)]
+        folded_sq = sum(map(mul, folded, folded))
+    return q * square - d * folded_sq
 
 
-def _trace(slots: bytes, square: int, total: int, q: int, divisors: list[tuple[int, int]]) -> int:
-    """Tr |S|^2k for S^k = sum_j N_k(j) zeta^j, N_k given as q byte slots
-    with square = sum_j N_k(j)^2 and total = sum_j N_k(j) = D^k: the sum
-    over the (mu(q/d), d) of mu(q/d) * d * sum_r (N_k folded mod d)(r)^2.
-    Only a divisor d other than q and 1 unpacks the slots."""
-    n, trace = None, 0
-    for sign, d in divisors:
-        if d == q:
-            folded_sq = square
-        elif d == 1:
-            folded_sq = total * total
-        else:
-            if n is None:
-                n = _unpack(slots, q)
-            folded = [sum(n[r::d]) for r in range(d)]
-            folded_sq = sum(map(mul, folded, folded))
-        trace += sign * d * folded_sq
-    return trace
-
-
-def _zero_sum(family: PhaseFamily, divisors: list[tuple[int, int]]) -> int:
-    """S_0 = sum_a zeta^(v_a), a rational integer (module docstring): the
-    Ramanujan sum c_q(f) under the inverse twist, and its d = q term,
-    q if q | f else 0, without."""
+def _zero_sum(family: PhaseFamily, q: int, p: int) -> int:
+    """S_0 = sum_a zeta^(v_a) at q = p^e, a rational integer (module
+    docstring): the Ramanujan sum c_q(f) under the inverse twist, and its
+    first term, q if q | f else 0, without."""
     f = family.fixed_coefficient
-    terms = divisors if family.twist == TWIST_INVERSE else divisors[:1]
-    return sum(sign * d for sign, d in terms if f % d == 0)
+    value = q if f % q == 0 else 0
+    if family.twist == TWIST_INVERSE and f % (q // p) == 0:
+        value -= q // p
+    return value
 
 
 def _galois_exponent(family: PhaseFamily, phi: int) -> int:
@@ -465,39 +463,39 @@ def _self_power(ladder: dict[int, bytes], squares: dict[int, int], m: int, q: in
 def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
     """2k-th power mean of |inner sum| over the sweep of the monomial
     coefficient (complete residue system, zero term per the family flag),
-    exact: one trace per Galois orbit of the sweep (module docstring).
-    A complete sweep at a q of two or more primes is the product of the
-    means at its prime-power factors ("Composite moduli").  The last 1024
-    results at a prime power, or at any q for a sweep without t = 0, are
-    kept, so a process computes each (family, q, 2k) it repeats once; a
-    composite's product is not kept, but its factors are.
-    AssertionError if phi(q) does not divide the total."""
+    exact: the product over the prime powers of q of the complete sweep's
+    mean, each one trace per Galois orbit, less S_0(q)^2k for a sweep
+    without t = 0 (module docstring, "Composite moduli").  The last 1024
+    means at a prime power are kept, and a sweep without t = 0 shares
+    those of its complete sweep, so a process computes each (family, p^e,
+    2k) it repeats once; a composite's product is not kept.
+    AssertionError if phi(p^e) does not divide a total."""
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
     q = _check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
     mod = as_modulus(modulus)
-    if family.include_zero_in_sweep and mod.omega > 1:
-        return math.prod(_power_mean(family, Modulus(p**e, ((p, e),), e == 1), two_k)
-                         for p, e in mod.factorization)
-    return _power_mean(family, mod, two_k)
+    complete = family if family.include_zero_in_sweep else family._replace(include_zero_in_sweep=True)
+    value = math.prod(_power_mean(complete, Modulus(p**e, ((p, e),), e == 1), two_k)
+                      for p, e in mod.factorization)
+    if not family.include_zero_in_sweep:
+        value -= math.prod(_zero_sum(family, p**e, p) for p, e in mod.factorization) ** two_k
+    return value
 
 
 @lru_cache(maxsize=1024)
 def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
-    """power_mean after its checks.  AssertionError if phi(q) does not
-    divide the total, a result no cache entry could hold."""
-    divisors = _signed_divisors(mod)
+    """The complete sweep's mean at a prime power, for power_mean.
+    AssertionError if phi(q) does not divide the total, a result no cache
+    entry could hold."""
     domain, orbits = _orbit_table(family, mod)
-    k, q = two_k // 2, mod.q
-    total = sum(size * _trace(_self_power(ladder, squares, k, q), squares[k], domain**k, q, divisors)
+    k, q, ((p, _),) = two_k // 2, mod.q, mod.factorization
+    total = sum(size * _trace(_self_power(ladder, squares, k, q), squares[k], domain**k, q, p)
                 for size, ladder, squares in orbits)
-    if family.include_zero_in_sweep:
-        # the orbit {0}: Tr(S_0^2k) = phi(q) * S_0^2k
-        total += mod.phi * _zero_sum(family, divisors) ** two_k
+    # the orbit {0}: Tr(S_0^2k) = phi(q) * S_0^2k
+    total += mod.phi * _zero_sum(family, q, p) ** two_k
     value, rest = divmod(total, mod.phi)
     if rest:
         raise AssertionError(f"power mean trace {total} not divisible by phi({mod.q}) = {mod.phi}")
     return value
-

@@ -99,6 +99,38 @@ def reference_mean(table, two_k: int, start: int) -> Fraction:
     return Fraction(sum(s**k for s in table[start:]), 2 ** (256 * k))
 
 
+def reference_phases(family, q, t):
+    """e_a(t) mod q for every a of the family's domain, from its definition."""
+    k, f = family.monomial_degree, family.fixed_coefficient
+    if family.twist == TWIST_INVERSE:
+        phases = [t * a**k + f * pow(a, -1, q) for a in range(1, q) if math.gcd(a, q) == 1]
+    else:
+        phases = [t * a**k + f * a for a in range(q)]
+    return [x % q for x in phases]
+
+
+@functools.lru_cache(maxsize=256)
+def reference_abs_sq_table(family, q):
+    """|S_t|^2 * 2^256 for t = 0..q-1 in exact integers, summing
+    reference_root_table's rounded roots over the phases of
+    reference_phases."""
+    re_t, im_t = reference_root_table(q)
+    out = []
+    for t in range(q):
+        exps = reference_phases(family, q, t)
+        sre = sum(map(re_t.__getitem__, exps))
+        sim = sum(map(im_t.__getitem__, exps))
+        out.append(sre * sre + sim * sim)
+    return tuple(out)
+
+
+def reference_power_mean(family, q: int, two_k: int) -> int:
+    """The family's 2k-th mean at q over its own sweep, from the rounded-root
+    table: the oracle power_mean's integers are held to."""
+    start = 0 if family.include_zero_in_sweep else 1
+    return round(reference_mean(reference_abs_sq_table(family, q), two_k, start))
+
+
 # verdicts of certify_weil
 CERTIFIED, FLAGGED, EXCEEDS = "certified", "flagged", "exceeds"
 

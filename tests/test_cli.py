@@ -223,6 +223,14 @@ def test_bad_range_is_usage_error_without_traceback(capsys, argv):
     assert err and "\n" not in err and "Traceback" not in err
 
 
+def test_search_with_too_few_evidence_primes_is_a_usage_error(capsys):
+    # primes 3..17 are 6 of the 8 a constant-difference pair needs
+    code = cli.main(["search", "--prime-max", "17"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines()[-1] == "evidence prime list must have at least 8 primes"
+
+
 @pytest.mark.parametrize("where", [("--q", "5"), ("--pmin", "24", "--pmax", "28"), ("--qmin", "8", "--qmax", "9")])
 def test_n_for_an_identity_without_one_is_the_registry_usage_error(capsys, where):
     # the registry refuses the n, for a single modulus and for an empty range

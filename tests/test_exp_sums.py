@@ -30,7 +30,10 @@ from conftest import (
     certify_weil,
     e_p,
     power_mean_direct,
+    reference_abs_sq_table,
     reference_mean,
+    reference_phases,
+    reference_power_mean,
     reference_root_table,
 )
 
@@ -219,27 +222,6 @@ def test_gauss_magnitude_all_m():
 # integers bit for bit, and the power means the nearest integers to its
 # rounded means.
 
-def reference_phases(family, q, t):
-    """e_a(t) mod q for every a of the family's domain, from its definition."""
-    k, f = family.monomial_degree, family.fixed_coefficient
-    if family.twist == TWIST_INVERSE:
-        phases = [t * a**k + f * pow(a, -1, q) for a in range(1, q) if math.gcd(a, q) == 1]
-    else:
-        phases = [t * a**k + f * a for a in range(q)]
-    return [x % q for x in phases]
-
-
-def reference_abs_sq_table(family, q):
-    re_t, im_t = reference_root_table(q)
-    out = []
-    for t in range(q):
-        exps = reference_phases(family, q, t)
-        sre = sum(map(re_t.__getitem__, exps))
-        sim = sum(map(im_t.__getitem__, exps))
-        out.append(sre * sre + sim * sim)
-    return tuple(out)
-
-
 def scalar_abs_sq_table(family, q):
     u, v = exp_sums._family_vectors(family, q)
     sums = (exp_sums._scaled_sum(exp_sums._counts(u, v, q, t), q) for t in range(q))
@@ -363,14 +345,15 @@ def test_orbit_rule_matches_all_t_trace(family):
 
 @pytest.mark.parametrize("twist", [TWIST_NONE, TWIST_INVERSE])
 def test_zero_sum_is_the_brute_force_sum(twist):
-    # S_0 = sum_a zeta^(v_a): q or 0 without twist, the Ramanujan sum
-    # c_q(f) under the inverse twist
-    for q in range(3, 61):
-        divisors = exp_sums._signed_divisors(Modulus.from_int(q))
+    # S_0 = sum_a zeta^(v_a) at q = p^e: q or 0 without twist, the
+    # Ramanujan sum c_q(f) under the inverse twist
+    prime_powers = [(q, fac[0][0]) for q in range(2, 61) if len(fac := Modulus.from_int(q).factorization) == 1]
+    assert len(prime_powers) == 25
+    for q, p in prime_powers:
         for f in {0, 1, q, q - 1, 2 * q + 1} | {d for d in range(2, q) if q % d == 0}:
             family = PhaseFamily(2, twist, f)
             brute = sum(e_p(j, q) for j in reference_phases(family, q, 0))
-            assert exp_sums._zero_sum(family, divisors) == pytest.approx(brute, abs=1e-9), (q, f)
+            assert exp_sums._zero_sum(family, q, p) == pytest.approx(brute, abs=1e-9), (q, f)
 
 
 def counted_convolve(monkeypatch):
@@ -537,18 +520,16 @@ def test_unit_coefficient_mean_is_the_direct_computation(shape, include_zero):
 def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
     # a fixed coefficient that is not a unit mod q, of the linear term c*a
     # (no twist) or of abar, is its own cache entry: computing it does not
-    # hit the entry of 1.  A complete sweep at q = 12 keeps one entry per
-    # prime-power factor, 4 and 3 (module docstring, "Composite moduli")
+    # hit the entry of 1.  Each mean keeps one entry per prime-power
+    # factor of q, 4 and 3 at q = 12, and a sweep without t = 0 keeps
+    # those of its complete sweep (module docstring, "Composite moduli")
     one = family._replace(fixed_coefficient=1)
-    mod = Modulus.from_int(q)
     exp_sums._power_mean.cache_clear()
     for two_k in (2, 4, 6):
         power_mean(one, q, two_k)
-        value = power_mean(family, q, two_k)
-        assert value == exp_sums._power_mean.__wrapped__(family, mod, two_k)
-    entries = mod.omega if family.include_zero_in_sweep else 1
+        assert power_mean(family, q, two_k) == reference_power_mean(family, q, two_k), two_k
     info = exp_sums._power_mean.cache_info()
-    assert (info.hits, info.misses) == (0, 6 * entries)
+    assert (info.hits, info.misses) == (0, 6 * Modulus.from_int(q).omega)
 
 
 def test_a_factor_2_is_a_mean_below_the_public_floor(orbit_tables_built):
@@ -559,7 +540,7 @@ def test_a_factor_2_is_a_mean_below_the_public_floor(orbit_tables_built):
     values = [power_mean(*case) for case in cases]
     assert set(orbit_tables_built) == {2, 3, 5, 7}
     for (family, q, two_k), value in zip(cases, values):
-        assert value == exp_sums._power_mean.__wrapped__(family, Modulus.from_int(q), two_k), (family, q, two_k)
+        assert value == reference_power_mean(family, q, two_k), (family, q, two_k)
     for family in complete:
         with pytest.raises(ValueError, match="modulus must be >= 3, got 2"):
             power_mean(family, 2, 4)
@@ -567,15 +548,16 @@ def test_a_factor_2_is_a_mean_below_the_public_floor(orbit_tables_built):
 
 def test_a_sweep_without_zero_keeps_the_orbit_path(orbit_tables_built):
     # t = 1..q-1 is no product of the sweeps at q's factors: the Gauss
-    # family's mean at q = 15 or 21 is an orbit table at q itself, and the
-    # product of the factors' means is a different number
+    # family's mean at q = 15 or 21 differs from the product of the
+    # factors' means.  It is the complete sweep's mean, a product of orbit
+    # tables at the primes, less S_0(q)^2k, so no table is built at q
     gauss = registry._GAUSS_FAMILY
     for q in (15, 21):
         r, s = (p for p, _ in Modulus.from_int(q).factorization)
         for two_k in (2, 4):
             assert power_mean(gauss, q, two_k) != power_mean(gauss, r, two_k) * power_mean(gauss, s, two_k)
-        assert power_mean(gauss, q, 4) == round(reference_mean(reference_abs_sq_table(gauss, q), 4, 1))
-    assert set(orbit_tables_built) == {15, 3, 5, 21, 7}
+            assert power_mean(gauss, q, two_k) == reference_power_mean(gauss, q, two_k), (q, two_k)
+    assert set(orbit_tables_built) == {3, 5, 7}
 
 
 def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):

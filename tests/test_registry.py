@@ -18,7 +18,7 @@ from expsumlab.registry import (
     verdict,
 )
 
-from conftest import ORBIT_FAMILIES, reference_mean, reference_root_table
+from conftest import ORBIT_FAMILIES, reference_abs_sq_table, reference_mean, reference_root_table
 
 ALL_IDS = [
     "salie_4th",
@@ -120,20 +120,25 @@ def test_zhang_mean_is_multiplicative():
     Kloosterman sums are twistedly multiplicative (Iwaniec & Kowalski,
     Analytic Number Theory, ch. 1), and so is every inner sum of a
     complete sweep; the exp_sums docstring, "Composite moduli", gives the
-    proof.  power_mean takes that product at every q of two or more
-    primes, so the statement is checked on _power_mean, the orbit path,
-    which computes the mean at any modulus as one orbit table, and
-    power_mean is checked against it at rs.
+    proof.  power_mean is that product by construction, so the statement
+    is checked on the test-side oracle, the rounded-root means of
+    reference_abs_sq_table at every t, and power_mean is checked against
+    the oracle at rs, for the complete sweeps and their twins without
+    t = 0, which subtract S_0(rs)^2k.  rs <= 100 takes about 1.5 s on
+    2 vCPUs.
     """
     families = [f for f in ORBIT_FAMILIES if f.include_zero_in_sweep]
     assert {f.twist for f in families} == {TWIST_NONE, TWIST_INVERSE}
-    pairs = [(r, s) for r in range(2, 13) for s in range(r + 1, 150 // r + 1) if gcd(r, s) == 1]
+    pairs = [(r, s) for r in range(2, 10) for s in range(r + 1, 100 // r + 1) if gcd(r, s) == 1]
     for family in families:
+        twin = family._replace(include_zero_in_sweep=False)
         for r, s in pairs:
+            tables = [reference_abs_sq_table(family, q) for q in (r * s, r, s)]
             for two_k in (2, 4, 6):
-                orbit = [exp_sums._power_mean(family, Modulus.from_int(q), two_k) for q in (r * s, r, s)]
-                assert orbit[0] == orbit[1] * orbit[2], (family, r, s, two_k)
-                assert power_mean(family, r * s, two_k) == orbit[0], (family, r, s, two_k)
+                rs, m_r, m_s = (round(reference_mean(table, two_k, 0)) for table in tables)
+                assert rs == m_r * m_s, (family, r, s, two_k)
+                assert power_mean(family, r * s, two_k) == rs, (family, r, s, two_k)
+                assert power_mean(twin, r * s, two_k) == round(reference_mean(tables[0], two_k, 1)), (twin, r, s, two_k)
 
 
 def test_zhang_sweep_builds_orbit_tables_only_at_prime_powers(orbit_tables_built):
