@@ -8,6 +8,11 @@ return 0 or 1 from the fail count of their summary and 2 for a usage
 error they spot themselves; main() alone maps exceptions to exit codes.
 Machine output (JSON/CSV) goes to --output or stdout; diagnostics go to
 stderr.
+
+COMMANDS declares each command once: its help line, its arguments, its
+output columns and its runner.  A runner builds each row as a tuple in
+the order of those columns, and reporting writes the same columns as JSON
+keys, the CSV header and the text fields.
 """
 
 from __future__ import annotations
@@ -48,41 +53,6 @@ COMMON = (
                    "help": "checked (>= 1) but unused: work runs serially"}),
 )
 
-# command -> (help line, its own arguments), in the order of the help
-COMMANDS = {
-    "verify": ("verify one identity over a modulus range", (
-        ("--identity", {"required": True}),
-        ("--pmin", {"type": int, "default": None, "help": "sweep primes from pmin"}),
-        ("--pmax", {"type": int, "default": None, "help": "sweep primes up to pmax (inclusive)"}),
-        ("--qmin", {"type": int, "default": None, "help": "sweep all moduli from qmin"}),
-        ("--qmax", {"type": int, "default": None}),
-        ("--q", {"type": int, "default": None, "help": "single modulus"}),
-        ("--n", {"type": int, "action": "append", "default": None,
-                 "help": "free unit parameter (repeatable)"}),
-    )),
-    "verify-all": ("verify every registry identity at desk scale", ()),
-    "conjecture": ("power-mean conjecture report", (
-        ("--k", {"type": int, "required": True}),
-        ("--pmin", {"type": int, "required": True}),
-        ("--pmax", {"type": int, "required": True}),
-    )),
-    "search": ("search constant-difference polynomial pairs", (
-        ("--max-degree", {"type": int, "default": 2}),
-        ("--coeff-bound", {"type": int, "default": 4}),
-        ("--prime-min", {"type": int, "default": 3}),
-        ("--prime-max", {"type": int, "default": 199}),
-        ("--twisted", {"action": "store_true", "help": "also pair (-1/p)-twisted signatures"}),
-    )),
-    "sum": ("evaluate one exponential sum", (
-        ("--family", {"choices": ["kloosterman", "two-term", "twisted"], "required": True}),
-        ("--m", {"type": int, "required": True}),
-        ("--n", {"type": int, "default": None, "help": "default 0; not for twisted"}),
-        ("--k", {"type": int, "default": None, "help": "default 1; not for kloosterman"}),
-        ("--q", {"type": int, "required": True}),
-    )),
-}
-
-
 def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     for flag, spec in COMMANDS[command][1] + COMMON:
         parser.add_argument(flag, **spec)
@@ -106,21 +76,20 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Verification lab for exponential-sum and character-sum identities",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _) in COMMANDS.items():
+    for name, (help_line, *_) in COMMANDS.items():
         _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
 
 
-def _outcome_row(o: registry.IdentityOutcome) -> dict:
-    return {
-        "identity": o.identity_id,
-        "modulus": o.modulus,
-        "n": o.n,
-        "lhs": o.lhs,
-        "rhs": o.rhs,
-        "residual": 0.0,  # every lhs is exact; kept for the output format
-        "pass": "skip" if o.status == registry.SKIP else (o.status == registry.PASS),
-    }
+_OUTCOME_COLUMNS = ("identity", "modulus", "n", "lhs", "rhs", "residual", "pass")
+
+
+def _outcome_row(o: registry.IdentityOutcome) -> tuple:
+    return (
+        o.identity_id, o.modulus, o.n, o.lhs, o.rhs,
+        0.0,  # residual: every lhs is exact; kept for the output format
+        "skip" if o.status == registry.SKIP else (o.status == registry.PASS),
+    )
 
 
 def _write(args, payload: bytes) -> None:
@@ -137,15 +106,16 @@ def _write(args, payload: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
-def _finish(args, command, config_echo, rows, summary) -> int:
-    """Write the rows and summary; the exit code comes from the fail
-    count alone."""
+def _finish(args, config_echo, rows, summary) -> int:
+    """Write the rows, tuples in the order of the command's columns, and
+    the summary; the exit code comes from the fail count alone."""
+    columns = COMMANDS[args.command][2]
     if args.format == "json":
-        payload = reporting.emit_json(command, config_echo, rows, summary)
+        payload = reporting.emit_json(args.command, columns, config_echo, rows, summary)
     elif args.format == "csv":
-        payload = reporting.emit_csv(command, rows)
+        payload = reporting.emit_csv(columns, rows)
     else:
-        payload = reporting.emit_text(command, rows, summary)
+        payload = reporting.emit_text(columns, rows, summary)
     _write(args, payload)
     return EXIT_FAIL if summary["fail"] else EXIT_OK
 
@@ -168,7 +138,7 @@ def _run_verify(args) -> int:
     outcomes = registry.sweep(ident, moduli, args.n, emit_skips)
     echo = {"identity": ident, **where, "n": args.n}
     rows = [_outcome_row(o) for o in outcomes]
-    return _finish(args, "verify", echo, rows, registry.summarize(outcomes))
+    return _finish(args, echo, rows, registry.summarize(outcomes))
 
 
 def _run_verify_all(args) -> int:
@@ -179,7 +149,7 @@ def _run_verify_all(args) -> int:
         outcomes += registry.sweep(identity.identity_id, moduli)
     echo = {"ranges": {k: list(v) for k, v in VERIFY_ALL_RANGES.items()}}
     rows = [_outcome_row(o) for o in outcomes]
-    return _finish(args, "verify-all", echo, rows, registry.summarize(outcomes))
+    return _finish(args, echo, rows, registry.summarize(outcomes))
 
 
 def _run_conjecture(args) -> int:
@@ -190,22 +160,11 @@ def _run_conjecture(args) -> int:
     if not report.rows:
         print(f"no odd primes in [{args.pmin}, {args.pmax}]", file=sys.stderr)
         return EXIT_USAGE
-    rows = [
-        {
-            "p": r.p,
-            "k": r.k,
-            "value": r.value,
-            "catalan": r.catalan,
-            "main_term": r.main_term,
-            "normalized_residual": r.normalized_residual,
-        }
-        for r in report.rows
-    ]
     summary = registry.summarize(report.rows)
     summary["max_normalized_residual"] = report.max_abs_normalized_residual
     summary["crosscheck"] = conj.crosscheck(summary)
     echo = {"k": args.k, "pmin": args.pmin, "pmax": args.pmax}
-    return _finish(args, "conjecture", echo, rows, summary)
+    return _finish(args, echo, [r[:-1] for r in report.rows], summary)
 
 
 def _run_search(args) -> int:
@@ -215,16 +174,7 @@ def _run_search(args) -> int:
     )
     # each polynomial sits in many hits: format it once
     name = functools.cache(str)
-    rows = [
-        {
-            "c": h.c,
-            "f": name(h.f),
-            "g": name(h.g),
-            "primes_checked": len(h.primes),
-            "twisted": h.twisted,
-        }
-        for h in result.hits
-    ]
+    rows = [(h.c, name(h.f), name(h.g), len(h.primes), h.twisted) for h in result.hits]
     summary = {
         "pass": len(result.hits),
         "fail": 0,
@@ -233,7 +183,7 @@ def _run_search(args) -> int:
         "polynomials": result.n_polynomials,
         "histogram": {str(c): n for c, n in sorted(result.histogram.items())},
     }
-    return _finish(args, "search", {
+    return _finish(args, {
         "max_degree": args.max_degree,
         "coeff_bound": args.coeff_bound,
         "prime_min": args.prime_min,
@@ -261,17 +211,46 @@ def _run_sum(args) -> int:
         sign = "+" if im >= 0 else "-"
         _write(args, f"{re:.7f} {sign} {abs(im):.7f}i\n".encode("utf-8"))
         return EXIT_OK
-    rows = [{
-        "family": args.family,
-        "m": args.m,
-        "n": n,
-        "k": k,
-        "q": args.q,
-        "real": val.real,
-        "imag": val.imag,
-    }]
-    return _finish(args, "sum", {"family": args.family}, rows,
+    rows = [(args.family, args.m, n, k, args.q, val.real, val.imag)]
+    return _finish(args, {"family": args.family}, rows,
                    {"pass": 1, "fail": 0, "skip": 0, "max_residual": 0.0})
+
+
+# command -> (help line, its own arguments, output columns, runner), in
+# the order of the help
+COMMANDS = {
+    "verify": ("verify one identity over a modulus range", (
+        ("--identity", {"required": True}),
+        ("--pmin", {"type": int, "default": None, "help": "sweep primes from pmin"}),
+        ("--pmax", {"type": int, "default": None, "help": "sweep primes up to pmax (inclusive)"}),
+        ("--qmin", {"type": int, "default": None, "help": "sweep all moduli from qmin"}),
+        ("--qmax", {"type": int, "default": None}),
+        ("--q", {"type": int, "default": None, "help": "single modulus"}),
+        ("--n", {"type": int, "action": "append", "default": None,
+                 "help": "free unit parameter (repeatable)"}),
+    ), _OUTCOME_COLUMNS, _run_verify),
+    "verify-all": ("verify every registry identity at desk scale", (),
+                   _OUTCOME_COLUMNS, _run_verify_all),
+    "conjecture": ("power-mean conjecture report", (
+        ("--k", {"type": int, "required": True}),
+        ("--pmin", {"type": int, "required": True}),
+        ("--pmax", {"type": int, "required": True}),
+    ), conj.ConjectureRow._fields[:-1], _run_conjecture),  # all but status
+    "search": ("search constant-difference polynomial pairs", (
+        ("--max-degree", {"type": int, "default": 2}),
+        ("--coeff-bound", {"type": int, "default": 4}),
+        ("--prime-min", {"type": int, "default": 3}),
+        ("--prime-max", {"type": int, "default": 199}),
+        ("--twisted", {"action": "store_true", "help": "also pair (-1/p)-twisted signatures"}),
+    ), ("c", "f", "g", "primes_checked", "twisted"), _run_search),
+    "sum": ("evaluate one exponential sum", (
+        ("--family", {"choices": ["kloosterman", "two-term", "twisted"], "required": True}),
+        ("--m", {"type": int, "required": True}),
+        ("--n", {"type": int, "default": None, "help": "default 0; not for twisted"}),
+        ("--k", {"type": int, "default": None, "help": "default 1; not for kloosterman"}),
+        ("--q", {"type": int, "required": True}),
+    ), ("family", "m", "n", "k", "q", "real", "imag"), _run_sum),
+}
 
 
 def main(argv=None) -> int:
@@ -293,15 +272,8 @@ def main(argv=None) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    runner = {
-        "verify": _run_verify,
-        "verify-all": _run_verify_all,
-        "conjecture": _run_conjecture,
-        "search": _run_search,
-        "sum": _run_sum,
-    }[args.command]
     try:
-        return runner(args)
+        return COMMANDS[args.command][3](args)
     except (NotRepresentableError, AssertionError) as exc:  # before ValueError, its base class
         # a prime p = 1 mod 3 with no 4p = d^2 + 27b^2, a search hit that
         # fails its independent re-verification, or a power-mean trace

@@ -123,9 +123,7 @@ N_k once, to fold it mod p^(e-1).
 
 Every public function rejects q >= 2^31 before any work.  That bound is
 no memory limit: a list of q counts takes about 8q bytes, so a prime
-just below 2^31 needs about 16 GB for each count list it builds.  The
-refusal still names the int64 exponents of the array kernel it was
-written for, so that its message stays the same.
+just below 2^31 needs about 16 GB for each count list it builds.
 
 Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts with
 a table of e(j/q) * 2^128 rounded to integers for j = 0..q/2, the count
@@ -266,7 +264,7 @@ def _check_q(modulus) -> int:
     """The modulus as an int, rejected before any work unless q < 2^31."""
     q = modulus.q if isinstance(modulus, Modulus) else int(modulus)
     if q >= _MAX_Q:
-        raise ValueError(f"modulus must be below 2^31 for int64 exponents, got {q}")
+        raise ValueError(f"modulus must be below 2^31, got {q}")
     return q
 
 

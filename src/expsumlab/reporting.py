@@ -1,8 +1,10 @@
 """Stable JSON/CSV serialization for the CLI.
 
 Machine output is byte-deterministic: fixed key order, reals at 12
-significant digits, integers exact, rows in construction order.
-Human-readable logs never share a stream with machine output.
+significant digits, integers exact, columns from the caller.  A row is a
+tuple in the order of its columns, so JSON keys, the CSV header and the
+text fields all follow the one column list.  Human-readable logs never
+share a stream with machine output.
 """
 
 from __future__ import annotations
@@ -10,14 +12,6 @@ from __future__ import annotations
 import json
 
 SCHEMA_VERSION = "1"
-
-CSV_HEADERS = {
-    "verify": ["identity", "modulus", "n", "lhs", "rhs", "residual", "pass"],
-    "verify-all": ["identity", "modulus", "n", "lhs", "rhs", "residual", "pass"],
-    "conjecture": ["p", "k", "value", "catalan", "main_term", "normalized_residual"],
-    "search": ["c", "f", "g", "primes_checked", "twisted"],
-    "sum": ["family", "m", "n", "k", "q", "real", "imag"],
-}
 
 
 def _round_real(x: float) -> float:
@@ -45,32 +39,32 @@ def prepare_reals(obj):
     return obj
 
 
-def emit_json(command: str, config_echo: dict, rows: list[dict], summary: dict) -> bytes:
-    """Rows are flat dicts of scalars, so their reals are rounded in one
+def emit_json(command: str, columns: tuple[str, ...], config_echo: dict, rows: list[tuple],
+              summary: dict) -> bytes:
+    """Rows are flat tuples of scalars, so their reals are rounded in one
     pass; the config echo and the summary may nest lists and dicts."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config_echo": prepare_reals(config_echo),
-        "rows": [{k: _round_real(v) if isinstance(v, float) else v for k, v in row.items()}
-                 for row in rows],
+        "rows": [{k: _round_real(v) if isinstance(v, float) else v
+                  for k, v in zip(columns, row, strict=True)} for row in rows],
         "summary": prepare_reals(summary),
     }
     return (json.dumps(doc, separators=(",", ":"), sort_keys=False) + "\n").encode("utf-8")
 
 
-def emit_csv(command: str, rows: list[dict]) -> bytes:
-    header = CSV_HEADERS[command]
-    lines = [",".join(header)]
+def emit_csv(columns: tuple[str, ...], rows: list[tuple]) -> bytes:
+    lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in header))
+        lines.append(",".join(_csv_cell(v) for _, v in zip(columns, row, strict=True)))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def emit_text(command: str, rows: list[dict], summary: dict) -> bytes:
-    header = CSV_HEADERS[command]
+def emit_text(columns: tuple[str, ...], rows: list[tuple], summary: dict) -> bytes:
     lines = []
     for row in rows:
-        lines.append("  ".join(f"{col}={_csv_cell(row.get(col))}" for col in header))
+        cells = zip(columns, row, strict=True)
+        lines.append("  ".join(f"{col}={_csv_cell(v)}" for col, v in cells))
     lines.append("summary: " + "  ".join(f"{k}={_csv_cell(v)}" for k, v in summary.items()))
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -87,16 +87,45 @@ def test_csv_output_header_and_rows(capsys):
 
 
 def test_json_key_order_is_stable():
-    payload = emit_json("verify", {"a": 1}, [{"x": 1.23456789012345}], {"pass": 1})
+    payload = emit_json("verify", ("x",), {"a": 1}, [(1.23456789012345,)], {"pass": 1})
     doc = json.loads(payload)
     assert list(doc.keys()) == ["schema_version", "command", "config_echo", "rows", "summary"]
     assert doc["rows"][0]["x"] == 1.23456789012
 
 
 def test_csv_none_and_bool_cells():
-    payload = emit_csv("verify", [{"identity": "x", "modulus": 5, "n": None,
-                                   "lhs": 1, "rhs": 1, "residual": 0.0, "pass": True}])
-    assert payload.decode().splitlines()[1] == "x,5,,1,1,0,true"
+    columns = ("identity", "modulus", "n", "lhs", "rhs", "residual", "pass")
+    payload = emit_csv(columns, [("x", 5, None, 1, 1, 0.0, True)])
+    assert payload.decode().splitlines() == [",".join(columns), "x,5,,1,1,0,true"]
+
+
+# one small argv of each command; every format of it names the
+# command's columns in their order
+FORMAT_ARGVS = [
+    ["verify", "--identity", "zz_cubic_4th", "--pmin", "5", "--pmax", "13", "--n", "2"],
+    ["verify-all"],
+    ["conjecture", "--k", "2", "--pmin", "5", "--pmax", "13"],
+    ["search", "--max-degree", "1", "--coeff-bound", "1", "--prime-max", "43"],
+    ["sum", "--family", "two-term", "--m", "1", "--k", "3", "--q", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", FORMAT_ARGVS, ids=[a[0] for a in FORMAT_ARGVS])
+def test_json_csv_and_text_follow_the_command_columns(capsys, argv):
+    columns = list(cli.COMMANDS[argv[0]][2])
+    _, out = run(capsys, *argv, "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert rows and all(list(row) == columns for row in rows)
+    _, out = run(capsys, *argv, "--format", "csv")
+    lines = out.splitlines()
+    assert lines[0].split(",") == columns and len(lines) == 1 + len(rows)
+    if argv[0] == "sum":  # its text format is the one complex value
+        return
+    _, out = run(capsys, *argv, "--format", "text")
+    lines = out.splitlines()
+    assert len(lines) == len(rows) + 1 and lines[-1].startswith("summary: ")
+    for line in lines[:-1]:
+        assert [cell.split("=", 1)[0] for cell in line.split("  ")] == columns, line
 
 
 def test_verify_all_deterministic_across_workers(capsys, tmp_path):
@@ -711,3 +740,27 @@ def test_start_up_loads_no_dataclasses_or_fractions():
     assert proc.returncode == 0, proc.stderr
     # verify-all exits 1 on zh_cubic_6th_over_a, the false published formula
     assert proc.stdout.strip() == "1 [[], []]"
+
+
+def test_a_failing_given_test_is_reported_not_an_internal_error(tmp_path):
+    # the suite's warning filters turn warnings into errors; a failing
+    # @given test must still end as one FAILED line, and the run go on
+    test_file = tmp_path / "test_given_fails.py"
+    test_file.write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_always_fails(x):\n"
+        "    assert x != x\n"
+    )
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider", "-q",
+         str(test_file)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert any(line.startswith("FAILED ") for line in out.splitlines()), out
+    assert "INTERNALERROR" not in out
