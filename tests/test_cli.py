@@ -517,6 +517,16 @@ CHECKED_DIGESTS = {
            "d4cbb2448e70189d1f1c9034191d9781ed658211f036e6352c737c5f685d16a7",
            "c789bce510cbfd53e6fd0654a49baeecab999c3abca31a762bbce5e9f10a5929",
        ], start=1)},
+    # pair_search's three windows, and README's search example
+    **{f"search-{lo}-{hi}": (("search", "--max-degree", "3", "--coeff-bound", "2", "--prime-min", str(lo),
+                              "--prime-max", str(hi), "--twisted"), cli.EXIT_OK, digest)
+       for lo, hi, digest in [
+           (3, 103, "8e10dd9205088feec75d4cbcfa0f6d4abec790bac521ae43fab0590159c4e75e"),
+           (5, 101, "19a50ea4af32670abdd4d89122477984e6aabb3612e6023ef957b9d79df8b935"),
+           (11, 97, "3de534dae274226369982876e9ae7e3d2d3f7d8d33ad01bf3b2a60385fd70cdc"),
+       ]},
+    "search-readme": (("search", "--max-degree", "2", "--coeff-bound", "4", "--prime-max", "199", "--twisted"),
+                      cli.EXIT_OK, "55af1833be8a8da9e3fb9b58f5f8c6d9d4e77366b95d54705ebdcdef73829282"),
 }
 
 
