@@ -21,31 +21,44 @@ Sign normalization is a scope choice, not a symmetry: -f carries a factor
 (-1/p), which the twisted pass covers.  Shifts x -> x+t are not symmetries
 of the from-one sum (they move it by (f(t)/p) - (f(0)/p)) and prune nothing.
 
-Sums and symbols come from one batched pass per prime (_symbol_rows),
-in the power basis: one int64 matrix product of the coefficients reduced
-mod p with a table of the powers x^i mod p evaluates every polynomial at
-x = 1..p-1, one % p reduces each value once, and the symbols are gathered
-from the Legendre table of p.  A product entry is at most width*(p-1)^2
-for width coefficients per row, so search_constant_pairs rejects, before
-any work, a prime where that reaches 2^63.  Row i of both matrices
-belongs to polynomial i.  Grouping collects every candidate pair, and one
-array test over blocks of pairs (_differing) keeps the fundamentally
-different ones: some x where both symbols are nonzero and differ.  The
-search has one signature path and no per-x Python loop.
+Sums and symbols come from one batched pass per prime (_symbol_rows).
+Each f is split into its higher part h = f - f(0) and its constant f(0):
+polynomials that differ only in the constant share h, and its values.
+The degree-3, bound-2 enumeration has 290 polynomials but 58 higher
+parts (5 constants each); degree 4, bound 4 has 16,335 and 1,824.  Per
+prime, each h is evaluated once (once more where its rows straddle two
+blocks of rows) in the power basis: one int64 matrix product of its
+coefficients of x^1..x^(width-1), reduced mod p, with a table of the
+powers x^i mod p evaluates it at x = 1..p-1, and one % p reduces each
+value.  f(x) mod p is then h(x) mod p + f(0) mod p reduced once more,
+but that sum is below 2p, so the symbols are read at it from the
+Legendre table of p laid out twice (2p entries): no second % p runs over
+the (polynomials x points) matrix.  A product entry is at most
+(width-1)*(p-1)^2 for width coefficients of the widest f;
+search_constant_pairs rejects, before any work, a prime where
+width*(p-1)^2 reaches 2^63, which is conservative: the product has one
+term fewer.  Row i of both matrices belongs to polynomial i.  Grouping
+collects every candidate pair, and one array test over blocks of pairs
+(_differing) keeps the fundamentally different ones: some x where both
+symbols are nonzero and differ.  The search has one signature path and
+no per-x Python loop.
 
 Every emitted hit is re-verified at every evidence prime by an
 independent oracle computed once for all polynomials of the search
 (_euler_sums): f(x) is evaluated by Horner's rule, not in the power
-basis, and classified by a p-entry table of Euler's criterion y^((p-1)/2)
-mod p, built by pow, never through char_sums.legendre_table's squares,
-arith.legendre, char_sum_poly or _symbol_rows.  Its Horner loop tracks a
-bound on the int64 entries and reduces mod p only before a step that
-could reach 2^63, then once at the end; that is exact for any p < 2^31,
-which the power-basis bound implies (width >= 2), and at the search's
-primes it reduces only at the end.  The oracle thus shares neither
-evaluation nor classification code with the signature path it checks.
-After grouping, one array expression (_sound) checks every hit at every
-prime.  Hits are conjectural evidence, never theorems.
+basis, and classified by a table of Euler's criterion y^((p-1)/2) mod p,
+built by pow, never through char_sums.legendre_table's squares,
+arith.legendre, char_sum_poly or _symbol_rows.  It makes its own split
+into higher part and constant, and evaluates each higher part, with a
+zero constant, once per prime; its table too has 2p entries, read at
+h(x) mod p + f(0) mod p.  Its Horner loop tracks a bound on the int64
+entries and reduces mod p only before a step that could reach 2^63,
+then once at the end; that is exact for any p < 2^31, which the
+power-basis bound implies (width >= 2), and at the search's primes it
+reduces only at the end.  The oracle thus shares neither evaluation nor
+classification code with the signature path it checks.  After grouping,
+one array expression (_sound) checks every hit at every prime.  Hits are
+conjectural evidence, never theorems.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
@@ -68,8 +81,8 @@ from .char_sums import PolynomialZ
 if TYPE_CHECKING:
     import numpy as np
 
-# elements of one int64 (polynomials x points) block in _symbol_rows and
-# _euler_sums, each then one gather from a p-entry table: the degree-3
+# elements of one int64 (rows x points) block in _symbol_rows and
+# _euler_sums, each then one gather from a 2p-entry table: the degree-3
 # bound-2 search at primes up to 103 is one block per prime
 _EULER_BLOCK = 1 << 15
 # elements of one int8 (pairs x symbol columns) block in _differing: 212
@@ -101,46 +114,58 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     is the int8 matrix of the symbols (f_i(x)/p) themselves, sum(p - 1)
     columns: x = 1..p-1 of the first prime, then of the next.
 
-    Per prime, the coefficients are reduced mod p first, as Python
-    integers, so seeded polynomials of any size stay exact.  Every
-    polynomial is then evaluated in the power basis: with width the common
-    number of coefficients and powers[i, x-1] = x^(width-1-i) mod p, one
-    int64 matrix product (reduced coefficients) @ powers gives f(x) before
-    reduction, and one % p reduces it.  Each entry of the product is a sum
-    of width terms below p each times below p, so at most width*(p-1)^2,
-    exact in int64 while that is below 2^63 (search_constant_pairs rejects
-    any prime beyond it).  The product runs over blocks of rows, each
-    (rows x (p-1)) block holding at most _EULER_BLOCK elements, and each
-    block gathers its symbols from char_sums.legendre_table(p) as an int8
-    array, which also validates p, straight into the one preallocated
-    symbol matrix.
+    Each f is split into its higher part h = f - f(0) and its constant
+    f(0), and the rows are taken in order of their higher part, in blocks
+    of at most _EULER_BLOCK // (p-1) rows.  The higher parts are numbered
+    in order of first appearance, so a block spans at most as many of them
+    as it has rows, and each is evaluated once per block that holds its
+    rows.  Their coefficients of x^1..x^(width-1), width the number of
+    coefficients of the widest f, are reduced mod p first, as Python
+    integers, so seeded polynomials of any size stay exact.  Then, with
+    powers[i, x-1] = x^(i+1) mod p, one int64 matrix product (reduced
+    coefficients) @ powers gives h(x) before reduction, and one % p
+    reduces it.  Each entry of the product is a sum of width - 1 terms
+    below p each times below p, exact in int64 while (width-1)*(p-1)^2 <
+    2^63; search_constant_pairs rejects any prime where width*(p-1)^2
+    reaches 2^63, one term more than the product needs.  f(x) mod p is
+    (h(x) mod p + f(0) mod p) mod p, and the sum before that last
+    reduction is below 2p, so each block reads its symbols at that sum
+    from char_sums.legendre_table(p) (which also validates p) laid out
+    twice, 2p entries: no second % p runs over the (rows x (p-1)) values.
+    Every int64 (rows x (p-1)) array holds at most _EULER_BLOCK elements,
+    and the int8 symbols go straight into the one preallocated symbol
+    matrix.
     """
     import numpy as np
 
     if any(f.is_zero for f in polys):
         raise ValueError("character sum of the zero polynomial")
-    width = max(len(f.coeffs) for f in polys)
-    # descending coefficients, zero-padded to a common degree
-    coeffs = np.array([(0,) * (width - len(f.coeffs)) + f.coeffs[::-1] for f in polys],
-                      dtype=object)
+    width = max(2, *(len(f.coeffs) for f in polys))
+    # (higher part, constant, row) numbers, sorted by higher part: the
+    # higher part as the coefficients of x^1..x^(width-1), zero-padded
+    highs, consts = {}, {}
+    split = sorted((highs.setdefault(f.coeffs[1:] + (0,) * (width - len(f.coeffs)), len(highs)),
+                    consts.setdefault(f.coeffs[0], len(consts)), i) for i, f in enumerate(polys))
+    high_of, const_of, order = np.array(split, dtype=np.int64).reshape(-1, 3).T
+    # as Python ints (object dtype), so that % p is exact at any size
+    high_coeffs = np.array(list(highs), dtype=object)
     sums = np.empty((len(polys), len(primes)), dtype=np.int64)
     symbols = np.empty((len(polys), sum(p - 1 for p in primes)), dtype=np.int8)
     lo = 0
     for j, p in enumerate(primes):
-        table = np.array(char_sums.legendre_table(p), dtype=np.int8)
-        reduced = (coeffs % p).astype(np.int64)
-        xs = np.arange(1, p, dtype=np.int64)
-        powers = np.empty((width, p - 1), dtype=np.int64)
-        powers[-1] = 1
-        for i in range(width - 2, -1, -1):
-            powers[i] = powers[i + 1] * xs % p
+        table = np.tile(np.array(char_sums.legendre_table(p), dtype=np.int8), 2)
+        const = np.array([c % p for c in consts], dtype=np.int64)[const_of]
+        powers = np.empty((width - 1, p - 1), dtype=np.int64)
+        powers[0] = np.arange(1, p)
+        for i in range(1, width - 1):
+            powers[i] = powers[i - 1] * powers[0] % p
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
-            vals = reduced[r0:r0 + step] @ powers
-            vals %= p
-            block = table[vals]
-            symbols[r0:r0 + step, lo:lo + p - 1] = block
-            sums[r0:r0 + step, j] = block.sum(axis=1)
+            rows, hs = order[r0:r0 + step], high_of[r0:r0 + step]
+            high = (high_coeffs[hs[0]:hs[-1] + 1] % p).astype(np.int64) @ powers % p
+            block = table[high[hs - hs[0]] + const[r0:r0 + step, None]]
+            symbols[rows, lo:lo + p - 1] = block
+            sums[rows, j] = block.sum(axis=1)
         lo += p - 1
     return sums, symbols
 
@@ -188,52 +213,58 @@ def _euler_sums(polys, primes) -> np.ndarray:
     (columns): the re-verify oracle, an int64 matrix.
 
     Per prime, Euler's criterion classifies every residue once: euler[y]
-    is y^((p-1)/2) mod p by Python pow, read as 1, -1 (for p-1) or 0.  The
-    table is built from that power alone, not from legendre_table's
-    squares nor from arith.legendre, and the polynomials are evaluated by
-    Horner's rule, not by _symbol_rows' power basis, so the oracle shares
-    no code with the signature path it checks.  Each coefficient is
-    reduced mod p first so seeded polynomials of any size stay exact; the
-    Horner loop then runs in place over blocks of rows, each int64 (rows x
-    (p-1)) array holding at most _EULER_BLOCK elements, and reduces mod p
-    only when int64 requires it.  top bounds every entry: a step with x and
-    a coefficient at most p-1 takes it to (top+1)*(p-1), so the loop
-    reduces (top becomes p-1) only before a step that could reach 2^63,
-    and once at the end.  That is exact for any p < 2^31, where a step
-    from p-1 stays below p^2 < 2^62, and any number of coefficients; at
-    the search's primes no step before the last reduction needs one.  Each
-    block is then one gather from the table and one row sum.  The primes
-    are the search's evidence primes, validated as odd primes by
-    search_constant_pairs.
+    is y^((p-1)/2) mod p by Python pow, read as 1, -1 (for p-1) or 0, for
+    y = 0..p-1 and again for y = p..2p-1.  The table is built from that
+    power alone, not from legendre_table's squares nor from
+    arith.legendre, and the polynomials are evaluated by Horner's rule,
+    not by _symbol_rows' power basis, so the oracle shares no code with
+    the signature path it checks.  It makes its own split of each f into
+    the higher part f - f(0), as descending coefficients with a zero
+    constant, and the constant f(0); rows sorted by higher part run in
+    blocks of at most _EULER_BLOCK // (p-1) rows, and each block evaluates
+    the higher parts it spans, at most one per row, each once.  Every
+    coefficient is reduced mod p first so seeded polynomials of any size
+    stay exact; the Horner loop then runs in place on an int64 (parts x
+    (p-1)) array of at most _EULER_BLOCK elements, and reduces mod p only
+    when int64 requires it.  top bounds every entry: a step with x and a
+    coefficient at most p-1 takes it to (top+1)*(p-1), so the loop reduces
+    (top becomes p-1) only before a step that could reach 2^63, and once
+    at the end.  That is exact for any p < 2^31, where a step from p-1
+    stays below p^2 < 2^62, and any number of coefficients; at the
+    search's primes no step before the last reduction needs one.  (f(x)/p)
+    is then read from the table at h(x) mod p + f(0) mod p, below 2p, one
+    gather and one row sum per block.  The primes are the search's
+    evidence primes, validated as odd primes by search_constant_pairs.
     """
     import numpy as np
 
     width = max(len(f.coeffs) for f in polys)
-    # descending coefficients, zero-padded to a common degree, as Python
-    # ints (object dtype) so that % p is exact at any size
-    padded = [(0,) * (width - len(f.coeffs)) + f.coeffs[::-1] for f in polys]
-    coeffs = np.array(padded, dtype=object)
+    parts, consts = {}, {}
+    # (higher part, constant, row) numbers, sorted by higher part
+    split = sorted((parts.setdefault((0,) * (width - len(f.coeffs)) + f.coeffs[:0:-1] + (0,), len(parts)),
+                    consts.setdefault(f.coeffs[0], len(consts)), i) for i, f in enumerate(polys))
+    part_of, const_of, row_of = np.array(split, dtype=np.int64).reshape(-1, 3).T
+    # as Python ints (object dtype), so that % p is exact at any size
+    coeffs = np.array(list(parts), dtype=object)
     out = np.empty((len(polys), len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
-        powers = (pow(y, (p - 1) // 2, p) for y in range(p))
-        euler = np.array([e - p if e > 1 else e for e in powers], dtype=np.int8)
-        reduced = (coeffs % p).astype(np.int64)
+        # y^((p-1)/2) is 0, 1 or p-1, and (e + 1) % p - 1 reads p-1 as -1
+        euler = np.array([(pow(y, (p - 1) // 2, p) + 1) % p - 1 for y in range(p)] * 2, dtype=np.int8)
+        shift = np.array([c % p for c in consts], dtype=np.int64)[const_of]
         xs = np.arange(1, p, dtype=np.int64)
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
-            rows = reduced[r0:r0 + step]
-            vals = np.empty((len(rows), p - 1), dtype=np.int64)
-            vals[:] = rows[:, :1]
-            top = p - 1
-            for col in rows.T[1:]:
+            ps = part_of[r0:r0 + step]
+            vals = np.zeros((ps[-1] + 1 - ps[0], p - 1), dtype=np.int64)
+            top = 0
+            for col in (coeffs[ps[0]:ps[-1] + 1] % p).astype(np.int64).T:
                 if (top + 1) * (p - 1) >= _INT64_LIMIT:
-                    vals %= p
-                    top = p - 1
+                    vals, top = vals % p, p - 1
                 vals *= xs  # in place: no temporaries beside the block
                 vals += col[:, None]
                 top = (top + 1) * (p - 1)
             vals %= p
-            out[r0:r0 + step, j] = euler[vals].sum(axis=1)
+            out[row_of[r0:r0 + step], j] = euler[vals[ps - ps[0]] + shift[r0:r0 + step, None]].sum(axis=1)
     return out
 
 
@@ -283,7 +314,10 @@ def search_constant_pairs(
     extra_polys = tuple(extra_polys)
     if len(primes) < 8:
         raise ValueError("evidence prime list must have at least 8 primes")
-    # coefficients per row of _symbol_rows' power-basis product
+    if len(set(primes)) < len(primes):
+        raise ValueError("evidence primes must be distinct")
+    # coefficients of the widest polynomial: _symbol_rows' power-basis
+    # product has one term fewer, so this refusal is conservative
     width = max([max_degree + 1, *(len(f.coeffs) for f in extra_polys)])
     for p in primes:
         _check_odd_prime(p)
@@ -335,8 +369,4 @@ def search_constant_pairs(
 
     found.sort()
     hits = [SearchHit(polys[i], polys[j], c, primes, is_twisted) for c, i, j, is_twisted in found]
-    return SearchResult(
-        hits=hits,
-        histogram=Counter(h.c for h in hits),
-        n_polynomials=len(polys),
-    )
+    return SearchResult(hits=hits, histogram=Counter(h.c for h in hits), n_polynomials=len(polys))

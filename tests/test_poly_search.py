@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -174,6 +175,18 @@ def test_search_validates_evidence_primes_before_any_work(monkeypatch, bad):
         search_constant_pairs(2, 2, [3, 5, 7, 11, 13, 17, 19, bad])
 
 
+@pytest.mark.parametrize("primes", [[3] * 8, [3, 5, 7, 11, 13, 17, 19, 19]])
+def test_search_refuses_duplicate_primes_before_any_work(monkeypatch, primes):
+    # a repeated prime is no further evidence: eight copies of 3 are one prime
+    def no_work(*args):
+        raise AssertionError("the search did work before checking its primes")
+
+    for name in ("enumerate_polys", "_euler_sums", "_symbol_rows"):
+        monkeypatch.setattr(poly_search, name, no_work)
+    with pytest.raises(ValueError, match="evidence primes must be distinct"):
+        search_constant_pairs(2, 2, primes)
+
+
 def test_hits_in_row_order_are_in_key_order():
     # hits are sorted by (c, row of f, row of g, twisted); the rows are in
     # _order_key order with unique keys, so that is the order of the keys
@@ -249,30 +262,64 @@ def test_twisted_search_finds_corollary_pair():
     assert match[0].f == CUBIC_CCC  # twisted side carries the (-1/p) factor
 
 
+# one higher part, x^3-2x^2+5x, under the constants 0, negative, at least
+# every prime below 60, 0 mod 3, 5, 7 and 11 (1155), and beyond int64 on
+# either side, interleaved with other higher parts and two constant-only
+# seeds, one beyond int64
+SPLIT = [
+    PolynomialZ.of(0, 5, -2, 1), CUBIC_CCC, PolynomialZ.of(-1, 5, -2, 1), PolynomialZ.of(5),
+    PolynomialZ.of(-7, 5, -2, 1), HUGE, PolynomialZ.of(61, 5, -2, 1), PolynomialZ.of(-(2**65)),
+    PolynomialZ.of(1155, 5, -2, 1), PolynomialZ.of(-1, 5, 2), PolynomialZ.of(2**70 + 3, 5, -2, 1),
+    PolynomialZ.of(-(2**64) - 1, 5, -2, 1),
+]
+
+
 def _brute_sums(f, primes):
     return tuple(sum(legendre(f(x), p) for x in range(1, p)) for p in primes)
 
 
 def test_euler_oracle_matches_brute_force(monkeypatch):
-    # the oracle must not share the signature path it checks, nor the
-    # library's scalar Legendre symbol
+    # the oracle must share no code with the signature path it checks: every
+    # function of poly_search but the oracle itself (the signature path and
+    # its helpers, the library's scalar Legendre symbol) and every function
+    # of char_sums (its Legendre table, char_sum_poly) refuses to run
     def refuse(*args):
         raise AssertionError("the oracle used the signature path")
 
-    for name in ("legendre_table", "char_sum_poly"):
-        monkeypatch.setattr(char_sums, name, refuse)
-    for name in ("_symbol_rows", "legendre"):
-        monkeypatch.setattr(poly_search, name, refuse)
     primes = tuple(primes_in_range(3, 60))
     # seeded polynomials may have coefficients beyond int64
     huge = PolynomialZ.of(-(2**70) - 1, 2**64 + 3, 5, 2**63 + 7)
-    polys = [*enumerate_polys(2, 2), CUBIC_CCC, NING_WANG_QUARTIC, huge]
+    polys = [*enumerate_polys(2, 2), CUBIC_CCC, NING_WANG_QUARTIC, huge, *SPLIT]
+    refused = set()
+    for module in (char_sums, poly_search):
+        for name, obj in list(vars(module).items()):
+            if name != "_euler_sums" and (inspect.isfunction(obj) or hasattr(obj, "cache_info")):
+                monkeypatch.setattr(module, name, refuse)
+                refused.add(name)
+    assert {"_symbol_rows", "legendre", "legendre_table", "char_sum_poly"} <= refused
     rows = _euler_sums(polys, primes)
     assert rows.shape == (len(polys), len(primes))
     for f, row in zip(polys, rows.tolist()):
         # the reference enumerates squares: no Euler's criterion on this side
         expected = [sum(legendre_by_squares(f(x), p) for x in range(1, p)) for p in primes]
         assert row == expected, str(f)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 500, 4099])
+def test_split_into_higher_part_and_constant_matches_brute_force(monkeypatch, budget):
+    # both passes evaluate each higher part once per block and add the
+    # constant mod p; at the small budgets the rows of the shared higher
+    # part straddle blocks
+    if budget is not None:
+        monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
+    primes = tuple(primes_in_range(3, 60))
+    assert len(set(SPLIT)) == len(SPLIT)
+    brute = [_brute_symbols(f, primes) for f in SPLIT]
+    expected = [list(_brute_sums(f, primes)) for f in SPLIT]
+    sums, symbols = _symbol_rows(SPLIT, primes)
+    assert symbols.tolist() == brute
+    assert sums.tolist() == expected
+    assert _euler_sums(SPLIT, primes).tolist() == expected
 
 
 def test_symbol_rows_sums_match_char_sum_poly():
