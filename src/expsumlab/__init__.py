@@ -3,7 +3,6 @@ sums, power-mean identities and Legendre character-sum problems."""
 
 from .arith import (
     DRep,
-    Modulus,
     legendre,
     primes_in_range,
     represent_4p,
@@ -31,7 +30,6 @@ from .registry import IdentityOutcome, evaluate, list_identities, sweep
 
 __all__ = [
     "DRep",
-    "Modulus",
     "IdentityOutcome",
     "PhaseFamily",
     "PolynomialZ",

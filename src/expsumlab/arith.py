@@ -1,8 +1,12 @@
 """Exact integer arithmetic primitives.
 
-Everything here is deterministic trial-division arithmetic, adequate for
-moduli well below 10^9 (the sweeps in this package never exceed a few
-hundred).  No probabilistic primality, no big-number shortcuts.
+A modulus is a plain int.  check_q is the one rule of what a valid one
+is: every modulus, and the top of every range, is refused from 2^31 on,
+before any work.  Everything here is deterministic trial-division
+arithmetic, adequate below that bound: sweeps reach 2 * 10^4, `sum` runs
+at 10^6 + 3, and factorize trial-divides each q once per process while
+q is among the last 4096 it was asked for.  No probabilistic primality,
+no big-number shortcuts.
 """
 
 from __future__ import annotations
@@ -44,40 +48,18 @@ def is_prime(n: int) -> bool:
     return n > 1 and factorize(n) == ((n, 1),)
 
 
-class Modulus(NamedTuple):
-    """A positive modulus with its factorization cached."""
-
-    q: int
-    factorization: tuple[tuple[int, int], ...]
-    is_prime: bool
-
-    @classmethod
-    def from_int(cls, q: int) -> "Modulus":
-        fac = factorize(q)
-        return cls(q=q, factorization=fac, is_prime=(fac == ((q, 1),)))
-
-    @property
-    def phi(self) -> int:
-        out = 1
-        for p, e in self.factorization:
-            out *= (p - 1) * p ** (e - 1)
-        return out
-
-    @property
-    def omega(self) -> int:
-        return len(self.factorization)
-
-    @property
-    def unitary_primes(self) -> tuple[int, ...]:
-        """Primes p with p | q and p^2 not dividing q (p || q)."""
-        return tuple(p for p, e in self.factorization if e == 1)
+# the largest modulus (exclusive): exp_sums docstring, "Kronecker slots"
+_MAX_Q = 1 << 31
 
 
-def as_modulus(q) -> Modulus:
-    return q if isinstance(q, Modulus) else Modulus.from_int(int(q))
+def check_q(q: int) -> int:
+    """q as an int, refused before any work unless q < 2^31."""
+    q = int(q)
+    if q >= _MAX_Q:
+        raise ValueError(f"modulus must be below 2^31, got {q}")
+    return q
 
 
-@lru_cache(maxsize=4096)
 def _check_odd_prime(p: int) -> None:
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
@@ -94,9 +76,11 @@ def legendre(a: int, p: int) -> int:
 
 
 def check_range(lo: int, hi: int) -> None:
-    """The one check of every modulus range: lo > hi is a usage error."""
+    """The one check of every modulus range: lo > hi is a usage error, and
+    so is hi >= 2^31 (check_q), refused before any sieve is allocated."""
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
+    check_q(hi)
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:

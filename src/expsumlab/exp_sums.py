@@ -121,9 +121,10 @@ The trace of N_k at q = p^e reads s_k for its d = q term.  At a prime
 its d = 1 term is (D^k)^2, so it unpacks no slots; at e > 1 it unpacks
 N_k once, to fold it mod p^(e-1).
 
-Every public function rejects q >= 2^31 before any work.  That bound is
-no memory limit: a list of q counts takes about 8q bytes, so a prime
-just below 2^31 needs about 16 GB for each count list it builds.
+Every public function rejects q >= 2^31 before any work, by
+arith.check_q.  That bound is no memory limit: a list of q counts takes
+about 8q bytes, so a prime just below 2^31 needs about 16 GB for each
+count list it builds.
 
 Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts with
 a table of e(j/q) * 2^128 rounded to integers for j = 0..q/2, the count
@@ -145,7 +146,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import add, mul, sub
 
-from .arith import Modulus, as_modulus, factorize, is_prime
+from .arith import check_q, factorize, is_prime
 
 # fixed-point scale of the scalar sums' root table
 _SCALE_BITS = 128
@@ -191,8 +192,6 @@ class PhaseFamily(namedtuple(
 # evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
 _WORK_BITS = 320
-# largest modulus (exclusive) accepted (module docstring, "Kronecker slots")
-_MAX_Q = 1 << 31
 # (family, q) pairs whose orbit tables and ladders are kept (module
 # docstring, "Kronecker slots")
 _ORBIT_TABLES = 64
@@ -260,14 +259,6 @@ def _fixed_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(re), tuple(im)
 
 
-def _check_q(modulus) -> int:
-    """The modulus as an int, rejected before any work unless q < 2^31."""
-    q = modulus.q if isinstance(modulus, Modulus) else int(modulus)
-    if q >= _MAX_Q:
-        raise ValueError(f"modulus must be below 2^31, got {q}")
-    return q
-
-
 def _units(q: int) -> Iterator[int]:
     """The units mod q, ascending, as an iterator: the residues left after
     crossing out the multiples of each prime factor of q."""
@@ -326,7 +317,7 @@ def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
 
 def kloosterman(m: int, n: int, q) -> complex:
     """Classical Kloosterman sum S(m, n; q) over the units mod q."""
-    q = _check_q(q)
+    q = check_q(q)
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     return _scalar_sum(PhaseFamily(1, TWIST_INVERSE, n), q, m)
@@ -335,7 +326,7 @@ def kloosterman(m: int, n: int, q) -> complex:
 def two_term_sum(m: int, n: int, k: int, q) -> complex:
     """Two-term exponential sum: sum over a complete residue system of
     e((m*a^k + n*a)/q)."""
-    q = _check_q(q)
+    q = check_q(q)
     if q < 2 or k < 1:
         raise ValueError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
     return _scalar_sum(PhaseFamily(k, TWIST_NONE, n), q, m)
@@ -343,7 +334,7 @@ def two_term_sum(m: int, n: int, k: int, q) -> complex:
 
 def twisted_sum(m: int, k: int, p: int) -> complex:
     """Hybrid sum over units: sum_a e((m*a^k + abar)/p), p prime."""
-    p = _check_q(p)
+    p = check_q(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     # a^k depends on k mod p-1 only, which also admits k <= 0
@@ -414,16 +405,17 @@ def _galois_exponent(family: PhaseFamily, phi: int) -> int:
 
 
 @lru_cache(maxsize=_ORBIT_TABLES)
-def _orbit_table(family: PhaseFamily, mod: Modulus) -> tuple[int, list[tuple[int, dict[int, bytes], dict[int, int]]]]:
-    """(D, [(|O|, {1: N_1}, {1: s_1}) for each orbit O of t != 0 under H]):
-    the domain size, and per orbit its size, the ladder of its counts'
-    self-convolutions as byte slots, and their sums of squares, both of
-    which _self_power extends (module docstring)."""
-    q = mod.q
+def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[int, dict[int, bytes], dict[int, int]]]]:
+    """(D, [(|O|, {1: N_1}, {1: s_1}) for each orbit O of t != 0 under H])
+    at the prime power q of p: the domain size, and per orbit its size,
+    the ladder of its counts' self-convolutions as byte slots, and their
+    sums of squares, both of which _self_power extends (module
+    docstring)."""
     u, v = _family_vectors(family, q)
     nbytes = -(-len(u).bit_length() // 8)
     # H = {c^e} = {c^d}, d = gcd(e, phi(q)), each element once
-    d = math.gcd(_galois_exponent(family, mod.phi), mod.phi)
+    phi = q - q // p
+    d = math.gcd(_galois_exponent(family, phi), phi)
     in_h = bytearray(q)
     for c in _units(q):
         in_h[pow(c, d, q)] = 1
@@ -458,42 +450,42 @@ def _self_power(ladder: dict[int, bytes], squares: dict[int, int], m: int, q: in
     return ladder[m]
 
 
-def power_mean(family: PhaseFamily, modulus, two_k: int) -> int:
+def power_mean(family: PhaseFamily, modulus: int, two_k: int) -> int:
     """2k-th power mean of |inner sum| over the sweep of the monomial
-    coefficient (complete residue system, zero term per the family flag),
-    exact: the product over the prime powers of q of the complete sweep's
-    mean, each one trace per Galois orbit, less S_0(q)^2k for a sweep
-    without t = 0 (module docstring, "Composite moduli").  The last 1024
-    means at a prime power are kept, and a sweep without t = 0 shares
-    those of its complete sweep, so a process computes each (family, p^e,
-    2k) it repeats once; a composite's product is not kept.
-    AssertionError if phi(p^e) does not divide a total."""
+    coefficient (complete residue system, zero term per the family flag)
+    at the modulus, an int q, exact: the product over the prime powers of
+    factorize(q) of the complete sweep's mean, each one trace per Galois
+    orbit, less S_0(q)^2k for a sweep without t = 0 (module docstring,
+    "Composite moduli").  The last 1024 means at a prime power are kept,
+    and a sweep without t = 0 shares those of its complete sweep, so a
+    process computes each (family, p^e, 2k) it repeats once; a
+    composite's product is not kept.  AssertionError if phi(p^e) does not
+    divide a total."""
     if two_k < 2 or two_k % 2 != 0:
         raise ValueError(f"two_k must be a positive even integer, got {two_k}")
-    q = _check_q(modulus)
+    q = check_q(modulus)
     if q < 3:
         raise ValueError(f"modulus must be >= 3, got {q}")
-    mod = as_modulus(modulus)
     complete = family if family.include_zero_in_sweep else family._replace(include_zero_in_sweep=True)
-    value = math.prod(_power_mean(complete, Modulus(p**e, ((p, e),), e == 1), two_k)
-                      for p, e in mod.factorization)
+    fac = factorize(q)
+    value = math.prod(_power_mean(complete, p**e, p, two_k) for p, e in fac)
     if not family.include_zero_in_sweep:
-        value -= math.prod(_zero_sum(family, p**e, p) for p, e in mod.factorization) ** two_k
+        value -= math.prod(_zero_sum(family, p**e, p) for p, e in fac) ** two_k
     return value
 
 
 @lru_cache(maxsize=1024)
-def _power_mean(family: PhaseFamily, mod: Modulus, two_k: int) -> int:
-    """The complete sweep's mean at a prime power, for power_mean.
-    AssertionError if phi(q) does not divide the total, a result no cache
-    entry could hold."""
-    domain, orbits = _orbit_table(family, mod)
-    k, q, ((p, _),) = two_k // 2, mod.q, mod.factorization
+def _power_mean(family: PhaseFamily, q: int, p: int, two_k: int) -> int:
+    """The complete sweep's mean at the prime power q of p, for
+    power_mean.  AssertionError if phi(q) does not divide the total, a
+    result no cache entry could hold."""
+    domain, orbits = _orbit_table(family, q, p)
+    k, phi = two_k // 2, q - q // p
     total = sum(size * _trace(_self_power(ladder, squares, k, q), squares[k], domain**k, q, p)
                 for size, ladder, squares in orbits)
     # the orbit {0}: Tr(S_0^2k) = phi(q) * S_0^2k
-    total += mod.phi * _zero_sum(family, q, p) ** two_k
-    value, rest = divmod(total, mod.phi)
+    total += phi * _zero_sum(family, q, p) ** two_k
+    value, rest = divmod(total, phi)
     if rest:
-        raise AssertionError(f"power mean trace {total} not divisible by phi({mod.q}) = {mod.phi}")
+        raise AssertionError(f"power mean trace {total} not divisible by phi({q}) = {phi}")
     return value

@@ -7,11 +7,11 @@ Both sides are functions of the modulus alone: a unit n leaves every
 mean unchanged (exp_sums docstring, "Unit coefficients"), so the one
 optional n of an identity that takes one only decides applicability,
 by the one rule in evaluate() that n be a unit mod q, and is echoed in
-its row; an identity that takes none refuses an n.  Every modulus must
-be below 2^31, checked before any work.  verdict() is the one rule that
-gives a checked value its status, pass, fail or skip, for registry rows
-and conjecture rows alike, and summarize() the one place where statuses
-are counted.
+its row; an identity that takes none refuses an n.  A modulus is an
+int, and must be below 2^31, checked by arith.check_q before any work.
+verdict() is the one rule that gives a checked value its status, pass,
+fail or skip, for registry rows and conjecture rows alike, and
+summarize() the one place where statuses are counted.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from collections import Counter
 from math import gcd
 from typing import NamedTuple
 
-from . import char_sums, exp_sums
-from .arith import Modulus, as_modulus, legendre, represent_4p
+from . import char_sums
+from .arith import check_q, factorize, is_prime, legendre, represent_4p
 from .exp_sums import (
     TWIST_INVERSE,
     TWIST_NONE,
@@ -69,24 +69,24 @@ _GAUSS_FAMILY = PhaseFamily(2, TWIST_NONE, 0, False)
 # ---------------------------------------------------------------------------
 # per-entry applicability / lhs / rhs
 
-def _odd_prime(mod: Modulus) -> bool:
-    return mod.is_prime and mod.q % 2 == 1
+def _odd_prime(q: int) -> bool:
+    return is_prime(q) and q % 2 == 1
 
 
-def _prime_gt3(mod: Modulus) -> bool:
+def _prime_gt3(q: int) -> bool:
     # k = 3 degenerates at p = 3 (a^3 = a), so the cubic identities
     # start at p = 5
-    return mod.is_prime and mod.q > 3
+    return is_prime(q) and q > 3
 
 
-def _zhang_applies(mod: Modulus) -> bool:
+def _zhang_applies(q: int) -> bool:
     # the displayed formula fails at even q (q = 4: lhs 32, rhs 96);
     # restricted to odd q >= 3
-    return mod.q >= 3 and mod.q % 2 == 1
+    return q >= 3 and q % 2 == 1
 
 
-def _zh_applies(mod: Modulus) -> bool:
-    return mod.is_prime and mod.q > 3 and (mod.q - 1) % 3 != 0
+def _zh_applies(q: int) -> bool:
+    return is_prime(q) and q > 3 and (q - 1) % 3 != 0
 
 
 def _salie_rhs(p: int) -> int:
@@ -94,13 +94,16 @@ def _salie_rhs(p: int) -> int:
 
 
 def _zhang_rhs(q: int) -> int:
-    # 3^omega q^2 phi(q) times, per unitary prime p, 2/3 - 1/(3p) -
-    # 4/(3p(p-1)) = (2p(p-1) - (p-1) - 4) / (3p(p-1)), in exact integers
-    mod = as_modulus(q)
-    num, den = 3**mod.omega * q * q * mod.phi, 1
-    for p in mod.unitary_primes:
-        num *= 2 * p * (p - 1) - (p - 1) - 4
-        den *= 3 * p * (p - 1)
+    # 3^omega q^2 phi(q) times, per unitary prime p (p || q), 2/3 -
+    # 1/(3p) - 4/(3p(p-1)) = (2p(p-1) - (p-1) - 4) / (3p(p-1)), in exact
+    # integers
+    fac = factorize(q)
+    num, den = 3 ** len(fac) * q * q, 1
+    for p, e in fac:
+        num *= (p - 1) * p ** (e - 1)
+        if e == 1:
+            num *= 2 * p * (p - 1) - (p - 1) - 4
+            den *= 3 * p * (p - 1)
     rhs, rest = divmod(num, den)
     if rest:
         g = gcd(num, den)
@@ -148,19 +151,19 @@ def _wz_rhs(p: int) -> int:
 
 
 def _mean_lhs(family, two_k):
-    return lambda mod: power_mean(family, mod, two_k)
+    return lambda q: power_mean(family, q, two_k)
 
 
-def _corollary_lhs(mod: Modulus) -> int:
-    return char_sums.corollary1_check(mod.q).difference
+def _corollary_lhs(q: int) -> int:
+    return char_sums.corollary1_check(q).difference
 
 
-def _gauss_lhs(mod: Modulus) -> int | None:
+def _gauss_lhs(q: int) -> int | None:
     # by Cauchy-Schwarz (p - 1) * M4 >= M2^2 over m = 1..p-1, with equality
     # exactly when every |S_m|^2 is the same; then each is M2 / (p - 1)
-    m2 = power_mean(_GAUSS_FAMILY, mod, 2)
-    m4 = power_mean(_GAUSS_FAMILY, mod, 4)
-    return m2 if (mod.q - 1) * m4 == m2 * m2 else None
+    m2 = power_mean(_GAUSS_FAMILY, q, 2)
+    m4 = power_mean(_GAUSS_FAMILY, q, 4)
+    return m2 if (q - 1) * m4 == m2 * m2 else None
 
 
 class Identity(NamedTuple):
@@ -297,18 +300,19 @@ def _entry(identity_id: str, ns) -> Identity:
     return entry
 
 
-def evaluate(identity_id: str, modulus, n: int | None = None) -> IdentityOutcome:
-    """Evaluate one identity at one modulus and optional n; a modulus the
-    identity does not apply to, or an n that is no unit mod q, yields a
-    skip outcome rather than an error."""
+def evaluate(identity_id: str, modulus: int, n: int | None = None) -> IdentityOutcome:
+    """Evaluate one identity at one modulus, an int q, and optional n; a q
+    the identity does not apply to, or an n that is no unit mod q, yields
+    a skip outcome rather than an error.  A q >= 2^31 is refused before
+    factorize trial-divides it, and a q < 1 by factorize before any
+    predicate runs."""
     entry = _entry(identity_id, [n])
-    exp_sums._check_q(modulus)  # before as_modulus trial-divides q
-    mod = as_modulus(modulus)
+    q = check_q(modulus)
+    factorize(q)  # refuses q < 1
     lhs, rhs = None, None
-    if entry.applies(mod) and (n is None or gcd(n, mod.q) == 1):
-        lhs = entry.lhs(mod)
-        rhs = entry.rhs(mod.q)
-    return IdentityOutcome(identity_id, mod.q, n, lhs, rhs, verdict(lhs, rhs))
+    if entry.applies(q) and (n is None or gcd(n, q) == 1):
+        lhs, rhs = entry.lhs(q), entry.rhs(q)
+    return IdentityOutcome(identity_id, q, n, lhs, rhs, verdict(lhs, rhs))
 
 
 def sweep(
@@ -327,7 +331,7 @@ def sweep(
     """
     ns = [None] if ns is None else ns
     _entry(identity_id, ns)
-    results = [evaluate(identity_id, int(q), n) for q in moduli for n in ns]
+    results = [evaluate(identity_id, q, n) for q in moduli for n in ns]
     return [o for o in results if emit_skips or o.status != SKIP]
 
 

@@ -45,6 +45,11 @@ ORBIT_FAMILIES = KERNEL_FAMILIES + EVEN_FAMILIES[1:] + [
 ]
 
 
+def totient(q: int) -> int:
+    """Euler's phi by counting the units mod q."""
+    return sum(1 for a in range(q) if math.gcd(a, q) == 1)
+
+
 def e_p(x: int, p: int) -> complex:
     """e(x/p) straight from cmath; the test-side root of unity."""
     return cmath.exp(2j * math.pi * (x % p) / p)
@@ -182,9 +187,9 @@ def orbit_tables_built(monkeypatch):
     table.cache_clear()
     exp_sums._power_mean.cache_clear()
 
-    def recording(family, mod):
-        built.append(mod.q)
-        return table(family, mod)
+    def recording(family, q, p):
+        built.append(q)
+        return table(family, q, p)
 
     monkeypatch.setattr(exp_sums, "_orbit_table", recording)
     return built

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from expsumlab import arith
 from expsumlab.arith import (
     DRep,
-    Modulus,
     NotRepresentableError,
+    check_q,
     factorize,
     is_prime,
     legendre,
@@ -65,17 +66,17 @@ def test_factorization_reassembles(q):
 ])
 def test_is_prime_edges(n, expected):
     assert is_prime(n) == expected
-    if n >= 1:
-        assert Modulus.from_int(n).is_prime == expected
 
 
-def test_modulus_fields():
-    m = Modulus.from_int(45)
-    assert m.factorization == ((3, 2), (5, 1))
-    assert not m.is_prime
-    assert m.phi == 24 and m.omega == 2
-    assert m.unitary_primes == (5,)
-    assert Modulus.from_int(7).is_prime
+def test_check_q_refuses_from_2_pow_31():
+    # the largest accepted q passes through as an int; from 2^31 on the
+    # refusal keeps its message word for word
+    for q in (3, 2**31 - 1):
+        assert check_q(q) == q
+    for q in (2**31, 2**31 + 1, 2**61 - 1):
+        with pytest.raises(ValueError) as err:
+            check_q(q)
+        assert str(err.value) == f"modulus must be below 2^31, got {q}"
 
 
 def test_primes_in_range():
@@ -115,6 +116,23 @@ def test_primes_in_range_memory_follows_the_window():
 def test_primes_in_range_rejects_a_reversed_range():
     with pytest.raises(ValueError, match="empty range: lo=5 > hi=3"):
         primes_in_range(5, 3)
+
+
+def test_primes_in_range_refuses_a_top_from_2_pow_31_before_sieving(monkeypatch):
+    # a window of hi - lo + 1 bytes up to 10^11 would be a 100 GB sieve
+    def no_work(*args):
+        raise AssertionError("primes_in_range allocated before checking hi")
+
+    monkeypatch.setattr(arith, "bytearray", no_work, raising=False)
+    for lo, hi in ((3, 2**31), (2**31 - 10, 2**31 + 10), (3, 10**11)):
+        with pytest.raises(ValueError) as err:
+            primes_in_range(lo, hi)
+        assert str(err.value) == f"modulus must be below 2^31, got {hi}"
+    # a reversed range keeps its own message, and the largest top is sieved
+    with pytest.raises(ValueError, match=f"^empty range: lo={10**12} > hi={10**11}$"):
+        primes_in_range(10**12, 10**11)
+    with pytest.raises(AssertionError, match="allocated"):
+        primes_in_range(2**31 - 10, 2**31 - 1)
 
 
 def test_represent_4p_examples():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from expsumlab import cli, exp_sums, poly_search, registry
+from expsumlab import arith, cli, exp_sums, poly_search, registry
 from expsumlab import conjecture as conj
 from expsumlab.arith import NotRepresentableError, primes_in_range
 from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json, prepare_reals
@@ -41,6 +41,24 @@ def test_verify_inapplicable_modulus_is_skip_not_fail(capsys):
     doc = json.loads(out)
     assert doc["rows"][0]["pass"] == "skip"
     assert doc["summary"]["skip"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "salie_4th", "--pmin", "3", "--pmax", "100000000000"],
+    ["conjecture", "--k", "2", "--pmin", "3", "--pmax", "100000000000"],
+    ["search", "--prime-min", "3", "--prime-max", "100000000000"],
+])
+def test_a_range_top_from_2_pow_31_exits_2_before_any_sieve(capsys, monkeypatch, argv):
+    # the sieve's window would take hi - lo + 1 bytes, 100 GB here
+    def no_work(*args):
+        raise AssertionError("the command allocated a sieve before checking its range")
+
+    monkeypatch.setattr(arith, "bytearray", no_work, raising=False)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "modulus must be below 2^31, got 100000000000\n"
 
 
 def test_verify_known_failure_exits_1(capsys):
@@ -277,6 +295,8 @@ def test_n_for_an_identity_without_one_is_the_registry_usage_error(capsys, where
     (("--identity", "nope", "--pmin", "9", "--pmax", "3"), "unknown identity: nope\n"),
     (("--identity", "salie_4th", "--n", "3"), "verify needs --q, --pmin/--pmax, or --qmin/--qmax\n"),
     (("--identity", "salie_4th", "--n", "3", "--pmin", "7", "--pmax", "3"), "empty range: lo=7 > hi=3\n"),
+    # zhang_composite_4th's predicate alone would read q = 0 as a skip
+    (("--identity", "zhang_composite_4th", "--q", "0"), "q must be >= 1, got 0\n"),
 ])
 def test_verify_usage_errors_are_checked_identity_then_range_then_n(capsys, argv, err):
     code = cli.main(["verify", *argv])
@@ -634,12 +654,12 @@ def test_parser_output_is_pinned(capsys, monkeypatch, argv, digest):
 @pytest.mark.parametrize("q", [2**31, 2**61 - 1])
 @pytest.mark.parametrize("identity", ["salie_4th", "corollary1"])
 def test_verify_rejects_moduli_beyond_int64_before_any_work(capsys, monkeypatch, identity, q):
-    # as_modulus trial-divides up to sqrt(q), and corollary1 would build a
+    # factorize trial-divides up to sqrt(q), and corollary1 would build a
     # q-entry Legendre table: q is refused first
     def no_work(*args):
         raise AssertionError("verify did work before rejecting q")
 
-    monkeypatch.setattr(registry, "as_modulus", no_work)
+    monkeypatch.setattr(registry, "factorize", no_work)
     code = cli.main(["verify", "--identity", identity, "--q", str(q)])
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import cli, exp_sums, registry
-from expsumlab.arith import Modulus, is_prime, primes_in_range
+from expsumlab.arith import factorize, is_prime, primes_in_range
 from expsumlab.exp_sums import (
     TWIST_INVERSE,
     TWIST_NONE,
@@ -35,12 +35,13 @@ from conftest import (
     reference_phases,
     reference_power_mean,
     reference_root_table,
+    totient,
 )
 
 
 def test_kloosterman_zero_args_gives_phi():
     for q in (5, 12, 45):
-        assert kloosterman(0, 0, q) == pytest.approx(Modulus.from_int(q).phi, abs=1e-9)
+        assert kloosterman(0, 0, q) == pytest.approx(totient(q), abs=1e-9)
 
 
 def test_kloosterman_s115():
@@ -250,18 +251,6 @@ def test_root_table_matches_per_entry_mpmath():
             assert (ref_re[j], ref_im[j]) == (re[q - j], -im[q - j]), (q, j)
 
 
-def test_check_q_refuses_from_2_pow_31():
-    # the largest accepted q passes through as an int; from 2^31 on the
-    # refusal keeps its message word for word
-    for q in (3, 2**31 - 1):
-        assert exp_sums._check_q(q) == q
-        assert exp_sums._check_q(Modulus(q, (), False)) == q
-    for q in (2**31, 2**31 + 1, 2**61 - 1):
-        with pytest.raises(ValueError) as err:
-            exp_sums._check_q(q)
-        assert str(err.value) == f"modulus must be below 2^31, got {q}"
-
-
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 @pytest.mark.parametrize("include_zero", [True, False])
 def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
@@ -311,7 +300,7 @@ def all_t_means(family, q):
     in plain ints: the counts of reference_phases, their self-convolutions
     N_1, N_2, N_3 by a plain loop, and Tr |S|^2k = sum_(i, j) N_k(i) N_k(j)
     c_q(i - j), the Ramanujan sums from a test-side Mobius function."""
-    phi = Modulus.from_int(q).phi
+    phi = totient(q)
     ramanujan = [sum(mobius(q // d) * d for d in range(1, q + 1) if q % d == 0 and j % d == 0)
                  for j in range(q)]
     totals = {2: 0, 4: 0, 6: 0}
@@ -330,10 +319,9 @@ def all_t_means(family, q):
 @pytest.mark.parametrize("family", ORBIT_FAMILIES)
 def test_orbit_rule_matches_all_t_trace(family):
     for q in [3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 18, 25, 27, 31]:
-        mod = Modulus.from_int(q)
         # sigma_c maps S_t to S_(c^e t): the counts of c^e t are those of
         # t with every phase j moved to c*j
-        e = exp_sums._galois_exponent(family, mod.phi)
+        e = exp_sums._galois_exponent(family, totient(q))
         u, v = exp_sums._family_vectors(family, q)
         for c in exp_sums._units(q):
             for t in range(q):
@@ -347,7 +335,7 @@ def test_orbit_rule_matches_all_t_trace(family):
 def test_zero_sum_is_the_brute_force_sum(twist):
     # S_0 = sum_a zeta^(v_a) at q = p^e: q or 0 without twist, the
     # Ramanujan sum c_q(f) under the inverse twist
-    prime_powers = [(q, fac[0][0]) for q in range(2, 61) if len(fac := Modulus.from_int(q).factorization) == 1]
+    prime_powers = [(q, fac[0][0]) for q in range(2, 61) if len(fac := factorize(q)) == 1]
     assert len(prime_powers) == 25
     for q, p in prime_powers:
         for f in {0, 1, q, q - 1, 2 * q + 1} | {d for d in range(2, q) if q % d == 0}:
@@ -375,7 +363,7 @@ def test_lower_mean_after_higher_makes_no_convolution(monkeypatch):
     # reads N_2 from the ladder
     calls = counted_convolve(monkeypatch)
     assert cli.main(["conjecture", "--k", "4", "--pmin", "1009", "--pmax", "1021"]) == 0
-    orbits = sum(len(exp_sums._orbit_table(CUBIC_FAMILY, Modulus.from_int(p))[1])
+    orbits = sum(len(exp_sums._orbit_table(CUBIC_FAMILY, p, p)[1])
                  for p in primes_in_range(1009, 1021))
     assert len(calls) == 2 * orbits
     del calls[:]
@@ -390,7 +378,7 @@ def test_cubic_means_share_one_ladder(monkeypatch):
     p = 101
     for identity in ("zz_cubic_4th", "zm_cubic_6th", "wz_cubic_8th"):
         assert registry.evaluate(identity, p).status == registry.PASS, identity
-    orbits = exp_sums._orbit_table(CUBIC_FAMILY, Modulus.from_int(p))[1]
+    orbits = exp_sums._orbit_table(CUBIC_FAMILY, p, p)[1]
     assert len(orbits) == 2 and len(calls) == 3 * len(orbits)
     assert all(sorted(ladder) == sorted(squares) == [1, 2, 3, 4] for _, ladder, squares in orbits)
 
@@ -487,9 +475,9 @@ def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("power_mean did work before rejecting q")
 
-    for name in ("as_modulus", "_family_vectors", "_units"):
+    for name in ("factorize", "_family_vectors", "_units"):
         monkeypatch.setattr(exp_sums, name, no_work)
-    for q in (2**31, Modulus.from_int(2**31), 2**40):
+    for q in (2**31, 2**31 + 1, 2**40):
         with pytest.raises(ValueError, match="2\\^31"):
             power_mean(SALIE, q, 4)
 
@@ -529,7 +517,7 @@ def test_non_unit_and_linear_coefficients_keep_their_own_mean(family, q):
         power_mean(one, q, two_k)
         assert power_mean(family, q, two_k) == reference_power_mean(family, q, two_k), two_k
     info = exp_sums._power_mean.cache_info()
-    assert (info.hits, info.misses) == (0, 6 * Modulus.from_int(q).omega)
+    assert (info.hits, info.misses) == (0, 6 * len(factorize(q)))
 
 
 def test_a_factor_2_is_a_mean_below_the_public_floor(orbit_tables_built):
@@ -553,7 +541,7 @@ def test_a_sweep_without_zero_keeps_the_orbit_path(orbit_tables_built):
     # tables at the primes, less S_0(q)^2k, so no table is built at q
     gauss = registry._GAUSS_FAMILY
     for q in (15, 21):
-        r, s = (p for p, _ in Modulus.from_int(q).factorization)
+        r, s = (p for p, _ in factorize(q))
         for two_k in (2, 4):
             assert power_mean(gauss, q, two_k) != power_mean(gauss, r, two_k) * power_mean(gauss, s, two_k)
             assert power_mean(gauss, q, two_k) == reference_power_mean(gauss, q, two_k), (q, two_k)
@@ -564,9 +552,9 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
 
-    for name in ("as_modulus", "is_prime", "_family_vectors", "_fixed_root_table"):
+    for name in ("factorize", "is_prime", "_family_vectors", "_fixed_root_table"):
         monkeypatch.setattr(exp_sums, name, no_work)
-    for q in (2**31, Modulus.from_int(2**31), 2**40):
+    for q in (2**31, 2**31 + 1, 2**40):
         for call in (
             lambda: kloosterman(1, 1, q),
             lambda: two_term_sum(1, 1, 3, q),
@@ -651,13 +639,15 @@ def test_names_nothing_calls_stay_deleted():
     from expsumlab import arith, char_sums, cli, conjecture, poly_search, registry
 
     gone = {
-        arith: ("gcd3", "factor_functions", "mod_inverse"),
-        arith.Modulus: ("divisor_count",),
+        arith: ("gcd3", "factor_functions", "mod_inverse", "Modulus", "as_modulus"),
+        # factorize is the one cache of a modulus's arithmetic
+        arith._check_odd_prime: ("cache_info",),
         char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod", "reflect"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
-                   "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients", "abs_two_term_all_m"),
+                   "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients", "abs_two_term_all_m",
+                   "_check_q", "_MAX_Q"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
                       "_is_canonical", "_differ", "_legendre_array"),

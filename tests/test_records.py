@@ -4,7 +4,7 @@ equality; the two validating records refuse bad fields."""
 
 import pytest
 
-from expsumlab.arith import DRep, Modulus
+from expsumlab.arith import DRep
 from expsumlab.char_sums import Corollary1Result, PolynomialZ
 from expsumlab.conjecture import ConjectureReport, ConjectureRow
 from expsumlab.exp_sums import PhaseFamily
@@ -16,9 +16,6 @@ QUARTIC = PolynomialZ((1, 4, 2, 4, 1))
 
 # (build, fields, repr): build() makes a fresh record from hashable values
 RECORDS = [
-    (lambda: Modulus(45, ((3, 2), (5, 1)), False),
-     ("q", "factorization", "is_prime"),
-     "Modulus(q=45, factorization=((3, 2), (5, 1)), is_prime=False)"),
     (lambda: DRep(-5, 1), ("d", "b"), "DRep(d=-5, b=1)"),
     (lambda: PolynomialZ((0, 1, 1, 1)), ("coeffs",), "PolynomialZ(coeffs=(0, 1, 1, 1))"),
     (lambda: Corollary1Result(7, 0, -2, 2),

@@ -1,10 +1,10 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from expsumlab import char_sums, exp_sums, registry
-from expsumlab.arith import Modulus, primes_in_range
+from expsumlab.arith import factorize, primes_in_range
 from expsumlab.exp_sums import TWIST_INVERSE, TWIST_NONE, power_mean
 from expsumlab.registry import (
     FAIL,
@@ -68,25 +68,38 @@ def test_zhang_composite_skips_even_and_non_unit_n():
     assert evaluate("zhang_composite_4th", 15, 3).status == SKIP
 
 
-def _zhang_rhs_fraction(mod):
-    """The closed form as the Fraction product it is displayed as."""
-    rhs = Fraction(3**mod.omega * mod.q**2 * mod.phi)
-    for p in mod.unitary_primes:
+def _zhang_rhs_fraction(q, fac):
+    """The closed form as the Fraction product it is displayed as, from
+    the factorization fac of q: 3^omega q^2 phi(q) times a factor per
+    unitary prime."""
+    phi = prod((p - 1) * p ** (e - 1) for p, e in fac)
+    rhs = Fraction(3 ** len(fac) * q**2 * phi)
+    for p in (p for p, e in fac if e == 1):
         rhs *= Fraction(2, 3) - Fraction(1, 3 * p) - Fraction(4, 3 * p * (p - 1))
     return rhs
 
 
+@pytest.mark.parametrize("q", [0, -5])
+def test_every_identity_refuses_a_modulus_below_one(q):
+    # before any predicate runs: zhang_composite_4th's alone would read
+    # q < 3 as a skip
+    for identity in ALL_IDS:
+        with pytest.raises(ValueError) as err:
+            evaluate(identity, q)
+        assert str(err.value) == f"q must be >= 1, got {q}", identity
+
+
 def test_zhang_rhs_in_integers_is_the_fraction_product():
     for q in range(3, 2002, 2):
-        rhs = _zhang_rhs_fraction(Modulus.from_int(q))
+        rhs = _zhang_rhs_fraction(q, factorize(q))
         assert rhs.denominator == 1 and registry._zhang_rhs(q) == rhs, q
 
 
 def test_zhang_rhs_refuses_a_product_that_is_no_integer(monkeypatch):
-    # no odd q gives one; a modulus whose fields disagree with its q does
-    fake = Modulus(1, ((5, 1),), False)
-    monkeypatch.setattr(registry, "as_modulus", lambda q: fake)
-    rhs = _zhang_rhs_fraction(fake)
+    # no odd q gives one; a factorization that disagrees with its q does
+    fake = ((5, 1),)
+    monkeypatch.setattr(registry, "factorize", lambda q: fake)
+    rhs = _zhang_rhs_fraction(1, fake)
     assert rhs == Fraction(32, 5)
     with pytest.raises(ArithmeticError, match=f"^zhang rhs not an integer at q=1: {rhs}$"):
         registry._zhang_rhs(1)
@@ -98,7 +111,7 @@ def test_identity_without_n_refuses_one_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("did work before refusing n")
 
-    monkeypatch.setattr(registry, "as_modulus", no_work)
+    monkeypatch.setattr(registry, "factorize", no_work)
     for identity, q, n in (("salie_4th", 5, 5), ("zwl_4th", 7, 3)):
         with pytest.raises(ValueError, match=f"^{identity} takes no --n$"):
             evaluate(identity, q, n)
@@ -146,7 +159,7 @@ def test_zhang_sweep_builds_orbit_tables_only_at_prime_powers(orbit_tables_built
     # the product of the means at its prime-power factors, each built once
     rows = sweep("zhang_composite_4th", range(3, 96), [1, 7])
     assert all(o.status == PASS for o in rows) and len(rows) == 87
-    assert orbit_tables_built == [q for q in range(3, 96, 2) if Modulus.from_int(q).omega == 1]
+    assert orbit_tables_built == [q for q in range(3, 96, 2) if len(factorize(q)) == 1]
 
 
 def test_corollary1_after_zwl_and_nw_reuses_their_character_sums(monkeypatch):
