@@ -2,11 +2,13 @@
 
 A modulus is a plain int.  check_q is the one rule of what a valid one
 is: every modulus, and the top of every range, is refused from 2^31 on,
-before any work.  Everything here is deterministic trial-division
-arithmetic, adequate below that bound: sweeps reach 2 * 10^4, `sum` runs
-at 10^6 + 3, and factorize trial-divides each q once per process while
-q is among the last 4096 it was asked for.  No probabilistic primality,
-no big-number shortcuts.
+before any work.  check_range also refuses a reversed range, and
+check_odd_prime every p but an odd prime, for the Legendre symbol, the
+character sums, the pair search and the conjecture alike.  Everything
+here is deterministic trial-division arithmetic, adequate below that
+bound: sweeps reach 2 * 10^4, `sum` runs at 10^6 + 3, and factorize
+trial-divides each q once per process while q is among the last 4096 it
+was asked for.  No probabilistic primality, no big-number shortcuts.
 """
 
 from __future__ import annotations
@@ -60,14 +62,15 @@ def check_q(q: int) -> int:
     return q
 
 
-def _check_odd_prime(p: int) -> None:
+def check_odd_prime(p: int) -> None:
+    """Refuses every p but an odd prime, with one message."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) via Euler's criterion; p must be an odd prime."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     a %= p
     if a == 0:
         return 0

@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
-from .arith import _check_odd_prime, legendre
+from .arith import check_odd_prime, legendre
 
 
 class PolynomialZ(namedtuple("PolynomialZ", ["coeffs"])):
@@ -87,7 +87,7 @@ NING_WANG_QUARTIC = PolynomialZ.of(1, 4, 2, 4, 1)  # (x^2+1)(x^2+4x+1)
 @lru_cache(maxsize=512)
 def legendre_table(p: int) -> tuple[int, ...]:
     """(a/p) for a = 0..p-1, built from the set of nonzero squares."""
-    _check_odd_prime(p)
+    check_odd_prime(p)
     table = [-1] * p
     table[0] = 0
     for x in range(1, p):

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import is_prime, primes_in_range
+from .arith import check_odd_prime, primes_in_range
 from .exp_sums import power_mean
-from .registry import CUBIC_FAMILY, FAIL, PASS, _wz_rhs, _zm_rhs, _zz_rhs, verdict
+from .registry import CUBIC_FAMILY, FAIL, PASS, verdict, wz_rhs, zm_rhs, zz_rhs
 
 MAX_K = 6  # closed forms and the author's unpublished proofs stop here
 
@@ -55,8 +55,7 @@ def conjecture_value(p: int, k: int) -> int:
     The m = 0 term contributes 0 (sum_a e(a/p) = 0), so this is also the
     m = 1..p-1 mean of the registry's cubic identities.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_odd_prime(p)
     if not 1 <= k <= MAX_K:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
     return power_mean(CUBIC_FAMILY, p, 2 * k)
@@ -74,7 +73,7 @@ def closed_form(p: int, k: int) -> int | None:
     """
     if k == 1:
         return p * p - 2 * p if p % 3 == 1 else p * p
-    rhs = {2: _zz_rhs, 3: _zm_rhs, 4: _wz_rhs}.get(k)
+    rhs = {2: zz_rhs, 3: zm_rhs, 4: wz_rhs}.get(k)
     if p <= 3 or rhs is None:
         return None
     return rhs(p)

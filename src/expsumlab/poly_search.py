@@ -75,7 +75,7 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import char_sums
-from .arith import _check_odd_prime, legendre
+from .arith import check_odd_prime, legendre
 from .char_sums import PolynomialZ
 
 if TYPE_CHECKING:
@@ -138,8 +138,6 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     """
     import numpy as np
 
-    if any(f.is_zero for f in polys):
-        raise ValueError("character sum of the zero polynomial")
     width = max(2, *(len(f.coeffs) for f in polys))
     # (higher part, constant, row) numbers, sorted by higher part: the
     # higher part as the coefficients of x^1..x^(width-1), zero-padded
@@ -316,11 +314,13 @@ def search_constant_pairs(
         raise ValueError("evidence prime list must have at least 8 primes")
     if len(set(primes)) < len(primes):
         raise ValueError("evidence primes must be distinct")
+    if any(f.is_zero for f in extra_polys):
+        raise ValueError("character sum of the zero polynomial")
     # coefficients of the widest polynomial: _symbol_rows' power-basis
     # product has one term fewer, so this refusal is conservative
     width = max([max_degree + 1, *(len(f.coeffs) for f in extra_polys)])
     for p in primes:
-        _check_odd_prime(p)
+        check_odd_prime(p)
         if width * (p - 1) ** 2 >= _INT64_LIMIT:
             raise ValueError(f"prime {p} too large for int64 sums: {width} * ({p} - 1)^2 >= 2^63")
     # unique keys, so that row order is _order_key order

@@ -34,10 +34,6 @@ FAIL = "fail"
 SKIP = "skip"
 
 
-class UnknownIdentityError(ValueError):
-    pass
-
-
 class IdentityOutcome(NamedTuple):
     identity_id: str
     modulus: int
@@ -128,7 +124,8 @@ def _nw_rhs(p: int) -> int:
     return 2 * p**3 - 8 * p**2 - 2 * p**2 * leg3 - 9 * p + p**2 * c
 
 
-def _zz_rhs(p: int) -> int:
+# zz_rhs, zm_rhs and wz_rhs are public: conjecture.closed_form reads them
+def zz_rhs(p: int) -> int:
     return 2 * p**3 - p**2 if (p - 1) % 3 != 0 else 2 * p**3 - 7 * p**2
 
 
@@ -136,14 +133,14 @@ def _zh_rhs(p: int) -> int:
     return 5 * p**4 - 8 * p**3 - p**2
 
 
-def _zm_rhs(p: int) -> int:
+def zm_rhs(p: int) -> int:
     if p % 6 == 5:
         return 5 * p**3 * (p - 1)
     d = represent_4p(p).d
     return 5 * p**4 - 23 * p**3 - d * d * p**2
 
 
-def _wz_rhs(p: int) -> int:
+def wz_rhs(p: int) -> int:
     if p % 6 == 5:
         return 7 * (2 * p**5 - 3 * p**4)
     d = represent_4p(p).d
@@ -176,105 +173,98 @@ class Identity(NamedTuple):
     takes_n: bool = False
 
 
-_ENTRIES: dict[str, Identity] = {}
-
-
-def _register(identity_id, description, applicability, applies, lhs, rhs, takes_n=False):
-    _ENTRIES[identity_id] = Identity(
-        identity_id, description, applicability, applies, lhs, rhs, takes_n
-    )
-
-
-_register(
-    "salie_4th",
-    "4th power mean of S(m,1;p) over m = 0..p-1 equals 2p^3-3p^2-3p",
-    "odd primes p >= 3",
-    _odd_prime,
-    _mean_lhs(_SALIE_FAMILY, 4),
-    _salie_rhs,
-)
-_register(
-    "zhang_composite_4th",
-    "4th power mean of S(m,n;q) over a complete residue system of m",
-    "odd q >= 3, n a unit mod q (even q fail the displayed formula)",
-    _zhang_applies,
-    _mean_lhs(_SALIE_FAMILY, 4),
-    _zhang_rhs,
-    takes_n=True,
-)
-_register(
-    "zwl_4th",
-    "4th power mean of sum_a e((m a^2 + abar)/p), ZWL closed form",
-    "primes p > 3",
-    _prime_gt3,
-    _mean_lhs(_ZWL_FAMILY, 4),
-    _zwl_rhs,
-)
-_register(
-    "nw_4th",
-    "4th power mean of sum_a e((m a^2 + abar)/p), Ning-Wang closed form",
-    "primes p > 3",
-    _prime_gt3,
-    _mean_lhs(_ZWL_FAMILY, 4),
-    _nw_rhs,
-)
-_register(
-    "corollary1",
-    "(-1/p) sum((c^3+c^2+c)/p) minus C(p) equals 2",
-    "odd primes p >= 3",
-    _odd_prime,
-    _corollary_lhs,
-    lambda p: 2,
-)
-_register(
-    "zz_cubic_4th",
-    "4th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
-    "primes p > 3, n a unit mod p",
-    _prime_gt3,
-    _mean_lhs(CUBIC_FAMILY, 4),
-    _zz_rhs,
-    takes_n=True,
-)
-# The sweep over a = 1..p-1 is the cubic family's over m = 1..p-1: for
-# a != 0, n = b/a turns sum_n e((n^3 + a n)/p) into sum_b e((a^-3 b^3 +
-# b)/p), and a -> a^-3 permutes 1..p-1 exactly when gcd(3, p - 1) = 1.
-# _zh_applies asks for just that and for a prime p, so that every a is a
-# unit, with p > 3 the range of the published formula.
-_register(
-    "zh_cubic_6th_over_a",
-    "6th power mean over the linear coefficient a of sum_n e((n^3 + a n)/p)",
-    "primes p > 3 with 3 not dividing p-1",
-    _zh_applies,
-    _mean_lhs(CUBIC_FAMILY, 6),
-    _zh_rhs,
-)
-_register(
-    "zm_cubic_6th",
-    "6th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
-    "primes p > 3, split by p mod 6",
-    _prime_gt3,
-    _mean_lhs(CUBIC_FAMILY, 6),
-    _zm_rhs,
-    takes_n=True,
-)
-_register(
-    "wz_cubic_8th",
-    "8th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
-    "primes p > 3, split by p mod 6",
-    _prime_gt3,
-    _mean_lhs(CUBIC_FAMILY, 8),
-    _wz_rhs,
-    takes_n=True,
-)
-_register(
-    "gauss_magnitude",
-    "2nd power mean of the quadratic Gauss family equals p(p-1), "
-    "with every |S(m,0,2,p)| = sqrt(p)",
-    "odd primes p >= 3",
-    _odd_prime,
-    _gauss_lhs,
-    lambda p: p * (p - 1),
-)
+_ENTRIES: dict[str, Identity] = {entry.identity_id: entry for entry in (
+    Identity(
+        "salie_4th",
+        "4th power mean of S(m,1;p) over m = 0..p-1 equals 2p^3-3p^2-3p",
+        "odd primes p >= 3",
+        _odd_prime,
+        _mean_lhs(_SALIE_FAMILY, 4),
+        _salie_rhs,
+    ),
+    Identity(
+        "zhang_composite_4th",
+        "4th power mean of S(m,n;q) over a complete residue system of m",
+        "odd q >= 3, n a unit mod q (even q fail the displayed formula)",
+        _zhang_applies,
+        _mean_lhs(_SALIE_FAMILY, 4),
+        _zhang_rhs,
+        takes_n=True,
+    ),
+    Identity(
+        "zwl_4th",
+        "4th power mean of sum_a e((m a^2 + abar)/p), ZWL closed form",
+        "primes p > 3",
+        _prime_gt3,
+        _mean_lhs(_ZWL_FAMILY, 4),
+        _zwl_rhs,
+    ),
+    Identity(
+        "nw_4th",
+        "4th power mean of sum_a e((m a^2 + abar)/p), Ning-Wang closed form",
+        "primes p > 3",
+        _prime_gt3,
+        _mean_lhs(_ZWL_FAMILY, 4),
+        _nw_rhs,
+    ),
+    Identity(
+        "corollary1",
+        "(-1/p) sum((c^3+c^2+c)/p) minus C(p) equals 2",
+        "odd primes p >= 3",
+        _odd_prime,
+        _corollary_lhs,
+        lambda p: 2,
+    ),
+    Identity(
+        "zz_cubic_4th",
+        "4th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
+        "primes p > 3, n a unit mod p",
+        _prime_gt3,
+        _mean_lhs(CUBIC_FAMILY, 4),
+        zz_rhs,
+        takes_n=True,
+    ),
+    # The sweep over a = 1..p-1 is the cubic family's over m = 1..p-1: for
+    # a != 0, n = b/a turns sum_n e((n^3 + a n)/p) into sum_b e((a^-3 b^3 +
+    # b)/p), and a -> a^-3 permutes 1..p-1 exactly when gcd(3, p - 1) = 1.
+    # _zh_applies asks for just that and for a prime p, so that every a is a
+    # unit, with p > 3 the range of the published formula.
+    Identity(
+        "zh_cubic_6th_over_a",
+        "6th power mean over the linear coefficient a of sum_n e((n^3 + a n)/p)",
+        "primes p > 3 with 3 not dividing p-1",
+        _zh_applies,
+        _mean_lhs(CUBIC_FAMILY, 6),
+        _zh_rhs,
+    ),
+    Identity(
+        "zm_cubic_6th",
+        "6th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
+        "primes p > 3, split by p mod 6",
+        _prime_gt3,
+        _mean_lhs(CUBIC_FAMILY, 6),
+        zm_rhs,
+        takes_n=True,
+    ),
+    Identity(
+        "wz_cubic_8th",
+        "8th power mean of sum_a e((m a^3 + n a)/p) over m = 1..p-1",
+        "primes p > 3, split by p mod 6",
+        _prime_gt3,
+        _mean_lhs(CUBIC_FAMILY, 8),
+        wz_rhs,
+        takes_n=True,
+    ),
+    Identity(
+        "gauss_magnitude",
+        "2nd power mean of the quadratic Gauss family equals p(p-1), "
+        "with every |S(m,0,2,p)| = sqrt(p)",
+        "odd primes p >= 3",
+        _odd_prime,
+        _gauss_lhs,
+        lambda p: p * (p - 1),
+    ),
+)}
 
 
 def list_identities() -> list[Identity]:
@@ -290,10 +280,11 @@ def verdict(lhs: int | None, rhs: int | None) -> str:
 
 
 def _entry(identity_id: str, ns) -> Identity:
-    """The identity's entry.  ValueError if ns gives an n to an identity
-    that takes none: its sums are those of one n only."""
+    """The identity's entry.  ValueError for an unknown identity, and if
+    ns gives an n to an identity that takes none: its sums are those of
+    one n only."""
     if identity_id not in _ENTRIES:
-        raise UnknownIdentityError(f"unknown identity: {identity_id}")
+        raise ValueError(f"unknown identity: {identity_id}")
     entry = _ENTRIES[identity_id]
     if not entry.takes_n and any(n is not None for n in ns):
         raise ValueError(f"{identity_id} takes no --n")

@@ -14,8 +14,10 @@ import json
 SCHEMA_VERSION = "1"
 
 
-def _round_real(x: float) -> float:
-    return float(f"{x:.12g}")
+def _rounded(items) -> dict:
+    """(key, value) pairs as a dict, each real rounded to 12 significant
+    digits."""
+    return {k: float(f"{v:.12g}") if isinstance(v, float) else v for k, v in items}
 
 
 def _csv_cell(v) -> str:
@@ -24,32 +26,22 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{_round_real(v):.12g}"
+        return f"{v:.12g}"
     return str(v)
-
-
-def prepare_reals(obj):
-    """Recursively round floats to 12 significant digits."""
-    if isinstance(obj, float):
-        return _round_real(obj)
-    if isinstance(obj, dict):
-        return {k: prepare_reals(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [prepare_reals(v) for v in obj]
-    return obj
 
 
 def emit_json(command: str, columns: tuple[str, ...], config_echo: dict, rows: list[tuple],
               summary: dict) -> bytes:
-    """Rows are flat tuples of scalars, so their reals are rounded in one
-    pass; the config echo and the summary may nest lists and dicts."""
+    """Reals sit only at the top level of a row or of the summary, so
+    each is rounded in one flat pass; a nested value there, such as the
+    search's histogram, holds ints.  The config echo holds no real and
+    goes out as given."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config_echo": prepare_reals(config_echo),
-        "rows": [{k: _round_real(v) if isinstance(v, float) else v
-                  for k, v in zip(columns, row, strict=True)} for row in rows],
-        "summary": prepare_reals(summary),
+        "config_echo": config_echo,
+        "rows": [_rounded(zip(columns, row, strict=True)) for row in rows],
+        "summary": _rounded(summary.items()),
     }
     return (json.dumps(doc, separators=(",", ":"), sort_keys=False) + "\n").encode("utf-8")
 

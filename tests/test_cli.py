@@ -12,7 +12,7 @@ import pytest
 from expsumlab import arith, cli, exp_sums, poly_search, registry
 from expsumlab import conjecture as conj
 from expsumlab.arith import NotRepresentableError, primes_in_range
-from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json, prepare_reals
+from expsumlab.reporting import SCHEMA_VERSION, emit_csv, emit_json
 
 
 def run(capsys, *argv):
@@ -105,10 +105,14 @@ def test_csv_output_header_and_rows(capsys):
 
 
 def test_json_key_order_is_stable():
-    payload = emit_json("verify", ("x",), {"a": 1}, [(1.23456789012345,)], {"pass": 1})
+    payload = emit_json("verify", ("x",), {"a": 1}, [(1.23456789012345,)],
+                        {"pass": 1, "max_residual": 9.87654321098765e-7})
     doc = json.loads(payload)
     assert list(doc.keys()) == ["schema_version", "command", "config_echo", "rows", "summary"]
     assert doc["rows"][0]["x"] == 1.23456789012
+    assert list(doc["summary"]) == ["pass", "max_residual"]
+    assert doc["summary"]["max_residual"] == 9.87654321099e-7
+    assert b'"max_residual":9.87654321099e-07}' in payload
 
 
 def test_csv_none_and_bool_cells():
@@ -189,7 +193,7 @@ def test_verify_all_summary_is_the_sum_of_the_sweeps(capsys):
         for key in ("pass", "fail", "skip", "numeric"):
             total[key] += s[key]
         total["max_residual"] = max(total["max_residual"], s["max_residual"])
-    assert json.loads(out)["summary"] == prepare_reals(total)
+    assert json.loads(out)["summary"] == total
 
 
 def test_conjecture_command(capsys):

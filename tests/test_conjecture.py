@@ -20,12 +20,13 @@ def test_catalan_numbers():
 
 
 def test_conjecture_value_rejects_bad_input():
-    with pytest.raises(ValueError):
-        conjecture_value(8, 1)
-    with pytest.raises(ValueError):
-        conjecture_value(2, 1)
-    with pytest.raises(ValueError):
+    for p in (8, 2, 1, 0, -3, 9):
+        with pytest.raises(ValueError) as info:
+            conjecture_value(p, 1)
+        assert str(info.value) == f"p must be an odd prime, got {p}"
+    with pytest.raises(ValueError) as info:
         conjecture_value(7, MAX_K + 1)
+    assert str(info.value) == f"k must be in 1..{MAX_K}, got {MAX_K + 1}"
 
 
 def test_second_moment_counting_oracle():

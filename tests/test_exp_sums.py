@@ -129,7 +129,7 @@ def test_power_mean_near_integral_sampled():
     for q in primes_in_range(3, 100):
         assert power_mean(SALIE, q, 4) == 2 * q**3 - 3 * q**2 - 3 * q, q
         if q > 3:
-            assert power_mean(CUBIC_N1, q, 8) == registry._wz_rhs(q), q
+            assert power_mean(CUBIC_N1, q, 8) == registry.wz_rhs(q), q
 
 
 def test_wide_slots_pin_the_twelfth_mean():
@@ -636,12 +636,13 @@ def test_star_import_resolves_every_public_name():
 def test_names_nothing_calls_stay_deleted():
     import inspect
 
-    from expsumlab import arith, char_sums, cli, conjecture, poly_search, registry
+    from expsumlab import arith, char_sums, cli, conjecture, poly_search, registry, reporting
 
     gone = {
-        arith: ("gcd3", "factor_functions", "mod_inverse", "Modulus", "as_modulus"),
+        arith: ("gcd3", "factor_functions", "mod_inverse", "Modulus", "as_modulus",
+                "_check_odd_prime"),
         # factorize is the one cache of a modulus's arithmetic
-        arith._check_odd_prime: ("cache_info",),
+        arith.check_odd_prime: ("cache_info",),
         char_sums: ("salie_twisted_char_sum", "FROM_ONE", "FROM_ZERO"),
         char_sums.PolynomialZ: ("shift", "scale", "derivative", "eval_mod", "reflect"),
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
@@ -653,9 +654,10 @@ def test_names_nothing_calls_stay_deleted():
                       "_is_canonical", "_differ", "_legendre_array"),
         registry: ("SweepSummary", "SweepResult", "IdentityDescriptor", "_Entry", "NUMERIC",
                    "RESIDUAL_TOL", "_ZH_FAMILY", "_salie_family", "_cubic_family",
-                   "CONJECTURE_FAMILY", "_prime_gt3_unit_n"),
+                   "CONJECTURE_FAMILY", "_prime_gt3_unit_n", "_register", "UnknownIdentityError"),
         conjecture: ("CrossCheck",),
         cli: ("_finish_checked",),
+        reporting: ("prepare_reals",),
     }
     for owner, names in gone.items():
         for name in names:
@@ -676,3 +678,41 @@ def test_names_nothing_calls_stay_deleted():
     assert list(inspect.signature(registry.sweep).parameters) == ["identity_id", "moduli", "ns", "emit_skips"]
     assert "passed" not in char_sums.Corollary1Result._fields
     assert list(inspect.signature(char_sums.char_sum_poly).parameters) == ["f", "p"]
+
+
+def test_no_module_reads_a_private_name_of_a_sibling():
+    # a name one module of the package reads from another is public: no
+    # `from .sibling import _name` and no `sibling._name`; the package
+    # imports its siblings by relative imports only
+    import ast
+    from pathlib import Path
+
+    import expsumlab
+
+    package = Path(expsumlab.__file__).parent
+    siblings = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert {"arith", "registry", "conjecture"} <= siblings
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # the local names bound to sibling modules, e.g. conj for conjecture
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("expsumlab") for a in node.names), path.name
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 1 or not (node.module or "").startswith("expsumlab"), path.name
+                for alias in node.names if node.level == 1 else ():
+                    if node.module is None and alias.name in siblings:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif node.module in siblings and private(alias.name):
+                        reads.append(f"{path.name}: from .{node.module} import {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound and private(node.attr)):
+                reads.append(f"{path.name}:{node.lineno}: {bound[node.value.id]}.{node.attr}")
+    assert reads == []

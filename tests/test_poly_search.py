@@ -187,6 +187,19 @@ def test_search_refuses_duplicate_primes_before_any_work(monkeypatch, primes):
         search_constant_pairs(2, 2, primes)
 
 
+def test_search_refuses_a_zero_polynomial_before_any_work(monkeypatch):
+    # the zero polynomial has no character sum and no degree to order by:
+    # refused with the other inputs, before a polynomial is enumerated
+    def no_work(*args):
+        raise AssertionError("the search did work before checking its polynomials")
+
+    for name in ("enumerate_polys", "_euler_sums", "_symbol_rows"):
+        monkeypatch.setattr(poly_search, name, no_work)
+    with pytest.raises(ValueError) as info:
+        search_constant_pairs(1, 1, PRIMES[:8], extra_polys=(CUBIC_CCC, PolynomialZ(())))
+    assert str(info.value) == "character sum of the zero polynomial"
+
+
 def test_hits_in_row_order_are_in_key_order():
     # hits are sorted by (c, row of f, row of g, twisted); the rows are in
     # _order_key order with unique keys, so that is the order of the keys
