@@ -26,12 +26,13 @@ Each f is split into its higher part h = f - f(0) and its constant f(0):
 polynomials that differ only in the constant share h, and its values.
 The degree-3, bound-2 enumeration has 290 polynomials but 58 higher
 parts (5 constants each); degree 4, bound 4 has 16,335 and 1,824.  Per
-prime, each h is evaluated once (once more where its rows straddle two
-blocks of rows) in the power basis: one int64 matrix product of its
+prime, every distinct h is evaluated exactly once, into one (parts x
+(p-1)) int64 array, in the power basis: one int64 matrix product of its
 coefficients of x^1..x^(width-1), reduced mod p, with a table of the
 powers x^i mod p evaluates it at x = 1..p-1, and one % p reduces each
-value.  f(x) mod p is then h(x) mod p + f(0) mod p reduced once more,
-but that sum is below 2p, so the symbols are read at it from the
+value.  The rows are then read in their own (_order_key) order, in
+blocks of rows.  f(x) mod p is h(x) mod p + f(0) mod p reduced once
+more, but that sum is below 2p, so the symbols are read at it from the
 Legendre table of p laid out twice (2p entries): no second % p runs over
 the (polynomials x points) matrix.  A product entry is at most
 (width-1)*(p-1)^2 for width coefficients of the widest f;
@@ -50,12 +51,12 @@ basis, and classified by a table of Euler's criterion y^((p-1)/2) mod p,
 built by pow, never through char_sums.legendre_table's squares,
 arith.legendre, char_sum_poly or _symbol_rows.  It makes its own split
 into higher part and constant, and evaluates each higher part, with a
-zero constant, once per prime; its table too has 2p entries, read at
-h(x) mod p + f(0) mod p.  Its Horner loop tracks a bound on the int64
-entries and reduces mod p only before a step that could reach 2^63,
-then once at the end; that is exact for any p < 2^31, which the
-power-basis bound implies (width >= 2), and at the search's primes it
-reduces only at the end.  The oracle thus shares neither evaluation nor
+zero constant, exactly once per prime, into its own (parts x (p-1))
+array; its table too has 2p entries, read at h(x) mod p + f(0) mod p.
+Its Horner loop reduces mod p after every step: every entry stays below
+p, so a step is at most (p-1)^2 + (p-1) < 2^62, exact for any p < 2^31
+(which the power-basis bound implies, width >= 2) and any number of
+coefficients.  The oracle thus shares neither evaluation nor
 classification code with the signature path it checks.  After grouping,
 one array expression (_sound) checks every hit at every prime.  Hits are
 conjectural evidence, never theorems.
@@ -82,14 +83,15 @@ if TYPE_CHECKING:
     import numpy as np
 
 # elements of one int64 (rows x points) block in _symbol_rows and
-# _euler_sums, each then one gather from a 2p-entry table: the degree-3
-# bound-2 search at primes up to 103 is one block per prime
+# _euler_sums: each block gathers consecutive rows from the prime's
+# (parts x points) array and reads them from a 2p-entry table; the
+# degree-3 bound-2 search at primes up to 103 is one block per prime
 _EULER_BLOCK = 1 << 15
 # elements of one int8 (pairs x symbol columns) block in _differing: 212
 # pairs at the 1236 columns of primes 3..103, so that the blocks' few
 # temporaries stay well below the symbol matrix
 _PAIR_BLOCK = 1 << 18
-# no int64 entry of either evaluation may reach this
+# no int64 entry of the power-basis product may reach this
 _INT64_LIMIT = 2**63
 
 
@@ -115,36 +117,37 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     columns: x = 1..p-1 of the first prime, then of the next.
 
     Each f is split into its higher part h = f - f(0) and its constant
-    f(0), and the rows are taken in order of their higher part, in blocks
-    of at most _EULER_BLOCK // (p-1) rows.  The higher parts are numbered
-    in order of first appearance, so a block spans at most as many of them
-    as it has rows, and each is evaluated once per block that holds its
-    rows.  Their coefficients of x^1..x^(width-1), width the number of
-    coefficients of the widest f, are reduced mod p first, as Python
-    integers, so seeded polynomials of any size stay exact.  Then, with
-    powers[i, x-1] = x^(i+1) mod p, one int64 matrix product (reduced
-    coefficients) @ powers gives h(x) before reduction, and one % p
-    reduces it.  Each entry of the product is a sum of width - 1 terms
-    below p each times below p, exact in int64 while (width-1)*(p-1)^2 <
-    2^63; search_constant_pairs rejects any prime where width*(p-1)^2
-    reaches 2^63, one term more than the product needs.  f(x) mod p is
-    (h(x) mod p + f(0) mod p) mod p, and the sum before that last
-    reduction is below 2p, so each block reads its symbols at that sum
-    from char_sums.legendre_table(p) (which also validates p) laid out
-    twice, 2p entries: no second % p runs over the (rows x (p-1)) values.
-    Every int64 (rows x (p-1)) array holds at most _EULER_BLOCK elements,
-    and the int8 symbols go straight into the one preallocated symbol
-    matrix.
+    f(0).  Per prime, every distinct higher part is evaluated exactly once,
+    into one int64 (parts x (p-1)) array: parts <= rows, and at degree 4,
+    bound 4 it is 1,824 x 102 entries (1.5 MB) at p = 103.  Their
+    coefficients of x^1..x^(width-1), width the number of coefficients of
+    the widest f, are reduced mod p first, as Python integers, so seeded
+    polynomials of any size stay exact.  Then, with powers[i, x-1] =
+    x^(i+1) mod p, one int64 matrix product (reduced coefficients) @
+    powers gives h(x) before reduction, and one % p reduces it.  Each
+    entry of the product is a sum of width - 1 terms below p each times
+    below p, exact in int64 while (width-1)*(p-1)^2 < 2^63;
+    search_constant_pairs rejects any prime where width*(p-1)^2 reaches
+    2^63, one term more than the product needs.  The rows are then taken
+    in their own order, in blocks of at most _EULER_BLOCK // (p-1)
+    consecutive rows, each gathering its rows' higher parts from that
+    array.  f(x) mod p is (h(x) mod p + f(0) mod p) mod p, and the sum
+    before that last reduction is below 2p, so each block reads its
+    symbols at that sum from char_sums.legendre_table(p) (which also
+    validates p) laid out twice, 2p entries: no second % p runs over the
+    (rows x (p-1)) values.  Every int64 (rows x (p-1)) block holds at most
+    _EULER_BLOCK elements, and the int8 symbols go straight into their
+    rows of the one preallocated symbol matrix.
     """
     import numpy as np
 
     width = max(2, *(len(f.coeffs) for f in polys))
-    # (higher part, constant, row) numbers, sorted by higher part: the
-    # higher part as the coefficients of x^1..x^(width-1), zero-padded
+    # per row, the numbers of its higher part (the coefficients of
+    # x^1..x^(width-1), zero-padded) and of its constant
     highs, consts = {}, {}
-    split = sorted((highs.setdefault(f.coeffs[1:] + (0,) * (width - len(f.coeffs)), len(highs)),
-                    consts.setdefault(f.coeffs[0], len(consts)), i) for i, f in enumerate(polys))
-    high_of, const_of, order = np.array(split, dtype=np.int64).reshape(-1, 3).T
+    high_of = np.array([highs.setdefault(f.coeffs[1:] + (0,) * (width - len(f.coeffs)), len(highs))
+                        for f in polys], dtype=np.intp)
+    const_of = np.array([consts.setdefault(f.coeffs[0], len(consts)) for f in polys], dtype=np.intp)
     # as Python ints (object dtype), so that % p is exact at any size
     high_coeffs = np.array(list(highs), dtype=object)
     sums = np.empty((len(polys), len(primes)), dtype=np.int64)
@@ -157,13 +160,13 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
         powers[0] = np.arange(1, p)
         for i in range(1, width - 1):
             powers[i] = powers[i - 1] * powers[0] % p
+        high = (high_coeffs % p).astype(np.int64) @ powers
+        high %= p
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
-            rows, hs = order[r0:r0 + step], high_of[r0:r0 + step]
-            high = (high_coeffs[hs[0]:hs[-1] + 1] % p).astype(np.int64) @ powers % p
-            block = table[high[hs - hs[0]] + const[r0:r0 + step, None]]
-            symbols[rows, lo:lo + p - 1] = block
-            sums[rows, j] = block.sum(axis=1)
+            block = table[high[high_of[r0:r0 + step]] + const[r0:r0 + step, None]]
+            symbols[r0:r0 + step, lo:lo + p - 1] = block
+            sums[r0:r0 + step, j] = block.sum(axis=1)
         lo += p - 1
     return sums, symbols
 
@@ -218,30 +221,28 @@ def _euler_sums(polys, primes) -> np.ndarray:
     not by _symbol_rows' power basis, so the oracle shares no code with
     the signature path it checks.  It makes its own split of each f into
     the higher part f - f(0), as descending coefficients with a zero
-    constant, and the constant f(0); rows sorted by higher part run in
-    blocks of at most _EULER_BLOCK // (p-1) rows, and each block evaluates
-    the higher parts it spans, at most one per row, each once.  Every
-    coefficient is reduced mod p first so seeded polynomials of any size
-    stay exact; the Horner loop then runs in place on an int64 (parts x
-    (p-1)) array of at most _EULER_BLOCK elements, and reduces mod p only
-    when int64 requires it.  top bounds every entry: a step with x and a
-    coefficient at most p-1 takes it to (top+1)*(p-1), so the loop reduces
-    (top becomes p-1) only before a step that could reach 2^63, and once
-    at the end.  That is exact for any p < 2^31, where a step from p-1
-    stays below p^2 < 2^62, and any number of coefficients; at the
-    search's primes no step before the last reduction needs one.  (f(x)/p)
-    is then read from the table at h(x) mod p + f(0) mod p, below 2p, one
-    gather and one row sum per block.  The primes are the search's
-    evidence primes, validated as odd primes by search_constant_pairs.
+    constant, and the constant f(0).  Per prime, every distinct higher
+    part is evaluated exactly once: every coefficient is reduced mod p
+    first so seeded polynomials of any size stay exact, and the Horner
+    loop then runs in place on one int64 (parts x (p-1)) array, the size
+    of _symbol_rows' own, from the leading coefficient down.  It reduces
+    mod p after every step, so every entry stays below p and a step is at
+    most (p-1)^2 + (p-1) < 2^62: exact for any p < 2^31 and any number of
+    coefficients.  The rows are then taken in their own order, in blocks
+    of at most _EULER_BLOCK // (p-1) consecutive rows, and (f(x)/p) is
+    read from the table at h(x) mod p + f(0) mod p, below 2p, one gather
+    and one row sum per block.  The primes are the search's evidence
+    primes, validated as odd primes by search_constant_pairs.
     """
     import numpy as np
 
     width = max(len(f.coeffs) for f in polys)
+    # per row, the numbers of its higher part (descending coefficients,
+    # zero-padded, with a zero constant) and of its constant
     parts, consts = {}, {}
-    # (higher part, constant, row) numbers, sorted by higher part
-    split = sorted((parts.setdefault((0,) * (width - len(f.coeffs)) + f.coeffs[:0:-1] + (0,), len(parts)),
-                    consts.setdefault(f.coeffs[0], len(consts)), i) for i, f in enumerate(polys))
-    part_of, const_of, row_of = np.array(split, dtype=np.int64).reshape(-1, 3).T
+    part_of = np.array([parts.setdefault((0,) * (width - len(f.coeffs)) + f.coeffs[:0:-1] + (0,), len(parts))
+                        for f in polys], dtype=np.intp)
+    const_of = np.array([consts.setdefault(f.coeffs[0], len(consts)) for f in polys], dtype=np.intp)
     # as Python ints (object dtype), so that % p is exact at any size
     coeffs = np.array(list(parts), dtype=object)
     out = np.empty((len(polys), len(primes)), dtype=np.int64)
@@ -250,19 +251,15 @@ def _euler_sums(polys, primes) -> np.ndarray:
         euler = np.array([(pow(y, (p - 1) // 2, p) + 1) % p - 1 for y in range(p)] * 2, dtype=np.int8)
         shift = np.array([c % p for c in consts], dtype=np.int64)[const_of]
         xs = np.arange(1, p, dtype=np.int64)
+        lead, *rest = (coeffs % p).astype(np.int64).T
+        vals = np.repeat(lead[:, None], p - 1, axis=1)
+        for col in rest:
+            vals *= xs  # in place: no temporaries beside the parts array
+            vals += col[:, None]
+            vals %= p
         step = max(1, _EULER_BLOCK // (p - 1))
         for r0 in range(0, len(polys), step):
-            ps = part_of[r0:r0 + step]
-            vals = np.zeros((ps[-1] + 1 - ps[0], p - 1), dtype=np.int64)
-            top = 0
-            for col in (coeffs[ps[0]:ps[-1] + 1] % p).astype(np.int64).T:
-                if (top + 1) * (p - 1) >= _INT64_LIMIT:
-                    vals, top = vals % p, p - 1
-                vals *= xs  # in place: no temporaries beside the block
-                vals += col[:, None]
-                top = (top + 1) * (p - 1)
-            vals %= p
-            out[row_of[r0:r0 + step], j] = euler[vals[ps - ps[0]] + shift[r0:r0 + step, None]].sum(axis=1)
+            out[r0:r0 + step, j] = euler[vals[part_of[r0:r0 + step]] + shift[r0:r0 + step, None]].sum(axis=1)
     return out
 
 
@@ -325,7 +322,8 @@ def search_constant_pairs(
             raise ValueError(f"prime {p} too large for int64 sums: {width} * ({p} - 1)^2 >= 2^63")
     # unique keys, so that row order is _order_key order
     polys = sorted({*enumerate_polys(max_degree, coeff_bound), *extra_polys}, key=_order_key)
-    # the oracle's blocks come and go before the symbol matrix is allocated
+    # the oracle's parts arrays and blocks come and go before the symbol
+    # matrix is allocated
     oracle = _euler_sums(polys, primes)
     sums, symbols = _symbol_rows(polys, primes)
     # Python ints, so that every c below is one too

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -285,6 +286,9 @@ SPLIT = [
     PolynomialZ.of(1155, 5, -2, 1), PolynomialZ.of(-1, 5, 2), PolynomialZ.of(2**70 + 3, 5, -2, 1),
     PolynomialZ.of(-(2**64) - 1, 5, -2, 1),
 ]
+# SPLIT in another row order: at three rows per block, the rows of the
+# shared higher part fill blocks 0, 1 and 3 but none of block 2
+SHUFFLED_SPLIT = random.Random(5).sample(SPLIT, len(SPLIT))
 
 
 def _brute_sums(f, primes):
@@ -320,19 +324,22 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
 
 @pytest.mark.parametrize("budget", [None, 1, 7, 500, 4099])
 def test_split_into_higher_part_and_constant_matches_brute_force(monkeypatch, budget):
-    # both passes evaluate each higher part once per block and add the
-    # constant mod p; at the small budgets the rows of the shared higher
-    # part straddle blocks
+    # both passes evaluate each higher part once per prime and add the
+    # constant mod p, whatever the order of the rows
     if budget is not None:
         monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
     primes = tuple(primes_in_range(3, 60))
-    assert len(set(SPLIT)) == len(SPLIT)
-    brute = [_brute_symbols(f, primes) for f in SPLIT]
-    expected = [list(_brute_sums(f, primes)) for f in SPLIT]
-    sums, symbols = _symbol_rows(SPLIT, primes)
-    assert symbols.tolist() == brute
-    assert sums.tolist() == expected
-    assert _euler_sums(SPLIT, primes).tolist() == expected
+    # budget 7 at p = 3 is three rows per block
+    shared = {i // 3 for i, f in enumerate(SHUFFLED_SPLIT) if f.coeffs[1:] == (5, -2, 1)}
+    assert shared == {0, 1, 3}
+    for polys in (SPLIT, SHUFFLED_SPLIT):
+        assert len(set(polys)) == len(polys)
+        brute = [_brute_symbols(f, primes) for f in polys]
+        expected = [list(_brute_sums(f, primes)) for f in polys]
+        sums, symbols = _symbol_rows(polys, primes)
+        assert symbols.tolist() == brute
+        assert sums.tolist() == expected
+        assert _euler_sums(polys, primes).tolist() == expected
 
 
 def test_symbol_rows_sums_match_char_sum_poly():
@@ -407,9 +414,10 @@ def test_pair_block_budget_keeps_the_hits(monkeypatch):
 
 
 # degree 6 and 8, one with coefficients beyond int64: at the primes
-# 601..700, p^7 >= 2^63, so the oracle's Horner loop must reduce before its
-# last step at either width; a lead of -1 (p - 1 once reduced) takes the
-# unreduced values past 2^63
+# 601..700, p^7 >= 2^63, so the oracle's Horner loop, which reduces mod p
+# after every step, would overflow at either width if it reduced only at
+# the end; a lead of -1 (p - 1 once reduced) takes the unreduced values
+# past 2^63
 DEGREE_6 = [PolynomialZ.of(3, -1, 0, 2, 5, -7, -1), PolynomialZ.of(-5, 0, 0, 0, 0, 0, 2)]
 DEGREE_8 = [PolynomialZ.of(1, 2, 3, 4, 5, 6, 7, 8, 9),
             PolynomialZ.of(2**64 + 1, -(2**70), 0, 3, 0, 0, 0, 2**63 + 5, -1)]
