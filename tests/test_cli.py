@@ -466,6 +466,39 @@ def test_sum_json_bytes_are_pinned(capsys, family, m, n, k, q, real, imag):
         % (family, family, m, n, k, q, real, imag))
 
 
+# the sha256 of json.dumps([argv, exit code, stdout, stderr]) for `sum
+# --format json` at the primes 2, 3, 10007 and 65537, where the counts
+# come from one primitive root, and at 32767 = 7*31*151, where they do
+# not; twisted refuses the composite
+SUM_SHA256_PINS = {
+    ("kloosterman", 2): "eaff3f6ff13fac92501a57f63c79d3ccb2a43f27a20c48d06e2378fe4327548e",
+    ("two-term", 2): "cc7a892eddc340334d894b0acfbeb9b89e2f4d9f38202d7a5be48f4b59fa42bb",
+    ("twisted", 2): "858797b7c344a07926ca9036f05b4fcb5becca0f9942546cc7905cf4c89a8bab",
+    ("kloosterman", 3): "bcdca7824ae4799d81c0ef906a7df0c86aa1fe9fd5126dff04d86c89dd5c08d1",
+    ("two-term", 3): "a0fce17f6c298775bd6d9ebf001e397c319d8ca55793947d256649e24ac04c85",
+    ("twisted", 3): "5711d5169798d10510490266061b8f3e47686e7e6998933dc77bbbd06c4ca4e2",
+    ("kloosterman", 10007): "da406cef8df9c3c533b4d6b2aae4e2f4cfd100b73c44366b3e29b886325ea2d4",
+    ("two-term", 10007): "b4cd280772ebbffcaf41b32cf2cb33aa7c22230499bb9a47111e521907447489",
+    ("twisted", 10007): "12a928cf1657634651880296814a4ef4f4933f4f752865c8aaa9d54dce5e70dd",
+    ("kloosterman", 65537): "07546221ef1a9c21ca97f2da61ba0320866ff257b27d95d904bc2857f9e93a4d",
+    ("two-term", 65537): "9003f93e9e7e3fd1a8e7efad0df8e8f03c5c23cd37c1a37378bb13777c531760",
+    ("twisted", 65537): "7ef4cb70bd0042acce302a00fdbbe4dd6d93e0f3ca9eaeee4a139ccc2fe83948",
+    ("kloosterman", 32767): "3e0a72be8600c67840dd7558b48533e28f1bb934c0b673af1bb32c35ed4b79c2",
+    ("two-term", 32767): "e4d1801ee7a916fb3e16ea0851f75f5de160bdd43b0455c1d330746e8632c2a1",
+    ("twisted", 32767): "37431d96b1026eee0f56efe9ecdccf33af6954da6ccbe51e3b0a71c0b0c64f24",
+}
+
+
+@pytest.mark.parametrize("family, q", SUM_SHA256_PINS, ids=[f"{f}-{q}" for f, q in SUM_SHA256_PINS])
+def test_sum_json_sha256_is_pinned(capsys, family, q):
+    extra = {"kloosterman": ["--n", "5"], "two-term": ["--n", "5", "--k", "3"], "twisted": ["--k", "2"]}[family]
+    argv = ["sum", "--family", family, "--m", "3", *extra, "--q", str(q), "--format", "json"]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    blob = json.dumps([argv, code, out, err])
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == SUM_SHA256_PINS[family, q], (code, out, err)
+
+
 # the constant "residual", "numeric" and "max_residual" keys stay in the
 # bytes that readers of the output format parse
 CHECKED_PINS = [
