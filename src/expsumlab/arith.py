@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple
 
 
@@ -66,6 +66,20 @@ def check_odd_prime(p: int) -> None:
     """Refuses every p but an odd prime, with one message."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
+
+
+def primitive_root(p: int) -> int:
+    """The least primitive root mod the prime p: the least g with
+    g^((p-1)/r) != 1 for every prime r | p - 1, so of order p - 1; 1 at
+    p = 2.  Refuses p >= 2^31 (check_q) and a non-prime."""
+    p = check_q(p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    cofactors = [(p - 1) // r for r, _ in factorize(p - 1)]
+    g = 1
+    while 1 in map(pow, repeat(g), cofactors, repeat(p)):
+        g += 1
+    return g
 
 
 def legendre(a: int, p: int) -> int:

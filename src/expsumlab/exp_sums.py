@@ -34,6 +34,22 @@ the two sets are one.  For the cubic family e = -2 and d = 2, so H is the
 squares: one cheap pow per unit, not one with an exponent near phi(q).
 The units come from crossing out the multiples of each prime factor of q.
 
+At a prime.  The units mod p are cyclic (Iwaniec & Kowalski, ch. 1):
+with g the least primitive root (arith.primitive_root), a = g^i for i =
+0..p-2, so a^k = g^(k*i mod p-1) steps by g^k from one a to the next
+and abar = g^(-i) by g^-1.  _family_vectors walks a in that order, one
+multiplication per value and no pow.  H = {c^d} is then <g^d>, the
+subgroup of index d, so the orbits of t != 0 are the d cosets g^j * H,
+j < d, each of (p-1)/d elements: _orbit_table takes t = g^j for them,
+builds no H and marks nothing.  Neither the order of a nor the choice of
+t can change a total.  Reordering a reorders the terms of each count
+c_j.  Another t of the same orbit, c^e t, has the counts of t with j
+moved to c*j (above), so the same s_m at every rung of the ladder and
+the same Tr(y_t).  And T is a sum of integers, exact in any order.  At
+p^e with e >= 2, where the units mod 2^e are not cyclic for e >= 3, H
+is built from the units as above and each orbit is marked from its
+least t.
+
 The orbit of t = 0 is {0}, and S_0 = sum_a zeta^(v_a) is a rational
 integer.  Without twist, v_a = f*a over all residues a: a geometric sum,
 q if q | f and 0 otherwise.  Under the inverse twist, v_a = f*abar over
@@ -131,9 +147,11 @@ a table of e(j/q) * 2^128 rounded to integers for j = 0..q/2, the count
 of q - j joining that of j with a minus sign in the imaginary part, and
 divide by 2^128 once; so symmetric counts (Kloosterman sums and
 odd-degree phases, Iwaniec & Kowalski, Analytic Number Theory, ch. 11)
-give an imaginary part of exactly 0.0.  The roots come from integers
-alone: pi by Machin's formula, e(1/q) by a Taylor series (Brent &
-Zimmermann, Modern Computer Arithmetic, ch. 4).
+give an imaginary part of exactly 0.0.  At a prime the counts come from
+the walk over a = g^i ("At a prime"): t*a^k and f*abar (or f*a) each
+step by one multiplication, and no table of powers is stored.  The
+roots come from integers alone: pi by Machin's formula, e(1/q) by a
+Taylor series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
 """
 
 from __future__ import annotations
@@ -146,7 +164,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import add, mul, sub
 
-from .arith import check_q, factorize, is_prime
+from .arith import check_q, factorize, is_prime, primitive_root
 
 # fixed-point scale of the scalar sums' root table
 _SCALE_BITS = 128
@@ -268,14 +286,36 @@ def _units(q: int) -> Iterator[int]:
     return compress(range(q), mark)
 
 
+def _prime_steps(family: PhaseFamily, p: int) -> tuple[int, int]:
+    """At a prime p with least primitive root g, the factors that take a^k
+    and abar (inverse twist) or a (no twist) from a = g^i to g^(i+1): g^k,
+    k taken mod the order p - 1 of g, and g^-1 or g."""
+    g = primitive_root(p)
+    k = family.monomial_degree % (p - 1)
+    return pow(g, k, p), pow(g, -1, p) if family.twist == TWIST_INVERSE else g
+
+
 def _family_vectors(family: PhaseFamily, q: int) -> tuple[list[int], list[int]]:
-    """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family,
-    a ascending over its domain."""
-    k = family.monomial_degree
+    """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family
+    over its domain: at a prime, a = 0 first if the domain holds it, then
+    a = g^i for i = 0..q-2, so that a^k, a and abar each step by one
+    multiplication (module docstring, "At a prime"); elsewhere a
+    ascending."""
     c = family.fixed_coefficient % q
-    dom = list(_units(q)) if family.twist == TWIST_INVERSE else range(q)
-    u = [pow(a, k, q) for a in dom]
-    if family.twist == TWIST_INVERSE:
+    inverse = family.twist == TWIST_INVERSE
+    if is_prime(q):
+        step_u, step_v = _prime_steps(family, q)
+        u, v = ([], []) if inverse else ([0], [0])
+        x, y = 1, c
+        for _ in range(q - 1):
+            u.append(x)
+            v.append(y)
+            x = x * step_u % q
+            y = y * step_v % q
+        return u, v
+    dom = list(_units(q)) if inverse else range(q)
+    u = [pow(a, family.monomial_degree, q) for a in dom]
+    if inverse:
         return u, [c * pow(a, -1, q) % q for a in dom]
     return u, [c * a % q for a in dom]
 
@@ -302,10 +342,23 @@ def _scaled_sum(c: list[int], q: int) -> tuple[int, int]:
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
     """The family's inner sum at sweep value t, divided once by 2^128: the
-    counts c_j in one pass over the domain, without the u and v lists."""
+    counts c_j in one pass over the domain, without the u and v lists; at
+    a prime, t*a^k and f*abar (or f*a) step by one multiplication each
+    over a = g^i (module docstring, "Scalar sums")."""
     k, f, t = family.monomial_degree, family.fixed_coefficient % q, t % q
+    inverse = family.twist == TWIST_INVERSE
     c = [0] * q
-    if family.twist == TWIST_INVERSE:
+    if is_prime(q):
+        step_x, step_y = _prime_steps(family, q)
+        if not inverse:
+            # a = 0, whose phase is 0
+            c[0] = 1
+        x, y = t, f
+        for _ in range(q - 1):
+            c[(x + y) % q] += 1
+            x = x * step_x % q
+            y = y * step_y % q
+    elif inverse:
         for a in _units(q):
             c[(t * pow(a, k, q) + f * pow(a, -1, q)) % q] += 1
     else:
@@ -413,26 +466,34 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
     docstring)."""
     u, v = _family_vectors(family, q)
     nbytes = -(-len(u).bit_length() // 8)
-    # H = {c^e} = {c^d}, d = gcd(e, phi(q)), each element once
     phi = q - q // p
     d = math.gcd(_galois_exponent(family, phi), phi)
-    in_h = bytearray(q)
-    for c in _units(q):
-        in_h[pow(c, d, q)] = 1
-    h = list(compress(range(q), in_h))
-    seen = bytearray(q)
-    seen[0] = marked = 1
+    if is_prime(q):
+        # H = {c^d} = <g^d>, whose cosets g^j * H, j < d, are the orbits
+        g = primitive_root(p)
+        reps = [(pow(g, j, p), phi // d) for j in range(d)]
+    else:
+        # H = {c^e} = {c^d}, each element once
+        in_h = bytearray(q)
+        for c in _units(q):
+            in_h[pow(c, d, q)] = 1
+        h = list(compress(range(q), in_h))
+        seen = bytearray(q)
+        seen[0] = marked = 1
+        reps = []
+        t = seen.find(0)
+        while t > 0:
+            # the orbit H*t of the first t not yet seen, and its size
+            for x in h:
+                seen[x * t % q] = 1
+            before, marked = marked, seen.count(1)
+            reps.append((t, marked - before))
+            t = seen.find(0, t)
     orbits = []
-    t = seen.find(0)
-    while t > 0:
-        # the orbit H*t of the first t not yet seen, and its size
-        for x in h:
-            seen[x * t % q] = 1
-        before, marked = marked, seen.count(1)
+    for t, size in reps:
         c = _counts(u, v, q, t)
         slots = _widen(struct.pack(f"<{q}Q", *c), q, nbytes)
-        orbits.append((marked - before, {1: slots}, {1: sum(map(mul, c, c))}))
-        t = seen.find(0, t)
+        orbits.append((size, {1: slots}, {1: sum(map(mul, c, c))}))
     return len(u), orbits
 
 

@@ -15,6 +15,7 @@ from expsumlab.arith import (
     is_prime,
     legendre,
     primes_in_range,
+    primitive_root,
     represent_4p,
 )
 
@@ -77,6 +78,40 @@ def test_check_q_refuses_from_2_pow_31():
         with pytest.raises(ValueError) as err:
             check_q(q)
         assert str(err.value) == f"modulus must be below 2^31, got {q}"
+
+
+def multiplicative_order(g, p):
+    """The least i >= 1 with g^i = 1 mod p, by repeated multiplication."""
+    x, i = g % p, 1
+    while x != 1 % p:
+        x, i = x * g % p, i + 1
+    return i
+
+
+def test_primitive_root_is_the_least_element_of_order_p_minus_1():
+    for p in primes_in_range(2, 1999):
+        least = next(g for g in range(1, p) if multiplicative_order(g, p) == p - 1)
+        assert primitive_root(p) == least, p
+    assert primitive_root(2) == 1
+    assert [primitive_root(p) for p in (3, 7, 23, 41, 191, 409)] == [2, 3, 5, 6, 19, 21]
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1, 4, 9, 561, 32767, 2**31 - 3])
+def test_primitive_root_refuses_a_non_prime(n):
+    with pytest.raises(ValueError, match=f"^p must be prime, got {n}$"):
+        primitive_root(n)
+
+
+def test_primitive_root_refuses_from_2_pow_31_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("primitive_root did work before rejecting p")
+
+    for name in ("factorize", "is_prime"):
+        monkeypatch.setattr(arith, name, no_work)
+    for p in (2**31, 2**31 + 11, 2**61 - 1):
+        with pytest.raises(ValueError) as err:
+            primitive_root(p)
+        assert str(err.value) == f"modulus must be below 2^31, got {p}"
 
 
 def test_primes_in_range():

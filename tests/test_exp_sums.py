@@ -1,5 +1,6 @@
 import math
 import struct
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -395,6 +396,72 @@ def test_units_and_subgroup_of_powers():
             assert {pow(c, e, q) for c in units} == {pow(c, d, q) for c in units}, (q, e)
 
 
+# The walk over a primitive root at a prime (module docstring, "At a
+# prime") against the generic path of the prime powers, which runs at a
+# prime when exp_sums sees is_prime(p) as False.
+
+PRIMES_BELOW_600 = primes_in_range(2, 599)
+PATH_MEANS = (2, 4, 6, 8, 12)
+
+
+def both_paths(family, p):
+    """(u, v, domain, sorted (orbit size, s_1), {2k: mean}) at the prime p,
+    by the prime path and by the generic path, each from its own table."""
+    family = family._replace(include_zero_in_sweep=True)
+    out = []
+    for prime in (exp_sums.is_prime, lambda n: False):
+        with mock.patch.object(exp_sums, "is_prime", prime):
+            u, v = exp_sums._family_vectors(family, p)
+            table = exp_sums._orbit_table.__wrapped__(family, p, p)
+            with mock.patch.object(exp_sums, "_orbit_table", lambda *args: table):
+                means = {two_k: exp_sums._power_mean.__wrapped__(family, p, p, two_k) for two_k in PATH_MEANS}
+        domain, orbits = table
+        out.append((u, v, domain, sorted((size, squares[1]) for size, _, squares in orbits), means))
+    return out
+
+
+def check_prime_path(family, p):
+    (u, v, domain, orbits, means), generic = both_paths(family, p)
+    assert (domain, orbits, means) == generic[2:], (family, p)
+    # the pairs (a^k, f*abar or f*a) of the ascending-a definition, in the
+    # generic path's order, and as a multiset on the prime path
+    k, f = family.monomial_degree, family.fixed_coefficient
+    if family.twist == TWIST_INVERSE:
+        pairs = [(pow(a, k, p), f * pow(a, -1, p) % p) for a in range(1, p)]
+    else:
+        pairs = [(pow(a, k, p), f * a % p) for a in range(p)]
+    assert list(zip(*generic[:2])) == pairs, (family, p)
+    assert sorted(zip(u, v)) == sorted(pairs), (family, p)
+    assert sum(size for size, _ in orbits) == p - 1, (family, p)
+
+
+@pytest.mark.parametrize("family", [registry._SALIE_FAMILY, registry._ZWL_FAMILY, CUBIC_FAMILY,
+                                    registry._GAUSS_FAMILY], ids=["salie", "zwl", "cubic", "gauss"])
+def test_prime_path_is_the_generic_path_for_registry_families(family):
+    for p in PRIMES_BELOW_600:
+        check_prime_path(family, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from(PRIMES_BELOW_600), twist=st.sampled_from([TWIST_NONE, TWIST_INVERSE]),
+       fixed=st.sampled_from(["0", "1", "p", "2p+1", "random"]))
+def test_prime_path_is_the_generic_path(data, p, twist, fixed):
+    # k up to 2p, k = 0 mod p - 1 among them, where every unit has a^k = 1
+    k = data.draw(st.one_of(st.sampled_from([p - 1, 2 * (p - 1)]), st.integers(1, 2 * p)), label="k")
+    f = {"0": 0, "1": 1, "p": p, "2p+1": 2 * p + 1}.get(fixed) or data.draw(st.integers(-10**6, 10**6), label="f")
+    check_prime_path(PhaseFamily(k, twist, f), p)
+
+
+def test_scalar_sum_walk_is_the_generic_path():
+    # the same counts, hence the same complex value to the last bit
+    for p in PRIMES_BELOW_600[::7]:
+        for family in (PhaseFamily(1, TWIST_INVERSE, 5), PhaseFamily(3, TWIST_NONE, 5),
+                       PhaseFamily(p - 1, TWIST_INVERSE, 1), PhaseFamily(2 * p, TWIST_NONE, 0)):
+            walked = [exp_sums._scalar_sum(family, p, t) for t in (0, 1, 3, p - 1)]
+            with mock.patch.object(exp_sums, "is_prime", lambda n: False):
+                assert [exp_sums._scalar_sum(family, p, t) for t in (0, 1, 3, p - 1)] == walked, (family, p)
+
+
 def one_orbit_ladder(counts):
     """A ladder holding N_1 = counts as 8-byte slots, and its s_1."""
     return {1: struct.pack(f"<{len(counts)}Q", *counts)}, {1: sum(c * c for c in counts)}
@@ -475,7 +542,7 @@ def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("power_mean did work before rejecting q")
 
-    for name in ("factorize", "_family_vectors", "_units"):
+    for name in ("factorize", "_family_vectors", "_units", "primitive_root"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         with pytest.raises(ValueError, match="2\\^31"):
@@ -552,7 +619,7 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
 
-    for name in ("factorize", "is_prime", "_family_vectors", "_fixed_root_table"):
+    for name in ("factorize", "is_prime", "primitive_root", "_family_vectors", "_fixed_root_table"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         for call in (
