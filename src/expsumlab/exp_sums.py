@@ -473,7 +473,7 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
         g = primitive_root(p)
         reps = [(pow(g, j, p), phi // d) for j in range(d)]
     else:
-        # H = {c^e} = {c^d}, each element once
+        # H = {c^e} = {c^d}, d = gcd(e, phi(q)), each element once
         in_h = bytearray(q)
         for c in _units(q):
             in_h[pow(c, d, q)] = 1

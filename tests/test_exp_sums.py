@@ -448,7 +448,10 @@ def test_prime_path_is_the_generic_path_for_registry_families(family):
 def test_prime_path_is_the_generic_path(data, p, twist, fixed):
     # k up to 2p, k = 0 mod p - 1 among them, where every unit has a^k = 1
     k = data.draw(st.one_of(st.sampled_from([p - 1, 2 * (p - 1)]), st.integers(1, 2 * p)), label="k")
-    f = {"0": 0, "1": 1, "p": p, "2p+1": 2 * p + 1}.get(fixed) or data.draw(st.integers(-10**6, 10**6), label="f")
+    if fixed == "random":
+        f = data.draw(st.integers(-10**6, 10**6), label="f")
+    else:
+        f = {"0": 0, "1": 1, "p": p, "2p+1": 2 * p + 1}[fixed]
     check_prime_path(PhaseFamily(k, twist, f), p)
 
 
