@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import itertools
+import json
 import random
 
 import numpy as np
@@ -535,6 +537,10 @@ def test_degree_four_search_finds_corollary_pair():
     # the primes 3..103
     res = search_constant_pairs(4, 4, primes_in_range(3, 103), twisted=True)
     assert len(res.hits) == 29_810
+    # every hit, in order, as (str f, str g, c, twisted)
+    blob = json.dumps([(str(h.f), str(h.g), h.c, h.twisted) for h in res.hits])
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == (
+        "e0cea5ddfa8278348cb96908618184006d58db03fc29615bb355e7a4b2e446ad")
     assert any(
         h.f == CUBIC_CCC and str(h.g) == "x^4-4x^3+2x^2-4x+1" and h.c == 2 and h.twisted
         for h in res.hits
