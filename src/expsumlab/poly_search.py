@@ -2,8 +2,9 @@
 
 Enumerates bounded integer polynomials, computes the row of Legendre
 character sums sum_{x=1}^{p-1} (f(x)/p) across a prime list, and groups
-row indices by the row minus its first entry, so that pairs whose sums
-differ by a fixed constant land in the same bucket.
+row indices by the row minus its first entry, keyed by its int64 bytes,
+so that pairs whose sums differ by a fixed constant land in the same
+bucket.
 
 The enumeration covers degree 1..max_degree, coefficients in
 [-bound, bound], leading coefficient positive, and prunes only by two
@@ -39,10 +40,16 @@ the (polynomials x points) matrix.  A product entry is at most
 search_constant_pairs rejects, before any work, a prime where
 width*(p-1)^2 reaches 2^63, which is conservative: the product has one
 term fewer.  Row i of both matrices belongs to polynomial i.  Grouping
-collects every candidate pair, and one array test over blocks of pairs
-(_differing) keeps the fundamentally different ones: some x where both
-symbols are nonzero and differ.  The search has one signature path and
-no per-x Python loop.
+keys each row by its bytes in the int64 matrix sums - sums[:, :1]: one
+tobytes() covers every row, and one fixed-width slice of it is a row's
+dict key.  The keys are exact: every entry is a character sum, so
+|s| <= p - 1 < 2^31 and each difference is exact in int64, and two rows
+have equal bytes exactly when they are equal rows.  The twisted pass
+keys the (-1/p)-signed matrix the same way and looks each row up among
+the plain groups.  The candidate pairs are one (pairs x 4) int64 array,
+and one array test over blocks of pairs (_differing) keeps the
+fundamentally different ones: some x where both symbols are nonzero and
+differ.  The search has one signature path and no per-x Python loop.
 
 Every emitted hit is re-verified at every evidence prime by an
 independent oracle computed once for all polynomials of the search
@@ -269,23 +276,64 @@ def _sound(oracle: np.ndarray, minus_one, hits) -> np.ndarray:
     minus_one[k] = (-1/p_k): every hit in one array expression."""
     import numpy as np
 
-    c, i, j, twisted = np.array(hits, dtype=np.int64).reshape(-1, 4).T
+    c, i, j, twisted = np.asarray(hits, dtype=np.int64).reshape(-1, 4).T
     sign = np.where(twisted[:, None] == 1, minus_one, 1)
     return (sign * oracle[i] - oracle[j] == c[:, None]).all(axis=1)
 
 
-def _key(row) -> tuple:
-    """The row minus its first entry: rows that differ by the same
-    constant at every prime share a key."""
-    return tuple(s - row[0] for s in row)
+def _keys(sums: np.ndarray, signs=1):
+    """The key of each row of the int64 matrix sums * signs, in row order:
+    the bytes of that row minus its first entry, so that rows that differ
+    by the same constant at every prime share a key.  One tobytes() covers
+    every row, and each key is one fixed-width slice of it.
+
+    The keys are exact: every entry is a character sum, |s| <= p - 1 <
+    2^31, so each difference is exact in int64, and two rows of one int64
+    matrix have equal bytes exactly when they are equal rows."""
+    # the signed matrix becomes its own difference matrix, in place
+    diff = sums * signs
+    diff -= diff[:, :1]
+    width = diff.itemsize * diff.shape[1]
+    flat = diff.tobytes()
+    return (flat[k:k + width] for k in range(0, len(flat), width))
 
 
-def _group(rows) -> dict[tuple, list[int]]:
-    """Row indices by _key, in row order."""
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for i, row in enumerate(rows):
-        groups[_key(row)].append(i)
+def _group(sums: np.ndarray) -> dict[bytes, list[int]]:
+    """Row indices of the int64 matrix sums by _keys, in row order."""
+    groups: dict[bytes, list[int]] = defaultdict(list)
+    for i, key in enumerate(_keys(sums)):
+        groups[key].append(i)
     return groups
+
+
+def _candidates(sums: np.ndarray, minus_one, twisted: bool) -> np.ndarray:
+    """(c, i, j, twisted) of every candidate pair, one row each of an int64
+    (pairs x 4) array: rows i < j of the same _group (twisted 0), then,
+    with twisted=True, rows i != j where row i signed by minus_one[k] =
+    (-1/p_k) has row j's key (twisted 1).  c is the constant difference,
+    read at the first prime.  The groups and the key bytes are freed on
+    return."""
+    import numpy as np
+
+    groups = _group(sums)
+    i: list[int] = []
+    j: list[int] = []
+    for members in groups.values():
+        for a, first in enumerate(members[:-1]):
+            i += [first] * (len(members) - a - 1)
+            j += members[a + 1:]
+    n_plain = len(i)
+    if twisted:
+        # each twisted row looks up its key among the plain rows
+        for row, key in enumerate(_keys(sums, minus_one)):
+            for other in groups.get(key, ()):
+                if other != row:
+                    i.append(row)
+                    j.append(other)
+    i, j = np.array(i, dtype=np.int64), np.array(j, dtype=np.int64)
+    is_twisted = np.arange(len(i)) >= n_plain
+    first = sums[:, 0]
+    return np.column_stack((np.where(is_twisted, minus_one[0], 1) * first[i] - first[j], i, j, is_twisted))
 
 
 def search_constant_pairs(
@@ -326,37 +374,13 @@ def search_constant_pairs(
     # matrix is allocated
     oracle = _euler_sums(polys, primes)
     sums, symbols = _symbol_rows(polys, primes)
-    # Python ints, so that every c below is one too
-    rows = sums.tolist()
     minus_one = [legendre(-1, p) for p in primes]
-
-    # (c, i, j, twisted) of each candidate: grouped rows differ by the same
-    # constant at every prime
-    found: list[tuple[int, int, int, bool]] = []
-
-    def emit(i: int, j: int, is_twisted: bool):
-        c = (minus_one[0] if is_twisted else 1) * rows[i][0] - rows[j][0]
-        found.append((c, i, j, is_twisted))
-
-    groups = _group(rows)
-    for members in groups.values():
-        for a, i in enumerate(members):
-            for j in members[a + 1:]:
-                emit(i, j, False)
-
-    if twisted:
-        # each twisted row looks up its key among the plain rows; found is
-        # sorted below, so the order of this pass does not show
-        for i, row in enumerate(rows):
-            for j in groups.get(_key([sign * s for sign, s in zip(minus_one, row)]), ()):
-                if i != j:
-                    emit(i, j, True)
-    # every candidate is collected: free the rows and their groups (several
-    # MB at degree 4, bound 4, primes to 103) before the pair test, whose
-    # hits are the fundamentally different candidates
-    del groups, rows
-    _, i, j, _ = np.array(found, dtype=np.int64).reshape(-1, 4).T
-    found = list(itertools.compress(found, _differing(symbols, i, j)))
+    # every candidate pair; the groups, their key bytes and the sums
+    # (several MB at degree 4, bound 4, primes to 103) are freed before the
+    # pair test, whose hits are the fundamentally different candidates
+    found = _candidates(sums, minus_one, twisted)
+    del sums
+    found = found[_differing(symbols, found[:, 1], found[:, 2])]
     # every pair is decided: free the symbols (19 MB at degree 4, bound 4,
     # primes to 103) before the hits x primes arrays of the re-verify
     del symbols
@@ -365,6 +389,7 @@ def search_constant_pairs(
         _, i, j, _ = found[unsound[0]]
         raise AssertionError(f"grouping produced an unsound hit: {polys[i]} vs {polys[j]}")
 
-    found.sort()
-    hits = [SearchHit(polys[i], polys[j], c, primes, is_twisted) for c, i, j, is_twisted in found]
+    # in (c, i, j, twisted) order; tolist() gives Python ints
+    found = found[np.lexsort(found.T[::-1])].tolist()
+    hits = [SearchHit(polys[i], polys[j], c, primes, bool(t)) for c, i, j, t in found]
     return SearchResult(hits=hits, histogram=Counter(h.c for h in hits), n_polynomials=len(polys))

@@ -7,11 +7,14 @@ import random
 import numpy as np
 import pytest
 from conftest import legendre_by_squares
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expsumlab import char_sums, poly_search
 from expsumlab.arith import legendre, primes_in_range
 from expsumlab.char_sums import CUBIC_CCC, NING_WANG_QUARTIC, PolynomialZ, X, char_sum_poly
 from expsumlab.poly_search import (
+    _candidates,
     _differing,
     _euler_sums,
     _group,
@@ -43,10 +46,66 @@ def test_symbol_rows_examples():
 def test_group_keys_are_shift_invariant():
     sq = PolynomialZ.of(0, 0, 1)
     shifted = PolynomialZ.of(1, 2, 1)  # (x+1)^2: sums (3, 5, 9), one less than x^2
-    groups = _group(_sum_rows([sq, X, shifted], (5, 7, 11)))
+    sums, _ = _symbol_rows([sq, X, shifted], (5, 7, 11))
+    groups = _group(sums)
     # x^2 and (x+1)^2 differ by a constant, so they land in the same
     # bucket, in row order
-    assert dict(groups) == {(0, 2, 6): [0, 2], (0, 0, 0): [1]}
+    assert sorted(groups.values()) == [[0, 2], [1]]
+
+
+def _tuple_key(row) -> tuple:
+    return tuple(s - row[0] for s in row)
+
+
+@st.composite
+def _sums_matrices(draw):
+    """(sums, minus_one): a random int64 sums matrix with every entry of
+    column k within +-(p_k - 1), and minus_one[k] = (-1/p_k).  Besides
+    fresh rows it plants duplicates of earlier rows, rows offset from one
+    by a constant, and rows equal to one signed by minus_one plus a
+    constant, so that groups and twisted lookups have members."""
+    primes = draw(st.lists(st.sampled_from([3, 5, 7, 13, 101, 65_537, 2**31 - 1]), min_size=1, max_size=6))
+    bounds = [p - 1 for p in primes]
+    minus_one = [legendre(-1, p) for p in primes]
+    rows: list[list[int]] = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "offset", "signed"])) if rows else "fresh"
+        if kind == "fresh":
+            rows.append([draw(st.integers(-b, b)) for b in bounds])
+            continue
+        base = draw(st.sampled_from(rows))
+        if kind == "signed":
+            base = [m * s for m, s in zip(minus_one, base)]
+        c = 0
+        if kind != "duplicate":
+            # any constant that keeps every entry within its bound
+            c = draw(st.integers(max(-b - s for b, s in zip(bounds, base)),
+                                 min(b - s for b, s in zip(bounds, base))))
+        rows.append([s + c for s in base])
+    return np.array(rows, dtype=np.int64), minus_one
+
+
+@given(_sums_matrices(), st.booleans())
+def test_byte_keys_group_and_look_up_like_tuple_keys(matrix, twisted):
+    # the reference keys every row by the Python tuple of the row minus its
+    # first entry, and looks up each (-1/p)-signed row's tuple among them
+    sums, minus_one = matrix
+    rows = sums.tolist()
+    reference: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        reference.setdefault(_tuple_key(row), []).append(i)
+    assert sorted(_group(sums).values()) == sorted(reference.values())
+    expected = []
+    for members in reference.values():
+        expected += [(rows[i][0] - rows[j][0], i, j, 0) for i, j in itertools.combinations(members, 2)]
+    if twisted:
+        for i, row in enumerate(rows):
+            signed = [m * s for m, s in zip(minus_one, row)]
+            expected += [(signed[0] - rows[j][0], i, j, 1)
+                         for j in reference.get(_tuple_key(signed), ()) if j != i]
+    found = _candidates(sums, minus_one, twisted)
+    assert found.dtype == np.int64 and found.shape == (len(expected), 4)
+    assert sorted(map(tuple, found.tolist())) == sorted(expected)
 
 
 def _pairs(*pairs) -> np.ndarray:
