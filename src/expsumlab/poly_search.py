@@ -31,12 +31,13 @@ prime, every distinct h is evaluated exactly once, into one (parts x
 (p-1)) int64 array, in the power basis: one int64 matrix product of its
 coefficients of x^1..x^(width-1), reduced mod p, with a table of the
 powers x^i mod p evaluates it at x = 1..p-1, and one % p reduces each
-value.  The rows are then read in their own (_order_key) order, in
-blocks of rows.  f(x) mod p is h(x) mod p + f(0) mod p reduced once
-more, but that sum is below 2p, so the symbols are read at it from the
-Legendre table of p laid out twice (2p entries): no second % p runs over
-the (polynomials x points) matrix.  A product entry is at most
-(width-1)*(p-1)^2 for width coefficients of the widest f;
+value.  The rows are then gathered once per distinct constant, straight
+into the int8 symbol matrix: the rows of one constant have distinct
+higher parts, so each gather reads at most (parts x (p-1)) values.
+f(x) mod p is h(x) mod p + f(0) mod p reduced once more, but that sum is
+below 2p, so the symbols are read at it from the Legendre table of p
+laid out twice (2p entries): no second % p runs.  A product entry is at
+most (width-1)*(p-1)^2 for width coefficients of the widest f;
 search_constant_pairs rejects, before any work, a prime where
 width*(p-1)^2 reaches 2^63, which is conservative: the product has one
 term fewer.  Row i of both matrices belongs to polynomial i.  Grouping
@@ -59,14 +60,21 @@ built by pow, never through char_sums.legendre_table's squares,
 arith.legendre, char_sum_poly or _symbol_rows.  It makes its own split
 into higher part and constant, and evaluates each higher part, with a
 zero constant, exactly once per prime, into its own (parts x (p-1))
-array; its table too has 2p entries, read at h(x) mod p + f(0) mod p.
-Its Horner loop reduces mod p after every step: every entry stays below
-p, so a step is at most (p-1)^2 + (p-1) < 2^62, exact for any p < 2^31
-(which the power-basis bound implies, width >= 2) and any number of
-coefficients.  The oracle thus shares neither evaluation nor
-classification code with the signature path it checks.  After grouping,
-one array expression (_sound) checks every hit at every prime.  Hits are
-conjectural evidence, never theorems.
+array.  Its Horner loop reduces mod p after every step: every entry
+stays below p, so a step is at most (p-1)^2 + (p-1) < 2^62, exact for
+any p < 2^31 (which the power-basis bound implies, width >= 2) and any
+number of coefficients.  It then sums through value histograms:
+hist[h, v] counts the x with h(x) = v mod p, and a row's sum is the
+product of hist[h] with its 2p-entry table from f(0) mod p on, one
+matrix-vector product per distinct f(0) mod p.  The oracle thus shares
+neither evaluation nor classification code with the signature path it
+checks.  After grouping, one array expression (_sound) checks every hit
+at every prime.  Hits are conjectural evidence, never theorems.
+
+Neither pass builds an array of (polynomials x points): per prime, every
+int64 array of either pass has at most parts x p entries.  Beside them
+they hold only the int8 symbol matrix, the (polynomials x primes)
+results and one index per polynomial.
 
 A separate twisted mode allows a prime-dependent sign (-1/p) on one side,
 the form the corollary's own pair takes.
@@ -89,15 +97,10 @@ from .char_sums import PolynomialZ
 if TYPE_CHECKING:
     import numpy as np
 
-# elements of one int64 (rows x points) block in _symbol_rows and
-# _euler_sums: each block gathers consecutive rows from the prime's
-# (parts x points) array and reads them from a 2p-entry table; the
-# degree-3 bound-2 search at primes up to 103 is one block per prime
-_EULER_BLOCK = 1 << 15
-# elements of one int8 (pairs x symbol columns) block in _differing: 212
+# elements of one int8 (pairs x symbol columns) block in _differing: 53
 # pairs at the 1236 columns of primes 3..103, so that the blocks' few
-# temporaries stay well below the symbol matrix
-_PAIR_BLOCK = 1 << 18
+# temporaries stay small beside the symbol matrix
+_PAIR_BLOCK = 1 << 16
 # no int64 entry of the power-basis product may reach this
 _INT64_LIMIT = 2**63
 
@@ -135,16 +138,15 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     entry of the product is a sum of width - 1 terms below p each times
     below p, exact in int64 while (width-1)*(p-1)^2 < 2^63;
     search_constant_pairs rejects any prime where width*(p-1)^2 reaches
-    2^63, one term more than the product needs.  The rows are then taken
-    in their own order, in blocks of at most _EULER_BLOCK // (p-1)
-    consecutive rows, each gathering its rows' higher parts from that
-    array.  f(x) mod p is (h(x) mod p + f(0) mod p) mod p, and the sum
-    before that last reduction is below 2p, so each block reads its
-    symbols at that sum from char_sums.legendre_table(p) (which also
-    validates p) laid out twice, 2p entries: no second % p runs over the
-    (rows x (p-1)) values.  Every int64 (rows x (p-1)) block holds at most
-    _EULER_BLOCK elements, and the int8 symbols go straight into their
-    rows of the one preallocated symbol matrix.
+    2^63, one term more than the product needs.  The rows are then
+    gathered once per distinct constant: the rows of one constant have
+    distinct higher parts, so each gather of their values is at most
+    (parts x (p-1)) int64 entries.  f(x) mod p is (h(x) mod p + f(0) mod
+    p) mod p, and the sum before that last reduction is below 2p, so each
+    gather reads its symbols at that sum from char_sums.legendre_table(p)
+    (which also validates p) laid out twice, 2p entries: no second % p
+    runs.  Each int8 block goes straight into its rows of the one
+    preallocated symbol matrix, and its row sums are those rows' sums.
     """
     import numpy as np
 
@@ -155,6 +157,9 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     high_of = np.array([highs.setdefault(f.coeffs[1:] + (0,) * (width - len(f.coeffs)), len(highs))
                         for f in polys], dtype=np.intp)
     const_of = np.array([consts.setdefault(f.coeffs[0], len(consts)) for f in polys], dtype=np.intp)
+    # the rows of constant k, in row order, are by_const[ends[k]:ends[k+1]]
+    by_const = np.argsort(const_of, kind="stable")
+    ends = [0, *np.cumsum(np.bincount(const_of)).tolist()]
     # as Python ints (object dtype), so that % p is exact at any size
     high_coeffs = np.array(list(highs), dtype=object)
     sums = np.empty((len(polys), len(primes)), dtype=np.int64)
@@ -162,18 +167,18 @@ def _symbol_rows(polys, primes) -> tuple[np.ndarray, np.ndarray]:
     lo = 0
     for j, p in enumerate(primes):
         table = np.tile(np.array(char_sums.legendre_table(p), dtype=np.int8), 2)
-        const = np.array([c % p for c in consts], dtype=np.int64)[const_of]
         powers = np.empty((width - 1, p - 1), dtype=np.int64)
         powers[0] = np.arange(1, p)
         for i in range(1, width - 1):
             powers[i] = powers[i - 1] * powers[0] % p
         high = (high_coeffs % p).astype(np.int64) @ powers
         high %= p
-        step = max(1, _EULER_BLOCK // (p - 1))
-        for r0 in range(0, len(polys), step):
-            block = table[high[high_of[r0:r0 + step]] + const[r0:r0 + step, None]]
-            symbols[r0:r0 + step, lo:lo + p - 1] = block
-            sums[r0:r0 + step, j] = block.sum(axis=1)
+        for k, c in enumerate(consts):
+            rows = by_const[ends[k]:ends[k + 1]]
+            # table[c % p:][v] is the symbol at v + f(0) mod p < 2p
+            block = table[c % p:][high[high_of[rows]]]
+            symbols[rows, lo:lo + p - 1] = block
+            sums[rows, j] = block.sum(axis=1)
         lo += p - 1
     return sums, symbols
 
@@ -227,7 +232,7 @@ def _euler_sums(polys, primes) -> np.ndarray:
     arith.legendre, and the polynomials are evaluated by Horner's rule,
     not by _symbol_rows' power basis, so the oracle shares no code with
     the signature path it checks.  It makes its own split of each f into
-    the higher part f - f(0), as descending coefficients with a zero
+    the higher part h = f - f(0), as descending coefficients with a zero
     constant, and the constant f(0).  Per prime, every distinct higher
     part is evaluated exactly once: every coefficient is reduced mod p
     first so seeded polynomials of any size stay exact, and the Horner
@@ -235,11 +240,22 @@ def _euler_sums(polys, primes) -> np.ndarray:
     of _symbol_rows' own, from the leading coefficient down.  It reduces
     mod p after every step, so every entry stays below p and a step is at
     most (p-1)^2 + (p-1) < 2^62: exact for any p < 2^31 and any number of
-    coefficients.  The rows are then taken in their own order, in blocks
-    of at most _EULER_BLOCK // (p-1) consecutive rows, and (f(x)/p) is
-    read from the table at h(x) mod p + f(0) mod p, below 2p, one gather
-    and one row sum per block.  The primes are the search's evidence
-    primes, validated as odd primes by search_constant_pairs.
+    coefficients.
+
+    The sums then go through value histograms: np.bincount gives the
+    (parts x p) array hist[h, v] = #{x in 1..p-1 : h(x) = v mod p}, and
+    for c = f(0) mod p
+
+        sum_x euler[h(x) + c] = sum_v hist[h, v] * euler[v + c],
+
+    with v + c < 2p read from the doubled table.  The (parts x residues)
+    table hist @ shifted, shifted[v, c] = euler[v + c], is built one
+    column per distinct f(0) mod p, as hist times the p-entry slice
+    euler[c:c + p], so shifted itself is never held; there are at most p
+    residues, so the table has at most parts x p entries.  Each row reads
+    its sum at (its part, its residue).  Every term is a count times -1,
+    0 or 1, so the sums are exact in int64.  The primes are the search's
+    evidence primes, validated as odd primes by search_constant_pairs.
     """
     import numpy as np
 
@@ -255,8 +271,7 @@ def _euler_sums(polys, primes) -> np.ndarray:
     out = np.empty((len(polys), len(primes)), dtype=np.int64)
     for j, p in enumerate(primes):
         # y^((p-1)/2) is 0, 1 or p-1, and (e + 1) % p - 1 reads p-1 as -1
-        euler = np.array([(pow(y, (p - 1) // 2, p) + 1) % p - 1 for y in range(p)] * 2, dtype=np.int8)
-        shift = np.array([c % p for c in consts], dtype=np.int64)[const_of]
+        euler = np.array([(pow(y, (p - 1) // 2, p) + 1) % p - 1 for y in range(p)] * 2, dtype=np.int64)
         xs = np.arange(1, p, dtype=np.int64)
         lead, *rest = (coeffs % p).astype(np.int64).T
         vals = np.repeat(lead[:, None], p - 1, axis=1)
@@ -264,9 +279,17 @@ def _euler_sums(polys, primes) -> np.ndarray:
             vals *= xs  # in place: no temporaries beside the parts array
             vals += col[:, None]
             vals %= p
-        step = max(1, _EULER_BLOCK // (p - 1))
-        for r0 in range(0, len(polys), step):
-            out[r0:r0 + step, j] = euler[vals[part_of[r0:r0 + step]] + shift[r0:r0 + step, None]].sum(axis=1)
+        # part h's values move to h*p..h*p+p-1, so one bincount counts
+        # every part's values
+        vals += np.arange(0, len(parts) * p, p)[:, None]
+        hist = np.bincount(vals.ravel(), minlength=len(parts) * p).reshape(len(parts), p)
+        # per constant, the number of its residue f(0) mod p
+        residues = {}
+        residue_of = np.array([residues.setdefault(c % p, len(residues)) for c in consts], dtype=np.intp)
+        table = np.empty((len(parts), len(residues)), dtype=np.int64)
+        for k, c in enumerate(residues):
+            table[:, k] = hist @ euler[c:c + p]
+        out[:, j] = table[part_of, residue_of[const_of]]
     return out
 
 

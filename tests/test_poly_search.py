@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,9 +348,16 @@ SPLIT = [
     PolynomialZ.of(1155, 5, -2, 1), PolynomialZ.of(-1, 5, 2), PolynomialZ.of(2**70 + 3, 5, -2, 1),
     PolynomialZ.of(-(2**64) - 1, 5, -2, 1),
 ]
-# SPLIT in another row order: at three rows per block, the rows of the
-# shared higher part fill blocks 0, 1 and 3 but none of block 2
+# SPLIT in another row order
 SHUFFLED_SPLIT = random.Random(5).sample(SPLIT, len(SPLIT))
+# two higher parts, x^3-2x^2+5x and 3x^2, each under 38 constants:
+# negative, 0, at least every prime below 60, and beyond int64 on either
+# side, so that many constants share one residue mod each prime
+MANY_CONSTANTS = [
+    PolynomialZ.of(c, *h)
+    for c in [*range(-97, 140, 7), 2**64 + 1, -(2**64) - 1, 2**70 + 3, -(2**70)]
+    for h in ((5, -2, 1), (0, 3))
+]
 
 
 def _brute_sums(f, primes):
@@ -383,24 +391,20 @@ def test_euler_oracle_matches_brute_force(monkeypatch):
         assert row == expected, str(f)
 
 
-@pytest.mark.parametrize("budget", [None, 1, 7, 500, 4099])
-def test_split_into_higher_part_and_constant_matches_brute_force(monkeypatch, budget):
+@pytest.mark.parametrize("polys", [SPLIT, SHUFFLED_SPLIT, MANY_CONSTANTS],
+                         ids=["split", "shuffled", "many_constants"])
+def test_split_into_higher_part_and_constant_matches_brute_force(polys):
     # both passes evaluate each higher part once per prime and add the
-    # constant mod p, whatever the order of the rows
-    if budget is not None:
-        monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
+    # constant mod p, whatever the order of the rows and however many
+    # constants share a higher part
     primes = tuple(primes_in_range(3, 60))
-    # budget 7 at p = 3 is three rows per block
-    shared = {i // 3 for i, f in enumerate(SHUFFLED_SPLIT) if f.coeffs[1:] == (5, -2, 1)}
-    assert shared == {0, 1, 3}
-    for polys in (SPLIT, SHUFFLED_SPLIT):
-        assert len(set(polys)) == len(polys)
-        brute = [_brute_symbols(f, primes) for f in polys]
-        expected = [list(_brute_sums(f, primes)) for f in polys]
-        sums, symbols = _symbol_rows(polys, primes)
-        assert symbols.tolist() == brute
-        assert sums.tolist() == expected
-        assert _euler_sums(polys, primes).tolist() == expected
+    assert len(set(polys)) == len(polys)
+    brute = [_brute_symbols(f, primes) for f in polys]
+    expected = [list(_brute_sums(f, primes)) for f in polys]
+    sums, symbols = _symbol_rows(polys, primes)
+    assert symbols.tolist() == brute
+    assert sums.tolist() == expected
+    assert _euler_sums(polys, primes).tolist() == expected
 
 
 def test_symbol_rows_sums_match_char_sum_poly():
@@ -451,16 +455,33 @@ def test_symbol_rows_decide_difference_like_brute_force():
     assert decided[f, quad_4]
 
 
-def test_symbol_rows_blocks_match_one_block(monkeypatch):
+def _one_block(polys, primes):
+    """The reference both passes are checked against at scale: per prime,
+    f(x) mod p for every f (rows) and x = 1..p-1 as one int64 (rows x
+    (p-1)) array, by Horner's rule on the reduced coefficients, and its
+    symbols read from the squares.  Yields (p, symbols) per prime."""
+    width = max(len(f.coeffs) for f in polys)
+    for p in primes:
+        squares = np.array([legendre_by_squares(v, p) for v in range(p)], dtype=np.int8)
+        coeffs = np.array([[c % p for c in f.coeffs + (0,) * (width - len(f.coeffs))] for f in polys],
+                          dtype=np.int64)
+        vals = np.zeros((len(polys), p - 1), dtype=np.int64)
+        for col in coeffs.T[::-1]:
+            vals = (vals * np.arange(1, p) + col[:, None]) % p
+        yield p, squares[vals]
+
+
+def test_symbol_rows_blocks_match_one_block():
+    # the per-constant gathers fill the symbol matrix and the sums exactly
+    # as one gather of every row's values would
     primes = tuple(primes_in_range(3, 103))
     polys = [*enumerate_polys(3, 2), CUBIC_CCC, NING_WANG_QUARTIC, HUGE]
-    assert len(polys) * (primes[-1] - 1) <= poly_search._EULER_BLOCK
-    one_sums, one_symbols = _symbol_rows(polys, primes)
-    for budget in (1, 7, 500, 4099):
-        monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
-        sums, symbols = _symbol_rows(polys, primes)
-        assert (sums == one_sums).all(), budget
-        assert (symbols == one_symbols).all(), budget
+    sums, symbols = _symbol_rows(polys, primes)
+    lo = 0
+    for j, (p, one_block) in enumerate(_one_block(polys, primes)):
+        assert (symbols[:, lo:lo + p - 1] == one_block).all(), p
+        assert (sums[:, j] == one_block.sum(axis=1)).all(), p
+        lo += p - 1
 
 
 def test_pair_block_budget_keeps_the_hits(monkeypatch):
@@ -522,15 +543,31 @@ def test_search_rejects_primes_beyond_the_power_basis_bound(monkeypatch, max_deg
         search_constant_pairs(max_degree, 2, [*small, inside], extra_polys=extra)
 
 
-def test_euler_oracle_blocks_match_one_block(monkeypatch):
+def test_euler_oracle_blocks_match_one_block():
+    # the histogram sums, one product per residue of the constants, equal
+    # the row sums of one gather of every row's values
     primes = tuple(primes_in_range(3, 103))
-    polys = list(enumerate_polys(3, 2))
-    # the degree-3 bound-2 search at primes to 103 stays one block
-    assert len(polys) * (primes[-1] - 1) <= poly_search._EULER_BLOCK
-    one_block = _euler_sums(polys, primes)
-    for budget in (1, 7, 500, 4099):
-        monkeypatch.setattr(poly_search, "_EULER_BLOCK", budget)
-        assert (_euler_sums(polys, primes) == one_block).all(), budget
+    polys = [*enumerate_polys(3, 2), CUBIC_CCC, NING_WANG_QUARTIC, HUGE]
+    oracle = _euler_sums(polys, primes)
+    for j, (p, one_block) in enumerate(_one_block(polys, primes)):
+        assert (oracle[:, j] == one_block.sum(axis=1)).all(), p
+
+
+@pytest.mark.parametrize("evaluate", [_euler_sums, _symbol_rows], ids=["oracle", "signature"])
+def test_both_passes_build_no_rows_by_points_array(evaluate):
+    # one higher part under 200 constants at p = 101: each pass holds its
+    # int64 values per higher part, 1 x 100 entries, never the 200 x 100 of
+    # one int64 (rows x points) array
+    p = 101
+    polys = [PolynomialZ.of(c, 5, -2, 1) for c in range(-60, 140)]
+    rows_by_points = len(polys) * (p - 1) * 8
+    tracemalloc.start()
+    try:
+        evaluate(polys, (p,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows_by_points / 2, (peak, rows_by_points)
 
 
 def test_sound_rejects_wrong_constant_and_flipped_twist():
