@@ -2,8 +2,11 @@
 
 A power mean is a solution count; no root of unity enters it.  For a
 PhaseFamily the inner sum at sweep value t is S_t = sum_a zeta^e_a(t),
-zeta = e(1/q), e_a(t) = t*u_a + v_a mod q (_family_vectors), over D
-values of a.  With c_j = #{a : e_a(t) = j} and N_k the k-fold cyclic
+zeta = e(1/q), e_a(t) = t*u_a + v_a mod q, u_a = a^k and v_a = f*abar
+(inverse twist) or f*a (no twist), over the D values of a in the
+family's domain: D = phi(q) under the inverse twist and q without.  The
+counts c_j = #{a : e_a(t) = j} come from one function, _counts, for
+power means and scalar sums alike.  With N_k the k-fold cyclic
 self-convolution of c, S_t^k = sum_j N_k(j) zeta^j, and y_t = |S_t|^2k =
 S_t^k * conj(S_t^k) has the coefficients sum_i N_k(i + j) N_k(i).
 
@@ -36,19 +39,19 @@ The units come from crossing out the multiples of each prime factor of q.
 
 At a prime.  The units mod p are cyclic (Iwaniec & Kowalski, ch. 1):
 with g the least primitive root (arith.primitive_root), a = g^i for i =
-0..p-2, so a^k = g^(k*i mod p-1) steps by g^k from one a to the next
-and abar = g^(-i) by g^-1.  _family_vectors walks a in that order, one
-multiplication per value and no pow.  H = {c^d} is then <g^d>, the
-subgroup of index d, so the orbits of t != 0 are the d cosets g^j * H,
-j < d, each of (p-1)/d elements: _orbit_table takes t = g^j for them,
-builds no H and marks nothing.  Neither the order of a nor the choice of
-t can change a total.  Reordering a reorders the terms of each count
-c_j.  Another t of the same orbit, c^e t, has the counts of t with j
-moved to c*j (above), so the same s_m at every rung of the ladder and
+0..p-2, so a^k = g^(k*i mod p-1) steps by g^k from one a to the next and
+abar = g^(-i) by g^-1.  _counts walks a in that order, so t*a^k and
+f*abar (or f*a) each step by one multiplication per value, with no pow.
+Elsewhere, 2^e among them, it takes a ascending.  H = {c^d} is then
+<g^d>, the subgroup of index d, so the orbits of t != 0 are the d cosets
+g^j * H, j < d, each of (p-1)/d elements: _orbit_table takes t = g^j for
+them, builds no H and marks nothing.  Neither the order of a nor the
+choice of t can change a total.  Reordering a reorders the terms of each
+count c_j.  Another t of the same orbit, c^e t, has the counts of t with
+j moved to c*j (above), so the same s_m at every rung of the ladder and
 the same Tr(y_t).  And T is a sum of integers, exact in any order.  At
-p^e with e >= 2, where the units mod 2^e are not cyclic for e >= 3, H
-is built from the units as above and each orbit is marked from its
-least t.
+p^e with e >= 2, where the units mod 2^e are not cyclic for e >= 3, H is
+built from the units as above and each orbit is marked from its least t.
 
 The orbit of t = 0 is {0}, and S_0 = sum_a zeta^(v_a) is a rational
 integer.  Without twist, v_a = f*a over all residues a: a geometric sum,
@@ -142,14 +145,14 @@ arith.check_q.  That bound is no memory limit: a list of q counts takes
 about 8q bytes, so a prime just below 2^31 needs about 16 GB for each
 count list it builds.
 
-Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts with
-a table of e(j/q) * 2^128 rounded to integers for j = 0..q/2, the count
-of q - j joining that of j with a minus sign in the imaginary part, and
-divide by 2^128 once; so symmetric counts (Kloosterman sums and
-odd-degree phases, Iwaniec & Kowalski, Analytic Number Theory, ch. 11)
-give an imaginary part of exactly 0.0.  At a prime the counts come from
-the walk over a = g^i ("At a prime"): t*a^k and f*abar (or f*a) each
-step by one multiplication, and no table of powers is stored.  The
+Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts of
+_counts, the N_1 of the power means, with a table of e(j/q) * 2^128
+rounded to integers for j = 0..q/2, the count of q - j joining that of j
+with a minus sign in the imaginary part, and divide by 2^128 once; so
+symmetric counts (Kloosterman sums and odd-degree phases, Iwaniec &
+Kowalski, Analytic Number Theory, ch. 11) give an imaginary part of
+exactly 0.0.  At a prime the counts come from the walk over a = g^i ("At
+a prime"), and no table of powers is stored for either kind of sum.  The
 roots come from integers alone: pi by Machin's formula, e(1/q) by a
 Taylor series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
 """
@@ -286,45 +289,33 @@ def _units(q: int) -> Iterator[int]:
     return compress(range(q), mark)
 
 
-def _prime_steps(family: PhaseFamily, p: int) -> tuple[int, int]:
-    """At a prime p with least primitive root g, the factors that take a^k
-    and abar (inverse twist) or a (no twist) from a = g^i to g^(i+1): g^k,
-    k taken mod the order p - 1 of g, and g^-1 or g."""
-    g = primitive_root(p)
-    k = family.monomial_degree % (p - 1)
-    return pow(g, k, p), pow(g, -1, p) if family.twist == TWIST_INVERSE else g
-
-
-def _family_vectors(family: PhaseFamily, q: int) -> tuple[list[int], list[int]]:
-    """Exponent decomposition e_a(t) = t*u_a + v_a (mod q) for the family
-    over its domain: at a prime, a = 0 first if the domain holds it, then
-    a = g^i for i = 0..q-2, so that a^k, a and abar each step by one
-    multiplication (module docstring, "At a prime"); elsewhere a
-    ascending."""
-    c = family.fixed_coefficient % q
+def _counts(family: PhaseFamily, q: int, t: int) -> list[int]:
+    """c_j = #{a : t*a^k + f*abar (or f*a) = j mod q} for j = 0..q-1, a
+    over the family's domain.  At a prime, a = 0 first if the domain holds
+    it, then a = g^i for i = 0..q-2 with g the least primitive root, so
+    that t*a^k and f*abar (or f*a) step by g^k (k taken mod q - 1) and by
+    g^-1 (or g), one multiplication each (module docstring, "At a
+    prime"); elsewhere, 2^e among them, a ascending."""
+    k, f, t = family.monomial_degree, family.fixed_coefficient % q, t % q
     inverse = family.twist == TWIST_INVERSE
-    if is_prime(q):
-        step_u, step_v = _prime_steps(family, q)
-        u, v = ([], []) if inverse else ([0], [0])
-        x, y = 1, c
-        for _ in range(q - 1):
-            u.append(x)
-            v.append(y)
-            x = x * step_u % q
-            y = y * step_v % q
-        return u, v
-    dom = list(_units(q)) if inverse else range(q)
-    u = [pow(a, family.monomial_degree, q) for a in dom]
-    if inverse:
-        return u, [c * pow(a, -1, q) % q for a in dom]
-    return u, [c * a % q for a in dom]
-
-
-def _counts(u: list[int], v: list[int], q: int, t: int) -> list[int]:
-    """c_j = #{a : t*u_a + v_a = j mod q} for j = 0..q-1."""
     c = [0] * q
-    for x, y in zip(u, v):
-        c[(t * x + y) % q] += 1
+    if is_prime(q):
+        g = primitive_root(q)
+        step_x, step_y = pow(g, k % (q - 1), q), pow(g, -1, q) if inverse else g
+        if not inverse:
+            # a = 0, whose phase is 0
+            c[0] = 1
+        x, y = t, f
+        for _ in range(q - 1):
+            c[(x + y) % q] += 1
+            x = x * step_x % q
+            y = y * step_y % q
+    elif inverse:
+        for a in _units(q):
+            c[(t * pow(a, k, q) + f * pow(a, -1, q)) % q] += 1
+    else:
+        for a in range(q):
+            c[(t * pow(a, k, q) + f * a) % q] += 1
     return c
 
 
@@ -341,30 +332,9 @@ def _scaled_sum(c: list[int], q: int) -> tuple[int, int]:
 
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
-    """The family's inner sum at sweep value t, divided once by 2^128: the
-    counts c_j in one pass over the domain, without the u and v lists; at
-    a prime, t*a^k and f*abar (or f*a) step by one multiplication each
-    over a = g^i (module docstring, "Scalar sums")."""
-    k, f, t = family.monomial_degree, family.fixed_coefficient % q, t % q
-    inverse = family.twist == TWIST_INVERSE
-    c = [0] * q
-    if is_prime(q):
-        step_x, step_y = _prime_steps(family, q)
-        if not inverse:
-            # a = 0, whose phase is 0
-            c[0] = 1
-        x, y = t, f
-        for _ in range(q - 1):
-            c[(x + y) % q] += 1
-            x = x * step_x % q
-            y = y * step_y % q
-    elif inverse:
-        for a in _units(q):
-            c[(t * pow(a, k, q) + f * pow(a, -1, q)) % q] += 1
-    else:
-        for a in range(q):
-            c[(t * pow(a, k, q) + f * a) % q] += 1
-    re, im = _scaled_sum(c, q)
+    """The family's inner sum at sweep value t: its counts dotted with the
+    root table, divided once by 2^128 (module docstring, "Scalar sums")."""
+    re, im = _scaled_sum(_counts(family, q, t), q)
     return complex(re / _SCALE, im / _SCALE)
 
 
@@ -460,13 +430,15 @@ def _galois_exponent(family: PhaseFamily, phi: int) -> int:
 @lru_cache(maxsize=_ORBIT_TABLES)
 def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[int, dict[int, bytes], dict[int, int]]]]:
     """(D, [(|O|, {1: N_1}, {1: s_1}) for each orbit O of t != 0 under H])
-    at the prime power q of p: the domain size, and per orbit its size,
-    the ladder of its counts' self-convolutions as byte slots, and their
-    sums of squares, both of which _self_power extends (module
-    docstring)."""
-    u, v = _family_vectors(family, q)
-    nbytes = -(-len(u).bit_length() // 8)
+    at the prime power q of p: the domain size D, phi(q) under the inverse
+    twist and q without, and per orbit its size, the ladder of the
+    self-convolutions of the counts _counts gives at the orbit's
+    representative t, as byte slots, and their sums of squares, both of
+    which _self_power extends (module docstring)."""
     phi = q - q // p
+    # the domain: the units under the inverse twist, every residue without
+    domain = phi if family.twist == TWIST_INVERSE else q
+    nbytes = -(-domain.bit_length() // 8)
     d = math.gcd(_galois_exponent(family, phi), phi)
     if is_prime(q):
         # H = {c^d} = <g^d>, whose cosets g^j * H, j < d, are the orbits
@@ -491,10 +463,10 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
             t = seen.find(0, t)
     orbits = []
     for t, size in reps:
-        c = _counts(u, v, q, t)
+        c = _counts(family, q, t)
         slots = _widen(struct.pack(f"<{q}Q", *c), q, nbytes)
         orbits.append((size, {1: slots}, {1: sum(map(mul, c, c))}))
-    return len(u), orbits
+    return domain, orbits
 
 
 def _self_power(ladder: dict[int, bytes], squares: dict[int, int], m: int, q: int) -> bytes:

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from expsumlab import exp_sums, registry
-from expsumlab.exp_sums import TWIST_INVERSE, TWIST_NONE, PhaseFamily, _counts, _family_vectors, _scaled_sum
+from expsumlab.exp_sums import TWIST_INVERSE, TWIST_NONE, PhaseFamily, _counts, _scaled_sum
 from expsumlab.registry import CUBIC_FAMILY
 
 
@@ -157,12 +157,12 @@ def certify_weil(n: int, k: int, p: int) -> list[str]:
     the bound; EXCEEDS: the lower end is above it; FLAGGED: the interval
     straddles the bound, as it does wherever |S|^2 equals it.
     """
-    u, v = _family_vectors(PhaseFamily(k, TWIST_NONE, n), p)
-    err = len(u) * (p + 1)
+    family = PhaseFamily(k, TWIST_NONE, n)
+    err = p * (p + 1)
     bound = (k - 1) ** 2 * p << 256
     verdicts = []
     for m in range(1, p):
-        re, im = _scaled_sum(_counts(u, v, p, m), p)
+        re, im = _scaled_sum(_counts(family, p, m), p)
         re, im = abs(re), abs(im)
         if (re + err) ** 2 + (im + err) ** 2 <= bound:
             verdicts.append(CERTIFIED)

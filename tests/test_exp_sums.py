@@ -225,8 +225,7 @@ def test_gauss_magnitude_all_m():
 # rounded means.
 
 def scalar_abs_sq_table(family, q):
-    u, v = exp_sums._family_vectors(family, q)
-    sums = (exp_sums._scaled_sum(exp_sums._counts(u, v, q, t), q) for t in range(q))
+    sums = (exp_sums._scaled_sum(exp_sums._counts(family, q, t), q) for t in range(q))
     return tuple(re * re + im * im for re, im in sums)
 
 
@@ -323,11 +322,11 @@ def test_orbit_rule_matches_all_t_trace(family):
         # sigma_c maps S_t to S_(c^e t): the counts of c^e t are those of
         # t with every phase j moved to c*j
         e = exp_sums._galois_exponent(family, totient(q))
-        u, v = exp_sums._family_vectors(family, q)
+        counts = [exp_sums._counts(family, q, t) for t in range(q)]
         for c in exp_sums._units(q):
             for t in range(q):
-                image = exp_sums._counts(u, v, q, pow(c, e, q) * t % q)
-                assert [image[c * j % q] for j in range(q)] == exp_sums._counts(u, v, q, t), (q, c, t)
+                image = counts[pow(c, e, q) * t % q]
+                assert [image[c * j % q] for j in range(q)] == counts[t], (q, c, t)
         for two_k, mean in all_t_means(family, q).items():
             assert power_mean(family, q, two_k) == mean, (q, two_k)
 
@@ -405,33 +404,38 @@ PATH_MEANS = (2, 4, 6, 8, 12)
 
 
 def both_paths(family, p):
-    """(u, v, domain, sorted (orbit size, s_1), {2k: mean}) at the prime p,
-    by the prime path and by the generic path, each from its own table."""
+    """({t: counts} for t = 0, 1, 2 and p - 1, domain, sorted (orbit size,
+    s_1), {2k: mean}) at the prime p, by the prime path and by the generic
+    path, each from its own table."""
     family = family._replace(include_zero_in_sweep=True)
     out = []
     for prime in (exp_sums.is_prime, lambda n: False):
         with mock.patch.object(exp_sums, "is_prime", prime):
-            u, v = exp_sums._family_vectors(family, p)
+            counts = {t: exp_sums._counts(family, p, t) for t in (0, 1, 2, p - 1)}
             table = exp_sums._orbit_table.__wrapped__(family, p, p)
             with mock.patch.object(exp_sums, "_orbit_table", lambda *args: table):
                 means = {two_k: exp_sums._power_mean.__wrapped__(family, p, p, two_k) for two_k in PATH_MEANS}
         domain, orbits = table
-        out.append((u, v, domain, sorted((size, squares[1]) for size, _, squares in orbits), means))
+        out.append((counts, domain, sorted((size, squares[1]) for size, _, squares in orbits), means))
     return out
 
 
 def check_prime_path(family, p):
-    (u, v, domain, orbits, means), generic = both_paths(family, p)
-    assert (domain, orbits, means) == generic[2:], (family, p)
-    # the pairs (a^k, f*abar or f*a) of the ascending-a definition, in the
-    # generic path's order, and as a multiset on the prime path
+    (counts, domain, orbits, means), generic = both_paths(family, p)
+    assert (domain, orbits, means) == generic[1:], (family, p)
+    # the counts of the phases t*a^k + f*abar (or f*a) of the ascending-a
+    # definition, by the generic path and by the prime path's walk
     k, f = family.monomial_degree, family.fixed_coefficient
-    if family.twist == TWIST_INVERSE:
-        pairs = [(pow(a, k, p), f * pow(a, -1, p) % p) for a in range(1, p)]
-    else:
-        pairs = [(pow(a, k, p), f * a % p) for a in range(p)]
-    assert list(zip(*generic[:2])) == pairs, (family, p)
-    assert sorted(zip(u, v)) == sorted(pairs), (family, p)
+    for t, walked in counts.items():
+        if family.twist == TWIST_INVERSE:
+            phases = [t * pow(a, k, p) + f * pow(a, -1, p) for a in range(1, p)]
+        else:
+            phases = [t * pow(a, k, p) + f * a for a in range(p)]
+        defined = [0] * p
+        for x in phases:
+            defined[x % p] += 1
+        assert generic[0][t] == defined, (family, p, t)
+        assert walked == defined, (family, p, t)
     assert sum(size for size, _ in orbits) == p - 1, (family, p)
 
 
@@ -545,7 +549,7 @@ def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("power_mean did work before rejecting q")
 
-    for name in ("factorize", "_family_vectors", "_units", "primitive_root"):
+    for name in ("factorize", "_counts", "_units", "primitive_root"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         with pytest.raises(ValueError, match="2\\^31"):
@@ -622,7 +626,7 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
 
-    for name in ("factorize", "is_prime", "primitive_root", "_family_vectors", "_fixed_root_table"):
+    for name in ("factorize", "is_prime", "primitive_root", "_counts", "_fixed_root_table"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         for call in (
