@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Run the Tier-1 test suite, then the benchmark's own tests (a tiny-size
-# smoke run of every workload).  Exits 0 when both pass, except for the
-# one failure that is red by design and must stay red: acceptance
-# criterion 6, the false published formula of zh_cubic_6th_over_a (see
-# README), which must fail at p = 5 with the exact mean 2500 against the
-# formula's 2100, and for no other reason.
+# smoke run of every workload), then print the total code lines of
+# src/expsumlab (scripts/code_lines.py), which is reported, never gated
+# on.  Exits 0 when both test runs pass, except for the one failure that
+# is red by design and must stay red: acceptance criterion 6, the false
+# published formula of zh_cubic_6th_over_a (see README), which must fail
+# at p = 5 with the exact mean 2500 against the formula's 2100, and for
+# no other reason.
 #
 #   scripts/check.sh
 set -u
@@ -45,4 +47,5 @@ if ! python3 -m pytest -q bench/test_bench.py; then
     echo "check.sh: benchmark smoke tests failed" >&2
     status=1
 fi
+python3 scripts/code_lines.py | tail -1
 exit $status

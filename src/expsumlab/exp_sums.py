@@ -146,15 +146,19 @@ about 8q bytes, so a prime just below 2^31 needs about 16 GB for each
 count list it builds.
 
 Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts of
-_counts, the N_1 of the power means, with a table of e(j/q) * 2^128
-rounded to integers for j = 0..q/2, the count of q - j joining that of j
-with a minus sign in the imaginary part, and divide by 2^128 once; so
-symmetric counts (Kloosterman sums and odd-degree phases, Iwaniec &
-Kowalski, Analytic Number Theory, ch. 11) give an imaginary part of
-exactly 0.0.  At a prime the counts come from the walk over a = g^i ("At
-a prime"), and no table of powers is stored for either kind of sum.  The
-roots come from integers alone: pi by Machin's formula, e(1/q) by a
-Taylor series (Brent & Zimmermann, Modern Computer Arithmetic, ch. 4).
+_counts, the N_1 of the power means, with roots e(j/q) built on each
+call, and divide by 2^128 once.  The count of q - j joins that of j,
+added in the real part and subtracted in the imaginary part, so
+symmetric counts (Kloosterman sums and odd-degree phases) give an
+imaginary part of exactly 0.0.  The roots are baby steps omega^i and
+giant steps (omega^s)^J, about sqrt(q/2) of each at 2^256, whose
+products reach every j <= q/2 (_scaled_sum); the sum at 2^512 is
+rounded once to 2^128, within E = 1 unit of 2^-128 of the exact part, so
+an exact zero gives 0.0.  At a prime the counts come from the walk over
+a = g^i ("At a prime"), and no table of powers is stored for either
+kind of sum.  The roots come from integers alone: pi by Machin's
+formula, e(1/q) by a Taylor series (Brent & Zimmermann, Modern Computer
+Arithmetic, ch. 4).
 """
 
 from __future__ import annotations
@@ -169,7 +173,7 @@ from operator import add, mul, sub
 
 from .arith import check_q, factorize, is_prime, primitive_root
 
-# fixed-point scale of the scalar sums' root table
+# fixed-point scale of the scalar sums' (re, im)
 _SCALE_BITS = 128
 _SCALE = 1 << _SCALE_BITS
 
@@ -209,7 +213,7 @@ class PhaseFamily(namedtuple(
         return cls(*iterable)
 
 
-# the root table steps omega^j with this many fractional bits, and
+# _powers steps the roots with this many fractional bits, and _unit_root
 # evaluates omega itself with _WORK_BITS
 _GUARD_BITS = 256
 _WORK_BITS = 320
@@ -246,38 +250,32 @@ def _unit_root(q: int) -> tuple[int, int]:
     return (parts[0] - parts[2] + half) >> drop, (parts[1] - parts[3] + half) >> drop
 
 
-@lru_cache(maxsize=64)
-def _fixed_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(re, im) of the roots of unity e(j/q) for j = 0..q//2, scaled by
-    2^128 and rounded to integers; e((q-j)/q) is their conjugate.
+def _powers(w: tuple[int, int], n: int) -> list[tuple[int, int]]:
+    """(re, im) of w^i for i = 0..n-1 at scale 2^256, each from the last by
+    one multiply-and-shift, rounded.
 
-    omega = e(1/q) comes from _unit_root, in units u = 2^-320: Machin's pi
-    adds 69 and 20 series terms, each truncated by under 1 u, so pi is
-    within 16 * 70 + 4 * 21 < 2^11 u and theta = 2*pi/q within 2^12 u.
-    The Taylor series stops at its first zero term, within 128 terms as
-    theta <= 2*pi, and term n carries each earlier truncation times at
-    most theta^m / m!, so the sum is off by under 128 * e^(2*pi) < 2^17 u.
-    omega, within 2^-302, is rounded at scale 2^256, where the powers
-    omega^j are stepped by integer multiply-and-shift.  Each step adds
-    under 1.5 units of 2^-256, so omega^j at scale 2^128 is within
-    q * 2^-128 < 2^-97 of the exact value, and an entry computed alone at
-    60 decimal digits within about 2^-70, so the two agree unless an exact
-    value lies that close to a half-integer; the tests compare omega for
-    q = 1..2000 and the tables entry by entry.
+    In units of 2^-256 and in complex magnitude, let the given w be within
+    delta of an exact root of unity.  A step multiplies a power within e
+    of the exact one by w and rounds each part by at most 1/2, so the next
+    is within e + delta * (1 + e * 2^-256) + 0.71 < e + delta + 1, and w^i
+    within i * (delta + 1).
+
+    _unit_root's omega = e(1/q), in units u = 2^-320: Machin's pi adds 69
+    and 20 series terms, each truncated by under 1 u, so pi is within
+    16 * 70 + 4 * 21 < 2^11 u and theta = 2*pi/q within 2^12 u; the Taylor
+    series stops at its first zero term, within 128 terms as theta <=
+    2*pi, and term n carries each earlier truncation times at most
+    theta^m / m!, so the sum is off by under 128 * e^(2*pi) < 2^17 u.
+    With the rounding of each part to 2^256, omega is within delta < 0.71
+    + 2^-45 units of 2^-256, so omega^i is within 1.75 i.
     """
-    w_re, w_im = _unit_root(q)
-    drop = _GUARD_BITS - _SCALE_BITS
-    half_g, half_d = 1 << (_GUARD_BITS - 1), 1 << (drop - 1)
-    re, im = [], []
-    a, b = 1 << _GUARD_BITS, 0
-    for _ in range(q // 2 + 1):
-        re.append((a + half_d) >> drop)
-        im.append((b + half_d) >> drop)
-        a, b = (
-            (a * w_re - b * w_im + half_g) >> _GUARD_BITS,
-            (a * w_im + b * w_re + half_g) >> _GUARD_BITS,
-        )
-    return tuple(re), tuple(im)
+    w_re, w_im = w
+    half = 1 << (_GUARD_BITS - 1)
+    out, a, b = [], 1 << _GUARD_BITS, 0
+    for _ in range(n):
+        out.append((a, b))
+        a, b = (a * w_re - b * w_im + half) >> _GUARD_BITS, (a * w_im + b * w_re + half) >> _GUARD_BITS
+    return out
 
 
 def _units(q: int) -> Iterator[int]:
@@ -320,20 +318,51 @@ def _counts(family: PhaseFamily, q: int, t: int) -> list[int]:
 
 
 def _scaled_sum(c: list[int], q: int) -> tuple[int, int]:
-    """Exact (re, im) of sum_j c_j e(j/q) * 2^128 on the rounded table, each
-    j > q/2 counted at q - j, with a minus sign in the imaginary part."""
-    re, im = _fixed_root_table(q)
-    half = len(re)
-    lo = c[:half]
-    # the count of q - j for j = 1..q - half; q/2 pairs with itself
-    hi = [0, *c[:half - 1:-1]]
-    hi += [0] * (half - len(hi))
-    return sum(map(mul, map(add, lo, hi), re)), sum(map(mul, map(sub, lo, hi), im))
+    """(re, im) of sum_j c_j e(j/q) * 2^128 for the counts c of q > 1
+    residues, within E = 1 of the exact parts: each is the nearest integer
+    to its exact part unless that lies within 2^-65 of a half-integer, and
+    a part that is exactly 0 gives 0.
+
+    j = 0 and, at even q, j = q/2 pair with themselves, at the exact roots
+    1 and -1.  Every other j <= (q-1)/2 pairs with q - j, whose root is the
+    conjugate: a_j = c_j + c_(q-j) goes with the real part of e(j/q) and
+    b_j = c_j - c_(q-j) with its imaginary part.  Baby step, giant step,
+    with s = isqrt((q-1)/2) + 1: e(j/q) for j = 1 + i + s*J, i < s, is
+    omega^(i+1) * W^J with W = omega^s.  Each block of s pairs is folded
+    just before its four dots with the baby roots, whose sums its giant
+    root turns at scale 2^512, where no product is rounded.
+
+    By _powers, a baby root is within 1.75 s units of 2^-256 and W^J, s*J
+    < (q-1)/2, within J * (1.75 s + 1), so their product within 1.28 q
+    (checked for q < 2*10^6, and 0.875 q + 2 sqrt(q) + 1 beyond).  The D
+    values of a each add one count to one a_j and one b_j, so before the
+    single rounding to 2^128 each part is within D * 2q * 2^-128 < 2^-65
+    units of its exact part, as D <= q < 2^31.  Symmetric counts
+    (Kloosterman sums and odd-degree phases, Iwaniec & Kowalski, Analytic
+    Number Theory, ch. 11) make every b_j 0, so their imaginary part is 0
+    before the rounding.
+    """
+    pairs = (q - 1) // 2
+    s = math.isqrt(pairs) + 1
+    base = _powers(_unit_root(q), s + 1)
+    baby_re, baby_im = zip(*base[1:])
+    giant = _powers(base[s], -(-pairs // s))
+    re, im = (c[0] - (c[q // 2] if q % 2 == 0 else 0)) << 2 * _GUARD_BITS, 0
+    for j, (g_re, g_im) in zip(range(1, pairs + 1, s), giant):
+        end = min(j + s, pairs + 1)
+        lo, hi = c[j:end], c[q - j:q - end:-1]
+        a, b = list(map(add, lo, hi)), list(map(sub, lo, hi))
+        re += g_re * sum(map(mul, a, baby_re)) - g_im * sum(map(mul, a, baby_im))
+        im += g_re * sum(map(mul, b, baby_im)) + g_im * sum(map(mul, b, baby_re))
+    drop = 2 * _GUARD_BITS - _SCALE_BITS
+    half = 1 << (drop - 1)
+    return (re + half) >> drop, (im + half) >> drop
 
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
     """The family's inner sum at sweep value t: its counts dotted with the
-    root table, divided once by 2^128 (module docstring, "Scalar sums")."""
+    roots by _scaled_sum, divided once by 2^128 (module docstring, "Scalar
+    sums")."""
     re, im = _scaled_sum(_counts(family, q, t), q)
     return complex(re / _SCALE, im / _SCALE)
 

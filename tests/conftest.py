@@ -97,6 +97,40 @@ def reference_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(re), tuple(im)
 
 
+@functools.cache
+def fine_root_table(q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(re, im) of e(j/q) * 2^192 for j = 0..q-1, each entry computed alone
+    at 60 digits (about 2^-199) by mpmath and rounded to an integer, so
+    within 0.51 units of 2^-192."""
+    with mpmath.workdps(60):
+        re, im = [], []
+        for j in range(q):
+            z = mpmath.expjpi(mpmath.mpf(2 * j) / q)
+            re.append(int(mpmath.nint(z.real * 2**192)))
+            im.append(int(mpmath.nint(z.imag * 2**192)))
+    return tuple(re), tuple(im)
+
+
+def reference_scaled_sum(counts, q: int) -> tuple[int, int]:
+    """(re, im) of sum_j counts_j e(j/q) * 2^128, the 60-digit dot rounded
+    once: the dot of fine_root_table, within 0.51 * sum(counts) * 2^-64 <
+    2^-32 units of 2^-128 of the exact parts for sums below 2^31, rounded
+    to integers."""
+    re_t, im_t = fine_root_table(q)
+    half = 1 << 63
+    re = sum(c * r for c, r in zip(counts, re_t) if c)
+    im = sum(c * i for c, i in zip(counts, im_t) if c)
+    return (re + half) >> 64, (im + half) >> 64
+
+
+def counts_of(phases, q: int) -> list[int]:
+    """c_j = #{x in phases : x = j mod q} for j = 0..q-1."""
+    counts = [0] * q
+    for x in phases:
+        counts[x % q] += 1
+    return counts
+
+
 def reference_mean(table, two_k: int, start: int) -> Fraction:
     """The rounded-root mean over the sweep from start, as a Fraction, for
     a table of |S_t|^2 * 2^256."""
@@ -139,26 +173,26 @@ def reference_power_mean(family, q: int, two_k: int) -> int:
 # verdicts of certify_weil
 CERTIFIED, FLAGGED, EXCEEDS = "certified", "flagged", "exceeds"
 
+# E: each part of exp_sums._scaled_sum is within 1/2 + 2^-65 units of
+# 2^-128 of the exact part times 2^128 (its docstring), so within 1
+SCALED_SUM_E = 1
+
 
 def certify_weil(n: int, k: int, p: int) -> list[str]:
     """Weil's bound |S(m,n,k;p)|^2 <= (k-1)^2 p for m = 1..p-1, decided in
     integers on a certified interval around the exact scaled sums, one
     verdict per m.
 
-    _scaled_sum gives the integers (re, im), the sum over the D = p values
-    of a of one rounded table entry e(j/p) * 2^128 or its conjugate each.
-    The _fixed_root_table docstring puts every entry, before its final
-    rounding, within p * 2^-128 of the exact root, and that rounding adds
-    at most 2^-129; so each part of each term is within p + 1/2 units of
-    2^-128 of the exact part times 2^128, and re and im are within
-    E = D * (p + 1) of 2^128 Re S and 2^128 Im S.  Then
+    _scaled_sum gives the integers (re, im), each its exact part times
+    2^128 rounded once from within 2^-65, so within E = SCALED_SUM_E = 1
+    of 2^128 Re S and 2^128 Im S.  Then
     max(|re| - E, 0)^2 + max(|im| - E, 0)^2 <= |S|^2 * 2^256
     <= (|re| + E)^2 + (|im| + E)^2.  CERTIFIED: the upper end is within
     the bound; EXCEEDS: the lower end is above it; FLAGGED: the interval
     straddles the bound, as it does wherever |S|^2 equals it.
     """
     family = PhaseFamily(k, TWIST_NONE, n)
-    err = p * (p + 1)
+    err = SCALED_SUM_E
     bound = (k - 1) ** 2 * p << 256
     verdicts = []
     for m in range(1, p):

@@ -466,6 +466,18 @@ def test_sum_json_bytes_are_pinned(capsys, family, m, n, k, q, real, imag):
         % (family, family, m, n, k, q, real, imag))
 
 
+def test_sum_prints_an_exact_zero_as_zero(capsys):
+    # S(0, 1; 9) is the Ramanujan sum c_9(1) = mu(9) = 0: each part is
+    # rounded once from within 2^-65 of 0, so it prints 0.0
+    code, out = run(capsys, "sum", "--family", "kloosterman", "--m", "0", "--n", "1", "--q", "9",
+                    "--format", "json")
+    assert code == cli.EXIT_OK
+    assert out == (
+        '{"schema_version":"1","command":"sum","config_echo":{"family":"kloosterman"},'
+        '"rows":[{"family":"kloosterman","m":0,"n":1,"k":1,"q":9,"real":0.0,"imag":0.0}],'
+        '"summary":{"pass":1,"fail":0,"skip":0,"max_residual":0.0}}\n')
+
+
 # the sha256 of json.dumps([argv, exit code, stdout, stderr]) for `sum
 # --format json` at the primes 2, 3, 10007 and 65537, where the counts
 # come from one primitive root, and at 32767 = 7*31*151, where they do
@@ -758,7 +770,7 @@ def run_python(code):
 
 
 def test_cli_runs_without_mpmath():
-    # the root tables are built from integers alone, so mpmath is a
+    # the roots are built from integers alone, so mpmath is a
     # test-side reference only
     proc = run_python("import sys, expsumlab.cli; print('mpmath' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

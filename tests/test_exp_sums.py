@@ -1,5 +1,7 @@
 import math
+import random
 import struct
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -28,7 +30,9 @@ from conftest import (
     FLAGGED,
     KERNEL_FAMILIES,
     ORBIT_FAMILIES,
+    SCALED_SUM_E,
     certify_weil,
+    counts_of,
     e_p,
     power_mean_direct,
     reference_abs_sq_table,
@@ -36,6 +40,7 @@ from conftest import (
     reference_phases,
     reference_power_mean,
     reference_root_table,
+    reference_scaled_sum,
     totient,
 )
 
@@ -219,14 +224,17 @@ def test_gauss_magnitude_all_m():
         assert out.status == registry.PASS and out.lhs == p * (p - 1), p
 
 
-# The exact paths against a big-integer loop over a per-entry 60-digit
-# mpmath root table (conftest): the scalar sums must give the same
-# integers bit for bit, and the power means the nearest integers to its
-# rounded means.
+# The exact paths against 60-digit mpmath (conftest): each part of a
+# scalar sum within E of the dot rounded once, and the power means the
+# nearest integers to the rounded means of a per-entry root table.
 
-def scalar_abs_sq_table(family, q):
-    sums = (exp_sums._scaled_sum(exp_sums._counts(family, q, t), q) for t in range(q))
-    return tuple(re * re + im * im for re, im in sums)
+def check_scaled_sums(family, q):
+    """Each part of _scaled_sum at every t within E of the 60-digit dot
+    rounded once, on the counts of reference_phases."""
+    for t in range(q):
+        got = exp_sums._scaled_sum(exp_sums._counts(family, q, t), q)
+        ref = reference_scaled_sum(counts_of(reference_phases(family, q, t), q), q)
+        assert all(abs(x - y) <= SCALED_SUM_E for x, y in zip(got, ref)), (family, q, t, got, ref)
 
 
 def test_integer_omega_matches_100_digit_mpmath():
@@ -239,16 +247,33 @@ def test_integer_omega_matches_100_digit_mpmath():
             assert exp_sums._unit_root(q) == ref, q
 
 
-def test_root_table_matches_per_entry_mpmath():
-    for q in list(range(1, 401)) + [1009, 1021, 4999]:
-        re, im = exp_sums._fixed_root_table(q)
-        half = q // 2 + 1
-        assert len(re) == len(im) == half, q
-        ref_re, ref_im = reference_root_table(q)
-        assert (re, im) == (ref_re[:half], ref_im[:half]), q
-        # the rest of the circle is the conjugate of the stored half
-        for j in range(half, q):
-            assert (ref_re[j], ref_im[j]) == (re[q - j], -im[q - j]), (q, j)
+def root_error(z, j, q, scale=256):
+    """|z - e(j/q) * 2^scale| for z = (re, im), at the caller's precision."""
+    return abs(mpmath.mpc(*z) - mpmath.expjpi(mpmath.mpf(2 * j) / q) * mpmath.mpf(2) ** scale)
+
+
+def test_baby_and_giant_roots_are_within_the_stepping_bound():
+    # _scaled_sum's roots (its docstring, and _powers') against mpmath at
+    # 100 digits, as 60 (about 2^-199) cannot resolve units of 2^-256:
+    # the baby roots omega^i, i <= s, within 1.75 i, the giant roots W^J
+    # within J * (1.75 s + 1), and below q = 100 and at 1009 every product
+    # omega^(i+1) * W^J at 2^512 within 1.28 q units of 2^-256
+    with mpmath.workdps(100):
+        for q in list(range(2, 401)) + [1009, 1021, 4999, 1000003]:
+            pairs = (q - 1) // 2
+            s = math.isqrt(pairs) + 1
+            base = exp_sums._powers(exp_sums._unit_root(q), s + 1)
+            giant = exp_sums._powers(base[s], -(-pairs // s))
+            assert len(base) == s + 1 and len(giant) == -(-pairs // s), q
+            for i, z in enumerate(base):
+                assert root_error(z, i, q) <= 1.75 * i, (q, i)
+            for big_j, z in enumerate(giant):
+                assert root_error(z, s * big_j, q) <= big_j * (1.75 * s + 1), (q, big_j)
+            if q < 100 or q == 1009:
+                for j in range(1, pairs + 1):
+                    (b_re, b_im), (g_re, g_im) = base[1 + (j - 1) % s], giant[(j - 1) // s]
+                    z = (b_re * g_re - b_im * g_im, b_re * g_im + b_im * g_re)
+                    assert root_error(z, j, q, 512) <= 1.28 * q * 2**256, (q, j)
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -259,8 +284,8 @@ def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
     # even q hold the self-paired a = q/2; under the inverse twist only
     # the units count
     for q in [3, 4, 5, 7, 8, 9, 12, 15, 16, 25, 30, 31, 45, 49, 53, 101, 211]:
+        check_scaled_sums(family, q)
         ref = reference_abs_sq_table(family, q)
-        assert scalar_abs_sq_table(family, q) == ref, q
         for two_k in (2, 6):
             assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, start)), (q, two_k)
 
@@ -268,10 +293,60 @@ def test_abs_sq_table_matches_big_integer_loop(family, include_zero):
 def test_even_families_match_big_integer_loop():
     for family in EVEN_FAMILIES[1:]:
         for q in [3, 4, 5, 8, 9, 16, 30, 31, 49, 101]:
+            check_scaled_sums(family, q)
             ref = reference_abs_sq_table(family, q)
-            assert scalar_abs_sq_table(family, q) == ref, q
             for two_k in (4, 8):
                 assert power_mean(family, q, two_k) == round(reference_mean(ref, two_k, 0)), q
+
+
+# moduli up to 5000, even and odd, prime, prime powers and composites;
+# each 60-digit reference table is built once
+ANY_COUNT_MODULI = [2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 27, 97, 210, 1024, 2187, 2310, 4096, 4999, 5000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(ANY_COUNT_MODULI), seed=st.integers(0, 2**32), top=st.sampled_from([1, 3, 10**6]),
+       zeros=st.sampled_from([0.0, 0.5, 0.99]))
+def test_scaled_sum_of_any_counts_is_within_e_of_the_60_digit_dot(q, seed, top, zeros):
+    # arbitrary counts, dense or mostly 0, entries up to 10^6
+    rng = random.Random(seed)
+    counts = [0 if rng.random() < zeros else rng.randint(0, top) for _ in range(q)]
+    got = exp_sums._scaled_sum(counts, q)
+    ref = reference_scaled_sum(counts, q)
+    assert all(abs(x - y) <= SCALED_SUM_E for x, y in zip(got, ref)), (got, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 11, 13, 67]), seed=st.integers(0, 2**32),
+       top=st.sampled_from([1, 10**6]))
+def test_counts_of_period_q_over_p_sum_to_exactly_zero(data, p, seed, top):
+    # at q = p^e up to 5000, sum_j c_j zeta^j = 0 when c_j = c_(j + q/p),
+    # as 1 + zeta^(q/p) + ... + zeta^((p-1) q/p) = 0: both parts come out 0
+    e = data.draw(st.integers(1, int(math.log(5000, p))), label="e")
+    rng = random.Random(seed)
+    block = [rng.randint(0, top) for _ in range(p ** (e - 1))]
+    assert exp_sums._scaled_sum(block * p, p**e) == (0, 0)
+
+
+def test_exact_zero_sums_are_zero():
+    # S(0, 1; 9) = c_9(1) = mu(9) = 0, and S(3, 5; 999999) = 0, as its
+    # factor at 27 is (module docstring, "Composite moduli")
+    assert kloosterman(0, 1, 9) == 0j
+    assert kloosterman(3, 5, 999999) == 0j
+
+
+def test_scaled_sum_peak_memory_is_a_few_root_lists():
+    # two lists of about sqrt(q/2) roots and one block of counts, not a
+    # table of q/2 roots: under 2 MiB beyond the counts at q = 1,000,003
+    q = 1000003
+    counts = exp_sums._counts(PhaseFamily(1, TWIST_INVERSE, 1), q, 1)
+    tracemalloc.start()
+    try:
+        exp_sums._scaled_sum(counts, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def mobius(n):
@@ -626,7 +701,7 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
 
-    for name in ("factorize", "is_prime", "primitive_root", "_counts", "_fixed_root_table"):
+    for name in ("factorize", "is_prime", "primitive_root", "_counts", "_powers", "_unit_root"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         for call in (
@@ -641,7 +716,7 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
 
 
 # The scalar sums against independent loops over the 60-digit mpmath
-# root table: the same integers, divided once by 2^128.
+# root table: the per-entry table of 2^128 roots, or the dot rounded once.
 
 SCALAR_MODULI = [2, 3, 4, 5, 7, 9, 12, 15, 16, 31, 45, 97, 101, 210]
 
@@ -652,19 +727,25 @@ def reference_sum(q, phases):
     return complex(sum(re_t[j] for j in phases) / 2**128, sum(im_t[j] for j in phases) / 2**128)
 
 
+def rounded_once_sum(q, phases):
+    """The 60-digit dot over the phases, rounded once to 2^128, divided."""
+    re, im = reference_scaled_sum(counts_of(phases, q), q)
+    return complex(re / 2**128, im / 2**128)
+
+
 def test_scalar_sums_are_the_exact_kernel_divided_once():
     for q in SCALAR_MODULI:
         units = [a for a in range(1, q) if math.gcd(a, q) == 1]
         for m in (0, 1, 2, -3, q + 1):
             for n in (0, 1, 5, -2):
-                ref = reference_sum(q, [m * a + n * pow(a, -1, q) for a in units])
+                ref = rounded_once_sum(q, [m * a + n * pow(a, -1, q) for a in units])
                 assert kloosterman(m, n, q) == ref, (m, n, q)
                 for k in (1, 2, 3, 4):
-                    ref = reference_sum(q, [m * a**k + n * a for a in range(q)])
+                    ref = rounded_once_sum(q, [m * a**k + n * a for a in range(q)])
                     assert two_term_sum(m, n, k, q) == ref, (m, n, k, q)
             if is_prime(q):
                 for k in (-1, 1, 2, 3, 4, q):
-                    ref = reference_sum(q, [m * pow(a, k, q) + pow(a, -1, q) for a in units])
+                    ref = rounded_once_sum(q, [m * pow(a, k, q) + pow(a, -1, q) for a in units])
                     assert twisted_sum(m, k, q) == ref, (m, k, q)
 
 
@@ -722,7 +803,7 @@ def test_names_nothing_calls_stay_deleted():
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
                    "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients", "abs_two_term_all_m",
-                   "_check_q", "_MAX_Q"),
+                   "_check_q", "_MAX_Q", "_fixed_root_table"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
                       "_is_canonical", "_differ", "_legendre_array"),
