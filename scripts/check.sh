@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Run the Tier-1 test suite, then the benchmark's own tests (a tiny-size
 # smoke run of every workload), then print the total code lines of
-# src/expsumlab (scripts/code_lines.py), which is reported, never gated
-# on.  Exits 0 when both test runs pass, except for the one failure that
-# is red by design and must stay red: acceptance criterion 6, the false
-# published formula of zh_cubic_6th_over_a (see README), which must fail
-# at p = 5 with the exact mean 2500 against the formula's 2100, and for
-# no other reason.
+# src/expsumlab (scripts/code_lines.py) and the sha256 of each benchmark
+# workload's outputs (scripts/output_digests.py), which are reported,
+# never gated on.  Exits 0 when both test runs pass, except for the one
+# failure that is red by design and must stay red: acceptance criterion
+# 6, the false published formula of zh_cubic_6th_over_a (see README),
+# which must fail at p = 5 with the exact mean 2500 against the
+# formula's 2100, and for no other reason.
 #
 #   scripts/check.sh
 set -u
@@ -48,4 +49,5 @@ if ! python3 -m pytest -q bench/test_bench.py; then
     status=1
 fi
 python3 scripts/code_lines.py | tail -1
+python3 scripts/output_digests.py
 exit $status

@@ -102,11 +102,19 @@ q = 2, which _power_mean computes and power_mean refuses.
 
 Kronecker slots.  _convolve packs two count vectors into integers, slot
 j at bit B*j, multiplies them and folds the product mod z^q - 1 with
-(M & mask) + (M >> q*B).  Slots are little-endian bytes: struct packs a
-count list as 8-byte slots, a bytearray stride copy (out[i::w2] =
-raw[i::w1]) re-widths them, and struct unpacks them after widening to 8
-bytes (int.from_bytes reads a wider slot), so the host's byte order does
-not matter.
+(M & mask) + (M >> q*B).  Slots are little-endian bytes, read and
+written by int.from_bytes and int.to_bytes with "little".  Slots become
+a list through an array.array of the least machine word of 1, 2, 4 or 8
+bytes that holds them (_unpack), and a list of counts becomes slots
+through 8-byte words (_pack).  A bytearray stride copy (out[i::w2] =
+raw[i::w1], _widen) cuts the 8-byte words to the slot, widens only the
+odd widths of 3, 5, 6 and 7 bytes to their word, and re-widths an
+operand of _convolve; a slot wider than 8 bytes goes through
+int.to_bytes and int.from_bytes one at a time.  An array's items are in
+the host's byte order, so on a big-endian host they are byteswapped
+after they are built from a list and before they are read back into
+one.  The slots are therefore the same bytes on any host, and so are
+the products and every total: the host's byte order does not matter.
 
 The slots are sized by Cauchy-Schwarz.  Each ladder entry N_m keeps
 s_m = sum_j N_m(j)^2.  The folded product F = N_a * N_b has F(j) =
@@ -147,7 +155,9 @@ count list it builds.
 
 Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts of
 _counts, the N_1 of the power means, with roots e(j/q) built on each
-call, and divide by 2^128 once.  The count of q - j joins that of j,
+call, and divide by 2^128 once; _scaled_sum takes any number of count
+vectors at one q and builds those roots once for all of them, with no
+cache.  The count of q - j joins that of j,
 added in the real part and subtracted in the imaginary part, so
 symmetric counts (Kloosterman sums and odd-degree phases) give an
 imaginary part of exactly 0.0.  The roots are baby steps omega^i and
@@ -164,9 +174,10 @@ Arithmetic, ch. 4).
 from __future__ import annotations
 
 import math
-import struct
+import sys
+from array import array
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import compress
 from operator import add, mul, sub
@@ -317,11 +328,13 @@ def _counts(family: PhaseFamily, q: int, t: int) -> list[int]:
     return c
 
 
-def _scaled_sum(c: list[int], q: int) -> tuple[int, int]:
-    """(re, im) of sum_j c_j e(j/q) * 2^128 for the counts c of q > 1
-    residues, within E = 1 of the exact parts: each is the nearest integer
-    to its exact part unless that lies within 2^-65 of a half-integer, and
-    a part that is exactly 0 gives 0.
+def _scaled_sum(counts: Iterable[list[int]], q: int) -> Iterator[tuple[int, int]]:
+    """(re, im) of sum_j c_j e(j/q) * 2^128 for each vector c of counts of
+    q > 1 residues, in order, within E = 1 of the exact parts: each is the
+    nearest integer to its exact part unless that lies within 2^-65 of a
+    half-integer, and a part that is exactly 0 gives 0.  The roots are
+    built once, by the call, and each vector is dotted with them as the
+    returned iterator reaches it.
 
     j = 0 and, at even q, j = q/2 pair with themselves, at the exact roots
     1 and -1.  Every other j <= (q-1)/2 pairs with q - j, whose root is the
@@ -347,23 +360,27 @@ def _scaled_sum(c: list[int], q: int) -> tuple[int, int]:
     base = _powers(_unit_root(q), s + 1)
     baby_re, baby_im = zip(*base[1:])
     giant = _powers(base[s], -(-pairs // s))
-    re, im = (c[0] - (c[q // 2] if q % 2 == 0 else 0)) << 2 * _GUARD_BITS, 0
-    for j, (g_re, g_im) in zip(range(1, pairs + 1, s), giant):
-        end = min(j + s, pairs + 1)
-        lo, hi = c[j:end], c[q - j:q - end:-1]
-        a, b = list(map(add, lo, hi)), list(map(sub, lo, hi))
-        re += g_re * sum(map(mul, a, baby_re)) - g_im * sum(map(mul, a, baby_im))
-        im += g_re * sum(map(mul, b, baby_im)) + g_im * sum(map(mul, b, baby_re))
     drop = 2 * _GUARD_BITS - _SCALE_BITS
     half = 1 << (drop - 1)
-    return (re + half) >> drop, (im + half) >> drop
+
+    def dot(c: list[int]) -> tuple[int, int]:
+        re, im = (c[0] - (c[q // 2] if q % 2 == 0 else 0)) << 2 * _GUARD_BITS, 0
+        for j, (g_re, g_im) in zip(range(1, pairs + 1, s), giant):
+            end = min(j + s, pairs + 1)
+            lo, hi = c[j:end], c[q - j:q - end:-1]
+            a, b = list(map(add, lo, hi)), list(map(sub, lo, hi))
+            re += g_re * sum(map(mul, a, baby_re)) - g_im * sum(map(mul, a, baby_im))
+            im += g_re * sum(map(mul, b, baby_im)) + g_im * sum(map(mul, b, baby_re))
+        return (re + half) >> drop, (im + half) >> drop
+
+    return map(dot, counts)
 
 
 def _scalar_sum(family: PhaseFamily, q: int, t: int) -> complex:
     """The family's inner sum at sweep value t: its counts dotted with the
     roots by _scaled_sum, divided once by 2^128 (module docstring, "Scalar
     sums")."""
-    re, im = _scaled_sum(_counts(family, q, t), q)
+    re, im = next(_scaled_sum([_counts(family, q, t)], q))
     return complex(re / _SCALE, im / _SCALE)
 
 
@@ -416,12 +433,43 @@ def _convolve(x: bytes, y: bytes, q: int, bound: int) -> bytes:
     return m.to_bytes(q * nbytes, "little")
 
 
-def _unpack(slots: bytes, q: int) -> list[int] | tuple[int, ...]:
-    """q byte slots as Python ints."""
+# array typecodes by item size: the machine words of 1, 2, 4 and 8 bytes
+_WORDS = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _words(data, size: int) -> array:
+    """data, a list of ints or little-endian slots of size bytes, as an
+    array of machine words of size = 1, 2, 4 or 8 bytes, its items
+    byteswapped on a big-endian host so that their bytes are the
+    little-endian slots (module docstring)."""
+    words = array(_WORDS[size], data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _pack(values: list[int], nbytes: int) -> bytes:
+    """values as little-endian slots of nbytes each (values must fit):
+    as 8-byte machine words cut to nbytes by _widen up to 8 bytes, and by
+    int.to_bytes beyond.  Not 1- or 2-byte words: array sets those items
+    from ints through a slower conversion, which costs more than the
+    8-byte words and the cut together."""
+    if nbytes > 8:
+        return b"".join(v.to_bytes(nbytes, "little") for v in values)
+    return _widen(_words(values, 8).tobytes(), len(values), nbytes)
+
+
+def _unpack(slots: bytes, q: int) -> list[int]:
+    """q byte slots as a list of Python ints: as the least machine words
+    of 1, 2, 4 or 8 bytes that hold them, an odd width of 3, 5, 6 or 7
+    bytes widened to its word by _widen, and by int.from_bytes beyond 8.
+    A list, not the array, as summing squares over an array boxes every
+    item again."""
     nbytes = len(slots) // q
     if nbytes > 8:
         return [int.from_bytes(slots[i:i + nbytes], "little") for i in range(0, len(slots), nbytes)]
-    return struct.unpack(f"<{q}Q", _widen(slots, q, 8))
+    size = 1 << (nbytes - 1).bit_length()
+    return _words(_widen(slots, q, size), size).tolist()
 
 
 def _trace(slots: bytes, square: int, total: int, q: int, p: int) -> int:
@@ -431,12 +479,10 @@ def _trace(slots: bytes, square: int, total: int, q: int, p: int) -> int:
     total^2 at a prime, which unpacks no slots."""
     d = q // p
     if d == 1:
-        folded_sq = total * total
-    else:
-        n = _unpack(slots, q)
-        folded = [sum(n[r::d]) for r in range(d)]
-        folded_sq = sum(map(mul, folded, folded))
-    return q * square - d * folded_sq
+        return q * square - total * total
+    n = _unpack(slots, q)
+    folded = [sum(n[r::d]) for r in range(d)]
+    return q * square - d * sum(map(mul, folded, folded))
 
 
 def _zero_sum(family: PhaseFamily, q: int, p: int) -> int:
@@ -462,8 +508,9 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
     at the prime power q of p: the domain size D, phi(q) under the inverse
     twist and q without, and per orbit its size, the ladder of the
     self-convolutions of the counts _counts gives at the orbit's
-    representative t, as byte slots, and their sums of squares, both of
-    which _self_power extends (module docstring)."""
+    representative t, and their sums of squares, both of which _self_power
+    extends (module docstring).  N_1 is packed by _pack into slots of the
+    bytes of D, the largest count, so 1 to 4 bytes below 2^31."""
     phi = q - q // p
     # the domain: the units under the inverse twist, every residue without
     domain = phi if family.twist == TWIST_INVERSE else q
@@ -490,12 +537,8 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
             before, marked = marked, seen.count(1)
             reps.append((t, marked - before))
             t = seen.find(0, t)
-    orbits = []
-    for t, size in reps:
-        c = _counts(family, q, t)
-        slots = _widen(struct.pack(f"<{q}Q", *c), q, nbytes)
-        orbits.append((size, {1: slots}, {1: sum(map(mul, c, c))}))
-    return domain, orbits
+    counts = ((size, _counts(family, q, t)) for t, size in reps)
+    return domain, [(size, {1: _pack(c, nbytes)}, {1: sum(map(mul, c, c))}) for size, c in counts]
 
 
 def _self_power(ladder: dict[int, bytes], squares: dict[int, int], m: int, q: int) -> bytes:

@@ -102,6 +102,12 @@ def test_primitive_root_refuses_a_non_prime(n):
         primitive_root(n)
 
 
+def test_primitive_root_keeps_the_last_4096_primes():
+    # the same bound as factorize's, stated beside it in the docstring
+    assert primitive_root.cache_info().maxsize == factorize.cache_info().maxsize == 4096
+    assert "primitive_root keeps its last 4096 primes" in arith.__doc__
+
+
 def test_primitive_root_refuses_from_2_pow_31_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("primitive_root did work before rejecting p")

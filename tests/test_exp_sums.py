@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -230,9 +231,10 @@ def test_gauss_magnitude_all_m():
 
 def check_scaled_sums(family, q):
     """Each part of _scaled_sum at every t within E of the 60-digit dot
-    rounded once, on the counts of reference_phases."""
-    for t in range(q):
-        got = exp_sums._scaled_sum(exp_sums._counts(family, q, t), q)
+    rounded once, on the counts of reference_phases; one _scaled_sum call
+    takes the whole sweep."""
+    sweep = exp_sums._scaled_sum((exp_sums._counts(family, q, t) for t in range(q)), q)
+    for t, got in enumerate(sweep):
         ref = reference_scaled_sum(counts_of(reference_phases(family, q, t), q), q)
         assert all(abs(x - y) <= SCALED_SUM_E for x, y in zip(got, ref)), (family, q, t, got, ref)
 
@@ -311,7 +313,7 @@ def test_scaled_sum_of_any_counts_is_within_e_of_the_60_digit_dot(q, seed, top, 
     # arbitrary counts, dense or mostly 0, entries up to 10^6
     rng = random.Random(seed)
     counts = [0 if rng.random() < zeros else rng.randint(0, top) for _ in range(q)]
-    got = exp_sums._scaled_sum(counts, q)
+    (got,) = exp_sums._scaled_sum([counts], q)
     ref = reference_scaled_sum(counts, q)
     assert all(abs(x - y) <= SCALED_SUM_E for x, y in zip(got, ref)), (got, ref)
 
@@ -325,7 +327,7 @@ def test_counts_of_period_q_over_p_sum_to_exactly_zero(data, p, seed, top):
     e = data.draw(st.integers(1, int(math.log(5000, p))), label="e")
     rng = random.Random(seed)
     block = [rng.randint(0, top) for _ in range(p ** (e - 1))]
-    assert exp_sums._scaled_sum(block * p, p**e) == (0, 0)
+    assert list(exp_sums._scaled_sum([block * p], p**e)) == [(0, 0)]
 
 
 def test_exact_zero_sums_are_zero():
@@ -346,6 +348,37 @@ def test_scaled_sum_peak_memory_is_a_few_root_lists():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def test_scaled_sum_builds_the_roots_once_per_call(monkeypatch):
+    # the roots are built by the call, before any vector is read, and
+    # serve every vector; each vector is dotted as the iterator reaches it
+    calls = []
+    powers = exp_sums._powers
+    monkeypatch.setattr(exp_sums, "_powers", lambda w, n: calls.append(n) or powers(w, n))
+    q = 101
+    vectors = [exp_sums._counts(SALIE, q, t) for t in range(q)]
+    dots = exp_sums._scaled_sum(iter(vectors), q)
+    assert len(calls) == 2
+    got = list(dots)
+    assert len(calls) == 2
+    assert got == [next(exp_sums._scaled_sum([c], q)) for c in vectors]
+
+
+def test_scaled_sum_peak_memory_while_dotting_is_a_few_root_lists():
+    # the roots and one folded block at a time while a vector is dotted,
+    # under 2 MiB beyond the counts at q = 1,000,003
+    q = 1000003
+    counts = [3] * q
+    tracemalloc.start()
+    try:
+        (dot,) = exp_sums._scaled_sum([counts], q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # sum_j 3 e(j/q) = 0
+    assert dot == (0, 0)
     assert peak < 2 * 2**20, peak
 
 
@@ -544,27 +577,35 @@ def test_scalar_sum_walk_is_the_generic_path():
                 assert [exp_sums._scalar_sum(family, p, t) for t in (0, 1, 3, p - 1)] == walked, (family, p)
 
 
-def one_orbit_ladder(counts):
-    """A ladder holding N_1 = counts as 8-byte slots, and its s_1."""
-    return {1: struct.pack(f"<{len(counts)}Q", *counts)}, {1: sum(c * c for c in counts)}
+def one_orbit_ladder(counts, packed):
+    """A ladder holding N_1 = counts, and its s_1: as 8-byte slots by
+    struct, or packed by _pack at the width _orbit_table gives a table,
+    the bytes of D = sum(counts)."""
+    if packed:
+        slots = exp_sums._pack(counts, -(-sum(counts).bit_length() // 8))
+    else:
+        slots = struct.pack(f"<{len(counts)}Q", *counts)
+    return {1: slots}, {1: sum(c * c for c in counts)}
 
 
 def check_ladder(counts, powers):
     """_self_power's N_m and s_m for each m in powers, in that order,
-    against N_m = N_(m-1) * N_1 by the plain O(q^2) cyclic convolution."""
+    against N_m = N_(m-1) * N_1 by the plain O(q^2) cyclic convolution,
+    from N_1 as 8-byte slots and from N_1 at the table's own width."""
     q = len(counts)
-    ladder, squares = one_orbit_ladder(counts)
     direct = {1: counts}
     for m in range(2, max(powers) + 1):
         direct[m] = cyclic_convolution(direct[m - 1], counts, q)
-    for m in powers:
-        slots = exp_sums._self_power(ladder, squares, m, q)
-        assert list(exp_sums._unpack(slots, q)) == direct[m], (q, m)
-        assert squares[m] == sum(x * x for x in direct[m]), (q, m)
-        # Cauchy-Schwarz slots are never wider than those of D^m
-        width = len(slots) // q
-        assert width == -(-math.isqrt(squares[m // 2] * squares[m - m // 2]).bit_length() // 8)
-        assert width <= -(-(sum(counts) ** m).bit_length() // 8), (q, m)
+    for packed in (False, True):
+        ladder, squares = one_orbit_ladder(counts, packed)
+        for m in powers:
+            slots = exp_sums._self_power(ladder, squares, m, q)
+            assert list(exp_sums._unpack(slots, q)) == direct[m], (q, m, packed)
+            assert squares[m] == sum(x * x for x in direct[m]), (q, m, packed)
+            # Cauchy-Schwarz slots are never wider than those of D^m
+            width = len(slots) // q
+            assert width == -(-math.isqrt(squares[m // 2] * squares[m - m // 2]).bit_length() // 8)
+            assert width <= -(-(sum(counts) ** m).bit_length() // 8), (q, m, packed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -592,12 +633,44 @@ def test_self_power_tight_case(domain):
 
 
 def test_unpack_wide_slots():
-    # slots of 1 to 17 bytes, through struct up to 8 and int.from_bytes beyond
-    for nbytes in (1, 2, 7, 8, 9, 16, 17):
+    # slots of 1 to 17 bytes, the odd widths 3, 5, 6 and 7 among them:
+    # through machine words up to 8 and int.from_bytes beyond, to a list
+    # of int, and _pack gives back the same little-endian bytes
+    for nbytes in range(1, 18):
         top = 2 ** (8 * nbytes)
-        values = [0, 1, top - 1, top // 2 + 1, 0x9E3779B97F4A7C15F39CC0605CEDC835 % top]
+        values = [0, 1, top - 1, top - 2, top // 2 + 1, 0x9E3779B97F4A7C15F39CC0605CEDC835 % top]
         slots = b"".join(v.to_bytes(nbytes, "little") for v in values)
-        assert list(exp_sums._unpack(slots, len(values))) == values, nbytes
+        unpacked = exp_sums._unpack(slots, len(values))
+        assert type(unpacked) is list and all(type(v) is int for v in unpacked), nbytes
+        assert unpacked == values, nbytes
+        assert exp_sums._pack(values, nbytes) == slots, nbytes
+
+
+def test_words_are_little_endian_slots_on_either_host(monkeypatch):
+    # the array's items hold little-endian slots on this host, and with
+    # sys.byteorder set to the other order the items are swapped on the
+    # way in and out: big-endian bytes on either kind of host, read back
+    # to the same values
+    values = [1, 258, 65535, 70000]
+    for code, order in (("little", sys.byteorder), ("big", "big" if sys.byteorder == "little" else "little")):
+        monkeypatch.setattr(sys, "byteorder", order)
+        slots = b"".join(v.to_bytes(4, code) for v in values)
+        assert exp_sums._words(values, 4).tobytes() == slots, order
+        assert exp_sums._words(slots, 4).tolist() == values, order
+
+
+@pytest.mark.parametrize("p", [5, 101, 1009])
+def test_registry_orbit_tables_at_a_prime_miss_the_root_cache_once(p):
+    # the orbit tables of the four registry families at p ask for p's
+    # primitive root once per table and once per orbit; only the first
+    # computes it
+    families = [family._replace(include_zero_in_sweep=True) for family in
+                (registry._SALIE_FAMILY, registry._ZWL_FAMILY, CUBIC_FAMILY, registry._GAUSS_FAMILY)]
+    exp_sums._orbit_table.cache_clear()
+    exp_sums.primitive_root.cache_clear()
+    orbits = sum(len(exp_sums._orbit_table(family, p, p)[1]) for family in families)
+    info = exp_sums.primitive_root.cache_info()
+    assert (info.misses, info.hits) == (1, len(families) + orbits - 1)
 
 
 def test_orbit_table_cache_has_the_documented_bound():
@@ -803,7 +876,7 @@ def test_names_nothing_calls_stay_deleted():
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
                    "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients", "abs_two_term_all_m",
-                   "_check_q", "_MAX_Q", "_fixed_root_table"),
+                   "_check_q", "_MAX_Q", "_fixed_root_table", "struct"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
                       "_is_canonical", "_differ", "_legendre_array"),
