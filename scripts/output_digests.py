@@ -7,8 +7,11 @@ and one sha256 covers every command's stdout bytes, stderr bytes and
 exit code.  The seeds are those with distinct inputs: power_large and
 pair_search pick one of three bands or windows (seeds 1, 5 and 7 cover
 all three), and registry_mix picks the n of its rows (seeds 1, 2 and 3).
-A change that must leave every output byte as it is prints the same
-lines before and after.
+Then the command lines of EXTRA, which no workload runs, get one sha256
+per group the same way: `sum` at composites with 2 as a factor or with
+many factors, at a power of 2 and at a prime near 10^6, and the
+zhang_composite_4th sweep over q = 3..3000.  A change that must leave
+every output byte as it is prints the same lines before and after.
 
     python3 scripts/output_digests.py
 """
@@ -25,6 +28,15 @@ import workloads  # noqa: E402
 from expsumlab.cli import main as cli_main  # noqa: E402
 
 SEEDS = {"power_large": (1, 5, 7), "registry_mix": (1, 2, 3), "pair_search": (1, 5, 7)}
+EXTRA = {
+    "sum": [["sum", "--family", family, "--m", "3", *extra, "--q", str(q), "--format", "json"]
+            for family, extra in (("kloosterman", ["--n", "5"]), ("two-term", ["--n", "5", "--k", "3"]))
+            for q in (2310, 4096, 999999)]
+    + [["sum", "--family", "kloosterman", "--m", "1", "--n", "1", "--q", str(q)]
+       for q in (999999, 9699690, 1000003)],
+    "verify zhang_composite_4th": [["verify", "--identity", "zhang_composite_4th", "--qmin", "3",
+                                    "--qmax", "3000"]],
+}
 
 
 def captured(argv: list[str]) -> tuple[bytes, bytes, int]:
@@ -54,6 +66,8 @@ def main() -> int:
     for name, seeds in SEEDS.items():
         for seed in seeds:
             print(f"{name} seed {seed}: {digest(workloads.build(name, seed).commands)}")
+    for name, commands in EXTRA.items():
+        print(f"{name}: {digest(commands)}")
     return 0
 
 

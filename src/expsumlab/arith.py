@@ -8,9 +8,11 @@ character sums, the pair search and the conjecture alike.  Everything
 here is deterministic trial-division arithmetic, adequate below that
 bound: sweeps reach 2 * 10^4, `sum` runs at 10^6 + 3, and factorize
 trial-divides each q once per process while q is among the last 4096 it
-was asked for.  primitive_root keeps its last 4096 primes the same way,
-as every orbit of a power mean's table at p walks the powers of the same
-root.  No probabilistic primality, no big-number shortcuts.
+was asked for.  primitive_root keeps its last 4096 primes the same way:
+exp_sums walks the units of every power of an odd p from the root mod p,
+so each orbit of a power mean's table at p^e, each layer of that table,
+and each factor p^e of a scalar sum's modulus asks for it again.  No
+probabilistic primality, no big-number shortcuts.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def primitive_root(p: int) -> int:
     """The least primitive root mod the prime p: the least g with
     g^((p-1)/r) != 1 for every prime r | p - 1, so of order p - 1; 1 at
     p = 2.  Refuses p >= 2^31 (check_q) and a non-prime.  The last 4096
-    are kept, as the orbit tables of a prime ask for its root once per
-    orbit and once per table."""
+    are kept, as the orbit tables of a power of p ask for its root once
+    per orbit and once per layer."""
     p = check_q(p)
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

@@ -31,27 +31,38 @@ t -> c^e*t maps the sweep t = 0..q-1 onto itself.  So its
 total T = sum_t y_t is fixed by every sigma_c, hence an integer equal to
 Tr(T) / phi(q), and Tr(y_t) is constant on each orbit O of the sweep
 under H = {c^e}: T = sum_O |O| Tr(y_(t_O)) / phi(q).  A total that phi(q)
-does not divide is an invariant breach.  H is built as {c^d}, d = gcd(e,
-phi(q)): with d = a*e + b*phi(q), c^d = (c^a)^e, and c^e = (c^(e/d))^d, so
-the two sets are one.  For the cubic family e = -2 and d = 2, so H is the
-squares: one cheap pow per unit, not one with an exponent near phi(q).
-The units come from crossing out the multiples of each prime factor of q.
+does not divide is an invariant breach.  H = {c^d}, d = gcd(e, phi(q)):
+with d = a*e + b*phi(q), c^d = (c^a)^e, and c^e = (c^(e/d))^d, so the
+two sets are one.  For the cubic family e = -2 and d = 2, so H is the
+squares.
 
-At a prime.  The units mod p are cyclic (Iwaniec & Kowalski, ch. 1):
-with g the least primitive root (arith.primitive_root), a = g^i for i =
-0..p-2, so a^k = g^(k*i mod p-1) steps by g^k from one a to the next and
-abar = g^(-i) by g^-1.  _counts walks a in that order, so t*a^k and
-f*abar (or f*a) each step by one multiplication per value, with no pow.
-Elsewhere, 2^e among them, it takes a ascending.  H = {c^d} is then
-<g^d>, the subgroup of index d, so the orbits of t != 0 are the d cosets
-g^j * H, j < d, each of (p-1)/d elements: _orbit_table takes t = g^j for
-them, builds no H and marks nothing.  Neither the order of a nor the
-choice of t can change a total.  Reordering a reorders the terms of each
-count c_j.  Another t of the same orbit, c^e t, has the counts of t with
-j moved to c*j (above), so the same s_m at every rung of the ladder and
-the same Tr(y_t).  And T is a sum of integers, exact in any order.  At
-p^e with e >= 2, where the units mod 2^e are not cyclic for e >= 3, H is
-built from the units as above and each orbit is marked from its least t.
+At a prime power.  For odd p the units mod p^e are cyclic (Ireland &
+Rosen, A Classical Introduction to Modern Number Theory, ch. 4): with g
+the least primitive root mod p (arith.primitive_root), g generates them
+at every e unless g^(p-1) = 1 mod p^2, and then g + p does.  The units
+mod 2^e are +-5^i for i < 2^(e-2) from e = 3 on, +-1 at 4 and 1 at 2.
+So the units of q = p^e are s*g^i, i < n, with s in a list of starts,
+(1,) or (1, -1) (_unit_walk), and on each coset s*<g> a^k = s^k g^(k*i)
+steps by g^k from one a to the next and abar = s*g^(-i) by g^-1, s =
++-1 being its own inverse.  _walk walks a in that order, so t*a^k and
+f*abar (or f*a) each step by one multiplication per unit, with no pow;
+without twist it first takes the q/p non-units a = 0, p, 2p, ... by pow.
+
+The orbits of t != 0 lie in layers: t = (q/L)*u for L = q, q/p, ..., p
+and u a unit mod L, and c^e t = (q/L)*(c^e u mod L), so the orbits of
+layer L are the cosets among the units mod L of H mod L = {c^d : c a
+unit mod L}.  At odd p that is <g^d>, of index gcd(d, n) in the cyclic
+group of order n = phi(L).  At 2^e it is <5^d> when d is even, of index
+2 gcd(d, n); when d is odd it holds -1 = (-1)^d and 5^d, which
+generates <5> as n is a power of 2, so it is every unit.  So
+_orbit_table takes t = (q/L)*s*g^i for i < gcd(d, n), s over the starts
+or s = 1 alone when d is odd: r representatives, each of an orbit of
+phi(L)/r elements.  It builds no H and marks nothing.  Neither the order of
+a nor the choice of t can change a total.  Reordering a reorders the
+terms of each count c_j.  Another t of the same orbit, c^e t, has the
+counts of t with j moved to c*j (above), so the same s_m at every rung
+of the ladder and the same Tr(y_t).  And T is a sum of integers, exact
+in any order.
 
 The orbit of t = 0 is {0}, and S_0 = sum_a zeta^(v_a) is a rational
 integer.  Without twist, v_a = f*a over all residues a: a geometric sum,
@@ -157,16 +168,23 @@ Scalar sums (kloosterman, two_term_sum, twisted_sum) dot the counts of
 _counts, the N_1 of the power means, with roots e(j/q) built on each
 call, and divide by 2^128 once; _scaled_sum takes any number of count
 vectors at one q and builds those roots once for all of them, with no
-cache.  The count of q - j joins that of j,
+cache.  At q = rs with gcd(r, s) = 1, a mod q is the pair (a mod r, a
+mod s), a unit exactly when both are, abar reduces to the inverses mod r
+and mod s, and the phase t*a^k + f*abar (or f*a) reduces mod r to that
+of a mod r at the same t and f.  So c_q(j) = c_r(j mod r) * c_s(j mod
+s), exact in integers, and _counts joins the walks at the prime powers
+of q that way, one product per residue; the dot and its one rounding
+are those of the counts at q however they were made.  The count of q - j
+joins that of j,
 added in the real part and subtracted in the imaginary part, so
 symmetric counts (Kloosterman sums and odd-degree phases) give an
 imaginary part of exactly 0.0.  The roots are baby steps omega^i and
 giant steps (omega^s)^J, about sqrt(q/2) of each at 2^256, whose
 products reach every j <= q/2 (_scaled_sum); the sum at 2^512 is
 rounded once to 2^128, within E = 1 unit of 2^-128 of the exact part, so
-an exact zero gives 0.0.  At a prime the counts come from the walk over
-a = g^i ("At a prime"), and no table of powers is stored for either
-kind of sum.  The roots come from integers alone: pi by Machin's
+an exact zero gives 0.0.  The counts come from the walks at the prime
+powers of q ("At a prime power"), and no table of powers is stored for
+either kind of sum.  The roots come from integers alone: pi by Machin's
 formula, e(1/q) by a Taylor series (Brent & Zimmermann, Modern Computer
 Arithmetic, ch. 4).
 """
@@ -178,8 +196,8 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
-from itertools import compress
+from functools import lru_cache, reduce
+from itertools import cycle, islice
 from operator import add, mul, sub
 
 from .arith import check_q, factorize, is_prime, primitive_root
@@ -289,43 +307,52 @@ def _powers(w: tuple[int, int], n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _units(q: int) -> Iterator[int]:
-    """The units mod q, ascending, as an iterator: the residues left after
-    crossing out the multiples of each prime factor of q."""
-    mark = bytearray([1]) * q
-    for p, _ in factorize(q):
-        mark[::p] = bytes(len(range(0, q, p)))
-    return compress(range(q), mark)
+def _unit_walk(q: int, p: int) -> tuple[tuple[int, ...], int, int]:
+    """(starts, g, n) such that the units mod the prime power q of p are
+    s*g^i mod q, s in starts and i < n, each once (module docstring, "At a
+    prime power"): at odd p, starts = (1,), g the least primitive root mod
+    p, or g + p when g^(p-1) = 1 mod p^2, and n = phi(q); at p = 2,
+    starts = (1, -1), or (1,) at q = 2, g = 5 and n = max(1, q/4)."""
+    if p == 2:
+        return (1, q - 1) if q > 2 else (1,), 5, max(1, q // 4)
+    g = primitive_root(p)
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    return (1,), g, q - q // p
+
+
+def _walk(family: PhaseFamily, q: int, p: int, t: int) -> list[int]:
+    """c_j = #{a : t*a^k + f*abar (or f*a) = j mod q} for j = 0..q-1 at the
+    prime power q of p, a over the family's domain: without twist the q/p
+    non-units a = 0, p, 2p, ... first, by pow, then each coset s*<g> of
+    _unit_walk's units a = s*g^i, on which t*a^k and f*abar (or f*a) step
+    by g^k and by g^-1 (or g), one multiplication each (module docstring,
+    "At a prime power")."""
+    k, f, t = family.monomial_degree, family.fixed_coefficient % q, t % q
+    inverse = family.twist == TWIST_INVERSE
+    c = [0] * q
+    if not inverse:
+        for a in range(0, q, p):
+            c[(t * pow(a, k, q) + f * a) % q] += 1
+    starts, g, n = _unit_walk(q, p)
+    step_x, step_y = pow(g, k, q), pow(g, -1 if inverse else 1, q)
+    for s in starts:
+        # s = +-1 is its own inverse
+        x, y = t * pow(s, k, q) % q, f * s % q
+        for _ in range(n):
+            c[(x + y) % q] += 1
+            x = x * step_x % q
+            y = y * step_y % q
+    return c
 
 
 def _counts(family: PhaseFamily, q: int, t: int) -> list[int]:
     """c_j = #{a : t*a^k + f*abar (or f*a) = j mod q} for j = 0..q-1, a
-    over the family's domain.  At a prime, a = 0 first if the domain holds
-    it, then a = g^i for i = 0..q-2 with g the least primitive root, so
-    that t*a^k and f*abar (or f*a) step by g^k (k taken mod q - 1) and by
-    g^-1 (or g), one multiplication each (module docstring, "At a
-    prime"); elsewhere, 2^e among them, a ascending."""
-    k, f, t = family.monomial_degree, family.fixed_coefficient % q, t % q
-    inverse = family.twist == TWIST_INVERSE
-    c = [0] * q
-    if is_prime(q):
-        g = primitive_root(q)
-        step_x, step_y = pow(g, k % (q - 1), q), pow(g, -1, q) if inverse else g
-        if not inverse:
-            # a = 0, whose phase is 0
-            c[0] = 1
-        x, y = t, f
-        for _ in range(q - 1):
-            c[(x + y) % q] += 1
-            x = x * step_x % q
-            y = y * step_y % q
-    elif inverse:
-        for a in _units(q):
-            c[(t * pow(a, k, q) + f * pow(a, -1, q)) % q] += 1
-    else:
-        for a in range(q):
-            c[(t * pow(a, k, q) + f * a) % q] += 1
-    return c
+    over the family's domain: the counts of _walk at each prime power of
+    q, joined by CRT as c_rs(j) = c_r(j mod r) * c_s(j mod s) (module
+    docstring, "Scalar sums")."""
+    walks = (_walk(family, p**e, p, t) for p, e in factorize(q))
+    return reduce(lambda x, y: list(map(mul, islice(cycle(x), len(x) * len(y)), cycle(y))), walks)
 
 
 def _scaled_sum(counts: Iterable[list[int]], q: int) -> Iterator[tuple[int, int]]:
@@ -507,7 +534,7 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
     """(D, [(|O|, {1: N_1}, {1: s_1}) for each orbit O of t != 0 under H])
     at the prime power q of p: the domain size D, phi(q) under the inverse
     twist and q without, and per orbit its size, the ladder of the
-    self-convolutions of the counts _counts gives at the orbit's
+    self-convolutions of the counts _walk gives at the orbit's
     representative t, and their sums of squares, both of which _self_power
     extends (module docstring).  N_1 is packed by _pack into slots of the
     bytes of D, the largest count, so 1 to 4 bytes below 2^31."""
@@ -516,28 +543,16 @@ def _orbit_table(family: PhaseFamily, q: int, p: int) -> tuple[int, list[tuple[i
     domain = phi if family.twist == TWIST_INVERSE else q
     nbytes = -(-domain.bit_length() // 8)
     d = math.gcd(_galois_exponent(family, phi), phi)
-    if is_prime(q):
-        # H = {c^d} = <g^d>, whose cosets g^j * H, j < d, are the orbits
-        g = primitive_root(p)
-        reps = [(pow(g, j, p), phi // d) for j in range(d)]
-    else:
-        # H = {c^e} = {c^d}, d = gcd(e, phi(q)), each element once
-        in_h = bytearray(q)
-        for c in _units(q):
-            in_h[pow(c, d, q)] = 1
-        h = list(compress(range(q), in_h))
-        seen = bytearray(q)
-        seen[0] = marked = 1
-        reps = []
-        t = seen.find(0)
-        while t > 0:
-            # the orbit H*t of the first t not yet seen, and its size
-            for x in h:
-                seen[x * t % q] = 1
-            before, marked = marked, seen.count(1)
-            reps.append((t, marked - before))
-            t = seen.find(0, t)
-    counts = ((size, _counts(family, q, t)) for t, size in reps)
+    reps, layer = [], q
+    while layer > 1:
+        # t = (q/layer)*u, u a unit mod layer: the cosets of {c^d} there
+        # (module docstring, "At a prime power")
+        starts, g, n = _unit_walk(layer, p)
+        cosets = [s * pow(g, i, layer) * (q // layer) % q
+                  for s in (starts if d % 2 == 0 else starts[:1]) for i in range(math.gcd(d, n))]
+        reps += [(t, (layer - layer // p) // len(cosets)) for t in cosets]
+        layer //= p
+    counts = ((size, _walk(family, q, p, t)) for t, size in reps)
     return domain, [(size, {1: _pack(c, nbytes)}, {1: sum(map(mul, c, c))}) for size, c in counts]
 
 

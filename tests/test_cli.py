@@ -479,9 +479,9 @@ def test_sum_prints_an_exact_zero_as_zero(capsys):
 
 
 # the sha256 of json.dumps([argv, exit code, stdout, stderr]) for `sum
-# --format json` at the primes 2, 3, 10007 and 65537, where the counts
-# come from one primitive root, and at 32767 = 7*31*151, where they do
-# not; twisted refuses the composite
+# --format json` at the primes 2, 3, 10007 and 65537, at the composites
+# 32767 = 7*31*151, 2310 = 2*3*5*7*11 and 999999 = 3^3*7*11*13*37, and at
+# 4096 = 2^12; twisted refuses a composite
 SUM_SHA256_PINS = {
     ("kloosterman", 2): "eaff3f6ff13fac92501a57f63c79d3ccb2a43f27a20c48d06e2378fe4327548e",
     ("two-term", 2): "cc7a892eddc340334d894b0acfbeb9b89e2f4d9f38202d7a5be48f4b59fa42bb",
@@ -498,6 +498,12 @@ SUM_SHA256_PINS = {
     ("kloosterman", 32767): "3e0a72be8600c67840dd7558b48533e28f1bb934c0b673af1bb32c35ed4b79c2",
     ("two-term", 32767): "e4d1801ee7a916fb3e16ea0851f75f5de160bdd43b0455c1d330746e8632c2a1",
     ("twisted", 32767): "37431d96b1026eee0f56efe9ecdccf33af6954da6ccbe51e3b0a71c0b0c64f24",
+    ("kloosterman", 2310): "b1007d955a55f57d2a0984c3356c4ca6be9508b416563f5998f9881245307c41",
+    ("two-term", 2310): "b1f9b2adc09669856099f00e6bd56792ea33fa21ad6ec21127bd3651cc71e5e1",
+    ("kloosterman", 4096): "bd2ea8e2a280827327650e092779a8840f61e82eefd6c2580c98d9e11b704feb",
+    ("two-term", 4096): "fd64d3dffda020a5e3a5509e02a2a489f2155e0e178485a4aee38ba12c6241fd",
+    ("kloosterman", 999999): "ab63e20f4b460084794dbfa797b78c7ec692b7ce80b805d5820e6d9d35fd5796",
+    ("two-term", 999999): "5d66988ff094f23497b343484d4c975e7e2a8b6a182e453c1aedd77394c2f223",
 }
 
 

@@ -431,7 +431,7 @@ def test_orbit_rule_matches_all_t_trace(family):
         # t with every phase j moved to c*j
         e = exp_sums._galois_exponent(family, totient(q))
         counts = [exp_sums._counts(family, q, t) for t in range(q)]
-        for c in exp_sums._units(q):
+        for c in (a for a in range(q) if math.gcd(a, q) == 1):
             for t in range(q):
                 image = counts[pow(c, e, q) * t % q]
                 assert [image[c * j % q] for j in range(q)] == counts[t], (q, c, t)
@@ -492,59 +492,112 @@ def test_cubic_means_share_one_ladder(monkeypatch):
 
 
 def test_units_and_subgroup_of_powers():
-    # the units by crossing out prime factors, and H = {c^e} = {c^d} with
-    # d = gcd(e, phi(q)) (module docstring, "Orbits")
+    # the units of a prime power q are s*g^i, s in starts and i < n, each
+    # once (module docstring, "At a prime power"), and H = {c^e} = {c^d}
+    # with d = gcd(e, phi(q)) (module docstring, "Orbits")
     for q in range(2, 90):
         units = [a for a in range(q) if math.gcd(a, q) == 1]
-        assert list(exp_sums._units(q)) == units, q
+        if len(fac := factorize(q)) == 1:
+            starts, g, n = exp_sums._unit_walk(q, fac[0][0])
+            assert sorted(s * pow(g, i, q) % q for s in starts for i in range(n)) == units, q
         phi = len(units)
         for e in range(2 * phi + 1):
             d = math.gcd(e, phi)
             assert {pow(c, e, q) for c in units} == {pow(c, d, q) for c in units}, (q, e)
 
 
-# The walk over a primitive root at a prime (module docstring, "At a
-# prime") against the generic path of the prime powers, which runs at a
-# prime when exp_sums sees is_prime(p) as False.
+# The walk over the units at a prime power (module docstring, "At a
+# prime power") and its layer cosets against the generic path of the
+# test side: the counts of the ascending-a definition, the orbits H*t
+# marked one by one, and the means of the orbit table built from the two.
 
 PRIMES_BELOW_600 = primes_in_range(2, 599)
+# (q, p): odd prime powers, and 2^e for e = 1..12
+PRIME_POWERS = [(9, 3), (81, 3), (2187, 3), (125, 5), (49, 7), (121, 11), (2197, 13)] + [
+    (2**e, 2) for e in range(1, 13)]
+PRIME_POWERS_BELOW_600 = [(q, fac[0][0]) for q in range(2, 600) if len(fac := factorize(q)) == 1]
 PATH_MEANS = (2, 4, 6, 8, 12)
 
 
-def both_paths(family, p):
-    """({t: counts} for t = 0, 1, 2 and p - 1, domain, sorted (orbit size,
-    s_1), {2k: mean}) at the prime p, by the prime path and by the generic
-    path, each from its own table."""
+def defined_counts(family, q, ts):
+    """{t: counts} of the phases t*a^k + f*abar (or f*a) for each t of ts,
+    a ascending over the units of a gcd list (or over every residue), with
+    a^k and abar taken by pow once per a."""
+    k, f = family.monomial_degree, family.fixed_coefficient
+    if family.twist == TWIST_INVERSE:
+        domain = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        rest = [f * pow(a, -1, q) for a in domain]
+    else:
+        domain = range(q)
+        rest = [f * a for a in domain]
+    powers = [pow(a, k, q) for a in domain]
+    return {t: counts_of([t * x + y for x, y in zip(powers, rest)], q) for t in ts}
+
+
+def reference_orbits(family, q):
+    """[(t, |H*t|)] for the orbits of t != 0 under H = {c^d}, d = gcd(e,
+    phi(q)), c over the units of a gcd list: each orbit marked in a
+    bytearray from the least t not yet seen, and its size the count of
+    newly marked residues."""
+    units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+    d = math.gcd(exp_sums._galois_exponent(family, len(units)), len(units))
+    h = sorted({pow(c, d, q) for c in units})
+    seen = bytearray(q)
+    seen[0] = marked = 1
+    orbits = []
+    t = seen.find(0)
+    while t > 0:
+        for x in h:
+            seen[x * t % q] = 1
+        before, marked = marked, seen.count(1)
+        orbits.append((t, marked - before))
+        t = seen.find(0, t)
+    return orbits
+
+
+def both_paths(family, q, p):
+    """({t: counts} for t = 0, 1, 2 and q - 1, domain, sorted (orbit size,
+    s_1), {2k: mean}) at the prime power q of p, by the walk and its layer
+    cosets, and by the generic path: defined_counts at the representatives
+    of reference_orbits, packed as _orbit_table packs N_1.  Each side's
+    means come from its own table."""
     family = family._replace(include_zero_in_sweep=True)
+    ts = (0, 1, 2, q - 1)
+    walked = {t: exp_sums._counts(family, q, t) for t in ts}
+    table = exp_sums._orbit_table.__wrapped__(family, q, p)
+    domain = totient(q) if family.twist == TWIST_INVERSE else q
+    orbits = reference_orbits(family, q)
+    defined = defined_counts(family, q, set(ts) | {t for t, _ in orbits})
+    nbytes = -(-domain.bit_length() // 8)
+    generic = (domain, [(size, {1: exp_sums._pack(defined[t], nbytes)}, {1: sum(c * c for c in defined[t])})
+                        for t, size in orbits])
     out = []
-    for prime in (exp_sums.is_prime, lambda n: False):
-        with mock.patch.object(exp_sums, "is_prime", prime):
-            counts = {t: exp_sums._counts(family, p, t) for t in (0, 1, 2, p - 1)}
-            table = exp_sums._orbit_table.__wrapped__(family, p, p)
-            with mock.patch.object(exp_sums, "_orbit_table", lambda *args: table):
-                means = {two_k: exp_sums._power_mean.__wrapped__(family, p, p, two_k) for two_k in PATH_MEANS}
-        domain, orbits = table
+    for counts, (domain, orbits) in ((walked, table), ({t: defined[t] for t in ts}, generic)):
+        with mock.patch.object(exp_sums, "_orbit_table", lambda *args: (domain, orbits)):
+            means = {two_k: exp_sums._power_mean.__wrapped__(family, q, p, two_k) for two_k in PATH_MEANS}
         out.append((counts, domain, sorted((size, squares[1]) for size, _, squares in orbits), means))
     return out
 
 
-def check_prime_path(family, p):
-    (counts, domain, orbits, means), generic = both_paths(family, p)
-    assert (domain, orbits, means) == generic[1:], (family, p)
+def check_prime_path(family, q, p=None):
+    """The walk against the generic path at the prime power q of p (p = q
+    when not given)."""
+    (counts, domain, orbits, means), generic = both_paths(family, q, p or q)
+    assert (domain, orbits, means) == generic[1:], (family, q)
     # the counts of the phases t*a^k + f*abar (or f*a) of the ascending-a
-    # definition, by the generic path and by the prime path's walk
+    # definition, by the generic path and by the walk
     k, f = family.monomial_degree, family.fixed_coefficient
     for t, walked in counts.items():
         if family.twist == TWIST_INVERSE:
-            phases = [t * pow(a, k, p) + f * pow(a, -1, p) for a in range(1, p)]
+            phases = [t * pow(a, k, q) + f * pow(a, -1, q) for a in range(1, q) if math.gcd(a, q) == 1]
         else:
-            phases = [t * pow(a, k, p) + f * a for a in range(p)]
-        defined = [0] * p
+            phases = [t * pow(a, k, q) + f * a for a in range(q)]
+        defined = [0] * q
         for x in phases:
-            defined[x % p] += 1
-        assert generic[0][t] == defined, (family, p, t)
-        assert walked == defined, (family, p, t)
-    assert sum(size for size, _ in orbits) == p - 1, (family, p)
+            defined[x % q] += 1
+        assert generic[0][t] == defined, (family, q, t)
+        assert walked == defined, (family, q, t)
+    assert sum(size for size, _ in orbits) == q - 1, (family, q)
 
 
 @pytest.mark.parametrize("family", [registry._SALIE_FAMILY, registry._ZWL_FAMILY, CUBIC_FAMILY,
@@ -552,29 +605,52 @@ def check_prime_path(family, p):
 def test_prime_path_is_the_generic_path_for_registry_families(family):
     for p in PRIMES_BELOW_600:
         check_prime_path(family, p)
+    for q, p in PRIME_POWERS:
+        check_prime_path(family, q, p)
+
+
+@pytest.mark.parametrize("family", ORBIT_FAMILIES)
+def test_layer_cosets_are_the_marked_orbits(family, monkeypatch):
+    # at every prime power below 300 and at 2^e up to 4096, the orbits of
+    # the layer cosets have the sizes of the marked orbits and cover the
+    # q - 1 residues t != 0; the sizes alone are compared, so no counts
+    monkeypatch.setattr(exp_sums, "_walk", lambda family, q, p, t: [0] * q)
+    moduli = [(q, fac[0][0]) for q in range(2, 300) if len(fac := factorize(q)) == 1]
+    for q, p in moduli + [(2**e, 2) for e in range(9, 13)]:
+        sizes = sorted(size for size, _, _ in exp_sums._orbit_table.__wrapped__(family, q, p)[1])
+        assert sizes == sorted(size for _, size in reference_orbits(family, q)), (family, q)
+        assert sum(sizes) == q - 1, (family, q)
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), p=st.sampled_from(PRIMES_BELOW_600), twist=st.sampled_from([TWIST_NONE, TWIST_INVERSE]),
-       fixed=st.sampled_from(["0", "1", "p", "2p+1", "random"]))
-def test_prime_path_is_the_generic_path(data, p, twist, fixed):
-    # k up to 2p, k = 0 mod p - 1 among them, where every unit has a^k = 1
-    k = data.draw(st.one_of(st.sampled_from([p - 1, 2 * (p - 1)]), st.integers(1, 2 * p)), label="k")
+@given(data=st.data(), qp=st.sampled_from(PRIMES_BELOW_600 + PRIME_POWERS_BELOW_600),
+       twist=st.sampled_from([TWIST_NONE, TWIST_INVERSE]), fixed=st.sampled_from(["0", "1", "p", "2p+1", "q", "random"]))
+def test_prime_path_is_the_generic_path(data, qp, twist, fixed):
+    q, p = qp if isinstance(qp, tuple) else (qp, qp)
+    phi = q - q // p
+    # k up to 2q, k = 0 mod phi(q) among them, where every unit has a^k = 1
+    k = data.draw(st.one_of(st.sampled_from([phi, 2 * phi]), st.integers(1, 2 * q)), label="k")
     if fixed == "random":
         f = data.draw(st.integers(-10**6, 10**6), label="f")
     else:
-        f = {"0": 0, "1": 1, "p": p, "2p+1": 2 * p + 1}[fixed]
-    check_prime_path(PhaseFamily(k, twist, f), p)
+        f = {"0": 0, "1": 1, "p": p, "2p+1": 2 * p + 1, "q": q}[fixed]
+    check_prime_path(PhaseFamily(k, twist, f), q, p)
 
 
 def test_scalar_sum_walk_is_the_generic_path():
-    # the same counts, hence the same complex value to the last bit
-    for p in PRIMES_BELOW_600[::7]:
-        for family in (PhaseFamily(1, TWIST_INVERSE, 5), PhaseFamily(3, TWIST_NONE, 5),
-                       PhaseFamily(p - 1, TWIST_INVERSE, 1), PhaseFamily(2 * p, TWIST_NONE, 0)):
-            walked = [exp_sums._scalar_sum(family, p, t) for t in (0, 1, 3, p - 1)]
-            with mock.patch.object(exp_sums, "is_prime", lambda n: False):
-                assert [exp_sums._scalar_sum(family, p, t) for t in (0, 1, 3, p - 1)] == walked, (family, p)
+    # the counts of the walk at every 7th prime below 600, and their CRT
+    # product at composites, are the ascending-a counts: the same counts,
+    # hence the same complex value to the last bit
+    for q in PRIMES_BELOW_600[::7] + [6, 12, 30, 210, 2310, 999999]:
+        families = [PhaseFamily(1, TWIST_INVERSE, 5), PhaseFamily(3, TWIST_NONE, 5)]
+        if q < 10**4:
+            families += [PhaseFamily(q - 1, TWIST_INVERSE, 1), PhaseFamily(2 * q, TWIST_NONE, 0)]
+        for family in families:
+            for t, defined in defined_counts(family, q, (0, 1, 2, q - 1)).items():
+                assert exp_sums._counts(family, q, t) == defined, (family, q, t)
+                if q < 10**4:
+                    re, im = next(exp_sums._scaled_sum([defined], q))
+                    assert exp_sums._scalar_sum(family, q, t) == complex(re / 2**128, im / 2**128), (family, q, t)
 
 
 def one_orbit_ladder(counts, packed):
@@ -697,7 +773,7 @@ def test_power_mean_rejects_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("power_mean did work before rejecting q")
 
-    for name in ("factorize", "_counts", "_units", "primitive_root"):
+    for name in ("factorize", "_counts", "_walk", "_unit_walk", "primitive_root"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         with pytest.raises(ValueError, match="2\\^31"):
@@ -774,7 +850,8 @@ def test_scalar_sums_reject_moduli_from_2_pow_31(monkeypatch):
     def no_work(*args):
         raise AssertionError("a scalar sum did work before rejecting q")
 
-    for name in ("factorize", "is_prime", "primitive_root", "_counts", "_powers", "_unit_root"):
+    for name in ("factorize", "is_prime", "primitive_root", "_counts", "_walk", "_unit_walk", "_powers",
+                 "_unit_root"):
         monkeypatch.setattr(exp_sums, name, no_work)
     for q in (2**31, 2**31 + 1, 2**40):
         for call in (
@@ -876,7 +953,7 @@ def test_names_nothing_calls_stay_deleted():
         exp_sums: ("kloosterman_bound_ratio", "weil_ratio", "_limb_shape", "_limb_q", "_pieces", "_sums",
                    "_T_BLOCK", "_abs_sq_table", "ResidualError", "RESIDUAL_TOL", "PowerMeanResult",
                    "VARY_LINEAR", "VARY_MONOMIAL", "abs_sq_coefficients", "abs_two_term_all_m",
-                   "_check_q", "_MAX_Q", "_fixed_root_table", "struct"),
+                   "_check_q", "_MAX_Q", "_fixed_root_table", "struct", "_units", "compress"),
         poly_search: ("_structural_notes", "char_sum_poly", "legendre_table", "Signature",
                       "signature", "normalized_key", "fundamentally_different", "_verify_pair",
                       "_is_canonical", "_differ", "_legendre_array"),
